@@ -79,11 +79,6 @@ impl DiskCache {
         self.dir.join("quarantine")
     }
 
-    /// Where the campaign journal lives (see [`crate::engine::journal`]).
-    pub fn journal_dir(&self) -> PathBuf {
-        self.dir.join("journal")
-    }
-
     /// Where worker-process lease files live (see
     /// [`crate::engine::lease`]).
     pub fn leases_dir(&self) -> PathBuf {

@@ -69,9 +69,6 @@
 //! Every `run` writes a failure report (`failures.json`, empty on a clean
 //! campaign) next to the artifacts; the campaign exits zero as long as it
 //! completes, even with failed runs — failures are data, not crashes.
-//!
-//! The historical per-figure binaries still exist as shims over
-//! [`run_single`], preserving their `--scale`/`--json <path>` surface.
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
@@ -481,8 +478,8 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         let path = file.clone().unwrap_or_else(|| failures_path(cli));
         // A missing report is a normal resume-after-kill state: the
         // previous campaign may have died before writing failures.json.
-        // Resume with an empty set (the cache + journal carry the real
-        // recovery state); any other read problem is still fatal.
+        // Resume with an empty set (the cache carries the real recovery
+        // state); any other read problem is still fatal.
         if !path.exists() {
             eprintln!(
                 "warning: --resume: {} does not exist (campaign killed before writing it?); \
@@ -515,7 +512,6 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         spans: None,
         poisoned: std::collections::HashMap::new(),
         carried_faults: Default::default(),
-        journal_scope: None,
     }
 }
 
@@ -653,13 +649,13 @@ pub fn main() {
             });
             let output = if cli.workers > 1 && cli.no_cache {
                 // Graceful degradation: the cache directory *is* the
-                // multi-process claim space (leases, journal shards, the
-                // committed outcomes themselves). Without it there is
-                // nothing to coordinate through, so fall back to the
-                // single-process scoped-thread pool.
+                // multi-process claim space (leases and the committed
+                // outcomes themselves). Without it there is nothing to
+                // coordinate through, so fall back to the single-process
+                // scoped-thread pool.
                 eprintln!(
                     "warning: --workers {} requires the run cache as its claim space; \
-                     --no-cache disables lease/journal coordination — \
+                     --no-cache disables lease coordination — \
                      falling back to in-process threads (-j {})",
                     cli.workers, cli.jobs
                 );
@@ -726,44 +722,6 @@ pub fn main() {
     }
 }
 
-/// Entry point of the historical per-figure shim binaries: runs exactly
-/// one scenario with the legacy `--scale <s>` / `--json <path>` surface
-/// (plus the shared `-j`/`--filter`/`--no-cache` flags).
-pub fn run_single(name: &str) {
-    let scenario = by_name(name).unwrap_or_else(|| panic!("scenario {name} is not registered"));
-    let scale = crate::scale_from_args();
-    let json_path = crate::json_path_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "-j" || a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    let filter = args.iter().position(|a| a == "--filter").and_then(|i| args.get(i + 1)).cloned();
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let opts = EngineOptions {
-        scale,
-        jobs,
-        filter,
-        disk_cache: if no_cache { None } else { Some(DiskCache::new("results/cache")) },
-        sim_hook: None,
-        ..EngineOptions::new(scale)
-    };
-    let output = run_scenarios(&[scenario.as_ref()], &opts);
-    print_output(&output, false);
-    if let Some(path) = json_path {
-        let s = &output.scenarios[0];
-        match write_json(&s.artifact, &path) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 fn list(cli: &Cli) {
     let suite = lf_workloads::all(cli.scale);
     println!("registered scenarios ({} kernels at scale {}):\n", suite.len(), scale_tag(cli.scale));
@@ -778,11 +736,6 @@ fn list(cli: &Cli) {
     }
     crate::print_table(&["scenario", "runs", "title"], &rows);
     println!("\n{total} total run requests before deduplication");
-}
-
-fn print_output(output: &EngineOutput, separators: bool) {
-    print!("{}", render_stdout(output, separators));
-    eprint!("{}", render_telemetry(output));
 }
 
 /// Everything a finished campaign prints, captured as strings so the
@@ -863,7 +816,7 @@ fn render_telemetry(output: &EngineOutput) -> String {
         r.requests - r.unique,
         r.disk_hits,
         r.simulated,
-        r.execute_wall_ms,
+        r.total_wall_ms,
         r.jobs
     ));
     let f = &r.faults;
@@ -900,21 +853,6 @@ fn render_telemetry(output: &EngineOutput) -> String {
         err.push_str(&format!(
             "supervisor: {} worker death(s) absorbed; {} poisonous run(s) quarantined\n",
             f.worker_deaths, f.poisoned
-        ));
-    }
-    if f.tmp_swept > 0 || f.journal_torn_bytes > 0 {
-        err.push_str(&format!(
-            "recovery: swept {} orphaned temp file(s); truncated {} torn journal byte(s)\n",
-            f.tmp_swept, f.journal_torn_bytes
-        ));
-    }
-    if f.journal_committed + f.journal_in_flight + f.journal_never_started > 0 {
-        err.push_str(&format!(
-            "journal: of {} planned run(s), {} committed, {} in flight at the kill, {} never started\n",
-            f.journal_committed + f.journal_in_flight + f.journal_never_started,
-            f.journal_committed,
-            f.journal_in_flight,
-            f.journal_never_started
         ));
     }
     err

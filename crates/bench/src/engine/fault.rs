@@ -214,7 +214,7 @@ pub struct FaultPlan {
     /// Fraction of runs whose worker hard-kills the whole process
     /// ([`std::process::abort`] — no unwinding, no destructors, the
     /// file-state equivalent of `kill -9`). Exercises the crash-recovery
-    /// path: atomic commits, the campaign journal, and `--resume`.
+    /// path: atomic commits, the orphan sweep, and `--resume`.
     pub crash_rate: f64,
 }
 
@@ -334,16 +334,6 @@ pub struct FaultStats {
     /// Orphaned commit temp files swept from the cache directory at
     /// campaign start (debris of a killed predecessor).
     pub tmp_swept: usize,
-    /// Bytes truncated from a torn campaign-journal tail on `--resume`
-    /// (an append was in flight when the previous campaign died).
-    pub journal_torn_bytes: u64,
-    /// Planned runs the resumed journal shows as durably committed.
-    pub journal_committed: usize,
-    /// Planned runs the resumed journal shows as started but never
-    /// committed — in flight when the previous campaign was killed.
-    pub journal_in_flight: usize,
-    /// Planned runs the resumed journal shows as never started.
-    pub journal_never_started: usize,
     /// Runs quarantined as poisonous (killed too many workers).
     pub poisoned: usize,
     /// Worker processes the supervisor observed dying abnormally.
@@ -372,34 +362,6 @@ impl FaultStats {
         self.panicked + self.budget_exceeded + self.sim_errors + self.prep_failures + self.poisoned
     }
 
-    /// Merges another invocation's counters into this one (the supervisor
-    /// carries its own counters into the final rendering pass).
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.panicked += other.panicked;
-        self.budget_exceeded += other.budget_exceeded;
-        self.sim_errors += other.sim_errors;
-        self.prep_failures += other.prep_failures;
-        self.render_failures += other.render_failures;
-        self.cache_corrupt += other.cache_corrupt;
-        self.cache_schema_mismatch += other.cache_schema_mismatch;
-        self.quarantined += other.quarantined;
-        self.store_retries += other.store_retries;
-        self.store_failures += other.store_failures;
-        self.resumed += other.resumed;
-        self.tmp_swept += other.tmp_swept;
-        self.journal_torn_bytes += other.journal_torn_bytes;
-        self.journal_committed += other.journal_committed;
-        self.journal_in_flight += other.journal_in_flight;
-        self.journal_never_started += other.journal_never_started;
-        self.poisoned += other.poisoned;
-        self.worker_deaths += other.worker_deaths;
-        self.worker_respawns += other.worker_respawns;
-        self.lease_reclaims += other.lease_reclaims;
-        self.lease_clock_skew += other.lease_clock_skew;
-        self.lease_contended += other.lease_contended;
-        self.backoff_ms += other.backoff_ms;
-    }
-
     /// The `faults` section of planner telemetry.
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj();
@@ -416,10 +378,6 @@ impl FaultStats {
         j.set("cache_store_failures", self.store_failures as u64);
         j.set("resumed_failures", self.resumed as u64);
         j.set("tmp_swept", self.tmp_swept as u64);
-        j.set("journal_torn_bytes", self.journal_torn_bytes);
-        j.set("journal_committed", self.journal_committed as u64);
-        j.set("journal_in_flight", self.journal_in_flight as u64);
-        j.set("journal_never_started", self.journal_never_started as u64);
         j.set("poisoned", self.poisoned as u64);
         j.set("worker_deaths", self.worker_deaths as u64);
         j.set("worker_respawns", self.worker_respawns as u64);

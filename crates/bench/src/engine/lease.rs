@@ -343,9 +343,9 @@ fn probe(path: &Path) -> Option<(Option<Duration>, Option<u32>)> {
 
 /// Sentinel heartbeat timestamp recorded when the wall clock reads
 /// pre-epoch. `u64::MAX` sorts *after* every real millisecond stamp, so
-/// a journal-shard merge keyed on the timestamp stays stably ordered
-/// (the broken-clock records group together at the end) instead of
-/// silently interleaving as epoch-zero records at the front.
+/// anything ordering lease bodies by timestamp groups the broken-clock
+/// records together at the end instead of silently interleaving them as
+/// epoch-zero records at the front.
 pub const UNIX_MS_UNKNOWN: u64 = u64::MAX;
 
 pub(crate) fn unix_ms() -> u64 {
@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn unix_ms_sentinel_sorts_after_real_timestamps() {
         // A pre-epoch clock records UNIX_MS_UNKNOWN, which must sort
-        // after every real stamp so shard merges stay stably ordered.
+        // after every real stamp so broken-clock records group last.
         let now = unix_ms();
         assert!(now > 0, "test host clock is sane");
         let mut stamps = vec![UNIX_MS_UNKNOWN, now, 0, now + 1];

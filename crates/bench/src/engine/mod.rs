@@ -28,7 +28,6 @@
 pub mod cache;
 pub mod cli;
 pub mod fault;
-pub mod journal;
 pub mod lease;
 pub mod planner;
 pub mod pool;
@@ -43,7 +42,6 @@ use crate::tiered::{CheckpointStore, Tier};
 use crate::RunArtifact;
 use cache::{CacheLookup, DiskCache};
 use fault::{FaultPlan, FaultStats, RunBudget, RunError, RunFailure};
-use journal::{Journal, JournalEvent, Replay, RunState};
 use lf_stats::Json;
 use lf_workloads::{Scale, Workload};
 use planner::{dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, PreparedKernel};
@@ -56,7 +54,7 @@ use std::time::{Duration, Instant};
 
 /// One experiment: a registered figure/table reproduction.
 pub trait Scenario: Sync {
-    /// CLI name (stable; matches the historical binary name).
+    /// CLI name (stable; `lf-bench run <name>`).
     fn name(&self) -> &'static str;
     /// One-line human title printed above the rendered output.
     fn title(&self) -> &'static str;
@@ -116,12 +114,6 @@ pub struct EngineOptions {
     /// deaths, respawns, lease reclaims); merged into this invocation's
     /// own counters so the rendered telemetry covers the whole campaign.
     pub carried_faults: FaultStats,
-    /// Journal scope for campaigns sharing one cache directory: a fresh
-    /// campaign writes `campaign-<scope>.journal` instead of truncating
-    /// the shared `campaign.journal`, so concurrent service requests
-    /// never interleave torn state. `None` (every one-shot invocation)
-    /// keeps the classic single-log behavior.
-    pub journal_scope: Option<String>,
 }
 
 impl EngineOptions {
@@ -140,7 +132,6 @@ impl EngineOptions {
             spans: None,
             poisoned: HashMap::new(),
             carried_faults: FaultStats::default(),
-            journal_scope: None,
         }
     }
 }
@@ -519,11 +510,14 @@ pub fn run_scenarios_warm(
     // caller's log is used when provided so `--trace-out` can export it.
     let span_log: Arc<SpanLog> = opts.spans.clone().unwrap_or_default();
     // Campaign durability: sweep commit temp files orphaned by a killed
-    // predecessor, then open the campaign journal. Both live under the
-    // cache directory, so `--no-cache` campaigns run unswept and
-    // unjournaled (they publish nothing worth recovering).
+    // predecessor. Everything else a kill leaves behind is a cache miss
+    // that simply re-simulates. `--no-cache` campaigns run unswept (they
+    // publish nothing worth recovering); `+=` because a supervising
+    // process may have swept (and counted) already.
     let mut faults = opts.carried_faults.clone();
-    let (campaign_journal, journal_replay) = open_journal(opts, &mut faults);
+    if let Some(cache) = &opts.disk_cache {
+        faults.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
+    }
 
     // Phases 1-2: plan, prepare, dedupe (shared with worker processes,
     // which re-derive the identical plan from the same options, and with
@@ -550,28 +544,6 @@ pub fn run_scenarios_warm(
         });
         failure_list.push(record.clone());
         prep_failures.insert(*key, record);
-    }
-
-    // Journal the deduplicated plan in one batch, and on `--resume`
-    // classify each planned run against the previous campaign's log: the
-    // telemetry states exactly what the crash interrupted (committed /
-    // in flight / never started) instead of leaving it to be inferred
-    // from cache misses.
-    if let Some(j) = &campaign_journal {
-        let planned: Vec<JournalEvent> =
-            unique.iter().map(|r| JournalEvent::Planned(r.fingerprint)).collect();
-        if let Err(e) = j.append_all(&planned) {
-            eprintln!("warning: campaign journal write failed: {e}");
-        }
-        if let Some(replay) = &journal_replay {
-            for run in unique.iter() {
-                match replay.classify(run.fingerprint) {
-                    RunState::Committed => faults.journal_committed += 1,
-                    RunState::InFlight => faults.journal_in_flight += 1,
-                    RunState::NeverStarted => faults.journal_never_started += 1,
-                }
-            }
-        }
     }
 
     // Phase 3: serve what the disk cache already knows, simulate the rest.
@@ -625,7 +597,7 @@ pub fn run_scenarios_warm(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let executed = execute_refs(&misses, opts, &span_log, campaign_journal.as_deref());
+    let executed = execute_refs(&misses, opts, &span_log);
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
     for (run, deaths) in poisoned_runs {
@@ -643,14 +615,7 @@ pub fn run_scenarios_warm(
         match result {
             Ok(outcome) => {
                 if let Some(cache) = &opts.disk_cache {
-                    store_outcome(
-                        cache,
-                        run.fingerprint,
-                        &outcome,
-                        opts,
-                        &mut faults,
-                        campaign_journal.as_deref(),
-                    );
+                    store_outcome(cache, run.fingerprint, &outcome, opts, &mut faults);
                 }
                 outcomes.insert(run.fingerprint, outcome);
             }
@@ -819,74 +784,25 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
 }
 
 /// Executes one unique run in this process (the worker claim loop's unit
-/// of work): journals `Started`, applies injection/budget/tier dispatch,
-/// and returns the outcome. Panics are contained exactly as in the
-/// campaign pool.
+/// of work): applies injection/budget/tier dispatch and returns the
+/// outcome. Panics are contained exactly as in the campaign pool.
 pub(crate) fn execute_single(
     run: &planner::UniqueRun,
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
-    journal: Option<&Journal>,
 ) -> Result<Arc<RunOutcome>, RunError> {
-    execute_refs(&[run], opts, span_log, journal)
-        .pop()
-        .expect("execute over one run yields one result")
+    execute_refs(&[run], opts, span_log).pop().expect("execute over one run yields one result")
 }
 
-/// Opens the campaign journal under the cache directory (fresh on a new
-/// campaign, replayed on `--resume`) after sweeping commit temp files a
-/// killed predecessor left behind. Journal IO failures cost diagnostics,
-/// never the campaign: the engine degrades to running unjournaled.
-fn open_journal(
-    opts: &EngineOptions,
-    faults: &mut FaultStats,
-) -> (Option<Arc<Journal>>, Option<Replay>) {
-    let Some(cache) = &opts.disk_cache else {
-        return (None, None);
-    };
-    // `+=`: a supervising process may have swept (and counted) already.
-    faults.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
-    let dir = cache.journal_dir();
-    if opts.resume_from.is_some() {
-        match Journal::resume(&dir) {
-            Ok((j, replay)) => {
-                faults.journal_torn_bytes = replay.torn_bytes;
-                (Some(Arc::new(j)), Some(replay))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot resume campaign journal: {e}");
-                (None, None)
-            }
-        }
-    } else {
-        // Service requests write a scoped per-request log instead of
-        // truncating the shared campaign.journal out from under their
-        // neighbors; a one-shot campaign keeps the classic single log.
-        let opened = match &opts.journal_scope {
-            Some(scope) => Journal::begin_scoped(&dir, scope),
-            None => Journal::begin(&dir),
-        };
-        match opened {
-            Ok(j) => (Some(Arc::new(j)), None),
-            Err(e) => {
-                eprintln!("warning: cannot open campaign journal: {e}");
-                (None, None)
-            }
-        }
-    }
-}
-
-/// Persists one outcome through the retry schedule, journals the durable
-/// commit, then (under `--inject-fault corrupt-cache:<rate>`) garbles the
-/// freshly written entry so the *next* campaign exercises the quarantine
-/// path.
+/// Persists one outcome through the retry schedule, then (under
+/// `--inject-fault corrupt-cache:<rate>`) garbles the freshly written
+/// entry so the *next* campaign exercises the quarantine path.
 pub(crate) fn store_outcome(
     cache: &DiskCache,
     fingerprint: u64,
     outcome: &RunOutcome,
     opts: &EngineOptions,
     faults: &mut FaultStats,
-    journal: Option<&Journal>,
 ) {
     let (tried, stored) =
         lf_stats::fault::retry(2, Duration::from_millis(10), Duration::from_millis(80), || {
@@ -900,23 +816,11 @@ pub(crate) fn store_outcome(
             faults.store_failures += 1;
             eprintln!("warning: run cache write failed after {tried} attempts: {e}");
         }
-        Ok(()) => {
-            // The commit record follows the cache rename: a journal that
-            // says `Committed` is never ahead of the durable entry (a
-            // crash between the two merely downgrades the run to "in
-            // flight", which resume treats conservatively).
-            if let Some(j) = journal {
-                if let Err(e) = j.append(JournalEvent::Committed(fingerprint)) {
-                    eprintln!("warning: campaign journal append failed: {e}");
-                }
-            }
-            if opts.faults.should_corrupt(fingerprint) {
-                let _ = std::fs::write(
-                    cache.entry_path(fingerprint),
-                    "{ \"injected\": \"corrupt-cache\"",
-                );
-            }
+        Ok(()) if opts.faults.should_corrupt(fingerprint) => {
+            let _ =
+                std::fs::write(cache.entry_path(fingerprint), "{ \"injected\": \"corrupt-cache\"");
         }
+        Ok(()) => {}
     }
 }
 
@@ -926,7 +830,6 @@ fn execute_refs(
     misses: &[&planner::UniqueRun],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
-    journal: Option<&Journal>,
 ) -> Vec<Result<Arc<RunOutcome>, RunError>> {
     let hook = opts.sim_hook.as_deref();
     let owned: Vec<planner::UniqueRun> = misses
@@ -951,12 +854,11 @@ fn execute_refs(
         opts.tier,
         ckpt_store.as_ref(),
         span_log,
-        journal,
     )
 }
 
 /// The scenario registry, in render order. Names are stable CLI surface
-/// (they match the historical per-figure binaries).
+/// (`lf-bench run <name>`).
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     scenarios::all()
 }

@@ -381,21 +381,11 @@ pub(crate) fn execute(
     tier: Tier,
     ckpt_store: Option<&CheckpointStore>,
     span_log: &Arc<crate::engine::spans::SpanLog>,
-    journal: Option<&crate::engine::journal::Journal>,
 ) -> Vec<Result<Arc<RunOutcome>, RunError>> {
     try_parallel_map(jobs, runs, |run| {
         let _span = span_log.span("run", run.kernel);
         if let Some(h) = hook {
             h(run.kernel);
-        }
-        // Journal the start *before* simulating: if the process dies
-        // mid-run, `--resume` can tell this run was in flight. Journaling
-        // is best-effort — a failed append costs diagnostics, not results.
-        if let Some(j) = journal {
-            if let Err(e) = j.append(crate::engine::journal::JournalEvent::Started(run.fingerprint))
-            {
-                eprintln!("warning: campaign journal append failed: {e}");
-            }
         }
         execute_one(run, budget, faults, tier, ckpt_store)
     })

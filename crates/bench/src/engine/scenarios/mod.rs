@@ -2,7 +2,7 @@
 //! each, registered in render order.
 //!
 //! Scenario names are the stable CLI surface of `lf-bench run` and match
-//! the historical per-figure binaries (which now shim into the engine).
+//! the committed `results/<name>.txt` tables.
 
 mod area_power;
 mod assoc_sensitivity;

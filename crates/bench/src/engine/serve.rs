@@ -45,13 +45,11 @@
 //! lease directory, and exit `128 + signal` — the same drain contract as
 //! the supervisor. At startup the server sweeps debris a dead
 //! predecessor may have leaked: orphaned commit temps, expired leases,
-//! stale scoped request journals, and a stale socket file (a *live*
-//! socket is an error — two servers must not share a claim space).
+//! and a stale socket file (a *live* socket is an error — two servers
+//! must not share a claim space).
 //!
-//! Each request journals under its own scoped log
-//! (`campaign-req-<id>.journal`, see [`crate::engine::journal`]) and
-//! tags its spans with the request id, so one service process yields
-//! per-request crash forensics and traces.
+//! Each request tags its spans with the request id, so one service
+//! process yields per-request traces.
 
 use crate::engine::fault::{RunBudget, DEFAULT_BUDGET_CYCLES};
 use lf_stats::Json;
@@ -66,7 +64,7 @@ pub const CONNECT_TIMEOUT_ENV: &str = "LF_SERVE_CONNECT_TIMEOUT_MS";
 pub struct ServeOptions {
     /// The Unix domain socket to bind.
     pub socket: PathBuf,
-    /// The shared run cache — also the claim space and journal home.
+    /// The shared run cache — also the claim space.
     pub cache_dir: PathBuf,
     /// Default in-process parallelism for requests (currently requests
     /// carry their own `jobs`; kept for future defaulting).
@@ -184,8 +182,8 @@ mod imp {
     use crate::engine::lease::LeaseDir;
     use crate::engine::spans::SpanLog;
     use crate::engine::{
-        by_name, journal, registry, run_scenarios_warm, signals, supervise, EngineOptions,
-        EngineOutput, Scenario, WarmEngine,
+        by_name, registry, run_scenarios_warm, signals, supervise, EngineOptions, EngineOutput,
+        Scenario, WarmEngine,
     };
     use crate::runner::scale_tag;
     use crate::tiered::Tier;
@@ -221,8 +219,8 @@ mod imp {
         }
         let cache = DiskCache::new(opts.cache_dir.clone());
         // Startup hygiene: a dead predecessor (or a killed one-shot
-        // campaign) may have leaked commit temps, leases, scoped request
-        // journals — and its socket file.
+        // campaign) may have leaked commit temps, leases — and its socket
+        // file.
         let swept = crate::durable::sweep_orphan_tmps(cache.dir());
         let leases = match LeaseDir::open(&cache.leases_dir(), LeaseDir::env_expiry(), u64::MAX) {
             Ok(l) => l,
@@ -232,7 +230,6 @@ mod imp {
             }
         };
         let reclaimed = leases.sweep();
-        journal::remove_scoped_logs(cache.dir());
         if swept > 0 || reclaimed > 0 {
             eprintln!("serve: startup sweep: {swept} temp file(s), {reclaimed} lease(s)");
         }
@@ -427,11 +424,10 @@ mod imp {
         eopts.disk_cache = Some(cache.clone());
         eopts.budget = Request::budget();
         eopts.spans = Some(span_log.clone());
-        eopts.journal_scope = Some(format!("req-{id}"));
         let hits_before = warm.plan_hits();
         let output = if request.workers > 1 {
-            // Multi-process requests go through the supervisor; its own
-            // journal/lease protocol coordinates the worker fleet.
+            // Multi-process requests go through the supervisor; its lease
+            // protocol coordinates the worker fleet.
             let sup = worker_config(request, opts);
             match supervise::run_supervised(&refs, &eopts, &sup) {
                 Ok(out) => out,

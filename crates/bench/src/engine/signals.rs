@@ -6,8 +6,8 @@
 //!
 //! - a *drain* flag: SIGTERM/SIGINT set an atomic instead of killing the
 //!   process, so the supervisor can stop handing out work, signal its
-//!   worker process groups, and exit with zero leaked children, leases,
-//!   or torn journal bytes;
+//!   worker process groups, and exit with zero leaked children or
+//!   leases;
 //! - process-group signalling (`killpg`) — each worker is spawned as its
 //!   own group leader, so draining one worker also drains anything it
 //!   spawned;

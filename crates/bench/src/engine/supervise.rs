@@ -13,12 +13,12 @@
 //! cache directory (see [`crate::engine::lease`]). A worker is purely a
 //! *cache filler*: it claims a fingerprint, simulates it, commits the
 //! outcome through the same atomic cache-store path a single-process
-//! campaign uses, journals Claimed/Started/Committed/Released into its
-//! own journal shard, and moves on. When every planned fingerprint is
-//! either committed or quarantined, workers exit 0 and the supervisor
-//! runs the ordinary in-process engine one final time: everything hits
-//! the cache, rendering happens serially in registry order, and the
-//! artifacts are byte-identical to a single-process campaign.
+//! campaign uses, releases the lease, and moves on. When every planned
+//! fingerprint is either committed or quarantined, workers exit 0 and the
+//! supervisor runs the ordinary in-process engine one final time:
+//! everything hits the cache, rendering happens serially in registry
+//! order, and the artifacts are byte-identical to a single-process
+//! campaign.
 //!
 //! Failure policy:
 //!
@@ -34,8 +34,7 @@
 //!   supervisor down too).
 //! - *drain* (SIGTERM/SIGINT to the supervisor): workers are signalled
 //!   via their process groups, given a grace period, then killed;
-//!   every child is reaped, leases are swept, and journal shards stay
-//!   whole because workers exit at run boundaries.
+//!   every child is reaped and leases are swept.
 //!
 //! Locally-contained worker failures (an injected panic, a budget trip)
 //! deliberately do *not* publish anything: the worker marks the run done
@@ -46,7 +45,6 @@
 //! atomic renames.
 
 use crate::engine::fault::FaultStats;
-use crate::engine::journal::{Journal, JournalEvent};
 use crate::engine::lease::{Claim, Lease, LeaseDir};
 use crate::engine::signals;
 use crate::engine::spans::SpanLog;
@@ -179,7 +177,7 @@ pub fn run_supervised(
     // Campaign setup: sweep debris of any previous campaign — orphaned
     // commit temp files, stale leases, stale poison markers. None of it
     // is owned by a live process (concurrent campaigns in one cache dir
-    // are unsupported, exactly as for the journal).
+    // are unsupported).
     stats.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
     let expiry = LeaseDir::env_expiry();
     let leases = match LeaseDir::open(&cache.leases_dir(), expiry, u64::MAX) {
@@ -193,14 +191,6 @@ pub fn run_supervised(
     let poison_dir = cache.poison_dir();
     let _ = std::fs::create_dir_all(&poison_dir);
     clear_poison(&poison_dir);
-    // A fresh campaign truncates the journal (and clears worker shards)
-    // up front; the final pass then reopens it in append mode. A resumed
-    // campaign keeps the existing log.
-    if opts.resume_from.is_none() {
-        if let Err(e) = Journal::begin(&cache.journal_dir()) {
-            eprintln!("warning: cannot open campaign journal: {e}");
-        }
-    }
 
     let exe = match std::env::current_exe() {
         Ok(p) => p,
@@ -385,12 +375,10 @@ pub fn run_supervised(
     }
 
     // Final pass: an ordinary in-process campaign over the worker-filled
-    // cache. `resume_from` (possibly empty) opens the journal in append
-    // mode instead of truncating the workers' records; poisoned runs
-    // become structured failures instead of executing; the supervisor's
-    // counters merge into the pass's own telemetry.
+    // cache. Poisoned runs become structured failures instead of
+    // executing; the supervisor's counters merge into the pass's own
+    // telemetry.
     let mut final_opts = opts.clone();
-    final_opts.resume_from = Some(opts.resume_from.clone().unwrap_or_default());
     final_opts.poisoned = poisoned;
     final_opts.carried_faults = stats;
     let out = run_scenarios(scenarios, &final_opts);
@@ -413,16 +401,8 @@ pub fn worker_main(
         eprintln!("worker {worker_id}: --no-cache has no claim space; nothing to do");
         return 2;
     };
-    let pid = std::process::id();
     let span_log: Arc<SpanLog> = Arc::default();
     let plan = build_plan(scenarios, opts, &span_log);
-    let journal = match Journal::shard(&cache.journal_dir(), &format!("{worker_id}-{pid}")) {
-        Ok(j) => Some(Arc::new(j)),
-        Err(e) => {
-            eprintln!("worker {worker_id}: journal shard unavailable ({e}); running unjournaled");
-            None
-        }
-    };
     let expiry = LeaseDir::env_expiry();
     let leases = match LeaseDir::open(&cache.leases_dir(), expiry, worker_id) {
         Ok(l) => l,
@@ -443,7 +423,6 @@ pub fn worker_main(
         let current = current.clone();
         let stop = stop.clone();
         let leases = leases.clone();
-        let journal = journal.clone();
         std::thread::spawn(move || {
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
                 std::thread::sleep(hb_interval);
@@ -452,9 +431,6 @@ pub fn worker_main(
                     let fp = lease.fingerprint();
                     if let Err(e) = leases.heartbeat(lease) {
                         eprintln!("worker: heartbeat failed for {}: {e}", fingerprint_hex(fp));
-                    }
-                    if let Some(j) = &journal {
-                        let _ = j.append(JournalEvent::Heartbeat(fp, pid));
                     }
                 }
             }
@@ -521,24 +497,13 @@ pub fn worker_main(
                         progress = true;
                         continue;
                     }
-                    if let Some(j) = &journal {
-                        let _ = j.append(JournalEvent::Claimed(fp, pid));
-                    }
                     *current.lock().expect("heartbeat mutex poisoned") = Some(lease);
                     // An injected crash aborts right here — the whole
                     // worker dies holding the lease, which is exactly the
                     // failure the supervisor exists to absorb.
-                    let result = execute_single(run, opts, &span_log, journal.as_deref());
-                    match result {
+                    match execute_single(run, opts, &span_log) {
                         Ok(outcome) => {
-                            store_outcome(
-                                &cache,
-                                fp,
-                                &outcome,
-                                opts,
-                                &mut local_faults,
-                                journal.as_deref(),
-                            );
+                            store_outcome(&cache, fp, &outcome, opts, &mut local_faults);
                         }
                         Err(error) => {
                             // Locally-contained failure (panic, budget,
@@ -556,9 +521,6 @@ pub fn worker_main(
                     }
                     done.insert(fp);
                     if let Some(lease) = current.lock().expect("heartbeat mutex poisoned").take() {
-                        if let Some(j) = &journal {
-                            let _ = j.append(JournalEvent::Released(fp, pid));
-                        }
                         lease.release();
                     }
                     progress = true;

@@ -28,42 +28,3 @@ pub use runner::{
 };
 pub use table::{fmt_pct, print_table, write_table};
 pub use tiered::{run_fingerprint_tiered, CheckpointStore, SampledPlan, Tier};
-
-/// Parses `--scale smoke|eval|full` from the process arguments (default
-/// smoke). Exits with an error on an unrecognized value rather than
-/// silently falling back.
-pub fn scale_from_args() -> lf_workloads::Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        None => lf_workloads::Scale::Smoke,
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("eval") => lf_workloads::Scale::Eval,
-            Some("smoke") => lf_workloads::Scale::Smoke,
-            Some("full") => lf_workloads::Scale::Full,
-            other => {
-                eprintln!(
-                    "error: --scale expects `smoke`, `eval`, or `full`, got {}",
-                    other.unwrap_or("nothing")
-                );
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// Parses `--json <path>` from the process arguments: the destination for
-/// this run's machine-readable artifact (see [`artifact`]). Returns `None`
-/// when the flag is absent; exits with an error when the path is missing.
-pub fn json_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--json") {
-        None => None,
-        Some(i) => match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(std::path::PathBuf::from(p)),
-            _ => {
-                eprintln!("error: --json expects an output path");
-                std::process::exit(2);
-            }
-        },
-    }
-}

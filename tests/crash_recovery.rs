@@ -11,16 +11,18 @@
 //! 2. its stdout and scenario artifact are byte-identical to an uncrashed
 //!    campaign's (modulo the `planner` telemetry section, which carries
 //!    wall-clock times);
-//! 3. no orphaned commit temp files and no torn journal tail survive, and
-//!    `failures.json` reports a clean campaign.
+//! 3. no orphaned commit temp files survive, and `failures.json` reports
+//!    a clean campaign;
+//! 4. the resume serves every run the kill left committed in the cache
+//!    and re-simulates exactly the rest — cache misses alone decide what
+//!    re-executes.
 //!
 //! Kill points are randomized but seeded (`LF_CRASH_SEED`), and the timer
-//! sweep width scales with `LF_CRASH_POINTS` (CI's crash-smoke job widens
-//! it; the default keeps `cargo test` quick). Because a killed campaign
-//! usually dies *before* writing `failures.json`, every resume here also
-//! exercises the missing-failure-report path end to end.
+//! sweep width scales with `LF_CRASH_POINTS` (CI's recovery-smoke job
+//! widens it; the default keeps `cargo test` quick). Because a killed
+//! campaign usually dies *before* writing `failures.json`, every resume
+//! here also exercises the missing-failure-report path end to end.
 
-use lf_bench::engine::journal::{replay_and_truncate, JOURNAL_FILE};
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -34,8 +36,9 @@ const SCENARIO: &str = "fig6_speedups";
 const FILTER: &str = "stencil_blur";
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    // CI points LF_CRASH_SCRATCH inside the workspace so the journal and
-    // failure reports of a red run can be uploaded as artifacts.
+    // CI points LF_CRASH_SCRATCH inside the workspace so the planner
+    // telemetry and failure reports of a red run can be uploaded as
+    // artifacts.
     let root =
         std::env::var_os("LF_CRASH_SCRATCH").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
     let dir = root.join(format!("lf-bench-crash-test-{}-{tag}", std::process::id()));
@@ -108,8 +111,31 @@ fn tmp_files_under(dir: &Path) -> Vec<PathBuf> {
         .collect()
 }
 
+/// Committed run-cache entries (`<16-hex fingerprint>.json`) directly
+/// under the campaign's cache directory.
+fn committed_entries(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir.join("results/cache")) else { return 0 };
+    entries
+        .flatten()
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.strip_suffix(".json")
+                .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
+        })
+        .count() as u64
+}
+
+fn planner_json(dir: &Path) -> Json {
+    Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap()
+}
+
+fn count(doc: &Json, key: &str) -> u64 {
+    doc.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("{key} missing from {doc:?}"))
+}
+
 /// The full recovery contract, checked against a reference run.
 fn assert_recovered(dir: &Path, ref_stdout: &str, ref_artifact: &str, what: &str) {
+    let committed = committed_entries(dir);
     let resumed = run(&mut campaign(dir, &["--resume"]));
     assert!(
         resumed.status.success(),
@@ -140,19 +166,28 @@ fn assert_recovered(dir: &Path, ref_stdout: &str, ref_artifact: &str, what: &str
     let leaked = tmp_files_under(dir);
     assert!(leaked.is_empty(), "[{what}] leaked temp files after recovery: {leaked:?}");
 
-    // The journal replays whole: no torn tail survives a recovery.
-    let journal = dir.join("results/cache/journal").join(JOURNAL_FILE);
-    assert!(journal.exists(), "[{what}] the recovered campaign keeps a journal");
-    let replay = replay_and_truncate(&journal).unwrap();
-    assert_eq!(replay.torn_bytes, 0, "[{what}] no torn journal tail after recovery");
-    assert!(replay.records > 0, "[{what}] the journal records the recovered campaign");
+    // Every entry the kill left committed is served from the cache, and
+    // exactly the uncommitted remainder re-simulates.
+    let planner = planner_json(dir);
+    assert_eq!(
+        count(&planner, "disk_cache_hits"),
+        committed,
+        "[{what}] the resume serves every committed entry from the cache"
+    );
+    assert_eq!(
+        count(&planner, "simulated"),
+        count(&planner, "unique_runs") - committed,
+        "[{what}] the resume re-simulates exactly the uncommitted runs"
+    );
 }
 
 /// Runs the uncrashed reference campaign and returns its stdout, its
 /// normalized artifact, and its wall-clock duration (the timer sweep
-/// spreads kill points across it).
-fn reference() -> (String, String, Duration) {
-    let dir = scratch_dir("reference");
+/// spreads kill points across it). Each test passes its own `tag`: tests
+/// run in parallel, and a shared directory would be wiped out from under
+/// a neighbor's running campaign.
+fn reference(tag: &str) -> (String, String, Duration) {
+    let dir = scratch_dir(&format!("reference-{tag}"));
     let started = Instant::now();
     let out = run(&mut campaign(&dir, &[]));
     let wall = started.elapsed();
@@ -195,7 +230,7 @@ fn timer_points() -> usize {
 /// through the missing-failures.json path.
 #[test]
 fn simulate_phase_crash_recovers_byte_identically() {
-    let (ref_stdout, ref_artifact, _) = reference();
+    let (ref_stdout, ref_artifact, _) = reference("inject-crash");
     let dir = scratch_dir("inject-crash");
     let crashed = run(&mut campaign(&dir, &["--inject-fault", "crash:1.0"]));
     assert!(
@@ -213,13 +248,6 @@ fn simulate_phase_crash_recovers_byte_identically() {
         "a kill -9 precedes the failure report — that's the point"
     );
 
-    // The journal survived the abort: the plan landed, and the doomed run
-    // was journaled as started before the crash.
-    let journal = dir.join("results/cache/journal").join(JOURNAL_FILE);
-    let replay = replay_and_truncate(&journal).unwrap();
-    assert!(!replay.planned.is_empty(), "the plan was journaled before the kill");
-    assert!(!replay.started.is_empty(), "the doomed run was journaled as in flight");
-
     assert_recovered(&dir, &ref_stdout, &ref_artifact, "inject-crash");
 }
 
@@ -230,7 +258,7 @@ fn simulate_phase_crash_recovers_byte_identically() {
 /// its timer must already be identical.
 #[test]
 fn seeded_timer_kills_across_all_phases_recover() {
-    let (ref_stdout, ref_artifact, wall) = reference();
+    let (ref_stdout, ref_artifact, wall) = reference("timer");
     let mut rng = Lcg::from_env();
     let span_ms = (wall.as_millis() as u64).max(20) * 5 / 4;
     let mut crashes = 0usize;
@@ -258,7 +286,7 @@ fn seeded_timer_kills_across_all_phases_recover() {
 #[cfg(unix)]
 #[test]
 fn external_sigkill_recovers_byte_identically() {
-    let (ref_stdout, ref_artifact, wall) = reference();
+    let (ref_stdout, ref_artifact, wall) = reference("sigkill");
     let mut rng = Lcg::from_env();
     let span_ms = (wall.as_millis() as u64).max(20);
     for point in 0..3 {
@@ -316,8 +344,7 @@ fn resume_with_stale_fingerprints_completes_cleanly() {
     let resumed = run(&mut campaign(&dir, &["--resume"]));
     assert!(resumed.status.success(), "{}", stderr_of(&resumed));
     assert!(stderr_of(&resumed).contains("resuming: 2 failed run(s)"));
-    let planner =
-        Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap();
+    let planner = planner_json(&dir);
     let faults = planner.get("faults").expect("planner telemetry has a faults section");
     assert_eq!(
         faults.get("resumed_failures").and_then(Json::as_u64),
@@ -331,18 +358,15 @@ fn resume_with_stale_fingerprints_completes_cleanly() {
     );
 }
 
-/// `--resume --no-cache`: with the cache disabled there is no journal and
-/// no memoization — the resume degenerates to a full re-run, which must
-/// still complete and must not create cache state.
+/// `--resume --no-cache`: with the cache disabled there is no memoization
+/// — the resume degenerates to a full re-run, which must still complete
+/// and must not create cache state.
 #[test]
-fn resume_with_no_cache_reruns_everything_without_journal() {
+fn resume_with_no_cache_reruns_everything_without_cache_state() {
     let dir = scratch_dir("resume-nocache");
     let out = run(&mut campaign(&dir, &["--resume", "--no-cache"]));
     assert!(out.status.success(), "{}", stderr_of(&out));
-    assert!(
-        !dir.join("results/cache").exists(),
-        "--no-cache must not create cache or journal state"
-    );
+    assert!(!dir.join("results/cache").exists(), "--no-cache must not create cache state");
 }
 
 /// A clean campaign's empty failure report resumes as a no-op: everything
@@ -356,16 +380,11 @@ fn resume_from_an_empty_failure_report_serves_the_cache() {
     let resumed = run(&mut campaign(&dir, &["--resume"]));
     assert!(resumed.status.success(), "{}", stderr_of(&resumed));
     assert!(stderr_of(&resumed).contains("resuming: 0 failed run(s)"));
-    let planner =
-        Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap();
+    let planner = planner_json(&dir);
     assert_eq!(
-        planner.get("simulated").and_then(Json::as_u64),
-        Some(0),
+        count(&planner, "simulated"),
+        0,
         "the resumed campaign is served entirely from the cache"
     );
-    // And the journal classifies every planned run as committed.
-    let faults = planner.get("faults").unwrap();
-    assert_eq!(faults.get("journal_in_flight").and_then(Json::as_u64), Some(0));
-    assert_eq!(faults.get("journal_never_started").and_then(Json::as_u64), Some(0));
-    assert!(faults.get("journal_committed").and_then(Json::as_u64).unwrap() > 0);
+    assert_eq!(count(&planner, "disk_cache_hits"), count(&planner, "unique_runs"));
 }

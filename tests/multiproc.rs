@@ -14,10 +14,9 @@
 //!    in `failures.json` as a structured `poisoned` record instead of
 //!    taking the campaign down;
 //! 4. nothing leaks: zero worker processes, zero `.lease` files, zero
-//!    commit temp files, zero torn journal bytes after any outcome —
-//!    including a SIGTERM drain of the whole supervisor.
+//!    commit temp files after any outcome — including a SIGTERM drain of
+//!    the whole supervisor.
 
-use lf_bench::engine::journal::{replay_dir, JOURNAL_FILE};
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -103,7 +102,7 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Asserts the hygiene half of the contract: no leases, no commit temp
-/// files, no poison markers, and a whole (untorn) merged journal.
+/// files, no poison markers.
 fn assert_no_debris(dir: &Path, what: &str) {
     let leaked: Vec<_> = files_under(dir)
         .into_iter()
@@ -113,11 +112,6 @@ fn assert_no_debris(dir: &Path, what: &str) {
         })
         .collect();
     assert!(leaked.is_empty(), "[{what}] leaked coordination debris: {leaked:?}");
-    let journal_dir = dir.join("results/cache/journal");
-    if journal_dir.join(JOURNAL_FILE).exists() {
-        let replay = replay_dir(&journal_dir).unwrap();
-        assert_eq!(replay.torn_bytes, 0, "[{what}] merged journal replays without a torn tail");
-    }
 }
 
 /// Live `lf-bench worker` processes attached to `dir`'s cache, found by
@@ -155,7 +149,8 @@ fn worker_pids(dir: &Path) -> Vec<u32> {
 
 /// Two workers race a small plan and the result is indistinguishable from
 /// a single-process campaign: byte-identical stdout and artifacts, zero
-/// leases or temp files, and a merged journal that covers every run.
+/// leases or temp files, and a final pass the workers left nothing to
+/// simulate.
 #[test]
 fn two_workers_render_byte_identically_to_single_process() {
     let ref_dir = scratch_dir("identity-ref");
@@ -178,12 +173,17 @@ fn two_workers_render_byte_identically_to_single_process() {
     );
     assert_no_debris(&dir, "identity");
 
-    // The merged journal (campaign log + worker shards) accounts for the
-    // whole plan: every planned fingerprint committed.
-    let replay = replay_dir(&dir.join("results/cache/journal")).unwrap();
-    assert!(!replay.planned.is_empty(), "the final pass journals the plan");
-    let missing: Vec<_> = replay.planned.difference(&replay.committed).collect();
-    assert!(missing.is_empty(), "every planned run committed: missing {missing:?}");
+    // The workers committed the whole plan: the final pass serves every
+    // unique run from the cache and simulates nothing.
+    let planner =
+        Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap();
+    let count = |key: &str| planner.get(key).and_then(Json::as_u64);
+    assert_eq!(count("simulated"), Some(0), "the final pass simulates nothing: {planner:?}");
+    assert_eq!(
+        count("disk_cache_hits"),
+        count("unique_runs"),
+        "every unique run comes from the worker-filled cache: {planner:?}"
+    );
     // And the supervisor's stderr summary names the worker count.
     assert!(
         stderr_of(&sharded).contains("supervisor: 2 workers"),
@@ -312,7 +312,7 @@ fn no_cache_degrades_to_in_process_with_one_warning() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let err = stderr_of(&out);
     assert_eq!(
-        err.matches("disables lease/journal coordination").count(),
+        err.matches("disables lease coordination").count(),
         1,
         "exactly one degradation warning:\n{err}"
     );
@@ -322,8 +322,7 @@ fn no_cache_degrades_to_in_process_with_one_warning() {
 
 /// SIGTERM to the supervisor drains the whole campaign: workers are
 /// signalled through their process groups and reaped, leases are swept,
-/// the journal stays whole, and the supervisor exits `128 + SIGTERM`
-/// having leaked nothing.
+/// and the supervisor exits `128 + SIGTERM` having leaked nothing.
 #[cfg(target_os = "linux")]
 #[test]
 fn sigterm_drains_supervisor_without_leaks() {
@@ -364,7 +363,7 @@ fn sigterm_drains_supervisor_without_leaks() {
     assert!(err.contains("zero workers, zero leases left"), "the drain reports clean:\n{err}");
 
     // Nothing outlives the drain: no worker processes, no leases, no
-    // temp files, no torn journal bytes.
+    // temp files.
     let gone = Instant::now() + Duration::from_secs(10);
     while !worker_pids(&dir).is_empty() && Instant::now() < gone {
         std::thread::sleep(Duration::from_millis(25));

@@ -10,14 +10,13 @@
 //!    across the pair, and a third submission simulates nothing and is
 //!    dominated by the render phase (the plan index absorbed the rest);
 //! 3. SIGTERM drains the queue and leaks nothing: no socket file, no
-//!    leases, no temp files, no torn journal bytes, exit `128 + 15`;
+//!    leases, no temp files, exit `128 + 15`;
 //! 4. failure modes stay contained: a malformed request line answers a
 //!    `done` record with exit 2 and the server keeps serving; a live
 //!    socket is refused by a second server; a stale one is swept.
 
 #![cfg(unix)]
 
-use lf_bench::engine::journal::{replay_dir, JOURNAL_FILE};
 use lf_stats::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -148,8 +147,8 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// No leases, no commit temp files, no torn journal bytes — the same
-/// hygiene contract the supervisor tests assert.
+/// No leases, no commit temp files, no poison markers — the same hygiene
+/// contract the supervisor tests assert.
 fn assert_no_debris(dir: &Path, what: &str) {
     let leaked: Vec<_> = files_under(dir)
         .into_iter()
@@ -159,12 +158,6 @@ fn assert_no_debris(dir: &Path, what: &str) {
         })
         .collect();
     assert!(leaked.is_empty(), "[{what}] leaked coordination debris: {leaked:?}");
-    let journal_dir = dir.join("results/cache/journal");
-    if journal_dir.join(JOURNAL_FILE).exists() || journal_dir.exists() {
-        if let Ok(replay) = replay_dir(&journal_dir) {
-            assert_eq!(replay.torn_bytes, 0, "[{what}] merged journal replays without a torn tail");
-        }
-    }
 }
 
 /// Waits for the server's socket file to exist (the client would retry
