@@ -102,7 +102,7 @@ pub fn atomic_write_json(doc: &Json, path: &Path) -> io::Result<()> {
 /// Removes orphaned temp files (`*.tmp.<pid>.<seq>`) left in `dir` by a
 /// crash between write and rename, returning how many were swept. Only
 /// plain files directly in `dir` are considered; subdirectories (e.g.
-/// `quarantine/`, `leases/`) keep their own hygiene. A missing directory
+/// `quarantine/`) keep their own hygiene. A missing directory
 /// sweeps zero files.
 pub fn sweep_orphan_tmps(dir: &Path) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {

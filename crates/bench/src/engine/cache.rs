@@ -79,19 +79,6 @@ impl DiskCache {
         self.dir.join("quarantine")
     }
 
-    /// Where worker-process lease files live (see
-    /// [`crate::engine::lease`]).
-    pub fn leases_dir(&self) -> PathBuf {
-        self.dir.join("leases")
-    }
-
-    /// Where poison markers live: a `<fp>.poison` file records that the
-    /// fingerprint killed enough distinct workers to be quarantined from
-    /// further claiming (see [`crate::engine::supervise`]).
-    pub fn poison_dir(&self) -> PathBuf {
-        self.dir.join("poison")
-    }
-
     /// Probes the cache, classifying the result. Corrupt entries are
     /// quarantined as a side effect.
     pub fn lookup(&self, fingerprint: u64) -> CacheLookup {

@@ -12,7 +12,7 @@
 //!                [--konata PATH] [--text PATH|-] [--cycles LO:HI]
 //!                [--tid N] [--kinds a,b,...]
 //!                [--dump-flight-recorder PATH]
-//! lf-bench serve [--socket PATH] [--workers N] [--cache-dir DIR] [-j N]
+//! lf-bench serve [--socket PATH] [--cache-dir DIR]
 //! lf-bench submit [--socket PATH] <run-args...>
 //!
 //! options:
@@ -25,12 +25,13 @@
 //!                        checkpoints and reconstructs whole-run IPC,
 //!                        `detailed` is the legacy cycle-accurate path
 //!   -j N                 worker threads (default: available parallelism)
-//!   --workers N          (run) supervised multi-process execution: shard
-//!                        the campaign across N worker processes that
-//!                        race for runs through lease files in the cache
-//!                        directory; a worker crash costs only its
-//!                        in-flight run (default 1 = in-process threads;
-//!                        requires the cache, see --no-cache)
+//!   --workers N          (run) supervised multi-process execution: the
+//!                        supervisor hands unique runs to N worker
+//!                        processes over pipes, one at a time, and they
+//!                        commit outcomes to the run cache; a worker crash
+//!                        costs only its in-flight run (default 1 =
+//!                        in-process threads; requires the cache, see
+//!                        --no-cache)
 //!   --filter SUBSTR      keep only kernels whose name contains SUBSTR
 //!   --no-cache           skip the on-disk run cache (results/cache/)
 //!   --cache-dir DIR      cache location (default results/cache)
@@ -99,14 +100,11 @@ struct Cli {
     budget_cycles: Option<u64>,
     deadline_secs: Option<u64>,
     faults: FaultPlan,
-    /// Raw `--inject-fault` specs, retained verbatim so the supervisor
-    /// can reconstruct worker argv.
+    /// Raw `--inject-fault` specs, retained verbatim for worker argv.
     fault_specs: Vec<String>,
     /// `--workers`: supervised multi-process execution (1 = in-process
     /// threads, the historical behaviour).
     workers: usize,
-    /// Hidden `--worker-id` operand of the `worker` subcommand.
-    worker_id: u64,
     /// `--crash-after-ms`: hard-kill the process this many milliseconds
     /// into the campaign (the crash-recovery harness's timer kill point).
     crash_after_ms: Option<u64>,
@@ -186,7 +184,6 @@ fn parse(args: &[String]) -> Cli {
         faults: FaultPlan::default(),
         fault_specs: Vec::new(),
         workers: 1,
-        worker_id: 0,
         crash_after_ms: None,
         resume: None,
         reps: 3,
@@ -292,16 +289,6 @@ fn parse(args: &[String]) -> Cli {
                     Ok(n) if n >= 1 => n,
                     _ => {
                         eprintln!("error: --workers expects a positive integer, got {v}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--worker-id" => {
-                let v = value("a worker id");
-                cli.worker_id = match v.parse::<u64>() {
-                    Ok(n) => n,
-                    _ => {
-                        eprintln!("error: --worker-id expects an integer, got {v}");
                         std::process::exit(2);
                     }
                 }
@@ -515,7 +502,7 @@ fn engine_options(cli: &Cli) -> EngineOptions {
     }
 }
 
-/// The default service socket lives next to the claim space it guards.
+/// The default service socket lives next to the cache it serves.
 fn socket_path(cli: &Cli) -> PathBuf {
     cli.socket.clone().unwrap_or_else(|| cli.cache_dir.join("lf-serve.sock"))
 }
@@ -543,45 +530,6 @@ fn select_scenarios(names: &[String], all: bool) -> Vec<Box<dyn Scenario>> {
             })
             .collect()
     }
-}
-
-/// Reconstructs worker argv from the supervisor's own command line. The
-/// worker re-derives the identical deterministic plan from these flags —
-/// no plan data crosses the process boundary.
-fn supervise_config(cli: &Cli, names: &[String], all: bool) -> supervise::SuperviseConfig {
-    let mut args: Vec<String> = vec!["worker".into()];
-    if all {
-        args.push("--all".into());
-    } else {
-        args.extend(names.iter().cloned());
-    }
-    args.push("--scale".into());
-    args.push(scale_tag(cli.scale).into());
-    args.push("--tier".into());
-    args.push(cli.tier.tag().into());
-    if let Some(f) = &cli.filter {
-        args.push("--filter".into());
-        args.push(f.clone());
-    }
-    args.push("--cache-dir".into());
-    args.push(cli.cache_dir.display().to_string());
-    args.push("-j".into());
-    args.push(cli.jobs.to_string());
-    if let Some(n) = cli.budget_cycles {
-        args.push("--budget-cycles".into());
-        args.push(n.to_string());
-    }
-    if let Some(n) = cli.deadline_secs {
-        args.push("--deadline-secs".into());
-        args.push(n.to_string());
-    }
-    for spec in &cli.fault_specs {
-        args.push("--inject-fault".into());
-        args.push(spec.clone());
-    }
-    args.push("--workers".into());
-    args.push(cli.workers.to_string());
-    supervise::SuperviseConfig { workers: cli.workers, worker_args: args }
 }
 
 /// Entry point of the `lf-bench` binary.
@@ -613,9 +561,7 @@ pub fn main() {
         Command::Worker { names, all } => {
             let selected = select_scenarios(names, *all);
             let refs: Vec<&dyn Scenario> = selected.iter().map(|s| s.as_ref()).collect();
-            let opts = engine_options(&cli);
-            let code = supervise::worker_main(&refs, &opts, cli.worker_id, cli.workers.max(1));
-            std::process::exit(code);
+            std::process::exit(supervise::worker_main(&refs, &engine_options(&cli)));
         }
         Command::Run { names, all } => {
             let selected = select_scenarios(names, *all);
@@ -648,20 +594,23 @@ pub fn main() {
                 log
             });
             let output = if cli.workers > 1 && cli.no_cache {
-                // Graceful degradation: the cache directory *is* the
-                // multi-process claim space (leases and the committed
-                // outcomes themselves). Without it there is nothing to
-                // coordinate through, so fall back to the single-process
-                // scoped-thread pool.
+                // Graceful degradation: workers hand their outcomes back
+                // through the run cache, so without it the campaign runs
+                // on the single-process scoped-thread pool.
                 eprintln!(
-                    "warning: --workers {} requires the run cache as its claim space; \
-                     --no-cache disables lease coordination — \
-                     falling back to in-process threads (-j {})",
+                    "warning: --workers {} needs the run cache to collect worker outcomes; \
+                     with --no-cache the campaign falls back to in-process threads (-j {})",
                     cli.workers, cli.jobs
                 );
                 run_scenarios(&refs, &opts)
             } else if cli.workers > 1 {
-                let sup = supervise_config(&cli, names, *all);
+                let sup = supervise::SuperviseConfig::new(
+                    cli.workers,
+                    names,
+                    *all,
+                    &opts,
+                    &cli.fault_specs,
+                );
                 match supervise::run_supervised(&refs, &opts, &sup) {
                     Ok(out) => out,
                     Err(code) => std::process::exit(code),
@@ -696,8 +645,6 @@ pub fn main() {
             let code = serve::serve_main(&serve::ServeOptions {
                 socket: socket_path(&cli),
                 cache_dir: cli.cache_dir.clone(),
-                jobs: cli.jobs,
-                default_workers: cli.workers,
             });
             std::process::exit(code);
         }
@@ -840,12 +787,11 @@ fn render_telemetry(output: &EngineOutput) -> String {
     // states its hygiene counters (swept debris, quarantines, retries)
     // even when they are zero, so scripts can grep one stable line.
     err.push_str(&format!(
-        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} run(s) resumed; {} lease reclaim(s); {} worker respawn(s) ({} ms backoff)\n",
+        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} run(s) resumed; {} worker respawn(s) ({} ms backoff)\n",
         f.tmp_swept,
         f.quarantined,
         if f.quarantined == 1 { "y" } else { "ies" },
         f.resumed,
-        f.lease_reclaims,
         f.worker_respawns,
         f.backoff_ms
     ));
@@ -862,7 +808,8 @@ fn render_telemetry(output: &EngineOutput) -> String {
 /// appending the `wrote <path>` confirmations to `stdout` (they are part
 /// of the campaign's byte-compared output). Stops at the first failure.
 fn write_artifacts(output: &EngineOutput, dir: &Path, stdout: &mut String) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
     for s in &output.scenarios {
         let path = dir.join(format!("{}.json", s.name));
         write_json(&s.artifact, &path)

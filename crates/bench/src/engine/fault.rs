@@ -78,7 +78,7 @@ pub enum RunError {
     /// OOM) that the supervisor quarantined it as poisonous instead of
     /// retrying it forever.
     Poisoned {
-        /// How many distinct workers died holding this run's lease.
+        /// How many distinct workers died holding this run.
         worker_deaths: usize,
     },
 }
@@ -340,18 +340,8 @@ pub struct FaultStats {
     pub worker_deaths: usize,
     /// Replacement workers the supervisor spawned after deaths.
     pub worker_respawns: usize,
-    /// Leases reclaimed from dead or stalled holders (supervisor-side
-    /// force-releases plus end-of-campaign sweeps of leaked leases).
-    pub lease_reclaims: usize,
-    /// Lease probes whose heartbeat age was unobtainable (future-dated
-    /// mtime from clock skew or a backwards clock step); the lease was
-    /// treated as of unknown age and fell through to the reclaim path.
-    pub lease_clock_skew: usize,
-    /// Claim attempts that exhausted their retry budget without either
-    /// acquiring the lease or observing a live holder.
-    pub lease_contended: usize,
-    /// Total milliseconds spent in capped exponential backoff (worker
-    /// rescan waits plus supervisor respawn delays).
+    /// Total milliseconds of capped exponential respawn backoff the
+    /// supervisor imposed on the slots of dead workers.
     pub backoff_ms: u64,
 }
 
@@ -381,9 +371,6 @@ impl FaultStats {
         j.set("poisoned", self.poisoned as u64);
         j.set("worker_deaths", self.worker_deaths as u64);
         j.set("worker_respawns", self.worker_respawns as u64);
-        j.set("lease_reclaims", self.lease_reclaims as u64);
-        j.set("lease_clock_skew_events", self.lease_clock_skew as u64);
-        j.set("lease_contended_claims", self.lease_contended as u64);
         j.set("backoff_ms", self.backoff_ms);
         j
     }

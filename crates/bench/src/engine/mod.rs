@@ -28,7 +28,6 @@
 pub mod cache;
 pub mod cli;
 pub mod fault;
-pub mod lease;
 pub mod planner;
 pub mod pool;
 pub mod scenarios;
@@ -111,8 +110,8 @@ pub struct EngineOptions {
     /// otherwise take this process down too).
     pub poisoned: HashMap<u64, usize>,
     /// Failure counters carried in from a supervising process (worker
-    /// deaths, respawns, lease reclaims); merged into this invocation's
-    /// own counters so the rendered telemetry covers the whole campaign.
+    /// deaths, respawns, resumed runs); merged into this invocation's own
+    /// counters so the rendered telemetry covers the whole campaign.
     pub carried_faults: FaultStats,
 }
 
@@ -509,6 +508,29 @@ pub fn run_scenarios_warm(
     // (the timing summary in the planner telemetry feeds off it); the
     // caller's log is used when provided so `--trace-out` can export it.
     let span_log: Arc<SpanLog> = opts.spans.clone().unwrap_or_default();
+    // Phases 1-2: plan, prepare, dedupe (shared with the supervisor and
+    // its worker processes, which re-derive the identical plan from the
+    // same options, and with the resident service, which reuses it
+    // outright).
+    let plan: Arc<CampaignPlan> = match warm {
+        Some(w) => w.plan_for(scenarios, opts, &span_log),
+        None => Arc::new(build_plan(scenarios, opts, &span_log)),
+    };
+    run_planned(scenarios, opts, &plan, &span_log, started)
+}
+
+/// Phases 3-4 of a campaign over an already derived `plan`: cache
+/// lookups, simulation of the misses, and rendering. The plan is only
+/// borrowed so a warm index can keep it alive across requests;
+/// preparation panics are re-reported per invocation. `started` is when
+/// the campaign began, for the wall-clock telemetry.
+pub(crate) fn run_planned(
+    scenarios: &[&dyn Scenario],
+    opts: &EngineOptions,
+    plan: &CampaignPlan,
+    span_log: &Arc<SpanLog>,
+    started: Instant,
+) -> EngineOutput {
     // Campaign durability: sweep commit temp files orphaned by a killed
     // predecessor. Everything else a kill leaves behind is a cache miss
     // that simply re-simulates. `--no-cache` campaigns run unswept (they
@@ -518,16 +540,6 @@ pub fn run_scenarios_warm(
     if let Some(cache) = &opts.disk_cache {
         faults.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
     }
-
-    // Phases 1-2: plan, prepare, dedupe (shared with worker processes,
-    // which re-derive the identical plan from the same options, and with
-    // the resident service, which reuses it outright). The plan is only
-    // borrowed from here on so a warm index can keep it alive across
-    // requests; preparation panics are re-reported per invocation.
-    let plan: Arc<CampaignPlan> = match warm {
-        Some(w) => w.plan_for(scenarios, opts, &span_log),
-        None => Arc::new(build_plan(scenarios, opts, &span_log)),
-    };
     let suite = &plan.suite;
     let unique = &plan.unique;
     let tag = scale_tag(opts.scale);
@@ -579,8 +591,9 @@ pub fn run_scenarios_warm(
     if let Some(resume) = &opts.resume_from {
         // Failed runs are never cached, so a resumed campaign re-executes
         // exactly the previous failures; this counts how many of the
-        // misses are such replays.
-        faults.resumed = misses.iter().filter(|r| resume.contains(&r.fingerprint)).count();
+        // misses are such replays (`+=`: a supervisor counts the ones its
+        // workers re-executed).
+        faults.resumed += misses.iter().filter(|r| resume.contains(&r.fingerprint)).count();
     }
     // Poisoned runs (they killed K distinct workers under the supervisor)
     // are never executed here — a genuinely poisonous run would take this
@@ -597,7 +610,7 @@ pub fn run_scenarios_warm(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let executed = execute_refs(&misses, opts, &span_log);
+    let executed = execute_refs(&misses, opts, span_log);
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
     for (run, deaths) in poisoned_runs {
@@ -719,8 +732,8 @@ pub fn run_scenarios_warm(
 /// per-scenario request counts, the prepared kernels (with any
 /// preparation panics), and the deduplicated unique-run list. Worker
 /// processes re-derive this identical plan from the same options — the
-/// plan is a pure function of (scenarios, scale, tier, filter), so no
-/// plan data ever needs to cross a process boundary.
+/// plan is a pure function of (scenarios, scale, tier, filter), so only
+/// fingerprints ever cross a process boundary.
 pub(crate) struct CampaignPlan {
     /// The (possibly `--filter`ed) kernel suite, canonical order.
     pub suite: Vec<Workload>,
@@ -735,7 +748,7 @@ pub(crate) struct CampaignPlan {
 }
 
 /// Runs phases 1-2 (plan → prepare → dedupe). Shared by
-/// [`run_scenarios`] and the multi-process worker entry point.
+/// [`run_scenarios`], the supervisor, and its worker processes.
 pub(crate) fn build_plan(
     scenarios: &[&dyn Scenario],
     opts: &EngineOptions,
@@ -783,8 +796,8 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
     format!("lf-bench run --all --scale {tag}{tier_flag} --filter {kernel} -j 1 --no-cache")
 }
 
-/// Executes one unique run in this process (the worker claim loop's unit
-/// of work): applies injection/budget/tier dispatch and returns the
+/// Executes one unique run in this process (a worker process's unit of
+/// work): applies injection/budget/tier dispatch and returns the
 /// outcome. Panics are contained exactly as in the campaign pool.
 pub(crate) fn execute_single(
     run: &planner::UniqueRun,

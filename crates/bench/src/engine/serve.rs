@@ -2,8 +2,8 @@
 //! `lf-bench submit`.
 //!
 //! `serve` binds a Unix domain socket and executes queued campaign
-//! requests through the same planner → lease → cache → render pipeline
-//! as `lf-bench run`, while keeping the expensive state warm across
+//! requests through the same planner → cache → render pipeline as
+//! `lf-bench run`, while keeping the expensive state warm across
 //! requests: the deduplicated plan index (prepared kernels included, see
 //! [`crate::engine::WarmEngine`]) and the run-cache handle. A repeat
 //! request therefore skips the plan and prepare phases entirely and its
@@ -41,12 +41,11 @@
 //! Requests execute one at a time in arrival order; concurrent
 //! submissions of the same campaign share every simulation through the
 //! disk cache instead of racing. SIGTERM/SIGINT stop the accept loop,
-//! drain every request already queued, then remove the socket, sweep the
-//! lease directory, and exit `128 + signal` — the same drain contract as
-//! the supervisor. At startup the server sweeps debris a dead
-//! predecessor may have leaked: orphaned commit temps, expired leases,
-//! and a stale socket file (a *live* socket is an error — two servers
-//! must not share a claim space).
+//! drain every request already queued, then remove the socket and exit
+//! `128 + signal` — the same drain contract as the supervisor. At
+//! startup the server sweeps debris a dead predecessor may have leaked:
+//! orphaned commit temps and a stale socket file (a *live* socket is an
+//! error — two servers must not share a cache).
 //!
 //! Each request tags its spans with the request id, so one service
 //! process yields per-request traces.
@@ -64,13 +63,8 @@ pub const CONNECT_TIMEOUT_ENV: &str = "LF_SERVE_CONNECT_TIMEOUT_MS";
 pub struct ServeOptions {
     /// The Unix domain socket to bind.
     pub socket: PathBuf,
-    /// The shared run cache — also the claim space.
+    /// The run cache shared by every request.
     pub cache_dir: PathBuf,
-    /// Default in-process parallelism for requests (currently requests
-    /// carry their own `jobs`; kept for future defaulting).
-    pub jobs: usize,
-    /// Default worker count (same status as `jobs`).
-    pub default_workers: usize,
 }
 
 /// One campaign request: the `run` surface that makes sense to ship to a
@@ -132,13 +126,11 @@ impl Request {
             })
             .transpose()?
             .unwrap_or_default();
-        let get_bool =
-            |key: &str| matches!(j.get(key), Some(Json::Bool(b)) if *b);
+        let get_bool = |key: &str| matches!(j.get(key), Some(Json::Bool(b)) if *b);
         let get_usize = |key: &str, default: usize| {
             j.get(key).and_then(Json::as_u64).map(|n| n as usize).unwrap_or(default)
         };
-        let get_str =
-            |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        let get_str = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
         Ok(Request {
             names,
             all: get_bool("all"),
@@ -179,7 +171,6 @@ mod imp {
     use super::{Request, ServeOptions, CONNECT_TIMEOUT_ENV};
     use crate::engine::cache::DiskCache;
     use crate::engine::cli::FinishedCampaign;
-    use crate::engine::lease::LeaseDir;
     use crate::engine::spans::SpanLog;
     use crate::engine::{
         by_name, registry, run_scenarios_warm, signals, supervise, EngineOptions, EngineOutput,
@@ -219,25 +210,16 @@ mod imp {
         }
         let cache = DiskCache::new(opts.cache_dir.clone());
         // Startup hygiene: a dead predecessor (or a killed one-shot
-        // campaign) may have leaked commit temps, leases — and its socket
-        // file.
+        // campaign) may have leaked commit temps — and its socket file.
         let swept = crate::durable::sweep_orphan_tmps(cache.dir());
-        let leases = match LeaseDir::open(&cache.leases_dir(), LeaseDir::env_expiry(), u64::MAX) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: cannot open lease dir: {e}");
-                return 1;
-            }
-        };
-        let reclaimed = leases.sweep();
-        if swept > 0 || reclaimed > 0 {
-            eprintln!("serve: startup sweep: {swept} temp file(s), {reclaimed} lease(s)");
+        if swept > 0 {
+            eprintln!("serve: startup sweep: {swept} temp file(s)");
         }
         if opts.socket.exists() {
             match UnixStream::connect(&opts.socket) {
                 Ok(_) => {
                     eprintln!(
-                        "error: a live service already owns {} — two servers must not share a claim space",
+                        "error: a live service already owns {} — two servers must not share a cache",
                         opts.socket.display()
                     );
                     return 2;
@@ -288,7 +270,7 @@ mod imp {
             if let Some(stream) = queue.pop_front() {
                 let id = next_id;
                 next_id += 1;
-                serve_request(stream, id, opts, &cache, &warm);
+                serve_request(stream, id, &cache, &warm);
                 served += 1;
             } else if let Some(sig) = draining {
                 // The whole queue was drained above; nothing in flight.
@@ -298,21 +280,12 @@ mod imp {
             }
         };
         let _ = std::fs::remove_file(&opts.socket);
-        let leaked = leases.sweep();
-        eprintln!(
-            "serve: drained; {served} request(s) served; {leaked} lease(s) swept; socket removed"
-        );
+        eprintln!("serve: drained; {served} request(s) served; socket removed");
         code
     }
 
     /// Reads, executes, and answers a single queued request.
-    fn serve_request(
-        mut stream: UnixStream,
-        id: u64,
-        opts: &ServeOptions,
-        cache: &DiskCache,
-        warm: &WarmEngine,
-    ) {
+    fn serve_request(mut stream: UnixStream, id: u64, cache: &DiskCache, warm: &WarmEngine) {
         let started = Instant::now();
         // A connected-but-silent client must not wedge the whole queue.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
@@ -332,7 +305,7 @@ mod imp {
         status.set("request", id);
         status.set("state", "running");
         send(&mut stream, &status);
-        match execute(&request, id, opts, cache, warm) {
+        match execute(&request, id, cache, warm) {
             Err((exit, msg)) => reject(&mut stream, id, exit, &msg),
             Ok((finished, output, phases, plan_warm)) => {
                 let mut out = Json::obj();
@@ -387,15 +360,18 @@ mod imp {
         eprintln!("serve: request {id}: {msg} (exit {exit})");
     }
 
+    /// A served campaign: its rendered output, the engine output, the
+    /// per-phase wall times, and whether the plan index was warm.
+    type Executed = (FinishedCampaign, EngineOutput, Vec<(String, u64)>, bool);
+
     /// Runs one campaign with the shared warm state and renders it with
     /// the same back half as `lf-bench run`.
     fn execute(
         request: &Request,
         id: u64,
-        opts: &ServeOptions,
         cache: &DiskCache,
         warm: &WarmEngine,
-    ) -> Result<(FinishedCampaign, EngineOutput, Vec<(String, u64)>, bool), (i32, String)> {
+    ) -> Result<Executed, (i32, String)> {
         let scale = match request.scale.as_str() {
             "smoke" => Scale::Smoke,
             "eval" => Scale::Eval,
@@ -426,9 +402,14 @@ mod imp {
         eopts.spans = Some(span_log.clone());
         let hits_before = warm.plan_hits();
         let output = if request.workers > 1 {
-            // Multi-process requests go through the supervisor; its lease
-            // protocol coordinates the worker fleet.
-            let sup = worker_config(request, opts);
+            // Multi-process requests go through the supervisor unchanged.
+            let sup = supervise::SuperviseConfig::new(
+                request.workers,
+                &request.names,
+                request.all,
+                &eopts,
+                &[],
+            );
             match supervise::run_supervised(&refs, &eopts, &sup) {
                 Ok(out) => out,
                 Err(code) => {
@@ -439,10 +420,8 @@ mod imp {
             run_scenarios_warm(&refs, &eopts, Some(warm))
         };
         let json_dir = request.json_dir.as_ref().map(PathBuf::from);
-        let failures = json_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"))
-            .join("failures.json");
+        let failures =
+            json_dir.clone().unwrap_or_else(|| PathBuf::from("results")).join("failures.json");
         let finished = crate::engine::cli::finish_campaign(
             &output,
             refs.len() > 1,
@@ -453,32 +432,6 @@ mod imp {
         );
         let plan_warm = warm.plan_hits() > hits_before;
         Ok((finished, output, span_log.phase_totals_us(), plan_warm))
-    }
-
-    /// Worker argv for a supervised request — the same reconstruction the
-    /// one-shot CLI does, from the request instead of the command line.
-    fn worker_config(request: &Request, opts: &ServeOptions) -> supervise::SuperviseConfig {
-        let mut args: Vec<String> = vec!["worker".into()];
-        if request.all {
-            args.push("--all".into());
-        } else {
-            args.extend(request.names.iter().cloned());
-        }
-        args.push("--scale".into());
-        args.push(request.scale.clone());
-        args.push("--tier".into());
-        args.push(request.tier.clone());
-        if let Some(f) = &request.filter {
-            args.push("--filter".into());
-            args.push(f.clone());
-        }
-        args.push("--cache-dir".into());
-        args.push(opts.cache_dir.display().to_string());
-        args.push("-j".into());
-        args.push(request.jobs.to_string());
-        args.push("--workers".into());
-        args.push(request.workers.to_string());
-        supervise::SuperviseConfig { workers: request.workers, worker_args: args }
     }
 
     /// The thin client: ship one request, relay the record stream, exit
@@ -546,7 +499,11 @@ mod imp {
                     // The raw record goes to stderr so scripts can parse
                     // simulated/disk_hits/exit without scraping prose.
                     eprintln!("{record}");
-                    return parsed.get("exit").and_then(Json::as_u64).map(|e| e as i32).unwrap_or(3);
+                    return parsed
+                        .get("exit")
+                        .and_then(Json::as_u64)
+                        .map(|e| e as i32)
+                        .unwrap_or(3);
                 }
                 // status / phases / future records: raw JSON on stderr.
                 _ => eprintln!("{record}"),

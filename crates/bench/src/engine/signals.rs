@@ -1,18 +1,15 @@
-//! Minimal signal plumbing for the supervised campaign scheduler.
+//! Minimal signal plumbing for the supervisor and the resident service.
 //!
-//! The hermetic build has no `libc`/`signal-hook` crates, so the few
-//! primitives the supervisor and its workers need are declared directly
-//! against the C runtime (which every Unix Rust binary already links):
+//! The hermetic build has no `libc`/`signal-hook` crates, so the two
+//! primitives needed are declared directly against the C runtime (which
+//! every Unix Rust binary already links):
 //!
 //! - a *drain* flag: SIGTERM/SIGINT set an atomic instead of killing the
-//!   process, so the supervisor can stop handing out work, signal its
-//!   worker process groups, and exit with zero leaked children or
-//!   leases;
-//! - process-group signalling (`killpg`) — each worker is spawned as its
-//!   own group leader, so draining one worker also drains anything it
-//!   spawned;
-//! - a liveness probe (`kill(pid, 0)`) used by the lease protocol to
-//!   reclaim claims from dead holders without waiting out the expiry.
+//!   process, so the supervisor can stop handing out work and exit with
+//!   zero leaked children, and the service can finish its queue;
+//! - process-group SIGKILL (`killpg`) — each worker is spawned as its own
+//!   group leader, so killing a worker that outlived its drain grace also
+//!   kills anything it spawned.
 //!
 //! Handlers only store into an atomic (async-signal-safe); all policy
 //! runs in the normal control flow that polls [`drain_signal`].
@@ -30,7 +27,6 @@ mod imp {
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
-        fn kill(pid: i32, sig: i32) -> i32;
         fn killpg(pgrp: i32, sig: i32) -> i32;
     }
 
@@ -39,8 +35,8 @@ mod imp {
     }
 
     /// Routes SIGTERM and SIGINT into the drain flag instead of the
-    /// default terminate action. Installed by the supervisor and by every
-    /// worker at startup.
+    /// default terminate action. Installed by the supervisor and by the
+    /// resident service at startup.
     pub fn install_drain_handlers() {
         unsafe {
             signal(SIGTERM, on_drain as *const () as usize);
@@ -57,23 +53,9 @@ mod imp {
         }
     }
 
-    /// Whether `pid` is a live process. `kill(pid, 0)` delivers nothing
-    /// and only performs the existence check; a failure (no process, or
-    /// no permission — impossible for our own children) reads as dead.
-    pub fn pid_alive(pid: u32) -> bool {
-        unsafe { kill(pid as i32, 0) == 0 }
-    }
-
-    /// Sends SIGTERM to the process group led by `pid` (workers are
-    /// spawned with `process_group(0)`, so their pid is their pgid).
-    pub fn terminate_group(pid: u32) {
-        unsafe {
-            killpg(pid as i32, SIGTERM);
-        }
-    }
-
-    /// Sends SIGKILL to the process group led by `pid` — the escalation
-    /// for a worker that ignored its drain grace period.
+    /// Sends SIGKILL to the process group led by `pid` (workers are
+    /// spawned with `process_group(0)`, so their pid is their pgid) — the
+    /// escalation for a worker that outlived its drain grace period.
     pub fn kill_group(pid: u32) {
         unsafe {
             killpg(pid as i32, SIGKILL);
@@ -91,16 +73,8 @@ mod imp {
         None
     }
 
-    /// Conservatively reports every pid as alive (expiry still reclaims).
-    pub fn pid_alive(_pid: u32) -> bool {
-        true
-    }
-
-    /// No-op off Unix.
-    pub fn terminate_group(_pid: u32) {}
-
     /// No-op off Unix.
     pub fn kill_group(_pid: u32) {}
 }
 
-pub use imp::{drain_signal, install_drain_handlers, kill_group, pid_alive, terminate_group};
+pub use imp::{drain_signal, install_drain_handlers, kill_group};

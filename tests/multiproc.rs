@@ -13,9 +13,9 @@
 //! 3. a run that keeps killing workers is classified poisonous and lands
 //!    in `failures.json` as a structured `poisoned` record instead of
 //!    taking the campaign down;
-//! 4. nothing leaks: zero worker processes, zero `.lease` files, zero
-//!    commit temp files after any outcome — including a SIGTERM drain of
-//!    the whole supervisor.
+//! 4. nothing leaks: zero worker processes, zero commit temp files, and
+//!    no `leases/` or `poison/` directory in the cache after any outcome —
+//!    including a SIGTERM drain of the whole supervisor.
 
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
@@ -102,7 +102,7 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Asserts the hygiene half of the contract: no leases, no commit temp
-/// files, no poison markers.
+/// files, no poison markers, and no directory for either in the cache.
 fn assert_no_debris(dir: &Path, what: &str) {
     let leaked: Vec<_> = files_under(dir)
         .into_iter()
@@ -112,6 +112,10 @@ fn assert_no_debris(dir: &Path, what: &str) {
         })
         .collect();
     assert!(leaked.is_empty(), "[{what}] leaked coordination debris: {leaked:?}");
+    for sub in ["leases", "poison"] {
+        let path = dir.join("results/cache").join(sub);
+        assert!(!path.exists(), "[{what}] the cache holds a {sub}/ directory: {}", path.display());
+    }
 }
 
 /// Live `lf-bench worker` processes attached to `dir`'s cache, found by
@@ -147,9 +151,9 @@ fn worker_pids(dir: &Path) -> Vec<u32> {
     pids
 }
 
-/// Two workers race a small plan and the result is indistinguishable from
-/// a single-process campaign: byte-identical stdout and artifacts, zero
-/// leases or temp files, and a final pass the workers left nothing to
+/// Two workers share a small plan and the result is indistinguishable
+/// from a single-process campaign: byte-identical stdout and artifacts,
+/// zero temp files, and a final pass the workers left nothing to
 /// simulate.
 #[test]
 fn two_workers_render_byte_identically_to_single_process() {
@@ -192,7 +196,7 @@ fn two_workers_render_byte_identically_to_single_process() {
     );
 }
 
-/// A crash storm: every claimed run aborts its worker. The supervisor
+/// A crash storm: every run aborts its worker. The supervisor
 /// must absorb the deaths, classify each run as poisonous after it kills
 /// two distinct workers, quarantine them into `failures.json`, and still
 /// exit 0. A later `--resume` without the injection re-executes the
@@ -229,6 +233,15 @@ fn crash_storm_poisons_runs_and_resume_recovers() {
     // operator recovers from a code fix) — byte-identical to clean.
     let resumed = run(&mut campaign(&dir, &["--workers", "2", "--resume"]));
     assert!(resumed.status.success(), "{}", stderr_of(&resumed));
+    // The workers re-executed every quarantined run, and the telemetry
+    // says so.
+    let planner =
+        Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap();
+    assert_eq!(
+        planner.get("faults").and_then(|f| f.get("resumed_failures")).and_then(Json::as_u64),
+        Some(records.len() as u64),
+        "every poisoned run counts as resumed: {planner:?}"
+    );
     assert_eq!(stdout_of(&resumed), stdout_of(&reference), "recovered stdout matches");
     assert_eq!(normalized_artifacts(&dir), normalized_artifacts(&ref_dir));
     let clean =
@@ -297,8 +310,8 @@ fn external_worker_sigkills_are_absorbed_byte_identically() {
     assert!(err.contains("worker death(s) absorbed"), "deaths are reported:\n{err}");
 }
 
-/// `--workers` with `--no-cache`: the cache directory is the claim space,
-/// so multi-process coordination is impossible. The campaign warns once,
+/// `--workers` with `--no-cache`: workers hand their outcomes back through
+/// the run cache, so there is nothing to shard over. The campaign warns once,
 /// falls back to in-process threads, and still completes byte-identically
 /// to a plain `--no-cache` run.
 #[test]
@@ -312,7 +325,7 @@ fn no_cache_degrades_to_in_process_with_one_warning() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let err = stderr_of(&out);
     assert_eq!(
-        err.matches("disables lease coordination").count(),
+        err.matches("falls back to in-process threads").count(),
         1,
         "exactly one degradation warning:\n{err}"
     );
@@ -320,9 +333,9 @@ fn no_cache_degrades_to_in_process_with_one_warning() {
     assert!(!dir.join("results/cache").exists(), "--no-cache must not create cache state");
 }
 
-/// SIGTERM to the supervisor drains the whole campaign: workers are
-/// signalled through their process groups and reaped, leases are swept,
-/// and the supervisor exits `128 + SIGTERM` having leaked nothing.
+/// SIGTERM to the supervisor drains the whole campaign: the queue is
+/// cleared, every worker's stdin is closed, every worker is reaped, and
+/// the supervisor exits `128 + SIGTERM` having leaked nothing.
 #[cfg(target_os = "linux")]
 #[test]
 fn sigterm_drains_supervisor_without_leaks() {
@@ -360,10 +373,9 @@ fn sigterm_drains_supervisor_without_leaks() {
     );
     let err = stderr_of(&out);
     assert!(err.contains("draining 2 workers"), "the drain is announced:\n{err}");
-    assert!(err.contains("zero workers, zero leases left"), "the drain reports clean:\n{err}");
+    assert!(err.contains("drained; zero workers left"), "the drain reports clean:\n{err}");
 
-    // Nothing outlives the drain: no worker processes, no leases, no
-    // temp files.
+    // Nothing outlives the drain: no worker processes, no temp files.
     let gone = Instant::now() + Duration::from_secs(10);
     while !worker_pids(&dir).is_empty() && Instant::now() < gone {
         std::thread::sleep(Duration::from_millis(25));

@@ -10,7 +10,7 @@
 //!    across the pair, and a third submission simulates nothing and is
 //!    dominated by the render phase (the plan index absorbed the rest);
 //! 3. SIGTERM drains the queue and leaks nothing: no socket file, no
-//!    leases, no temp files, exit `128 + 15`;
+//!    temp files, exit `128 + 15`;
 //! 4. failure modes stay contained: a malformed request line answers a
 //!    `done` record with exit 2 and the server keeps serving; a live
 //!    socket is refused by a second server; a stale one is swept.
@@ -147,8 +147,9 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// No leases, no commit temp files, no poison markers — the same hygiene
-/// contract the supervisor tests assert.
+/// No leases, no commit temp files, no poison markers, and no directory
+/// for either in the cache — the same hygiene contract the supervisor
+/// tests assert.
 fn assert_no_debris(dir: &Path, what: &str) {
     let leaked: Vec<_> = files_under(dir)
         .into_iter()
@@ -158,6 +159,10 @@ fn assert_no_debris(dir: &Path, what: &str) {
         })
         .collect();
     assert!(leaked.is_empty(), "[{what}] leaked coordination debris: {leaked:?}");
+    for sub in ["leases", "poison"] {
+        let path = dir.join("results/cache").join(sub);
+        assert!(!path.exists(), "[{what}] the cache holds a {sub}/ directory: {}", path.display());
+    }
 }
 
 /// Waits for the server's socket file to exist (the client would retry
@@ -248,8 +253,9 @@ fn concurrent_submissions_share_the_warm_cache_byte_identically() {
     assert_eq!(done.get("plan_warm"), Some(&Json::Bool(true)), "the plan index is warm: {done:?}");
     let phases = record_of(&err, "phases");
     let render = counter(&phases, "render_us");
-    let rest =
-        counter(&phases, "plan_us") + counter(&phases, "prepare_us") + counter(&phases, "simulate_us");
+    let rest = counter(&phases, "plan_us")
+        + counter(&phases, "prepare_us")
+        + counter(&phases, "simulate_us");
     assert!(
         render > rest,
         "a fully-cached request is render-dominated: render {render} µs vs plan+prepare+simulate {rest} µs in {phases:?}"
@@ -301,7 +307,7 @@ fn malformed_request_is_rejected_without_killing_the_server() {
     assert_no_debris(&dir, "malformed");
 }
 
-/// Two servers must not share a claim space: a second server on a live
+/// Two servers must not share a cache: a second server on a live
 /// socket refuses to start, while a stale socket (dead server) is swept
 /// and rebound.
 #[test]
