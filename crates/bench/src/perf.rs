@@ -288,6 +288,32 @@ mod tests {
         assert!(entry.get("kcycles_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(entry.get("committed_mips").and_then(Json::as_f64).unwrap() > 0.0);
         assert_eq!(entry.get("scale").and_then(Json::as_str), Some("smoke"));
+
+        // The basket's simulated work is pinned to the committed ledger:
+        // every detailed cell must simulate the cycles and instructions of
+        // the `pr6-after` entry, so a hot-path change that perturbs timing
+        // fails here. (Functional rows postdate that entry.)
+        let ledger =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_throughput.json");
+        let ledger = Json::parse(&std::fs::read_to_string(ledger).unwrap()).unwrap();
+        let pinned = ledger
+            .get("runs")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .find(|r| r.get("label").and_then(Json::as_str) == Some("pr6-after"))
+            .expect("the ledger keeps the pr6-after entry");
+        let work = |r: &Json| {
+            let field = |k| r.get(k).and_then(Json::as_str).unwrap().to_string();
+            let count = |k| r.get(k).and_then(Json::as_u64).unwrap();
+            (field("kernel"), field("config"), count("cycles"), count("insts"))
+        };
+        let rows = |e: &Json| -> Vec<_> {
+            e.get("per_run").and_then(Json::as_arr).unwrap().iter().map(work).collect()
+        };
+        let simulated: Vec<_> =
+            rows(&entry).into_iter().filter(|(_, config, ..)| config != "functional").collect();
+        assert_eq!(simulated, rows(pinned), "the basket's simulated work moved");
         // A second run appends rather than overwrites.
         run_perf(&opts);
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();

@@ -5,14 +5,19 @@
 //! file), and schedule a completion event. Loads go through the LSQ
 //! disambiguation rules and the SSB (speculative threadlets) or the L1D
 //! (architectural threadlet); branch resolution happens at completion.
+//!
+//! A load behind its threadlet's store-address barrier (an older store
+//! whose address is unknown) parks in the IQ instead of being re-offered
+//! every cycle; the store whose issue moves the barrier past it releases
+//! it within the same select pass (DESIGN.md §10.5).
 
 use super::LoopFrogCore;
 use crate::dyninst::Uid;
 use lf_isa::{emu, Inst, MemSize};
-use lf_uarch::{AccessKind, IssueQueue, PhysReg};
+use lf_uarch::{AccessKind, IssueQueue, Offer, PhysReg};
 
 /// The `Copy` subset of a [`crate::dyninst::DynInst`] that the issue path
-/// reads. Extracted up front so an issue *attempt* — the IQ re-offers every
+/// reads. Extracted up front so an issue *attempt* — the IQ re-offers a
 /// ready entry each cycle until its structural hazard clears — costs one
 /// arena lookup and a small register-sized copy instead of a full `DynInst`
 /// clone (which heap-allocates for `iv_capture`).
@@ -43,20 +48,32 @@ impl LoopFrogCore<'_> {
         self.stats.issued_insts += issued as u64;
     }
 
-    /// Attempts to issue one instruction; `false` leaves it in the queue.
-    fn try_issue_one(&mut self, uid: Uid) -> bool {
+    /// Attempts to issue one instruction. A rejected or parked offer has
+    /// no side effects: it claims no pipe and writes no state.
+    fn try_issue_one(&mut self, uid: Uid) -> Offer<Uid> {
         let v = IssueView::of(self.slab.get(uid).expect("IQ entries are live"));
         debug_assert!(!self.slab[uid].issued);
 
         // Loads must pass memory disambiguation before claiming a pipe.
-        if v.inst.is_load() && !self.load_can_issue(v) {
-            return false;
+        let mut forwarded = None;
+        if let Inst::Load { offset, size, .. } = v.inst {
+            // Behind the store-address barrier: park until that store issues.
+            let t = &self.ctx[v.tid];
+            if t.unknown_stores.front().is_some_and(|&s| s < v.uid) {
+                return Offer::Park;
+            }
+            let base = v.srcs[0].map(|p| self.prf.read(p)).unwrap_or(0);
+            match self.search_sq(v, base.wrapping_add(offset as u64), size.bytes()) {
+                SqHit::Overlap => return Offer::Reject,
+                SqHit::Forward(value) => forwarded = Some(value),
+                SqHit::Miss => {}
+            }
         }
 
         let class = v.inst.fu_class();
         let latency = v.inst.exec_latency();
         if !self.fu.try_issue(class, self.cycle, latency) {
-            return false;
+            return Offer::Reject;
         }
 
         let read =
@@ -65,6 +82,7 @@ impl LoopFrogCore<'_> {
         let mut complete_at = self.cycle + latency;
         let mut result = 0u64;
         let mut actual_next = v.pc + 1;
+        let mut verdict = Offer::Accept;
         match v.inst {
             Inst::Alu { op, a: _, b, .. } => {
                 let av = read(self, v.srcs[0]);
@@ -87,7 +105,7 @@ impl LoopFrogCore<'_> {
             }
             Inst::Load { offset, size, signed, .. } => {
                 let addr = read(self, v.srcs[0]).wrapping_add(offset as u64);
-                match self.execute_load(v, addr, size) {
+                match self.execute_load(v, addr, size, forwarded) {
                     LoadOutcome::Value { value, ready } => {
                         result = emu::extend_load(value, size, signed);
                         complete_at = ready;
@@ -97,7 +115,7 @@ impl LoopFrogCore<'_> {
                         e.issued = true;
                         e.eff_addr = Some(addr);
                         e.faulted = true;
-                        return true; // leaves the IQ; never completes
+                        return Offer::Accept; // leaves the IQ; never completes
                     }
                 }
                 self.slab.get_mut(uid).expect("live").eff_addr = Some(addr);
@@ -109,11 +127,12 @@ impl LoopFrogCore<'_> {
                 let e = self.slab.get_mut(uid).expect("live");
                 e.eff_addr = Some(addr);
                 e.store_data = data;
+                verdict = self.resolve_store_address(v.tid, uid);
                 if addr.checked_add(size.bytes()).is_none_or(|end| end > self.mem.len() as u64) {
                     let e = self.slab.get_mut(uid).expect("live");
                     e.issued = true;
                     e.faulted = true;
-                    return true;
+                    return verdict;
                 }
             }
             _ => unreachable!("non-executing instruction in IQ: {:?}", v.inst),
@@ -131,65 +150,33 @@ impl LoopFrogCore<'_> {
                 uid: uid.seq(),
             });
         }
-        true
+        verdict
     }
 
-    /// Memory disambiguation for a load (conservative): every older store in
-    /// the same threadlet must have a known address; a fully containing
-    /// older store forwards; any partial overlap delays the load until the
-    /// store drains.
-    fn load_can_issue(&self, v: IssueView) -> bool {
-        let t = &self.ctx[v.tid];
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
-            let s = &self.slab[suid];
-            if !s.issued {
-                return false; // unknown store address
-            }
+    /// Removes issuing store `uid` from its threadlet's unknown-address
+    /// index. When the store was the barrier, the verdict releases the
+    /// parked loads the barrier no longer blocks: those older than the next
+    /// unknown-address store, or all of the threadlet's when none is left.
+    fn resolve_store_address(&mut self, tid: usize, uid: Uid) -> Offer<Uid> {
+        let unknown = &mut self.ctx[tid].unknown_stores;
+        if unknown.front() == Some(&uid) {
+            unknown.pop_front();
+            return Offer::AcceptRelease { tid, below: unknown.front().copied() };
         }
-        // Addresses all known; check for partial overlaps (full containment
-        // is handled as forwarding inside execute_load).
-        let (addr, len) = match v.inst {
-            Inst::Load { offset, size, .. } => {
-                let base = v.srcs[0].map(|p| self.prf.read(p)).unwrap_or(0);
-                (base.wrapping_add(offset as u64), size.bytes())
-            }
-            _ => unreachable!(),
-        };
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
-            let s = &self.slab[suid];
-            if s.drained || s.faulted {
-                continue;
-            }
-            let (sa, sl) = (s.eff_addr.expect("issued"), store_len(&s.inst));
-            let overlap = sa < addr + len && addr < sa + sl;
-            let contains = sa <= addr && addr + len <= sa + sl;
-            if overlap && !contains {
-                return false; // partial overlap: wait for the drain
-            }
-            if contains {
-                return true; // youngest containing store forwards
-            }
-        }
-        true
+        let pos = unknown.binary_search(&uid).expect("an issuing store's address is unknown");
+        unknown.remove(pos);
+        Offer::Accept
     }
 
-    /// Executes a load's data access: own-SQ forwarding, then SSB + L1D
-    /// (speculative) or L1D (architectural).
-    fn execute_load(&mut self, v: IssueView, addr: u64, size: MemSize) -> LoadOutcome {
-        let len = size.bytes();
-
-        // Store-to-load forwarding from the youngest containing older store.
-        let t = &self.ctx[v.tid];
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
+    /// Memory disambiguation for a load whose older stores all have known
+    /// addresses (conservative), in one store-queue pass that starts at the
+    /// load's age: the youngest older store that overlaps the load decides.
+    /// If it fully contains the load it forwards; a partial overlap delays
+    /// the load until that store drains.
+    fn search_sq(&self, v: IssueView, addr: u64, len: u64) -> SqHit {
+        let sq = &self.ctx[v.tid].sq;
+        let older = sq.partition_point(|&s| s < v.uid);
+        for &suid in sq.range(..older).rev() {
             let s = &self.slab[suid];
             if s.drained || s.faulted {
                 continue;
@@ -200,11 +187,27 @@ impl LoopFrogCore<'_> {
                 let off = (addr - sa) as usize;
                 let mut buf = [0u8; 8];
                 buf[..len as usize].copy_from_slice(&bytes[off..off + len as usize]);
-                return LoadOutcome::Value {
-                    value: u64::from_le_bytes(buf),
-                    ready: self.cycle + 1,
-                };
+                return SqHit::Forward(u64::from_le_bytes(buf));
             }
+            if sa < addr + len && addr < sa + sl {
+                return SqHit::Overlap;
+            }
+        }
+        SqHit::Miss
+    }
+
+    /// Executes a load's data access: the value `forwarded` from its own
+    /// SQ, else SSB + L1D (speculative) or L1D (architectural).
+    fn execute_load(
+        &mut self,
+        v: IssueView,
+        addr: u64,
+        size: MemSize,
+        forwarded: Option<u64>,
+    ) -> LoadOutcome {
+        let len = size.bytes();
+        if let Some(value) = forwarded {
+            return LoadOutcome::Value { value, ready: self.cycle + 1 };
         }
 
         // Memory path. Bounds check against the architectural image.
@@ -332,6 +335,17 @@ impl LoopFrogCore<'_> {
 enum LoadOutcome {
     Value { value: u64, ready: u64 },
     Fault,
+}
+
+/// What a load finds in its threadlet's store queue.
+enum SqHit {
+    /// No older store overlaps it: the value comes from memory.
+    Miss,
+    /// The youngest overlapping older store contains it and forwards this
+    /// value.
+    Forward(u64),
+    /// The youngest overlapping older store covers it only partially.
+    Overlap,
 }
 
 fn store_len(inst: &Inst) -> u64 {

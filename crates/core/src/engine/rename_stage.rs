@@ -163,6 +163,7 @@ impl LoopFrogCore<'_> {
         }
         if f.inst.is_store() {
             self.ctx[tid].sq.push_back(uid);
+            self.ctx[tid].unknown_stores.push_back(uid);
             self.sq_occupancy += 1;
         }
         self.ctx[tid].rob.push_back(uid);

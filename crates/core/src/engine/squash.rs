@@ -56,6 +56,10 @@ impl LoopFrogCore<'_> {
                 debug_assert!(!d.drained, "drained store younger than unresolved branch");
                 let b = self.ctx[tid].sq.pop_back();
                 debug_assert_eq!(b, Some(tail));
+                if !d.issued {
+                    let b = self.ctx[tid].unknown_stores.pop_back();
+                    debug_assert_eq!(b, Some(tail));
+                }
                 self.sq_occupancy -= 1;
             }
             if let Some(child) = d.spawned {
@@ -146,6 +150,7 @@ impl LoopFrogCore<'_> {
         self.sq_occupancy -= self.ctx[tid].sq.len();
         self.ctx[tid].lq.clear();
         self.ctx[tid].sq.clear();
+        self.ctx[tid].unknown_stores.clear();
 
         self.stats.commits_spec_failed += self.ctx[tid].committed_this_epoch;
         if let Some(p) = self.ctx[tid].pending_spawn.take() {

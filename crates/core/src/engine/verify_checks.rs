@@ -9,7 +9,8 @@ use lf_isa::NUM_ARCH_REGS;
 
 impl LoopFrogCore<'_> {
     /// Per-cycle invariants: occupancy conservation, epoch-sorted active
-    /// list, free-context emptiness, and (sampled) SSB ownership.
+    /// list, free-context emptiness, the store-address barrier, and
+    /// (sampled) SSB ownership.
     pub(super) fn verify_tick(&mut self) {
         let (mut rob, mut lq, mut sq) = (0usize, 0usize, 0usize);
         for t in &self.ctx {
@@ -51,10 +52,44 @@ impl LoopFrogCore<'_> {
             self.verify.violation(msg);
         }
 
+        self.verify_store_barrier();
+
         // The SSB scan walks every line; sample it so verify builds stay
         // usable on long runs (retirement also triggers a full scan).
         if self.cycle.is_multiple_of(64) {
             self.verify_ssb();
+        }
+    }
+
+    /// Store-address barrier: each threadlet's unknown-address index is
+    /// exactly its un-issued stores, and every parked IQ entry is a load
+    /// still behind an older unknown-address store of its threadlet (a
+    /// lost release fails here, at the cycle it happens).
+    fn verify_store_barrier(&mut self) {
+        let mut msgs = Vec::new();
+        for (i, t) in self.ctx.iter().enumerate() {
+            let unissued = t.sq.iter().filter(|&&s| !self.slab[s].issued);
+            if !unissued.eq(t.unknown_stores.iter()) {
+                msgs.push(format!(
+                    "store-barrier: ctx{i} unknown-address index {:?} is not the un-issued \
+                     stores of its SQ {:?}",
+                    t.unknown_stores, t.sq
+                ));
+            }
+        }
+        for (uid, tid) in self.iq.parked() {
+            let is_load = self.slab.get(uid).is_some_and(|d| d.tid == tid && d.inst.is_load());
+            let barrier = self.ctx[tid].unknown_stores.front();
+            let behind = barrier.is_some_and(|&b| b < uid);
+            if !(is_load && behind) {
+                msgs.push(format!(
+                    "store-barrier: parked IQ entry {uid:?} of ctx{tid} is not a load behind \
+                     an unknown-address store (barrier {barrier:?})"
+                ));
+            }
+        }
+        for msg in msgs {
+            self.verify.violation(format!("{msg} at cycle {}", self.cycle));
         }
     }
 

@@ -80,6 +80,10 @@ pub(crate) struct Threadlet {
     pub rob: VecDeque<Uid>,
     pub lq: VecDeque<Uid>,
     pub sq: VecDeque<Uid>,
+    /// The stores of `sq` that have not issued (address unknown), oldest
+    /// first. The front is the threadlet's store-address barrier: no
+    /// younger load may issue.
+    pub unknown_stores: VecDeque<Uid>,
 
     // ---- epoch bookkeeping ----
     /// Register checkpoint taken at epoch start (spawn); restored on squash.
@@ -154,6 +158,7 @@ impl Threadlet {
             rob: VecDeque::new(),
             lq: VecDeque::new(),
             sq: VecDeque::new(),
+            unknown_stores: VecDeque::new(),
             checkpoint: None,
             checkpoint_pc: 0,
             predicted_regs: Vec::new(),
@@ -184,6 +189,7 @@ impl Threadlet {
             || (self.rob.is_empty()
                 && self.lq.is_empty()
                 && self.sq.is_empty()
+                && self.unknown_stores.is_empty()
                 && self.map.is_none()
                 && self.checkpoint.is_none()
                 && self.pending_spawn.is_none()
@@ -220,5 +226,6 @@ impl Threadlet {
         self.overflow_reported = false;
         debug_assert!(self.pending_spawn.is_none(), "caller releases pending spawns");
         debug_assert!(self.rob.is_empty() && self.lq.is_empty() && self.sq.is_empty());
+        debug_assert!(self.unknown_stores.is_empty());
     }
 }

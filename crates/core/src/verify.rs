@@ -13,6 +13,10 @@
 //! - **conflict-set ⊇ actual accesses** — immediately after a store drains
 //!   (or a load executes), every touched granule is present in the
 //!   threadlet's write (read) set;
+//! - **store-address barrier** — each threadlet's unknown-address store
+//!   index is exactly the un-issued stores of its SQ, and every parked IQ
+//!   entry is a load still behind an older unknown-address store of its
+//!   threadlet (a lost release is caught at the cycle it happens);
 //! - **epoch-order commit** — threadlets retire in strictly increasing
 //!   epoch order, and the active list is epoch-sorted every cycle;
 //! - **accounting conservation** — cycle-accounting buckets sum to

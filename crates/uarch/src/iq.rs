@@ -4,6 +4,13 @@
 //! oldest-first subject to the caller's structural constraints (functional
 //! units, cache ports). Instructions from all threadlets share the queue
 //! (Table 1: "Dynamically shared: … 384-entry IQ").
+//!
+//! Select touches only entries that can issue: `insert` and `wakeup` feed an
+//! age-ordered ready list, and `select` walks that list, never the
+//! operand-waiting entries. An entry that cannot issue until another one
+//! does (a load behind a store whose address is unknown) is *parked*: it
+//! leaves the ready list but keeps its slot until an issuing entry releases
+//! it.
 
 use crate::rename::{PhysReg, PhysRegFile};
 use std::collections::{BTreeMap, HashMap};
@@ -16,6 +23,39 @@ struct Entry {
     waiting: u8, // number of not-ready sources
 }
 
+/// The caller's verdict on one entry offered by [`IssueQueue::select`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer<K> {
+    /// The entry issues and leaves the queue.
+    Accept,
+    /// A structural hazard: the entry stays ready and is offered again on
+    /// the next `select`.
+    Reject,
+    /// The entry cannot issue until released: it leaves the ready list but
+    /// keeps its slot (`len` and `is_full` still count it).
+    Park,
+    /// The entry issues, and every parked entry of threadlet `tid` older
+    /// than `below` (all of them when `None`) returns to the ready list.
+    /// Released entries younger than the accepted one are offered in the
+    /// same `select` pass.
+    AcceptRelease {
+        /// Threadlet whose parked entries are released.
+        tid: usize,
+        /// Exclusive upper bound on the released entries' ids.
+        below: Option<K>,
+    },
+}
+
+impl<K> From<bool> for Offer<K> {
+    fn from(accept: bool) -> Offer<K> {
+        if accept {
+            Offer::Accept
+        } else {
+            Offer::Reject
+        }
+    }
+}
+
 /// The shared issue queue, keyed by the core's instruction-id type `K`
 /// (age order must equal `Ord` order for oldest-first selection).
 #[derive(Debug, Clone)]
@@ -23,12 +63,25 @@ pub struct IssueQueue<K: Copy + Ord + Debug = u64> {
     capacity: usize,
     entries: BTreeMap<K, Entry>,
     waiters: HashMap<PhysReg, Vec<K>>,
+    /// Operand-ready, unparked entries as `(uid, tid)`, oldest first.
+    ready: Vec<(K, usize)>,
+    /// Parked entries as `(uid, tid)`, oldest first.
+    parked: Vec<(K, usize)>,
+    /// `select` scratch: the ready list being rebuilt (swapped with `ready`).
+    spare: Vec<(K, usize)>,
 }
 
 impl<K: Copy + Ord + Debug> IssueQueue<K> {
     /// Creates a queue holding up to `capacity` instructions.
     pub fn new(capacity: usize) -> IssueQueue<K> {
-        IssueQueue { capacity, entries: BTreeMap::new(), waiters: HashMap::new() }
+        IssueQueue {
+            capacity,
+            entries: BTreeMap::new(),
+            waiters: HashMap::new(),
+            ready: Vec::new(),
+            parked: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
     /// Current occupancy.
@@ -44,6 +97,11 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
     /// Whether the queue has no free slot.
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
+    }
+
+    /// The parked entries as `(uid, tid)`, oldest first.
+    pub fn parked(&self) -> impl Iterator<Item = (K, usize)> + '_ {
+        self.parked.iter().copied()
     }
 
     /// Inserts instruction `uid` of threadlet `tid` with its renamed source
@@ -72,6 +130,9 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
         }
         let prev = self.entries.insert(uid, Entry { tid, srcs, waiting });
         assert!(prev.is_none(), "duplicate uid {uid:?} in issue queue");
+        if waiting == 0 {
+            insert_sorted(&mut self.ready, (uid, tid));
+        }
         true
     }
 
@@ -79,41 +140,98 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
     pub fn wakeup(&mut self, p: PhysReg) {
         if let Some(uids) = self.waiters.remove(&p) {
             for uid in uids {
-                if let Some(e) = self.entries.get_mut(&uid) {
-                    // An entry may wait on `p` through both source slots.
-                    let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
-                    e.waiting = e.waiting.saturating_sub(n.max(1).min(e.waiting));
+                // An entry may wait on `p` through both source slots, so it
+                // can appear twice; the first visit clears both.
+                let Some(e) = self.entries.get_mut(&uid) else { continue };
+                if e.waiting == 0 {
+                    continue;
+                }
+                let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
+                e.waiting -= n.clamp(1, e.waiting);
+                if e.waiting == 0 {
+                    insert_sorted(&mut self.ready, (uid, e.tid));
                 }
             }
         }
     }
 
-    /// Scans ready entries oldest-first and offers each to `issue`, which
-    /// returns `true` to accept (the entry is removed) or `false` on a
-    /// structural hazard (the entry stays). Stops after `max` acceptances.
-    /// Returns the number issued.
-    pub fn select(&mut self, max: usize, mut issue: impl FnMut(K, usize) -> bool) -> usize {
-        let mut taken = Vec::new();
-        let mut n = 0;
-        for (&uid, e) in self.entries.iter() {
+    /// Walks the ready list oldest-first and offers each entry to `issue`,
+    /// whose verdict (an [`Offer`], or `bool` for accept/reject) decides
+    /// whether it leaves the queue, stays ready, or parks. Stops offering
+    /// after `max` acceptances. Returns the number issued.
+    pub fn select<R: Into<Offer<K>>>(
+        &mut self,
+        max: usize,
+        mut issue: impl FnMut(K, usize) -> R,
+    ) -> usize {
+        let ready = std::mem::take(&mut self.ready);
+        let mut kept = std::mem::take(&mut self.spare);
+        debug_assert!(kept.is_empty());
+        // Entries released during this walk that it has yet to reach.
+        let mut released: Vec<(K, usize)> = Vec::new();
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        loop {
+            // Merge the ready list with the released entries, oldest first.
+            let next = match (ready.get(i), released.get(j)) {
+                (Some(&a), Some(&b)) if b.0 < a.0 => {
+                    j += 1;
+                    b
+                }
+                (Some(&a), _) => {
+                    i += 1;
+                    a
+                }
+                (None, Some(&b)) => {
+                    j += 1;
+                    b
+                }
+                (None, None) => break,
+            };
             if n >= max {
-                break;
+                kept.push(next);
+                continue;
             }
-            if e.waiting == 0 && issue(uid, e.tid) {
-                taken.push(uid);
-                n += 1;
+            let (uid, tid) = next;
+            match issue(uid, tid).into() {
+                Offer::Accept => {
+                    self.entries.remove(&uid);
+                    n += 1;
+                }
+                Offer::Reject => kept.push(next),
+                Offer::Park => insert_sorted(&mut self.parked, next),
+                Offer::AcceptRelease { tid: owner, below } => {
+                    self.entries.remove(&uid);
+                    n += 1;
+                    self.parked.retain(|&(p, t)| {
+                        if t != owner || below.is_some_and(|b| p >= b) {
+                            return true;
+                        }
+                        // Entries the walk already passed wait for the
+                        // next select, exactly as a rejected offer would.
+                        insert_sorted(if p < uid { &mut kept } else { &mut released }, (p, t));
+                        false
+                    });
+                }
             }
         }
-        for uid in taken {
-            self.entries.remove(&uid);
-        }
+        self.ready = kept;
+        self.spare = ready;
+        self.spare.clear();
         n
     }
 
     /// Removes every entry for which `pred(uid, tid)` holds (squash).
     pub fn squash(&mut self, pred: impl Fn(K, usize) -> bool) {
         self.entries.retain(|&uid, e| !pred(uid, e.tid));
+        self.ready.retain(|&(uid, tid)| !pred(uid, tid));
+        self.parked.retain(|&(uid, tid)| !pred(uid, tid));
     }
+}
+
+/// Inserts `item` into `list`, kept sorted by id.
+fn insert_sorted<K: Ord + Copy>(list: &mut Vec<(K, usize)>, item: (K, usize)) {
+    let pos = list.partition_point(|e| e.0 < item.0);
+    list.insert(pos, item);
 }
 
 #[cfg(test)]
@@ -187,6 +305,207 @@ mod tests {
         assert!(iq.insert(2, 0, [None, None], &prf));
         assert!(!iq.insert(3, 0, [None, None], &prf));
         assert!(iq.is_full());
+    }
+
+    #[test]
+    fn parked_entry_keeps_its_slot_until_released() {
+        let prf = prf_with(4);
+        let mut iq = IssueQueue::new(3);
+        iq.insert(1, 0, [None, None], &prf); // the barrier store
+        iq.insert(2, 0, [None, None], &prf); // a load behind it
+        iq.insert(3, 1, [None, None], &prf); // another threadlet's entry
+        let mut order = Vec::new();
+        iq.select(4, |uid, _| {
+            order.push(uid);
+            if uid == 2 {
+                Offer::Park
+            } else {
+                Offer::Reject
+            }
+        });
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(iq.parked().collect::<Vec<_>>(), vec![(2, 0)]);
+        assert!(iq.is_full(), "a parked entry still holds its slot");
+        // The store issues and releases the load, which is offered in the
+        // same pass.
+        order.clear();
+        let n = iq.select(4, |uid, _| {
+            order.push(uid);
+            match uid {
+                1 => Offer::AcceptRelease { tid: 0, below: None },
+                _ => Offer::Accept,
+            }
+        });
+        assert_eq!((n, order), (3, vec![1, 2, 3]));
+        assert!(iq.is_empty());
+    }
+
+    /// Scan-all reference model: every entry carries its unwoken sources
+    /// and a parked flag, and `select` scans all entries in age order.
+    #[derive(Default)]
+    struct ScanAll {
+        entries: BTreeMap<u64, (usize, Vec<PhysReg>, bool)>,
+        capacity: usize,
+    }
+
+    impl ScanAll {
+        fn insert(&mut self, uid: u64, tid: usize, srcs: [Option<PhysReg>; 2], prf: &PhysRegFile) {
+            if self.entries.len() >= self.capacity {
+                return;
+            }
+            let mut pending: Vec<PhysReg> =
+                srcs.iter().flatten().copied().filter(|&s| !prf.is_ready(s)).collect();
+            pending.dedup();
+            self.entries.insert(uid, (tid, pending, false));
+        }
+
+        fn wakeup(&mut self, p: PhysReg) {
+            for (_, pending, _) in self.entries.values_mut() {
+                pending.retain(|&s| s != p);
+            }
+        }
+
+        fn select(&mut self, max: usize, mut issue: impl FnMut(u64, usize) -> Offer<u64>) -> usize {
+            let mut n = 0;
+            let uids: Vec<u64> = self.entries.keys().copied().collect();
+            for uid in uids {
+                if n >= max {
+                    break;
+                }
+                let Some(&(tid, ref pending, parked)) = self.entries.get(&uid) else { continue };
+                if !pending.is_empty() || parked {
+                    continue;
+                }
+                match issue(uid, tid) {
+                    Offer::Accept => {}
+                    Offer::Reject => continue,
+                    Offer::Park => {
+                        self.entries.get_mut(&uid).unwrap().2 = true;
+                        continue;
+                    }
+                    Offer::AcceptRelease { tid: owner, below } => {
+                        for (&u, e) in self.entries.iter_mut() {
+                            if e.0 == owner && below.is_none_or(|b| u < b) {
+                                e.2 = false;
+                            }
+                        }
+                    }
+                }
+                self.entries.remove(&uid);
+                n += 1;
+            }
+            n
+        }
+
+        fn squash(&mut self, pred: impl Fn(u64, usize) -> bool) {
+            self.entries.retain(|&uid, e| !pred(uid, e.0));
+        }
+    }
+
+    /// Property test pinning the ready list and parking to the scan-all
+    /// model: random insert/wakeup/select/squash schedules with random
+    /// verdicts must produce the same offer order, issued set and
+    /// occupancy from both after every step.
+    #[test]
+    fn randomized_against_scan_all_model() {
+        use lf_stats::rng::SmallRng;
+        const TIDS: usize = 3;
+        let mut rng = SmallRng::seed_from_u64(0x1a_5e1ec7);
+        for trial in 0..100u64 {
+            let mut prf = prf_with(4096);
+            let mut iq: IssueQueue<u64> = IssueQueue::new(24);
+            let mut model = ScanAll { capacity: 24, ..ScanAll::default() };
+            let mut pending_regs: Vec<PhysReg> = Vec::new();
+            let mut used = std::collections::HashSet::new();
+            for step in 0..400u64 {
+                match rng.random_range(0..10u32) {
+                    0..=3 => {
+                        // Ids arrive in random order; none is ever reused.
+                        let uid = loop {
+                            let u = rng.random_range(0..100_000u64);
+                            if used.insert(u) {
+                                break u;
+                            }
+                        };
+                        let mut src = || match rng.random_range(0..5u32) {
+                            0..=2 => None,
+                            3 if !pending_regs.is_empty() => {
+                                Some(pending_regs[rng.random_range(0..pending_regs.len())])
+                            }
+                            _ => {
+                                let p = prf.alloc().unwrap();
+                                pending_regs.push(p);
+                                Some(p)
+                            }
+                        };
+                        let srcs = [src(), src()];
+                        let tid = rng.random_range(0..TIDS);
+                        let full = iq.is_full();
+                        assert_eq!(iq.insert(uid, tid, srcs, &prf), !full);
+                        model.insert(uid, tid, srcs, &prf);
+                    }
+                    4..=5 if !pending_regs.is_empty() => {
+                        let p = pending_regs.swap_remove(rng.random_range(0..pending_regs.len()));
+                        prf.write(p, step);
+                        iq.wakeup(p);
+                        model.wakeup(p);
+                    }
+                    6..=8 => {
+                        // The verdict is a pure function of (select, uid), so
+                        // both sides see the same one for the same offer.
+                        let salt = rng.next_u64();
+                        let verdict = |uid: u64| {
+                            let mut r = SmallRng::seed_from_u64(salt ^ uid);
+                            match r.random_range(0..10u32) {
+                                0 => Offer::Accept,
+                                1..=3 => Offer::Reject,
+                                4..=7 => Offer::Park,
+                                _ => Offer::AcceptRelease {
+                                    tid: r.random_range(0..TIDS),
+                                    below: r.random_range(0..2u32).eq(&1).then(|| {
+                                        uid.saturating_add_signed(r.random_range(-5_000..20_000i64))
+                                    }),
+                                },
+                            }
+                        };
+                        let max = rng.random_range(1..16usize);
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        let (mut got_issued, mut want_issued) = (Vec::new(), Vec::new());
+                        let n = iq.select(max, |uid, tid| {
+                            got.push((uid, tid));
+                            let v = verdict(uid);
+                            if matches!(v, Offer::Accept | Offer::AcceptRelease { .. }) {
+                                got_issued.push(uid);
+                            }
+                            v
+                        });
+                        let m = model.select(max, |uid, tid| {
+                            want.push((uid, tid));
+                            let v = verdict(uid);
+                            if matches!(v, Offer::Accept | Offer::AcceptRelease { .. }) {
+                                want_issued.push(uid);
+                            }
+                            v
+                        });
+                        assert_eq!(got, want, "offer order diverged (trial {trial}, step {step})");
+                        assert_eq!(got_issued, want_issued);
+                        assert_eq!(n, m);
+                    }
+                    _ => {
+                        let t = rng.random_range(0..TIDS);
+                        let from = rng.random_range(0..100_000u64);
+                        let whole = rng.random_range(0..2u32) == 0;
+                        let pred = |uid: u64, tid: usize| tid == t && (whole || uid > from);
+                        iq.squash(pred);
+                        model.squash(pred);
+                    }
+                }
+                assert_eq!(iq.len(), model.entries.len(), "trial {trial}, step {step}");
+                let parked: Vec<u64> =
+                    model.entries.iter().filter(|e| e.1 .2).map(|e| *e.0).collect();
+                assert_eq!(iq.parked().map(|(u, _)| u).collect::<Vec<_>>(), parked);
+            }
+        }
     }
 
     #[test]

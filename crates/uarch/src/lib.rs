@@ -25,6 +25,6 @@ pub use bpred::{BpLookup, BranchPredictor, History};
 pub use cache::{AccessKind, Cache, MemHierarchy};
 pub use config::{CacheConfig, CoreConfig, FuConfig, MemConfig};
 pub use fu::FuPools;
-pub use iq::IssueQueue;
+pub use iq::{IssueQueue, Offer};
 pub use prefetch::StridePrefetcher;
 pub use rename::{PhysReg, PhysRegFile, RenameMap};

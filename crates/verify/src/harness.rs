@@ -9,7 +9,8 @@
 //! 2. the golden emulator on the **hinted** kernel — hints must be
 //!    semantics-free;
 //! 3. the **baseline core** (hints as NOPs) — must match golden
-//!    (metamorphic property: hints-as-NOPs ≡ baseline);
+//!    (metamorphic property: hints-as-NOPs ≡ baseline) with zero
+//!    invariant violations;
 //! 4. the **LoopFrog core** with the `verify` feature's cycle-level
 //!    invariant checks armed and lockstep boundary recording on — final
 //!    state must match golden, zero invariant violations, and every
@@ -24,7 +25,7 @@
 use crate::coverage;
 use crate::spec::{seeded_memory, CaseSpec, HintMode};
 use lf_isa::{Emulator, Program, StateDiff, StopReason};
-use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore};
+use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore, SimResult};
 
 /// Emulator step budget per case; generated kernels run well under this,
 /// so exhaustion means a non-terminating (rejected) case.
@@ -116,6 +117,23 @@ fn fail(kind: FailKind, detail: String) -> Outcome {
     Outcome::Fail(Failure { kind, detail })
 }
 
+/// Runs `core` to the end. Invariant violations outrank a simulator error:
+/// the first violation names the cycle a fault began, while the error (a
+/// watchdog deadlock, say) is only its late symptom.
+fn checked_run(core: &mut LoopFrogCore<'_>, name: &str) -> Result<SimResult, (FailKind, String)> {
+    let r = core.run();
+    let vs = core.verify_state();
+    if vs.total_violations() > 0 {
+        let detail = format!(
+            "{name}: {} invariant violation(s):\n  {}",
+            vs.total_violations(),
+            vs.violations().join("\n  ")
+        );
+        return Err((FailKind::Invariant, detail));
+    }
+    r.map_err(|e| (FailKind::Sim, format!("{name} error: {e:?}")))
+}
+
 /// Builds the hinted program for a spec, annotating with the compiler pass
 /// when the spec asks for it (using a golden profile of the plain kernel).
 pub fn hinted_program(spec: &CaseSpec, plain: &Program, profile_emu: &Emulator) -> Program {
@@ -167,10 +185,12 @@ pub fn run_case(spec: &CaseSpec, opts: &HarnessOptions) -> Outcome {
         return fail(FailKind::Golden, format!("hints changed emulator state:\n{d}"));
     }
 
-    // 3. Baseline core: hints-as-NOPs ≡ baseline.
-    let base = match simulate(&hinted, mem.clone(), LoopFrogConfig::baseline()) {
+    // 3. Baseline core: hints-as-NOPs ≡ baseline, with invariants on (the
+    // single-threadlet core fills the largest window).
+    let mut base_core = LoopFrogCore::new(&hinted, mem.clone(), LoopFrogConfig::baseline());
+    let base = match checked_run(&mut base_core, "baseline") {
         Ok(r) => r,
-        Err(e) => return fail(FailKind::Sim, format!("baseline error: {e:?}")),
+        Err((kind, detail)) => return fail(kind, detail),
     };
     if base.checksum != gold {
         let d = StateDiff::compare(&gold_regs, &base.final_regs, None);
@@ -183,19 +203,11 @@ pub fn run_case(spec: &CaseSpec, opts: &HarnessOptions) -> Outcome {
     if opts.injects_bug(spec) {
         core.inject_drop_write_granule();
     }
-    let lf = match core.run() {
+    let lf = match checked_run(&mut core, "loopfrog") {
         Ok(r) => r,
-        Err(e) => return fail(FailKind::Sim, format!("loopfrog error: {e:?}")),
+        Err((kind, detail)) => return fail(kind, detail),
     };
     let vs = core.verify_state();
-    if vs.total_violations() > 0 {
-        let detail = format!(
-            "{} invariant violation(s):\n  {}",
-            vs.total_violations(),
-            vs.violations().join("\n  ")
-        );
-        return fail(FailKind::Invariant, detail);
-    }
     if lf.checksum != gold {
         let d = StateDiff::compare(&gold_regs, &lf.final_regs, Some((gold_emu.mem(), core.mem())));
         return fail(FailKind::LoopFrog, format!("loopfrog diverged from golden:\n{d}"));
