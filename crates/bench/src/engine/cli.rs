@@ -12,8 +12,6 @@
 //!                [--konata PATH] [--text PATH|-] [--cycles LO:HI]
 //!                [--tid N] [--kinds a,b,...]
 //!                [--dump-flight-recorder PATH]
-//! lf-bench serve [--socket PATH] [--cache-dir DIR]
-//! lf-bench submit [--socket PATH] <run-args...>
 //!
 //! options:
 //!   --scale smoke|eval|full
@@ -33,6 +31,7 @@
 //!                        in-process threads; requires the cache, see
 //!                        --no-cache)
 //!   --filter SUBSTR      keep only kernels whose name contains SUBSTR
+//!                        (a filter matching no kernel is an error)
 //!   --no-cache           skip the on-disk run cache (results/cache/)
 //!   --cache-dir DIR      cache location (default results/cache)
 //!   --json [DIR]         write per-scenario artifacts, planner.json, and
@@ -55,17 +54,7 @@
 //!                        kill point
 //!   --trace-out PATH     (run) export campaign spans as Chrome
 //!                        trace-event JSON (Perfetto-loadable)
-//!   --socket PATH        (serve/submit) Unix-domain socket of the
-//!                        resident campaign service (default:
-//!                        <cache-dir>/lf-serve.sock)
 //! ```
-//!
-//! `serve` keeps the planner, run cache, and checkpoint store warm and
-//! executes queued campaign requests submitted over the socket; `submit`
-//! takes the same campaign flags as `run`, ships them as one request,
-//! streams the server's status records to stderr, reprints the
-//! campaign's stdout byte-for-byte, and exits with its exit code. See
-//! [`crate::engine::serve`] for the protocol.
 //!
 //! Every `run` writes a failure report (`failures.json`, empty on a clean
 //! campaign) next to the artifacts; the campaign exits zero as long as it
@@ -76,7 +65,7 @@ use crate::engine::fault::{
     read_failures_json, write_failures_json, FaultPlan, RunBudget, DEFAULT_BUDGET_CYCLES,
 };
 use crate::engine::{
-    by_name, registry, run_scenarios, serve, supervise, EngineOptions, EngineOutput, Scenario,
+    by_name, registry, run_scenarios, supervise, EngineOptions, EngineOutput, Scenario,
 };
 use crate::runner::scale_tag;
 use crate::tiered::Tier;
@@ -119,8 +108,6 @@ struct Cli {
     warn_frac: f64,
     /// `run`: export campaign spans as Chrome trace-event JSON here.
     trace_out: Option<PathBuf>,
-    /// `serve`/`submit`: Unix-domain socket path of the campaign service.
-    socket: Option<PathBuf>,
     /// `trace`: sink and filter options.
     trace: crate::tracecmd::TraceOptions,
 }
@@ -140,19 +127,11 @@ enum Command {
     Perf,
     Profile,
     Trace,
-    /// The resident campaign service (`lf-bench serve`).
-    Serve,
-    /// Thin client shipping one campaign request to a running service.
-    Submit {
-        names: Vec<String>,
-        all: bool,
-    },
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lf-bench <list|run|serve|submit|perf|profile|trace> [scenario...|kernel] [--all]\n\
-         \x20                [--socket PATH]  (serve/submit)\n\
+        "usage: lf-bench <list|run|perf|profile|trace> [scenario...|kernel] [--all]\n\
          \x20                [--scale smoke|eval|full] [--tier functional|sampled|detailed]\n\
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
          \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
@@ -190,7 +169,6 @@ fn parse(args: &[String]) -> Cli {
         label: None,
         warn_frac: 0.15,
         trace_out: None,
-        socket: None,
         trace: crate::tracecmd::TraceOptions {
             kernel: String::new(),
             scale: Scale::Smoke,
@@ -223,8 +201,6 @@ fn parse(args: &[String]) -> Cli {
             "list" | "--list" if command.is_none() => command = Some("list"),
             "run" if command.is_none() => command = Some("run"),
             "worker" if command.is_none() => command = Some("worker"),
-            "serve" if command.is_none() => command = Some("serve"),
-            "submit" if command.is_none() => command = Some("submit"),
             "perf" if command.is_none() => command = Some("perf"),
             "profile" if command.is_none() => command = Some("profile"),
             "trace" if command.is_none() => command = Some("trace"),
@@ -349,7 +325,6 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("an output path"))),
-            "--socket" => cli.socket = Some(PathBuf::from(value("a socket path"))),
             "--config" => {
                 cli.trace.config = match value("`base` or `lf`").as_str() {
                     "base" => crate::tracecmd::TraceConfig::Base,
@@ -406,9 +381,7 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             name if !name.starts_with('-')
-                && (command == Some("run")
-                    || command == Some("worker")
-                    || command == Some("submit")) =>
+                && (command == Some("run") || command == Some("worker")) =>
             {
                 names.push(name.to_string())
             }
@@ -428,8 +401,6 @@ fn parse(args: &[String]) -> Cli {
     match command {
         Some("run") => cli.command = Command::Run { names, all },
         Some("worker") => cli.command = Command::Worker { names, all },
-        Some("serve") => cli.command = Command::Serve,
-        Some("submit") => cli.command = Command::Submit { names, all },
         Some("perf") => cli.command = Command::Perf,
         Some("profile") => cli.command = Command::Profile,
         Some("trace") => {
@@ -502,11 +473,6 @@ fn engine_options(cli: &Cli) -> EngineOptions {
     }
 }
 
-/// The default service socket lives next to the cache it serves.
-fn socket_path(cli: &Cli) -> PathBuf {
-    cli.socket.clone().unwrap_or_else(|| cli.cache_dir.join("lf-serve.sock"))
-}
-
 /// Where this invocation reads and writes its failure report.
 fn failures_path(cli: &Cli) -> PathBuf {
     cli.json_dir.clone().unwrap_or_else(|| PathBuf::from("results")).join("failures.json")
@@ -566,6 +532,7 @@ pub fn main() {
         Command::Run { names, all } => {
             let selected = select_scenarios(names, *all);
             let refs: Vec<&dyn Scenario> = selected.iter().map(|s| s.as_ref()).collect();
+            reject_unmatched_filter(&cli);
             // Sweep commit temp files a killed predecessor orphaned next
             // to the artifacts (the engine sweeps the cache directory
             // itself).
@@ -618,16 +585,7 @@ pub fn main() {
             } else {
                 run_scenarios(&refs, &opts)
             };
-            let finished = finish_campaign(
-                &output,
-                refs.len() > 1,
-                cli.json_dir.as_deref(),
-                &failures_path(&cli),
-                scale_tag(cli.scale),
-                cli.assert_dedup,
-            );
-            print!("{}", finished.stdout);
-            eprint!("{}", finished.stderr);
+            let exit = finish_campaign(&output, &cli, refs.len() > 1);
             if let (Some(path), Some(log)) = (&cli.trace_out, &span_log) {
                 match write_json(&log.to_chrome_json(), path) {
                     Ok(()) => eprintln!("wrote {} (load in Perfetto)", path.display()),
@@ -637,35 +595,22 @@ pub fn main() {
                     }
                 }
             }
-            if finished.exit != 0 {
-                std::process::exit(finished.exit);
+            if exit != 0 {
+                std::process::exit(exit);
             }
         }
-        Command::Serve => {
-            let code = serve::serve_main(&serve::ServeOptions {
-                socket: socket_path(&cli),
-                cache_dir: cli.cache_dir.clone(),
-            });
-            std::process::exit(code);
-        }
-        Command::Submit { names, all } => {
-            if names.is_empty() && !*all {
-                eprintln!("error: `submit` expects scenario names or --all");
-                std::process::exit(2);
-            }
-            let request = serve::Request {
-                names: names.clone(),
-                all: *all,
-                scale: scale_tag(cli.scale).to_string(),
-                tier: cli.tier.tag().to_string(),
-                filter: cli.filter.clone(),
-                jobs: cli.jobs,
-                workers: cli.workers,
-                json_dir: cli.json_dir.as_ref().map(|d| d.display().to_string()),
-                assert_dedup: cli.assert_dedup,
-            };
-            std::process::exit(serve::submit_main(&socket_path(&cli), &request));
-        }
+    }
+}
+
+/// Exits 2 when `--filter` matches no kernel: the campaign would render
+/// every scenario over an empty suite. Runs before anything is planned or
+/// written; kernel names do not depend on the scale.
+fn reject_unmatched_filter(cli: &Cli) {
+    let Some(filter) = &cli.filter else { return };
+    let names: Vec<&str> = lf_workloads::all(Scale::Smoke).iter().map(|w| w.name).collect();
+    if !names.iter().any(|n| n.contains(filter.as_str())) {
+        eprintln!("error: --filter {filter:?} matches no kernel; kernels: {}", names.join(", "));
+        std::process::exit(2);
     }
 }
 
@@ -685,79 +630,54 @@ fn list(cli: &Cli) {
     println!("\n{total} total run requests before deduplication");
 }
 
-/// Everything a finished campaign prints, captured as strings so the
-/// one-shot `run` path and the resident service emit byte-identical
-/// output (the service ships these over the socket instead of printing).
-pub(crate) struct FinishedCampaign {
-    pub stdout: String,
-    pub stderr: String,
-    pub exit: i32,
-}
-
-/// The shared back half of a campaign: render results, write the failure
-/// report and JSON artifacts, and enforce `--assert-dedup`. Both `run`
-/// and a served request funnel through here so their observable output
-/// cannot drift apart.
-pub(crate) fn finish_campaign(
-    output: &EngineOutput,
-    separators: bool,
-    json_dir: Option<&Path>,
-    failures: &Path,
-    scale_tag: &str,
-    assert_dedup: bool,
-) -> FinishedCampaign {
-    let mut stdout = render_stdout(output, separators);
-    let mut stderr = render_telemetry(output);
-    // The failure report is written on every run — empty on a clean
-    // campaign — so a follow-up --resume always has a current file to
-    // read.
-    match write_failures_json(failures, &output.failures, scale_tag) {
-        Ok(()) => stderr.push_str(&format!("wrote {}\n", failures.display())),
-        Err(e) => {
-            stderr.push_str(&format!("error: failed to write {}: {e}\n", failures.display()));
-            return FinishedCampaign { stdout, stderr, exit: 1 };
-        }
-    }
-    if let Some(dir) = json_dir {
-        if let Err(msg) = write_artifacts(output, dir, &mut stdout) {
-            stderr.push_str(&msg);
-            stderr.push('\n');
-            return FinishedCampaign { stdout, stderr, exit: 1 };
-        }
-    }
-    let mut exit = 0;
-    if assert_dedup && output.report.unique >= output.report.requests {
-        stderr.push_str(&format!(
-            "error: --assert-dedup: no deduplication occurred ({} requests, {} unique)\n",
-            output.report.requests, output.report.unique
-        ));
-        exit = 1;
-    }
-    FinishedCampaign { stdout, stderr, exit }
-}
-
-fn render_stdout(output: &EngineOutput, separators: bool) -> String {
-    let mut out = String::new();
+/// The back half of a campaign: print the rendered scenarios and the
+/// telemetry, write the failure report and JSON artifacts, and enforce
+/// `--assert-dedup`. Returns the process exit code.
+fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
     for (i, s) in output.scenarios.iter().enumerate() {
         if separators {
             if i > 0 {
-                out.push('\n');
+                println!();
             }
-            out.push_str(&format!("━━━ {} ━━━\n\n", s.name));
+            println!("━━━ {} ━━━\n", s.name);
         }
-        out.push_str(&s.text);
+        print!("{}", s.text);
     }
-    out
+    print_telemetry(output);
+    // The failure report is written on every run — empty on a clean
+    // campaign — so a follow-up --resume always has a current file to
+    // read.
+    let failures = failures_path(cli);
+    match write_failures_json(&failures, &output.failures, scale_tag(cli.scale)) {
+        Ok(()) => eprintln!("wrote {}", failures.display()),
+        Err(e) => {
+            eprintln!("error: failed to write {}: {e}", failures.display());
+            return 1;
+        }
+    }
+    if let Some(dir) = &cli.json_dir {
+        if let Err(msg) = write_artifacts(output, dir) {
+            eprintln!("{msg}");
+            return 1;
+        }
+    }
+    if cli.assert_dedup && output.report.unique >= output.report.requests {
+        eprintln!(
+            "error: --assert-dedup: no deduplication occurred ({} requests, {} unique)",
+            output.report.requests, output.report.unique
+        );
+        return 1;
+    }
+    0
 }
 
 // Telemetry goes to stderr: stdout stays byte-identical across runs
 // (cache hits and wall-clock vary) and redirecting it reproduces the
 // seed experiment tables exactly.
-fn render_telemetry(output: &EngineOutput) -> String {
-    let mut err = String::new();
+fn print_telemetry(output: &EngineOutput) {
     let r = &output.report;
-    err.push_str(&format!(
-        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated; {} ms on {} jobs\n",
+    eprintln!(
+        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated; {} ms on {} jobs",
         r.requests,
         r.unique,
         r.requests - r.unique,
@@ -765,11 +685,11 @@ fn render_telemetry(output: &EngineOutput) -> String {
         r.simulated,
         r.total_wall_ms,
         r.jobs
-    ));
+    );
     let f = &r.faults;
     if !output.failures.is_empty() || f.cache_corrupt > 0 || f.cache_schema_mismatch > 0 {
-        err.push_str(&format!(
-            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale; {} resumed\n",
+        eprintln!(
+            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale; {} resumed",
             output.failures.len(),
             f.panicked,
             f.budget_exceeded,
@@ -781,49 +701,49 @@ fn render_telemetry(output: &EngineOutput) -> String {
             f.quarantined,
             f.cache_schema_mismatch,
             f.resumed
-        ));
+        );
     }
     // The end-of-campaign summary is always printed: every campaign
     // states its hygiene counters (swept debris, quarantines, retries)
     // even when they are zero, so scripts can grep one stable line.
-    err.push_str(&format!(
-        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} run(s) resumed; {} worker respawn(s) ({} ms backoff)\n",
+    eprintln!(
+        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} run(s) resumed; {} worker respawn(s) ({} ms backoff)",
         f.tmp_swept,
         f.quarantined,
         if f.quarantined == 1 { "y" } else { "ies" },
         f.resumed,
         f.worker_respawns,
         f.backoff_ms
-    ));
+    );
     if f.worker_deaths > 0 || f.poisoned > 0 {
-        err.push_str(&format!(
-            "supervisor: {} worker death(s) absorbed; {} poisonous run(s) quarantined\n",
+        eprintln!(
+            "supervisor: {} worker death(s) absorbed; {} poisonous run(s) quarantined",
             f.worker_deaths, f.poisoned
-        ));
+        );
     }
-    err
 }
 
 /// Writes the per-scenario artifacts plus planner/harness telemetry,
-/// appending the `wrote <path>` confirmations to `stdout` (they are part
-/// of the campaign's byte-compared output). Stops at the first failure.
-fn write_artifacts(output: &EngineOutput, dir: &Path, stdout: &mut String) -> Result<(), String> {
+/// printing a `wrote <path>` confirmation on stdout for each (they are
+/// part of the campaign's byte-compared output). Stops at the first
+/// failure.
+fn write_artifacts(output: &EngineOutput, dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
     for s in &output.scenarios {
         let path = dir.join(format!("{}.json", s.name));
         write_json(&s.artifact, &path)
             .map_err(|e| format!("error: failed to write {}: {e}", path.display()))?;
-        stdout.push_str(&format!("wrote {}\n", path.display()));
+        println!("wrote {}", path.display());
     }
     let planner_path = dir.join("planner.json");
     write_json(&output.report.to_json(), &planner_path)
         .map_err(|e| format!("error: failed to write {}: {e}", planner_path.display()))?;
-    stdout.push_str(&format!("wrote {}\n", planner_path.display()));
+    println!("wrote {}", planner_path.display());
     let harness_path = dir.join("BENCH_harness.json");
     append_harness_entry(&harness_path, output)
         .map_err(|e| format!("error: failed to update {}: {e}", harness_path.display()))?;
-    stdout.push_str(&format!("wrote {}\n", harness_path.display()));
+    println!("wrote {}", harness_path.display());
     Ok(())
 }
 

@@ -31,7 +31,6 @@ pub mod fault;
 pub mod planner;
 pub mod pool;
 pub mod scenarios;
-pub mod serve;
 pub mod signals;
 pub mod spans;
 pub mod supervise;
@@ -435,74 +434,6 @@ pub struct EngineOutput {
 /// renders serially from the shared outcome table. Identical requests from
 /// different scenarios are simulated exactly once.
 pub fn run_scenarios(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> EngineOutput {
-    run_scenarios_warm(scenarios, opts, None)
-}
-
-/// Long-lived engine state for the resident campaign service
-/// (`lf-bench serve`): deduplicated campaign plans — including their
-/// prepared (profiled + annotated) kernels — cached across requests,
-/// keyed by the plan's inputs. The plan is a pure function of
-/// (scenarios × scale × tier × filter), so a repeat request skips the
-/// plan and prepare phases entirely and goes straight to cache lookups
-/// and rendering — which is exactly why a fully-cached service request
-/// is dominated by the render phase.
-#[derive(Default)]
-pub struct WarmEngine {
-    plans: std::sync::Mutex<HashMap<u64, Arc<CampaignPlan>>>,
-    plan_hits: std::sync::atomic::AtomicUsize,
-}
-
-impl WarmEngine {
-    /// An empty warm-state holder.
-    pub fn new() -> WarmEngine {
-        WarmEngine::default()
-    }
-
-    /// How many requests were served a cached plan so far.
-    pub fn plan_hits(&self) -> usize {
-        self.plan_hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The plan-index key: everything [`build_plan`] depends on.
-    fn plan_key(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> u64 {
-        let mut fp = lf_stats::Fingerprint::new();
-        for s in scenarios {
-            fp.str(s.name());
-        }
-        fp.str(scale_tag(opts.scale));
-        fp.str(opts.tier.tag());
-        fp.str(opts.filter.as_deref().unwrap_or(""));
-        fp.finish()
-    }
-
-    fn plan_for(
-        &self,
-        scenarios: &[&dyn Scenario],
-        opts: &EngineOptions,
-        span_log: &Arc<SpanLog>,
-    ) -> Arc<CampaignPlan> {
-        let key = Self::plan_key(scenarios, opts);
-        if let Some(plan) = self.plans.lock().expect("plan index poisoned").get(&key) {
-            self.plan_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return plan.clone();
-        }
-        // Built outside the lock: preparation is the expensive part and
-        // the server executes requests sequentially anyway; a losing
-        // racer merely rebuilds an identical (deterministic) plan.
-        let plan = Arc::new(build_plan(scenarios, opts, span_log));
-        self.plans.lock().expect("plan index poisoned").insert(key, plan.clone());
-        plan
-    }
-}
-
-/// [`run_scenarios`] against optional long-lived service state: with
-/// `warm` provided, the deduplicated plan index persists across
-/// invocations and repeat requests skip the plan/prepare phases.
-pub fn run_scenarios_warm(
-    scenarios: &[&dyn Scenario],
-    opts: &EngineOptions,
-    warm: Option<&WarmEngine>,
-) -> EngineOutput {
     let started = Instant::now();
     // The span log records phase and per-run intervals on every campaign
     // (the timing summary in the planner telemetry feeds off it); the
@@ -510,20 +441,16 @@ pub fn run_scenarios_warm(
     let span_log: Arc<SpanLog> = opts.spans.clone().unwrap_or_default();
     // Phases 1-2: plan, prepare, dedupe (shared with the supervisor and
     // its worker processes, which re-derive the identical plan from the
-    // same options, and with the resident service, which reuses it
-    // outright).
-    let plan: Arc<CampaignPlan> = match warm {
-        Some(w) => w.plan_for(scenarios, opts, &span_log),
-        None => Arc::new(build_plan(scenarios, opts, &span_log)),
-    };
+    // same options).
+    let plan = build_plan(scenarios, opts, &span_log);
     run_planned(scenarios, opts, &plan, &span_log, started)
 }
 
 /// Phases 3-4 of a campaign over an already derived `plan`: cache
-/// lookups, simulation of the misses, and rendering. The plan is only
-/// borrowed so a warm index can keep it alive across requests;
-/// preparation panics are re-reported per invocation. `started` is when
-/// the campaign began, for the wall-clock telemetry.
+/// lookups, simulation of the misses, and rendering. The supervisor calls
+/// this for its final pass over the plan it derived before handing runs to
+/// workers. `started` is when the campaign began, for the wall-clock
+/// telemetry.
 pub(crate) fn run_planned(
     scenarios: &[&dyn Scenario],
     opts: &EngineOptions,

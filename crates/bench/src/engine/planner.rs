@@ -2,17 +2,25 @@
 //! and parallel execution of the unique run set.
 //!
 //! Scenarios *declare* the simulations they need as [`RunRequest`]s; the
-//! planner resolves each request to a [`run_fingerprint`] (annotated
-//! program × canonical config × scale), collapses duplicates — fig6, fig7,
-//! fig8, table2, and friends all want the identical default-config suite —
-//! and executes only the unique set on a scoped worker pool, memoizing
-//! every outcome for the render phase and (optionally) the on-disk cache.
+//! planner resolves each request to a run fingerprint
+//! ([`crate::runner::run_fingerprint`]: annotated program × canonical
+//! config × scale), collapses duplicates — fig6, fig7, fig8, table2, and
+//! friends all want the identical default-config suite — and executes
+//! only the unique set on a scoped worker pool, memoizing every outcome
+//! for the render phase and (optionally) the on-disk cache.
+//!
+//! A run's identity factors into (prepared program × memory image × scale)
+//! × config, and a campaign declares thousands of runs over a few dozen
+//! prepared kernels. A [`PreparedKernel`] therefore hashes its program and
+//! memory image once; resolving a request only mixes those two hashes
+//! with the config fingerprint, scale tag, and tier.
 
 use crate::engine::fault::{hang_program, render_flight_recorder, FaultPlan, RunBudget, RunError};
 use crate::engine::pool::{try_parallel_map, WorkerPanic};
-use crate::runner::{run_fingerprint, RunConfig, RunOutcome};
-use crate::tiered::{run_fingerprint_tiered, CheckpointStore, Tier};
+use crate::runner::{RunConfig, RunOutcome};
+use crate::tiered::{combine_run_fingerprint, CheckpointStore, Tier};
 use lf_compiler::{annotate, SelectOptions};
+use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
 use lf_workloads::Workload;
 use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStop};
@@ -73,7 +81,10 @@ pub struct RunRequest {
 
 /// A workload prepared for simulation: profiled, (optionally) annotated,
 /// and content-fingerprinted. Prepared once per `(kernel, hinting)` pair
-/// and shared by every request against it.
+/// and shared by every request against it. Its run fingerprints come from
+/// hashes taken by [`PreparedKernel::prepare`], so `program` and
+/// `workload.mem` must not change afterwards; the engine only ever holds
+/// it behind an [`Arc`].
 #[derive(Debug)]
 pub struct PreparedKernel {
     /// The source workload (name, metadata, memory image).
@@ -85,45 +96,52 @@ pub struct PreparedKernel {
     pub program: Program,
     /// Loops the compiler pass placed hints for (0 for raw).
     pub selected_loops: usize,
+    /// `program.code_fingerprint()`, hashed once by [`PreparedKernel::prepare`].
+    code_fingerprint: u64,
+    /// FNV-1a of `workload.mem`, hashed once by [`PreparedKernel::prepare`].
+    mem_fingerprint: u64,
 }
 
 impl PreparedKernel {
-    /// Profiles and annotates `w` according to `hinting`.
+    /// Profiles and annotates `w` according to `hinting`, and hashes the
+    /// resulting program and the memory image for its run fingerprints.
     pub fn prepare(w: Workload, hinting: &Hinting) -> PreparedKernel {
-        match hinting {
-            Hinting::Raw => PreparedKernel {
-                program: w.program.clone(),
-                golden: None,
-                selected_loops: 0,
-                workload: w,
-            },
+        let (program, golden, selected_loops) = match hinting {
+            Hinting::Raw => (w.program.clone(), None, 0),
             Hinting::Annotated(select) => {
                 let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
                 assert!(emu.is_halted(), "{} did not halt", w.name);
-                let golden = emu.state_checksum();
                 let ann = annotate(&w.program, emu.profile(), select);
                 let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
-                PreparedKernel {
-                    golden: Some(golden),
-                    program: ann.program,
-                    selected_loops,
-                    workload: w,
-                }
+                (ann.program, Some(emu.state_checksum()), selected_loops)
             }
+        };
+        PreparedKernel {
+            code_fingerprint: program.code_fingerprint(),
+            mem_fingerprint: fnv1a(w.mem.as_bytes()),
+            workload: w,
+            golden,
+            program,
+            selected_loops,
         }
     }
 
     /// The run fingerprint of simulating this prepared kernel under `cfg`
-    /// on the detailed tier.
+    /// on the detailed tier (equal to [`crate::runner::run_fingerprint`]).
     pub fn request_fingerprint(&self, cfg: &LoopFrogConfig) -> u64 {
-        run_fingerprint(&self.program, &self.workload.mem, cfg, self.workload.scale)
+        self.request_fingerprint_tiered(cfg, Tier::Detailed)
     }
 
     /// The run fingerprint of simulating this prepared kernel under `cfg`
-    /// on `tier` (identical to [`PreparedKernel::request_fingerprint`]
-    /// for [`Tier::Detailed`]).
+    /// on `tier` (equal to [`crate::tiered::run_fingerprint_tiered`]).
     pub fn request_fingerprint_tiered(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
-        run_fingerprint_tiered(&self.program, &self.workload.mem, cfg, self.workload.scale, tier)
+        combine_run_fingerprint(
+            self.code_fingerprint,
+            self.mem_fingerprint,
+            cfg,
+            self.workload.scale,
+            tier,
+        )
     }
 }
 

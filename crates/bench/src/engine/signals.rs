@@ -1,4 +1,4 @@
-//! Minimal signal plumbing for the supervisor and the resident service.
+//! Minimal signal plumbing for the multi-process supervisor.
 //!
 //! The hermetic build has no `libc`/`signal-hook` crates, so the two
 //! primitives needed are declared directly against the C runtime (which
@@ -6,7 +6,7 @@
 //!
 //! - a *drain* flag: SIGTERM/SIGINT set an atomic instead of killing the
 //!   process, so the supervisor can stop handing out work and exit with
-//!   zero leaked children, and the service can finish its queue;
+//!   zero leaked children;
 //! - process-group SIGKILL (`killpg`) — each worker is spawned as its own
 //!   group leader, so killing a worker that outlived its drain grace also
 //!   kills anything it spawned.
@@ -35,8 +35,7 @@ mod imp {
     }
 
     /// Routes SIGTERM and SIGINT into the drain flag instead of the
-    /// default terminate action. Installed by the supervisor and by the
-    /// resident service at startup.
+    /// default terminate action. Installed by the supervisor at startup.
     pub fn install_drain_handlers() {
         unsafe {
             signal(SIGTERM, on_drain as *const () as usize);

@@ -47,11 +47,6 @@ struct Inner {
 /// dropped.
 pub struct SpanLog {
     origin: Instant,
-    /// The `pid` field of exported trace events. One-shot campaigns use
-    /// the default `1`; the resident service tags each request's log
-    /// with the request id, so traces from concurrent requests stay
-    /// attributable (Perfetto renders each pid as its own process row).
-    request_id: u64,
     inner: Mutex<Inner>,
 }
 
@@ -64,18 +59,7 @@ impl Default for SpanLog {
 impl SpanLog {
     /// Creates an empty log; timestamps are relative to this moment.
     pub fn new() -> SpanLog {
-        SpanLog { origin: Instant::now(), request_id: 1, inner: Mutex::new(Inner::default()) }
-    }
-
-    /// An empty log whose exported events carry `request_id` as their
-    /// `pid` — one per service request.
-    pub fn for_request(request_id: u64) -> SpanLog {
-        SpanLog { request_id, ..SpanLog::new() }
-    }
-
-    /// The request identity this log was created for (1 = one-shot).
-    pub fn request_id(&self) -> u64 {
-        self.request_id
+        SpanLog { origin: Instant::now(), inner: Mutex::new(Inner::default()) }
     }
 
     /// Opens a span; the returned guard records it on drop. Nest freely —
@@ -102,21 +86,6 @@ impl SpanLog {
         evs
     }
 
-    /// Total duration (µs) per phase-category span name, in first-seen
-    /// order — the latency breakdown behind the service's per-request
-    /// `phases` record (and its render-dominance assertion).
-    pub fn phase_totals_us(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().expect("span log poisoned");
-        let mut totals: Vec<(String, u64)> = Vec::new();
-        for e in inner.events.iter().filter(|e| e.cat == "phase") {
-            match totals.iter_mut().find(|(name, _)| *name == e.name) {
-                Some((_, total)) => *total += e.dur_us,
-                None => totals.push((e.name.clone(), e.dur_us)),
-            }
-        }
-        totals
-    }
-
     /// The durations (µs) of every span in category `cat`, in recording
     /// order — the raw series behind the planner's timing summary.
     pub fn durations_us(&self, cat: &str) -> Vec<u64> {
@@ -131,8 +100,8 @@ impl SpanLog {
     }
 
     /// Renders the log as Chrome trace-event JSON (the `traceEvents`
-    /// array format): one complete (`ph: "X"`) event per span, loadable
-    /// in Perfetto and `chrome://tracing` as-is.
+    /// array format): one complete (`ph: "X"`) event per span, all under
+    /// `pid` 1, loadable in Perfetto and `chrome://tracing` as-is.
     pub fn to_chrome_json(&self) -> Json {
         let events: Vec<Json> = self
             .events()
@@ -144,7 +113,7 @@ impl SpanLog {
                 j.set("ph", "X");
                 j.set("ts", e.ts_us);
                 j.set("dur", e.dur_us);
-                j.set("pid", self.request_id);
+                j.set("pid", 1u64);
                 j.set("tid", e.tid);
                 j
             })
@@ -288,38 +257,7 @@ mod tests {
         for key in ["ts", "dur", "pid", "tid"] {
             assert!(e.get(key).and_then(Json::as_u64).is_some(), "numeric field {key}");
         }
-    }
-
-    #[test]
-    fn request_identity_tags_exported_events() {
-        let log = Arc::new(SpanLog::for_request(42));
-        {
-            let _s = log.span("phase", "plan");
-        }
-        assert_eq!(log.request_id(), 42);
-        let doc = log.to_chrome_json();
-        let evs = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(evs[0].get("pid").and_then(Json::as_u64), Some(42));
-    }
-
-    #[test]
-    fn phase_totals_sum_by_name_in_first_seen_order() {
-        let log = Arc::new(SpanLog::new());
-        {
-            let _a = log.span("phase", "plan");
-        }
-        {
-            let _b = log.span("phase", "render");
-        }
-        {
-            let _c = log.span("phase", "plan");
-        }
-        {
-            let _d = log.span("run", "not_a_phase");
-        }
-        let totals = log.phase_totals_us();
-        let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["plan", "render"], "per-name totals, first-seen order");
+        assert_eq!(e.get("pid").and_then(Json::as_u64), Some(1), "one campaign, one process row");
     }
 
     #[test]

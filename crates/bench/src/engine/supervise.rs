@@ -196,9 +196,7 @@ fn spawn_worker<'scope>(
 /// single-process campaign).
 ///
 /// A drain signal (SIGTERM/SIGINT) reaps the workers and returns
-/// `Err(128 + signal)` — the caller decides whether that exits the
-/// process (one-shot `run`) or merely finishes the request (the resident
-/// server, which still owns a socket to clean up).
+/// `Err(128 + signal)`, the exit code the caller leaves with.
 pub fn run_supervised(
     scenarios: &[&dyn Scenario],
     opts: &EngineOptions,

@@ -7,8 +7,9 @@
 //! values from memoized, deduplicated [`RunOutcome`]s instead of
 //! simulating inline.
 
+use crate::tiered::{run_fingerprint_tiered, Tier};
 use lf_compiler::{annotate, SelectOptions};
-use lf_isa::{checksum::fnv1a, Memory, Program};
+use lf_isa::{Memory, Program};
 use lf_stats::Json;
 use lf_workloads::{Scale, Workload};
 use loopfrog::{LoopFrogConfig, SimResult, SimStats};
@@ -83,14 +84,10 @@ impl RunOutcome {
 /// deduplication contract: the annotated program's code fingerprint, the
 /// initial memory image, the canonicalized [`LoopFrogConfig`], and the
 /// workload scale. Equal fingerprints produce identical results (the
-/// simulator is deterministic).
+/// simulator is deterministic). This is the [`Tier::Detailed`] case of
+/// [`run_fingerprint_tiered`].
 pub fn run_fingerprint(program: &Program, mem: &Memory, cfg: &LoopFrogConfig, scale: Scale) -> u64 {
-    let mut fp = lf_stats::Fingerprint::new();
-    fp.u64(program.code_fingerprint())
-        .u64(fnv1a(mem.as_bytes()))
-        .str(scale_tag(scale))
-        .u64(cfg.fingerprint());
-    fp.finish()
+    run_fingerprint_tiered(program, mem, cfg, scale, Tier::Detailed)
 }
 
 /// The lowercase tag used for a scale in fingerprints, CLI flags, and

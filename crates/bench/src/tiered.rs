@@ -40,7 +40,7 @@
 //! exactly like a corrupt run-cache entry, and the run falls back to full
 //! detailed simulation rather than failing the campaign.
 
-use crate::runner::{run_fingerprint, scale_tag, RunOutcome};
+use crate::runner::{scale_tag, RunOutcome};
 use lf_isa::checksum::fnv1a;
 use lf_isa::{Checkpoint, CheckpointError, FastTier, Memory, Program};
 use lf_stats::simpoint::{pick_simpoints, weighted_cycles, SimPoint};
@@ -98,7 +98,23 @@ pub fn run_fingerprint_tiered(
     scale: Scale,
     tier: Tier,
 ) -> u64 {
-    let base = run_fingerprint(program, mem, cfg, scale);
+    combine_run_fingerprint(program.code_fingerprint(), fnv1a(mem.as_bytes()), cfg, scale, tier)
+}
+
+/// The run-fingerprint formula over precomputed hashes: `code` is the
+/// program's [`Program::code_fingerprint`] and `mem` the FNV-1a hash of
+/// the initial memory image. [`run_fingerprint_tiered`] and a prepared
+/// kernel, which hashes its program and memory once, both mix through
+/// here, so the two agree bit for bit.
+pub(crate) fn combine_run_fingerprint(
+    code: u64,
+    mem: u64,
+    cfg: &LoopFrogConfig,
+    scale: Scale,
+    tier: Tier,
+) -> u64 {
+    let base =
+        Fingerprint::new().u64(code).u64(mem).str(scale_tag(scale)).u64(cfg.fingerprint()).finish();
     match tier {
         Tier::Detailed => base,
         Tier::Functional | Tier::Sampled => Fingerprint::new().u64(base).str(tier.tag()).finish(),
@@ -643,6 +659,7 @@ fn run_detailed_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_fingerprint;
 
     fn kernel(name: &str) -> (Program, Memory) {
         let w = lf_workloads::by_name(name, Scale::Smoke).unwrap();

@@ -1,15 +1,18 @@
 //! Integration tests for the experiment engine's run planner: cross-
-//! scenario deduplication, fingerprint sensitivity, on-disk memoization
-//! with schema invalidation, and `-j` determinism.
+//! scenario deduplication, fingerprint sensitivity and stability, on-disk
+//! memoization with schema invalidation, `-j` determinism, and the
+//! rejection of a `--filter` that selects no kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
-use lf_bench::engine::planner::{Hinting, Planner};
+use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
-use lf_bench::{run_fingerprint, RunArtifact, RunConfig};
+use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, Tier};
 use lf_stats::Json;
 use lf_workloads::Scale;
+use loopfrog::LoopFrogConfig;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -112,7 +115,7 @@ fn changing_one_config_field_changes_the_fingerprints() {
 
     // Direct fingerprint sensitivity at the API level.
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
-    let cfg = loopfrog::LoopFrogConfig::default();
+    let cfg = LoopFrogConfig::default();
     let mut changed = cfg.clone();
     changed.ssb.size_bytes = 512;
     assert_ne!(
@@ -186,11 +189,85 @@ fn parallel_output_is_byte_identical_to_serial() {
     );
 }
 
+/// Run fingerprints of `stencil_blur` at smoke scale, recorded before
+/// prepared kernels memoized their program and memory hashes. They name
+/// existing run-cache entries, checkpoint plans, and `failures.json`
+/// records, so a change to any of them invalidates every user's cache.
+const PINNED_FINGERPRINTS: [(&str, u64); 12] = [
+    ("annotated/lf/detailed", 0xbd66af028e01f054),
+    ("annotated/lf/sampled", 0x6b3ddee3f833876e),
+    ("annotated/lf/functional", 0x0d16dff8e9b43c68),
+    ("annotated/base/detailed", 0xe34f03d256245da8),
+    ("annotated/base/sampled", 0xd0cef648cfea3477),
+    ("annotated/base/functional", 0xe0eace6ed28253bf),
+    ("raw/lf/detailed", 0x91e0d4fda917b4c1),
+    ("raw/lf/sampled", 0xfdb8b695ef441bbc),
+    ("raw/lf/functional", 0x720f39d8de0cc72a),
+    ("raw/base/detailed", 0xaf13ce90852b23a1),
+    ("raw/base/sampled", 0x2658a3c0617f1e5b),
+    ("raw/base/functional", 0x83c8dbb15157601b),
+];
+
 #[test]
 fn raw_and_annotated_hintings_fingerprint_apart() {
-    let mut a = lf_stats::Fingerprint::new();
-    a.u64(Hinting::Raw.fingerprint());
-    let mut b = lf_stats::Fingerprint::new();
-    b.u64(Hinting::default_annotated().fingerprint());
-    assert_ne!(a.finish(), b.finish());
+    assert_ne!(Hinting::Raw.fingerprint(), Hinting::default_annotated().fingerprint());
+    let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
+    let mut seen = Vec::new();
+    for (hinting_name, hinting) in
+        [("annotated", Hinting::default_annotated()), ("raw", Hinting::Raw)]
+    {
+        let prep = PreparedKernel::prepare(w.clone(), &hinting);
+        for (cfg_name, cfg) in
+            [("lf", LoopFrogConfig::default()), ("base", LoopFrogConfig::baseline())]
+        {
+            for tier in [Tier::Detailed, Tier::Sampled, Tier::Functional] {
+                let cell = format!("{hinting_name}/{cfg_name}/{}", tier.tag());
+                let memoized = prep.request_fingerprint_tiered(&cfg, tier);
+                let from_scratch = run_fingerprint_tiered(
+                    &prep.program,
+                    &prep.workload.mem,
+                    &cfg,
+                    Scale::Smoke,
+                    tier,
+                );
+                assert_eq!(
+                    memoized, from_scratch,
+                    "{cell}: memoized identity drifted from the formula"
+                );
+                let pinned = PINNED_FINGERPRINTS.iter().find(|(c, _)| *c == cell).unwrap().1;
+                assert_eq!(memoized, pinned, "{cell}: fingerprint changed ({memoized:#018x})");
+                if tier == Tier::Detailed {
+                    assert_eq!(prep.request_fingerprint(&cfg), memoized, "{cell}");
+                }
+                seen.push(memoized);
+            }
+        }
+    }
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(seen.len(), PINNED_FINGERPRINTS.len(), "every cell is a distinct run");
+}
+
+#[test]
+fn unmatched_filter_is_rejected_before_any_file_is_written() {
+    for workers in ["1", "2"] {
+        let dir = scratch_dir(&format!("unmatched-filter-{workers}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_lf-bench"))
+            .args(["run", "--all", "--filter", "zzz", "--workers", workers, "--json", "results"])
+            .args(["--cache-dir", "cache"])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--workers {workers}: {stderr}");
+        assert!(stderr.contains("matches no kernel"), "{stderr}");
+        for kernel in lf_workloads::all(Scale::Smoke) {
+            assert!(stderr.contains(kernel.name), "kernel list misses {}: {stderr}", kernel.name);
+        }
+        assert!(out.stdout.is_empty(), "nothing rendered");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "--workers {workers} wrote {written:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
