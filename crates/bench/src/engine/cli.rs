@@ -16,12 +16,11 @@
 //! options:
 //!   --scale smoke|eval|full
 //!                        workload scale (default smoke)
-//!   --tier functional|sampled|detailed
-//!                        simulation tier (default detailed): `functional`
-//!                        fast-forwards on the emulator tier (no cycles),
-//!                        `sampled` measures SimPoint windows from warm
-//!                        checkpoints and reconstructs whole-run IPC,
-//!                        `detailed` is the legacy cycle-accurate path
+//!   --tier sampled|detailed
+//!                        simulation tier (default detailed): `sampled`
+//!                        measures SimPoint windows from warm checkpoints
+//!                        and reconstructs whole-run IPC, `detailed` is the
+//!                        legacy cycle-accurate path
 //!   -j N                 worker threads (default: available parallelism)
 //!   --workers N          (run) supervised multi-process execution: the
 //!                        supervisor hands unique runs to N worker
@@ -132,7 +131,7 @@ enum Command {
 fn usage() -> ! {
     eprintln!(
         "usage: lf-bench <list|run|perf|profile|trace> [scenario...|kernel] [--all]\n\
-         \x20                [--scale smoke|eval|full] [--tier functional|sampled|detailed]\n\
+         \x20                [--scale smoke|eval|full] [--tier sampled|detailed]\n\
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
          \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
          \x20                [--workers N]\n\
@@ -238,13 +237,11 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             "--tier" => {
-                let v = value("`functional`, `sampled`, or `detailed`");
+                let v = value("`sampled` or `detailed`");
                 cli.tier = match Tier::parse(&v) {
                     Some(t) => t,
                     None => {
-                        eprintln!(
-                            "error: --tier expects `functional`, `sampled`, or `detailed`, got {v}"
-                        );
+                        eprintln!("error: --tier expects `sampled` or `detailed`, got {v}");
                         std::process::exit(2);
                     }
                 }

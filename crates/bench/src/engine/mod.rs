@@ -7,12 +7,13 @@
 //! scenarios, deduplicates them by content fingerprint — the headline
 //! experiments overwhelmingly share the same default-config suite — and
 //! executes only the unique set on a worker pool, optionally memoized
-//! through an on-disk cache. Rendering then happens serially, in registry
-//! order, so output is byte-identical regardless of `-j`.
+//! through an on-disk cache. Every simulation is a planned run, so
+//! rendering only formats; it happens serially, in registry order, so
+//! output is byte-identical regardless of `-j`.
 //!
 //! ```text
 //! plan (all scenarios) → prepare kernels → fingerprint + dedupe
-//!   → load disk cache → simulate misses (parallel) → store
+//!   → load disk cache → simulate + store each miss (parallel)
 //!   → render (serial)
 //! ```
 //!
@@ -36,7 +37,7 @@ pub mod spans;
 pub mod supervise;
 
 use crate::runner::{scale_tag, KernelRun, RunConfig, RunOutcome};
-use crate::tiered::{CheckpointStore, Tier};
+use crate::tiered::Tier;
 use crate::RunArtifact;
 use cache::{CacheLookup, DiskCache};
 use fault::{FaultPlan, FaultStats, RunBudget, RunError, RunFailure};
@@ -48,7 +49,7 @@ use spans::{DurationSummary, SpanLog};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One experiment: a registered figure/table reproduction.
 pub trait Scenario: Sync {
@@ -61,7 +62,8 @@ pub trait Scenario: Sync {
     /// not simulate anything itself.
     fn plan(&self, p: &mut Planner<'_>);
     /// Renders tables/summaries into `out` and builds the scenario's JSON
-    /// artifact from the memoized outcomes in `ctx`. Runs serially.
+    /// artifact from the memoized outcomes in `ctx`. Runs serially and
+    /// only formats: anything that needs a simulator is a planned run.
     fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact;
 }
 
@@ -70,9 +72,10 @@ pub trait Scenario: Sync {
 pub struct EngineOptions {
     /// Workload scale for every planned run.
     pub scale: Scale,
-    /// Execution tier for every planned run (`--tier`). The detailed tier
-    /// keeps legacy fingerprints, so existing caches stay valid; the
-    /// functional and sampled tiers fingerprint (and cache) separately.
+    /// Execution tier (`--tier`) for every planned run that does not name
+    /// its own. The detailed tier keeps legacy fingerprints, so existing
+    /// caches stay valid; the other tiers fingerprint (and cache)
+    /// separately.
     pub tier: Tier,
     /// Worker threads for kernel preparation and simulation.
     pub jobs: usize,
@@ -156,11 +159,6 @@ impl EngineCtx<'_> {
         self.scale
     }
 
-    /// The execution tier of this engine run.
-    pub fn tier(&self) -> Tier {
-        self.tier
-    }
-
     /// The (possibly filtered) kernel suite, in canonical order.
     pub fn kernels(&self) -> &[Workload] {
         self.suite
@@ -175,19 +173,8 @@ impl EngineCtx<'_> {
             .map(|(_, p)| p)
     }
 
-    /// The prepared kernel for a `(kernel, hinting)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scenario requested this pair — rendering may only
-    /// consume planned work.
-    pub fn prepared(&self, kernel: &str, hinting: &Hinting) -> &Arc<PreparedKernel> {
-        self.try_prepared(kernel, hinting)
-            .unwrap_or_else(|| panic!("kernel {kernel} was not prepared — did plan() request it?"))
-    }
-
-    /// The memoized outcome of one requested run, or the failure record if
-    /// it (or its kernel's preparation) failed.
+    /// The memoized outcome of one requested run on the campaign's tier,
+    /// or the failure record if it (or its kernel's preparation) failed.
     ///
     /// # Panics
     ///
@@ -199,11 +186,29 @@ impl EngineCtx<'_> {
         hinting: &Hinting,
         cfg: &loopfrog::LoopFrogConfig,
     ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
+        self.try_outcome_tiered(kernel, hinting, cfg, self.tier)
+    }
+
+    /// [`EngineCtx::try_outcome`] for a run requested on an explicit tier
+    /// ([`Planner::request_tiered`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was never declared during planning.
+    pub fn try_outcome_tiered(
+        &self,
+        kernel: &str,
+        hinting: &Hinting,
+        cfg: &loopfrog::LoopFrogConfig,
+        tier: Tier,
+    ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
         if let Some(f) = self.prep_failure(kernel, hinting) {
             return Err(f.clone());
         }
-        let prep = self.prepared(kernel, hinting);
-        let fp = prep.request_fingerprint_tiered(cfg, self.tier);
+        let prep = self
+            .try_prepared(kernel, hinting)
+            .unwrap_or_else(|| panic!("kernel {kernel} was not prepared — did plan() request it?"));
+        let fp = prep.request_fingerprint_tiered(cfg, tier);
         if let Some(outcome) = self.outcomes.get(&fp) {
             return Ok(outcome.clone());
         }
@@ -211,23 +216,6 @@ impl EngineCtx<'_> {
             return Err(failure.clone());
         }
         panic!("run for {kernel} was not planned (fingerprint {fp:#x})")
-    }
-
-    /// The memoized outcome of one requested run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was never declared during planning, or if it
-    /// failed (callers that tolerate failures use
-    /// [`EngineCtx::try_outcome`]).
-    pub fn outcome(
-        &self,
-        kernel: &str,
-        hinting: &Hinting,
-        cfg: &loopfrog::LoopFrogConfig,
-    ) -> Arc<RunOutcome> {
-        self.try_outcome(kernel, hinting, cfg)
-            .unwrap_or_else(|f| panic!("run for {kernel} failed: {}", f.error.message()))
     }
 
     /// The preparation-failure record for a `(kernel, hinting)` pair, if
@@ -537,7 +525,7 @@ pub(crate) fn run_planned(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let executed = execute_refs(&misses, opts, span_log);
+    let executed = execute(&misses, opts, span_log, &mut faults);
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
     for (run, deaths) in poisoned_runs {
@@ -554,9 +542,6 @@ pub(crate) fn run_planned(
     for (run, result) in misses.iter().zip(executed) {
         match result {
             Ok(outcome) => {
-                if let Some(cache) = &opts.disk_cache {
-                    store_outcome(cache, run.fingerprint, &outcome, opts, &mut faults);
-                }
                 outcomes.insert(run.fingerprint, outcome);
             }
             Err(error) => {
@@ -724,77 +709,18 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
 }
 
 /// Executes one unique run in this process (a worker process's unit of
-/// work): applies injection/budget/tier dispatch and returns the
-/// outcome. Panics are contained exactly as in the campaign pool.
+/// work) exactly as the campaign pool would: injection, budget, and tier
+/// dispatch, then the commit to the run cache. Panics are contained as in
+/// the pool. The store counters are dropped: a worker reports only the
+/// fingerprints it has committed.
 pub(crate) fn execute_single(
     run: &planner::UniqueRun,
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
 ) -> Result<Arc<RunOutcome>, RunError> {
-    execute_refs(&[run], opts, span_log).pop().expect("execute over one run yields one result")
-}
-
-/// Persists one outcome through the retry schedule, then (under
-/// `--inject-fault corrupt-cache:<rate>`) garbles the freshly written
-/// entry so the *next* campaign exercises the quarantine path.
-pub(crate) fn store_outcome(
-    cache: &DiskCache,
-    fingerprint: u64,
-    outcome: &RunOutcome,
-    opts: &EngineOptions,
-    faults: &mut FaultStats,
-) {
-    let (tried, stored) =
-        lf_stats::fault::retry(2, Duration::from_millis(10), Duration::from_millis(80), || {
-            cache.store(outcome)
-        });
-    faults.store_retries += (tried - 1) as usize;
-    match stored {
-        Err(e) => {
-            // The run itself succeeded; only cross-process memoization is
-            // lost.
-            faults.store_failures += 1;
-            eprintln!("warning: run cache write failed after {tried} attempts: {e}");
-        }
-        Ok(()) if opts.faults.should_corrupt(fingerprint) => {
-            let _ =
-                std::fs::write(cache.entry_path(fingerprint), "{ \"injected\": \"corrupt-cache\"");
-        }
-        Ok(()) => {}
-    }
-}
-
-/// [`execute`] over a borrowed miss list (the cache split leaves us with
-/// `&UniqueRun`s).
-fn execute_refs(
-    misses: &[&planner::UniqueRun],
-    opts: &EngineOptions,
-    span_log: &Arc<SpanLog>,
-) -> Vec<Result<Arc<RunOutcome>, RunError>> {
-    let hook = opts.sim_hook.as_deref();
-    let owned: Vec<planner::UniqueRun> = misses
-        .iter()
-        .map(|r| planner::UniqueRun {
-            fingerprint: r.fingerprint,
-            kernel: r.kernel,
-            prepared: r.prepared.clone(),
-            config: r.config.clone(),
-        })
-        .collect();
-    // Checkpoint plans live next to the run-cache entries and commit
-    // through the same atomic-write path; `--no-cache` campaigns rebuild
-    // plans in memory instead.
-    let ckpt_store = opts.disk_cache.as_ref().map(|c| CheckpointStore::new(c.dir()));
-    execute(
-        &owned,
-        opts.jobs,
-        hook,
-        &opts.budget,
-        &opts.faults,
-        opts.tier,
-        ckpt_store.as_ref(),
-        span_log,
-    )
+    execute(&[run], opts, span_log, &mut FaultStats::default())
+        .pop()
+        .expect("execute over one run yields one result")
 }
 
 /// The scenario registry, in render order. Names are stable CLI surface

@@ -1,13 +1,15 @@
 //! The run planner: request collection, content-addressed deduplication,
 //! and parallel execution of the unique run set.
 //!
-//! Scenarios *declare* the simulations they need as [`RunRequest`]s; the
-//! planner resolves each request to a run fingerprint
-//! ([`crate::runner::run_fingerprint`]: annotated program × canonical
-//! config × scale), collapses duplicates — fig6, fig7, fig8, table2, and
-//! friends all want the identical default-config suite — and executes
-//! only the unique set on a scoped worker pool, memoizing every outcome
-//! for the render phase and (optionally) the on-disk cache.
+//! Scenarios *declare* the simulations they need as [`RunRequest`]s, on
+//! the campaign's tier unless a request names its own; the planner
+//! resolves each request to a run fingerprint
+//! ([`crate::tiered::run_fingerprint_tiered`]: annotated program ×
+//! canonical config × scale × tier), collapses duplicates — fig6, fig7,
+//! fig8, table2, and friends all want the identical default-config suite
+//! — and executes only the unique set on a scoped worker pool, memoizing
+//! every outcome for the render phase and (optionally) committing it to
+//! the on-disk cache as each run finishes.
 //!
 //! A run's identity factors into (prepared program × memory image × scale)
 //! × config, and a campaign declares thousands of runs over a few dozen
@@ -15,8 +17,13 @@
 //! memory image once; resolving a request only mixes those two hashes
 //! with the config fingerprint, scale tag, and tier.
 
-use crate::engine::fault::{hang_program, render_flight_recorder, FaultPlan, RunBudget, RunError};
+use crate::engine::cache::DiskCache;
+use crate::engine::fault::{
+    hang_program, render_flight_recorder, FaultPlan, FaultStats, RunBudget, RunError,
+};
 use crate::engine::pool::{try_parallel_map, WorkerPanic};
+use crate::engine::spans::SpanLog;
+use crate::engine::EngineOptions;
 use crate::runner::{RunConfig, RunOutcome};
 use crate::tiered::{combine_run_fingerprint, CheckpointStore, Tier};
 use lf_compiler::{annotate, SelectOptions};
@@ -26,6 +33,7 @@ use lf_workloads::Workload;
 use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStop};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// How a requested run's program is derived from the workload.
 #[derive(Debug, Clone)]
@@ -66,8 +74,9 @@ impl Hinting {
 }
 
 /// One declared simulation: which kernel, how its program is prepared,
-/// and the full simulator configuration. The workload scale is engine
-/// state, not request state — a planner instance plans one scale.
+/// the full simulator configuration, and optionally the tier it runs on.
+/// The workload scale is engine state, not request state — a planner
+/// instance plans one scale.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     /// Kernel name (must be part of the engine's (possibly filtered)
@@ -77,6 +86,8 @@ pub struct RunRequest {
     pub hinting: Hinting,
     /// Simulator configuration.
     pub config: LoopFrogConfig,
+    /// Execution tier; `None` runs on the campaign's `--tier`.
+    pub tier: Option<Tier>,
 }
 
 /// A workload prepared for simulation: profiled, (optionally) annotated,
@@ -162,13 +173,25 @@ impl<'e> Planner<'e> {
         self.suite
     }
 
-    /// Declares one simulation.
+    /// Declares one simulation on the campaign's tier.
     pub fn request(&mut self, kernel: &'static str, hinting: Hinting, config: &LoopFrogConfig) {
         debug_assert!(
             self.suite.iter().any(|w| w.name == kernel),
             "request for kernel {kernel:?} outside the planned suite"
         );
-        self.requests.push(RunRequest { kernel, hinting, config: config.clone() });
+        self.requests.push(RunRequest { kernel, hinting, config: config.clone(), tier: None });
+    }
+
+    /// Declares one simulation on `tier`, whatever the campaign's `--tier`.
+    pub fn request_tiered(
+        &mut self,
+        kernel: &'static str,
+        hinting: Hinting,
+        config: &LoopFrogConfig,
+        tier: Tier,
+    ) {
+        self.request(kernel, hinting, config);
+        self.requests.last_mut().expect("just declared").tier = Some(tier);
     }
 
     /// Declares the standard experiment shape: baseline + LoopFrog
@@ -245,16 +268,17 @@ pub(crate) struct UniqueRun {
     pub kernel: &'static str,
     pub prepared: Arc<PreparedKernel>,
     pub config: LoopFrogConfig,
+    pub tier: Tier,
 }
 
-/// Collapses `requests` to unique fingerprints in first-seen order.
-/// Requests against a kernel whose preparation failed have no fingerprint
-/// and are skipped here; the engine reports them from the preparation
-/// failure list instead.
+/// Collapses `requests` to unique fingerprints in first-seen order, each
+/// on its own tier or else `campaign_tier`. Requests against a kernel
+/// whose preparation failed have no fingerprint and are skipped here; the
+/// engine reports them from the preparation failure list instead.
 pub(crate) fn dedupe(
     requests: &[RunRequest],
     prepared: &HashMap<PrepKey, Arc<PreparedKernel>>,
-    tier: Tier,
+    campaign_tier: Tier,
 ) -> Vec<UniqueRun> {
     let mut seen: HashMap<u64, ()> = HashMap::new();
     let mut unique = Vec::new();
@@ -262,6 +286,7 @@ pub(crate) fn dedupe(
         let Some(prep) = prepared.get(&(r.kernel, r.hinting.fingerprint())) else {
             continue;
         };
+        let tier = r.tier.unwrap_or(campaign_tier);
         let fp = prep.request_fingerprint_tiered(&r.config, tier);
         if seen.insert(fp, ()).is_none() {
             unique.push(UniqueRun {
@@ -269,19 +294,18 @@ pub(crate) fn dedupe(
                 kernel: r.kernel,
                 prepared: prep.clone(),
                 config: r.config.clone(),
+                tier,
             });
         }
     }
     unique
 }
 
-/// Simulates one run under the campaign budget and fault plan, on the
-/// campaign's execution tier.
+/// Simulates one run on its tier under the campaign budget and fault plan.
 fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
-    tier: Tier,
     ckpt_store: Option<&CheckpointStore>,
 ) -> Result<RunOutcome, RunError> {
     if faults.should_crash(run.fingerprint) {
@@ -310,27 +334,25 @@ fn execute_one(
         (&run.prepared.program, run.prepared.workload.mem.clone())
     };
 
-    // The fast tiers run outside the cycle-budget watchdog: the
-    // functional tier simulates no cycles at all (its passes are bounded
-    // by an instruction fuel cap instead), and the sampled tier exists
-    // precisely to keep the detailed-cycle count small.
-    match tier {
-        Tier::Detailed => {}
-        Tier::Functional => {
-            return crate::tiered::run_functional(run.fingerprint, program, mem)
-                .map_err(|message| RunError::Sim { message });
+    // The sampled tiers run outside the cycle-budget watchdog: they exist
+    // precisely to keep the detailed-cycle count small, and their
+    // functional passes are bounded by an instruction fuel cap instead.
+    let sampled = match run.tier {
+        Tier::Detailed => None,
+        Tier::Sampled => Some(crate::tiered::run_sampled(
+            run.fingerprint,
+            program,
+            &mem,
+            &run.config,
+            run.prepared.workload.scale,
+            ckpt_store,
+        )),
+        Tier::SimpointCheck => {
+            Some(crate::tiered::run_simpoint_check(run.fingerprint, program, &mem, &run.config))
         }
-        Tier::Sampled => {
-            return crate::tiered::run_sampled(
-                run.fingerprint,
-                program,
-                &mem,
-                &run.config,
-                run.prepared.workload.scale,
-                ckpt_store,
-            )
-            .map_err(|message| RunError::Sim { message });
-        }
+    };
+    if let Some(result) = sampled {
+        return result.map_err(|message| RunError::Sim { message });
     }
 
     // The budget clamps a *clone* of the config: the fingerprint (and the
@@ -382,36 +404,69 @@ fn execute_one(
 }
 
 /// Simulates `runs` on the worker pool, returning per-run results in
-/// input order. A panicking, faulting, or over-budget run yields `Err` in
-/// its slot without disturbing its siblings. `hook` (the planner's
-/// counting hook; tests use it to assert each fingerprint simulates
-/// exactly once) fires once per executed run.
-// Internal plumbing with a single caller: the arguments are the
-// campaign's cross-cutting facilities, and a bundling struct would only
-// move the list somewhere else.
-#[allow(clippy::too_many_arguments)]
+/// input order. Each task commits its outcome to the disk cache as soon
+/// as the run finishes, so a campaign killed mid-simulate keeps every run
+/// already done; store retries and failures are added to `faults`. A
+/// panicking, faulting, or over-budget run yields `Err` in its slot
+/// without disturbing its siblings. The options' `sim_hook` fires once
+/// per executed run.
 pub(crate) fn execute(
-    runs: &[UniqueRun],
-    jobs: usize,
-    hook: Option<&(dyn Fn(&'static str) + Send + Sync)>,
-    budget: &RunBudget,
-    faults: &FaultPlan,
-    tier: Tier,
-    ckpt_store: Option<&CheckpointStore>,
-    span_log: &Arc<crate::engine::spans::SpanLog>,
+    runs: &[&UniqueRun],
+    opts: &EngineOptions,
+    span_log: &Arc<SpanLog>,
+    faults: &mut FaultStats,
 ) -> Vec<Result<Arc<RunOutcome>, RunError>> {
-    try_parallel_map(jobs, runs, |run| {
+    // Checkpoint plans live next to the run-cache entries. Only a sampled
+    // campaign reads them back: elsewhere a kernel's one sampled run is
+    // cached as an outcome, and its plan would never be read again.
+    // `--no-cache` campaigns rebuild plans in memory.
+    let ckpt_store = opts
+        .disk_cache
+        .as_ref()
+        .filter(|_| opts.tier == Tier::Sampled)
+        .map(|c| CheckpointStore::new(c.dir()));
+    let results = try_parallel_map(opts.jobs, runs, |run| -> Result<_, RunError> {
         let _span = span_log.span("run", run.kernel);
-        if let Some(h) = hook {
+        if let Some(h) = &opts.sim_hook {
             h(run.kernel);
         }
-        execute_one(run, budget, faults, tier, ckpt_store)
-    })
-    .into_iter()
-    .map(|r| match r {
-        Ok(Ok(outcome)) => Ok(Arc::new(outcome)),
-        Ok(Err(e)) => Err(e),
-        Err(WorkerPanic { payload }) => Err(RunError::Panicked { payload }),
-    })
-    .collect()
+        let outcome = execute_one(run, &opts.budget, &opts.faults, ckpt_store.as_ref())?;
+        let stored = opts.disk_cache.as_ref().map(|c| store_outcome(c, &outcome, &opts.faults));
+        Ok((Arc::new(outcome), stored.unwrap_or_default()))
+    });
+    results
+        .into_iter()
+        .map(|r| match r {
+            Ok(Ok((outcome, (retries, failed)))) => {
+                faults.store_retries += retries;
+                faults.store_failures += usize::from(failed);
+                Ok(outcome)
+            }
+            Ok(Err(e)) => Err(e),
+            Err(WorkerPanic { payload }) => Err(RunError::Panicked { payload }),
+        })
+        .collect()
+}
+
+/// Persists one outcome through the retry schedule, then (under
+/// `--inject-fault corrupt-cache:<rate>`) garbles the freshly written
+/// entry so the *next* campaign exercises the quarantine path. Returns
+/// the extra attempts it took and whether the store failed for good.
+fn store_outcome(cache: &DiskCache, outcome: &RunOutcome, plan: &FaultPlan) -> (usize, bool) {
+    let (tried, stored) =
+        lf_stats::fault::retry(2, Duration::from_millis(10), Duration::from_millis(80), || {
+            cache.store(outcome)
+        });
+    match &stored {
+        // The run itself succeeded; only cross-process memoization is lost.
+        Err(e) => eprintln!("warning: run cache write failed after {tried} attempts: {e}"),
+        Ok(()) if plan.should_corrupt(outcome.fingerprint) => {
+            let _ = std::fs::write(
+                cache.entry_path(outcome.fingerprint),
+                "{ \"injected\": \"corrupt-cache\"",
+            );
+        }
+        Ok(()) => {}
+    }
+    ((tried - 1) as usize, stored.is_err())
 }

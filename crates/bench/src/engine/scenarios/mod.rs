@@ -1,6 +1,11 @@
 //! The scenario registry: every figure/table reproduction, one module
 //! each, registered in render order.
 //!
+//! A scenario only declares runs and formats their outcomes. Nothing in
+//! this module simulates; a scenario that needs a different tier than the
+//! campaign's requests its run on that tier. CI's `lint` job fails if a
+//! non-comment line here names a simulator entry point.
+//!
 //! Scenario names are the stable CLI surface of `lf-bench run` and match
 //! the committed `results/<name>.txt` tables.
 

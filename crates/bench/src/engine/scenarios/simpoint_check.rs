@@ -8,17 +8,15 @@
 //! representative interval, and compare the weighted cycle estimate with
 //! the full detailed simulation.
 //!
-//! The full-run ground truth is a planned request (it deduplicates with
-//! the headline suite); the BBV collection and the short warm-start
-//! simulations are bespoke per-scenario work and run in the render phase.
+//! Both sides are planned runs. The full-run ground truth runs on the
+//! campaign tier (it deduplicates with the headline suite); the estimate
+//! runs on [`Tier::SimpointCheck`] (`crate::tiered::run_simpoint_check`).
 
 use crate::engine::planner::{Hinting, Planner};
 use crate::engine::{EngineCtx, Scenario};
+use crate::tiered::Tier;
 use crate::{RunArtifact, RunConfig};
-use lf_compiler::Cfg;
-use lf_isa::Emulator;
-use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector};
-use loopfrog::{LoopFrogConfig, LoopFrogCore};
+use lf_stats::Json;
 use std::fmt::Write;
 
 const KERNELS: [&str; 4] = ["stencil_blur", "event_queue", "hash_lookup", "md_force"];
@@ -39,7 +37,9 @@ impl Scenario for SimpointCheck {
         let cfg = RunConfig::default();
         for w in p.kernels() {
             if KERNELS.contains(&w.name) {
-                p.request(w.name, Hinting::Annotated(cfg.select.clone()), &cfg.lf);
+                let hinting = Hinting::Annotated(cfg.select.clone());
+                p.request(w.name, hinting.clone(), &cfg.lf);
+                p.request_tiered(w.name, hinting, &cfg.lf, Tier::SimpointCheck);
             }
         }
     }
@@ -60,11 +60,14 @@ impl Scenario for SimpointCheck {
         let kernels =
             KERNELS.iter().filter_map(|name| ctx.kernels().iter().find(|w| w.name == *name));
         for w in kernels {
-            // The full-run ground truth (and the preparation it depends
-            // on) may have failed; skip the kernel with an explicit line
-            // rather than aborting the whole methodology check.
-            let full = match ctx.try_outcome(w.name, &hinting, &rc.lf) {
-                Ok(outcome) => outcome,
+            // Either run (or the preparation both depend on) may have
+            // failed; skip the kernel with an explicit line rather than
+            // aborting the whole methodology check.
+            let runs = ctx.try_outcome(w.name, &hinting, &rc.lf).and_then(|full| {
+                Ok((full, ctx.try_outcome_tiered(w.name, &hinting, &rc.lf, Tier::SimpointCheck)?))
+            });
+            let (full, check) = match runs {
+                Ok(runs) => runs,
                 Err(f) => {
                     writeln!(out, "{:<16} FAILED: {} ({})", w.name, f.error.message(), f.cell())
                         .unwrap();
@@ -72,84 +75,26 @@ impl Scenario for SimpointCheck {
                     continue;
                 }
             };
-            let prep = ctx.prepared(w.name, &hinting);
-            let program = &prep.program;
-            let cfg_sim = LoopFrogConfig::default();
-
-            // 1. BBV collection on the golden emulator, with
-            //    interval-boundary state snapshots for warm starts.
-            let total_insts = {
-                let mut e = Emulator::new(program, w.mem.clone());
-                e.run(200_000_000).unwrap();
-                e.inst_count()
+            let field = |key: &str| {
+                check
+                    .tier_field(key)
+                    .unwrap_or_else(|| panic!("{} simpoint-check outcome lacks tier.{key}", w.name))
             };
-            let interval = (total_insts / 16).max(1_500);
-            let cfg_blocks = Cfg::build(program);
-            let mut collector = BbvCollector::new(interval);
-            let mut snapshots = Vec::new(); // (regs, mem, pc) at interval starts
-            {
-                let mut e = Emulator::new(program, w.mem.clone());
-                let mut since = 0u64;
-                snapshots.push((*e.regs(), e.mem().clone(), e.pc()));
-                while !e.is_halted() {
-                    let pc = e.step().unwrap();
-                    collector.record(cfg_blocks.block_of(pc), 1);
-                    since += 1;
-                    if since == interval {
-                        since = 0;
-                        snapshots.push((*e.regs(), e.mem().clone(), e.pc()));
-                    }
-                }
-                collector.finish();
-            }
+            let count = |key: &str| field(key).as_u64().expect("a count");
+            let (total_insts, simpoints) = (count("total_insts"), count("simpoints"));
+            let estimate = field("est_cycles").as_f64().expect("a cycle estimate");
 
-            // 2. Cluster and pick representatives.
-            let picks = pick_simpoints(collector.vectors(), 6, 0xC0FFEE);
-
-            // 3. Detailed simulation of each representative interval, with
-            //    one preceding interval as microarchitectural warmup (the
-            //    paper uses 50M-instruction warmups before each 250M
-            //    SimPoint).
-            let mut samples = Vec::new();
-            for p in &picks {
-                let idx = p.interval.min(snapshots.len() - 1);
-                let warm_idx = idx.saturating_sub(3);
-                let warmup = (idx - warm_idx) as u64 * interval;
-                let (regs, mem, pc) = &snapshots[warm_idx];
-                let mut core = LoopFrogCore::with_initial_state(
-                    program,
-                    mem.clone(),
-                    regs,
-                    *pc,
-                    cfg_sim.clone(),
-                );
-                core.run_until_committed(warmup).expect("warmup simulates");
-                let (c0, i0) = (core.cycle(), core.committed_insts());
-                core.run_until_committed(warmup + interval).expect("interval simulates");
-                let (c1, i1) = (core.cycle(), core.committed_insts());
-                samples.push((*p, c1 - c0, (i1 - i0).max(1)));
-            }
-            let estimate = weighted_cycles(&samples, total_insts);
-
-            // 4. Ground truth: the full detailed run (memoized; shared with
-            //    every default-config scenario), fetched up front so a
-            //    failed run skips the expensive BBV collection too.
             let err = (estimate - full.stats.cycles as f64) / full.stats.cycles as f64 * 100.0;
             writeln!(
                 out,
                 "{:<16} {:>9} {:>6} {:>12} {:>12.0} {:>+6.1}%",
-                w.name,
-                total_insts,
-                picks.len(),
-                full.stats.cycles,
-                estimate,
-                err
+                w.name, total_insts, simpoints, full.stats.cycles, estimate, err
             )
             .unwrap();
-            let mut p = lf_stats::Json::obj();
+            let mut p = Json::obj();
             p.set("kernel", w.name);
             p.set("total_insts", total_insts);
-            p.set("simpoints", picks.len());
+            p.set("simpoints", simpoints);
             p.set("full_cycles", full.stats.cycles);
             p.set("estimated_cycles", estimate);
             p.set("error_pct", err);
@@ -159,9 +104,9 @@ impl Scenario for SimpointCheck {
             .unwrap();
         writeln!(out, "errors within ±10% validate the sampling pipeline at this scale.").unwrap();
         let mut art = RunArtifact::new(self.name(), ctx.scale());
-        art.set_extra("simpoint_estimates", lf_stats::Json::Arr(points));
+        art.set_extra("simpoint_estimates", Json::Arr(points));
         if !failures.is_empty() {
-            art.set_extra("failures", lf_stats::Json::Arr(failures));
+            art.set_extra("failures", Json::Arr(failures));
         }
         art
     }

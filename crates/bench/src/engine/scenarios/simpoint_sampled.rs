@@ -9,14 +9,15 @@
 //! reduction and the sampled-vs-full relative error, both carried in the
 //! artifact's telemetry.
 //!
-//! The full detailed runs are planned requests (they deduplicate with the
-//! headline suite); the sampled measurements are bespoke render-phase
-//! work, exactly like `simpoint_check`'s.
+//! Both sides are planned runs: the full run on the campaign tier (it
+//! deduplicates with the headline suite) and the estimate on
+//! [`Tier::Sampled`]. Under `--tier sampled` the two are the same run.
 
 use crate::engine::planner::{Hinting, Planner};
 use crate::engine::{EngineCtx, Scenario};
-use crate::tiered::{build_plan, sample_windows};
+use crate::tiered::Tier;
 use crate::{RunArtifact, RunConfig};
+use lf_stats::Json;
 use std::fmt::Write;
 
 const KERNELS: [&str; 4] = ["stencil_blur", "event_queue", "hash_lookup", "md_force"];
@@ -37,7 +38,9 @@ impl Scenario for SimpointSampled {
         let cfg = RunConfig::default();
         for w in p.kernels() {
             if KERNELS.contains(&w.name) {
-                p.request(w.name, Hinting::Annotated(cfg.select.clone()), &cfg.lf);
+                let hinting = Hinting::Annotated(cfg.select.clone());
+                p.request(w.name, hinting.clone(), &cfg.lf);
+                p.request_tiered(w.name, hinting, &cfg.lf, Tier::Sampled);
             }
         }
     }
@@ -58,8 +61,11 @@ impl Scenario for SimpointSampled {
         let kernels =
             KERNELS.iter().filter_map(|name| ctx.kernels().iter().find(|w| w.name == *name));
         for w in kernels {
-            let full = match ctx.try_outcome(w.name, &hinting, &rc.lf) {
-                Ok(outcome) => outcome,
+            let runs = ctx.try_outcome(w.name, &hinting, &rc.lf).and_then(|full| {
+                Ok((full, ctx.try_outcome_tiered(w.name, &hinting, &rc.lf, Tier::Sampled)?))
+            });
+            let (full, sampled) = match runs {
+                Ok(runs) => runs,
                 Err(f) => {
                     writeln!(out, "{:<16} FAILED: {} ({})", w.name, f.error.message(), f.cell())
                         .unwrap();
@@ -67,31 +73,39 @@ impl Scenario for SimpointSampled {
                     continue;
                 }
             };
-            let prep = ctx.prepared(w.name, &hinting);
-            let plan = build_plan(&prep.program, &w.mem).expect("functional passes succeed");
-            let m = sample_windows(&prep.program, &plan, &rc.lf).expect("windows simulate");
-            let err = (m.est_cycles - full.stats.cycles as f64) / full.stats.cycles as f64 * 100.0;
-            let reduction = full.stats.cycles as f64 / m.detailed_cycles as f64;
+            // A corrupt checkpoint plan makes the sampled run fall back to
+            // full detailed simulation, which leaves no estimate to show.
+            let Some(est_cycles) = sampled.tier_field("est_cycles").and_then(Json::as_f64) else {
+                writeln!(out, "{:<16} no estimate: the sampled run fell back to detailed", w.name)
+                    .unwrap();
+                continue;
+            };
+            let count = |key: &str| {
+                sampled
+                    .tier_field(key)
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("{} sampled outcome lacks tier.{key}", w.name))
+            };
+            let (total_insts, interval_len) = (count("total_insts"), count("interval_len"));
+            let detailed_cycles = count("detailed_cycles");
+            let windows =
+                sampled.tier_field("windows").and_then(Json::as_arr).map_or(0, <[_]>::len);
+            let err = (est_cycles - full.stats.cycles as f64) / full.stats.cycles as f64 * 100.0;
+            let reduction = full.stats.cycles as f64 / detailed_cycles as f64;
             writeln!(
                 out,
                 "{:<16} {:>9} {:>4} {:>12} {:>12.0} {:>+6.1}% {:>9.1}x",
-                w.name,
-                plan.total_insts,
-                plan.picks.len(),
-                full.stats.cycles,
-                m.est_cycles,
-                err,
-                reduction
+                w.name, total_insts, windows, full.stats.cycles, est_cycles, err, reduction
             )
             .unwrap();
-            let mut p = lf_stats::Json::obj();
+            let mut p = Json::obj();
             p.set("kernel", w.name);
-            p.set("total_insts", plan.total_insts);
-            p.set("interval_len", plan.interval_len);
-            p.set("simpoints", plan.picks.len() as u64);
+            p.set("total_insts", total_insts);
+            p.set("interval_len", interval_len);
+            p.set("simpoints", windows as u64);
             p.set("full_cycles", full.stats.cycles);
-            p.set("estimated_cycles", m.est_cycles);
-            p.set("detailed_cycles", m.detailed_cycles);
+            p.set("estimated_cycles", est_cycles);
+            p.set("detailed_cycles", detailed_cycles);
             p.set("error_pct", err);
             p.set("detailed_cycle_reduction", reduction);
             points.push(p);
@@ -103,9 +117,9 @@ impl Scenario for SimpointSampled {
         .unwrap();
         writeln!(out, "reduction is full detailed cycles over cycles the tier simulated.").unwrap();
         let mut art = RunArtifact::new(self.name(), ctx.scale());
-        art.set_extra("sampled_vs_full", lf_stats::Json::Arr(points));
+        art.set_extra("sampled_vs_full", Json::Arr(points));
         if !failures.is_empty() {
-            art.set_extra("failures", lf_stats::Json::Arr(failures));
+            art.set_extra("failures", Json::Arr(failures));
         }
         art
     }

@@ -43,8 +43,7 @@ use crate::engine::fault::FaultStats;
 use crate::engine::planner::UniqueRun;
 use crate::engine::spans::SpanLog;
 use crate::engine::{
-    build_plan, execute_single, run_planned, signals, store_outcome, EngineOptions, EngineOutput,
-    Scenario,
+    build_plan, execute_single, run_planned, signals, EngineOptions, EngineOutput, Scenario,
 };
 use crate::runner::scale_tag;
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex};
@@ -429,14 +428,13 @@ fn supervise(
 /// 0 at EOF, 2 for a fingerprint outside the plan or a campaign without
 /// the run cache.
 pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
-    let Some(cache) = opts.disk_cache.clone() else {
+    if opts.disk_cache.is_none() {
         eprintln!("worker: --no-cache leaves nowhere to commit outcomes");
         return 2;
-    };
+    }
     let span_log: Arc<SpanLog> = Arc::default();
     let plan = build_plan(scenarios, opts, &span_log);
     let runs: HashMap<u64, &UniqueRun> = plan.unique.iter().map(|r| (r.fingerprint, r)).collect();
-    let mut faults = FaultStats::default();
     let mut stdout = std::io::stdout().lock();
     // A failed write means the supervisor is gone: stop quietly.
     if writeln!(stdout, "{READY}").is_err() {
@@ -449,11 +447,10 @@ pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
         };
         // An injected crash aborts right here: the worker dies holding
         // the run, which is exactly what the supervisor exists to absorb.
-        match execute_single(run, opts, &span_log) {
-            Ok(outcome) => store_outcome(&cache, run.fingerprint, &outcome, opts, &mut faults),
-            // Publish nothing: the final pass re-executes the run, fails
-            // the same way, and writes the structured record.
-            Err(error) => eprintln!("worker: run {line} failed locally: {}", error.message()),
+        // A failed run publishes nothing: the final pass re-executes it,
+        // fails the same way, and writes the structured record.
+        if let Err(error) = execute_single(run, opts, &span_log) {
+            eprintln!("worker: run {line} failed locally: {}", error.message());
         }
         if writeln!(stdout, "{line}").is_err() {
             return 0;

@@ -78,6 +78,12 @@ impl RunOutcome {
             from_cache: false,
         }
     }
+
+    /// A field of the tier record (`rendered.tier.<key>`), which the
+    /// sampled tiers fill with their estimate.
+    pub fn tier_field(&self, key: &str) -> Option<&Json> {
+        self.rendered.get("tier")?.get(key)
+    }
 }
 
 /// Stable identity of one simulation, per the experiment engine's

@@ -1,14 +1,15 @@
-//! Tiered execution: functional fast-forward, warm checkpoints, and
-//! sampled cycle-accurate windows.
+//! Tiered execution: sampled cycle-accurate windows from warm
+//! checkpoints, and the SimPoint methodology check.
 //!
 //! The detailed core simulates a few hundred kilocycles per second; the
 //! functional fast tier executes tens of millions of instructions per
 //! second. This module trades between them the way gem5 switches CPU
-//! models: a run can execute entirely on the fast tier
-//! ([`Tier::Functional`]), entirely on the detailed core
-//! ([`Tier::Detailed`], the legacy path), or fast-forward with functional
-//! warming to SimPoint-selected windows and measure only those in detail
-//! ([`Tier::Sampled`]).
+//! models: a run executes entirely on the detailed core
+//! ([`Tier::Detailed`], the legacy path), or fast-forwards with functional
+//! warming to SimPoint-selected windows and measures only those in detail
+//! ([`Tier::Sampled`]). [`Tier::SimpointCheck`] is the `simpoint_check`
+//! scenario's bespoke estimate ([`run_simpoint_check`]); only that
+//! scenario requests it.
 //!
 //! The sampled pipeline:
 //!
@@ -41,9 +42,10 @@
 //! detailed simulation rather than failing the campaign.
 
 use crate::runner::{scale_tag, RunOutcome};
+use lf_compiler::Cfg;
 use lf_isa::checksum::fnv1a;
-use lf_isa::{Checkpoint, CheckpointError, FastTier, Memory, Program};
-use lf_stats::simpoint::{pick_simpoints, weighted_cycles, SimPoint};
+use lf_isa::{Checkpoint, CheckpointError, Emulator, FastTier, Memory, Program};
+use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector, SimPoint};
 use lf_stats::{fingerprint_hex, Fingerprint, Json};
 use lf_workloads::Scale;
 use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStats};
@@ -53,10 +55,6 @@ use std::path::{Path, PathBuf};
 /// Which execution path a run takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Emulator-speed fast-forward on the [`FastTier`]: architectural
-    /// results and instruction counts only, zero simulated cycles. For
-    /// state/BBV collection and throughput work, not timing figures.
-    Functional,
     /// SimPoint-sampled detailed simulation from warm checkpoints; the
     /// whole-run cycle count is reconstructed from weighted windows.
     Sampled,
@@ -64,22 +62,25 @@ pub enum Tier {
     /// detailed core.
     #[default]
     Detailed,
+    /// The §6.1 methodology check ([`run_simpoint_check`]): golden-emulator
+    /// BBVs and warm-started detailed intervals. Requested only by the
+    /// `simpoint_check` scenario; not a campaign `--tier`.
+    SimpointCheck,
 }
 
 impl Tier {
     /// The lowercase tag used in fingerprints, CLI flags, and artifacts.
     pub fn tag(self) -> &'static str {
         match self {
-            Tier::Functional => "functional",
             Tier::Sampled => "sampled",
             Tier::Detailed => "detailed",
+            Tier::SimpointCheck => "simpoint-check",
         }
     }
 
-    /// Parses a CLI tier name.
+    /// Parses a campaign (`--tier`) name: `sampled` or `detailed`.
     pub fn parse(s: &str) -> Option<Tier> {
         match s {
-            "functional" => Some(Tier::Functional),
             "sampled" => Some(Tier::Sampled),
             "detailed" => Some(Tier::Detailed),
             _ => None,
@@ -117,7 +118,9 @@ pub(crate) fn combine_run_fingerprint(
         Fingerprint::new().u64(code).u64(mem).str(scale_tag(scale)).u64(cfg.fingerprint()).finish();
     match tier {
         Tier::Detailed => base,
-        Tier::Functional | Tier::Sampled => Fingerprint::new().u64(base).str(tier.tag()).finish(),
+        Tier::Sampled | Tier::SimpointCheck => {
+            Fingerprint::new().u64(base).str(tier.tag()).finish()
+        }
     }
 }
 
@@ -161,6 +164,8 @@ pub const WARM_LOOKAHEAD_INSTS: u64 = 768;
 pub const MEASURE_DIVISOR: u64 = 1;
 /// Clustering seed (fixed: plans must be deterministic).
 const SIMPOINT_SEED: u64 = 0xC0FFEE;
+/// BBV intervals per run in [`run_simpoint_check`].
+const CHECK_INTERVALS: u64 = 16;
 /// Fuel cap for functional passes, matching the golden emulator's
 /// reference-run cap: a kernel that does not halt within this many
 /// instructions is a structured error, not a hung worker.
@@ -527,35 +532,86 @@ fn tier_json(tier: Tier) -> Json {
     t
 }
 
-/// Runs one kernel on the functional tier alone: architectural results
-/// and instruction counts, zero simulated cycles.
+/// Runs the §6.1 methodology check on one kernel: basic-block vectors
+/// from the golden emulator over [`CHECK_INTERVALS`] intervals, with an
+/// architectural snapshot at every interval boundary; SimPoint picks; and
+/// per pick a detailed core started from the snapshot three intervals
+/// earlier (the paper warms up 50M instructions before each 250M-instruction
+/// SimPoint), which measures the picked interval. The weighted estimate
+/// stands in for the whole run.
+///
+/// The outcome carries the estimate in `tier.{total_insts, simpoints,
+/// est_cycles}`, and the emulator's final-state checksum.
 ///
 /// # Errors
 ///
-/// Returns a message if the kernel faults or fails to halt.
-pub fn run_functional(
+/// Returns a message if the kernel faults, fails to halt within the
+/// functional fuel cap, or any warm-started interval fails to simulate.
+pub fn run_simpoint_check(
     fingerprint: u64,
     program: &Program,
-    mem: Memory,
+    mem: &Memory,
+    cfg: &LoopFrogConfig,
 ) -> Result<RunOutcome, String> {
-    let mut fast = FastTier::new(program, mem);
-    fast.run_to_inst_count(FUNCTIONAL_FUEL).map_err(|e| format!("functional run faulted: {e}"))?;
-    if !fast.is_halted() {
-        return Err(format!("kernel did not halt within {FUNCTIONAL_FUEL} instructions"));
+    // 1. BBV collection on the golden emulator, with interval-boundary
+    //    state snapshots for warm starts.
+    let total_insts = {
+        let mut e = Emulator::new(program, mem.clone());
+        e.run(FUNCTIONAL_FUEL).map_err(|err| format!("emulator pass faulted: {err}"))?;
+        if !e.is_halted() {
+            return Err(format!("kernel did not halt within {FUNCTIONAL_FUEL} instructions"));
+        }
+        e.inst_count()
+    };
+    let interval = (total_insts / CHECK_INTERVALS).max(1_500);
+    let cfg_blocks = Cfg::build(program);
+    let mut collector = BbvCollector::new(interval);
+    let mut snapshots = Vec::new(); // (regs, mem, pc) at interval starts
+    let mut e = Emulator::new(program, mem.clone());
+    let mut since = 0u64;
+    snapshots.push((*e.regs(), e.mem().clone(), e.pc()));
+    while !e.is_halted() {
+        let pc = e.step().map_err(|err| format!("BBV pass faulted: {err}"))?;
+        collector.record(cfg_blocks.block_of(pc), 1);
+        since += 1;
+        if since == interval {
+            since = 0;
+            snapshots.push((*e.regs(), e.mem().clone(), e.pc()));
+        }
     }
+    collector.finish();
+
+    // 2. Cluster and pick representatives.
+    let picks = pick_simpoints(collector.vectors(), MAX_SIMPOINTS, SIMPOINT_SEED);
+
+    // 3. Detailed simulation of each representative interval, with the
+    //    preceding intervals as microarchitectural warm-up.
+    let mut samples = Vec::new();
+    for p in &picks {
+        let idx = p.interval.min(snapshots.len() - 1);
+        let warm_idx = idx.saturating_sub(3);
+        let warmup = (idx - warm_idx) as u64 * interval;
+        let (regs, mem, pc) = &snapshots[warm_idx];
+        let mut core =
+            LoopFrogCore::with_initial_state(program, mem.clone(), regs, *pc, cfg.clone());
+        core.run_until_committed(warmup)
+            .map_err(|err| format!("interval {} warm-up failed: {err}", p.interval))?;
+        let (c0, i0) = (core.cycle(), core.committed_insts());
+        core.run_until_committed(warmup + interval)
+            .map_err(|err| format!("interval {} failed: {err}", p.interval))?;
+        let (c1, i1) = (core.cycle(), core.committed_insts());
+        samples.push((*p, c1 - c0, (i1 - i0).max(1)));
+    }
+
     let mut stats = SimStats::new(0);
-    stats.committed_insts = fast.inst_count();
+    stats.committed_insts = total_insts;
+    let mut t = tier_json(Tier::SimpointCheck);
+    t.set("total_insts", total_insts);
+    t.set("simpoints", picks.len());
+    t.set("est_cycles", weighted_cycles(&samples, total_insts));
     let mut rendered = Json::obj();
-    let mut t = tier_json(Tier::Functional);
-    t.set("total_insts", fast.inst_count());
     rendered.set("tier", t);
-    Ok(RunOutcome {
-        fingerprint,
-        stats,
-        checksum: fast.state_checksum(),
-        rendered,
-        from_cache: false,
-    })
+    Ok(RunOutcome { fingerprint, stats, checksum: e.state_checksum(), rendered, from_cache: false })
 }
 
 /// Runs one kernel on the sampled tier: plan acquisition (store hit,
@@ -675,10 +731,12 @@ mod tests {
 
     #[test]
     fn tier_tags_round_trip() {
-        for t in [Tier::Functional, Tier::Sampled, Tier::Detailed] {
+        for t in [Tier::Sampled, Tier::Detailed] {
             assert_eq!(Tier::parse(t.tag()), Some(t));
         }
         assert_eq!(Tier::parse("atomic"), None);
+        assert_eq!(Tier::parse("functional"), None);
+        assert_eq!(Tier::parse(Tier::SimpointCheck.tag()), None, "not a campaign tier");
         assert_eq!(Tier::default(), Tier::Detailed);
     }
 
@@ -692,7 +750,7 @@ mod tests {
             legacy,
             "detailed tier must not invalidate existing caches"
         );
-        let f = run_fingerprint_tiered(&program, &mem, &cfg, Scale::Smoke, Tier::Functional);
+        let f = run_fingerprint_tiered(&program, &mem, &cfg, Scale::Smoke, Tier::SimpointCheck);
         let s = run_fingerprint_tiered(&program, &mem, &cfg, Scale::Smoke, Tier::Sampled);
         assert_ne!(f, legacy);
         assert_ne!(s, legacy);
@@ -758,20 +816,6 @@ mod tests {
         store.store(key, &plan).unwrap();
         assert!(matches!(store.lookup(key), PlanLookup::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn functional_run_matches_the_golden_emulator() {
-        let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
-        let golden = w.reference_emulator().unwrap().state_checksum();
-        let out = run_functional(7, &w.program, w.mem.clone()).unwrap();
-        assert_eq!(out.checksum, golden);
-        assert_eq!(out.stats.cycles, 0, "the functional tier simulates no cycles");
-        assert!(out.stats.committed_insts > 1_000);
-        assert_eq!(
-            out.rendered.get("tier").and_then(|t| t.get("tier")).and_then(Json::as_str),
-            Some("functional")
-        );
     }
 
     #[test]

@@ -251,6 +251,28 @@ fn simulate_phase_crash_recovers_byte_identically() {
     assert_recovered(&dir, &ref_stdout, &ref_artifact, "inject-crash");
 }
 
+/// Each run commits its outcome as soon as it finishes, so a kill inside
+/// the simulate phase keeps the runs done before it. At `-j 1` the
+/// campaign runs baseline then LoopFrog; `crash:0.6` spares the baseline
+/// and kills the campaign on the LoopFrog run (the victims are a
+/// deterministic function of the fingerprints).
+#[test]
+fn simulate_phase_crash_keeps_runs_committed_before_it() {
+    let (ref_stdout, ref_artifact, _) = reference("per-run-commit");
+    let dir = scratch_dir("per-run-commit");
+    let crashed = run(&mut campaign(&dir, &["-j", "1", "--inject-fault", "crash:0.6"]));
+    assert!(
+        stderr_of(&crashed).contains("injected fault: crash"),
+        "crash:0.6 must kill the campaign:\n{}",
+        stderr_of(&crashed)
+    );
+    assert!(
+        committed_entries(&dir) >= 1,
+        "the run finished before the kill must be committed to the cache"
+    );
+    assert_recovered(&dir, &ref_stdout, &ref_artifact, "per-run-commit");
+}
+
 /// The timer sweep: seeded `--crash-after-ms` points spread across the
 /// whole campaign duration, so kills land in plan, prepare, cache,
 /// simulate, and render phases alike. Every crashed campaign must resume

@@ -1,7 +1,8 @@
 //! Integration tests for the experiment engine's run planner: cross-
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
-//! memoization with schema invalidation, `-j` determinism, and the
-//! rejection of a `--filter` that selects no kernel.
+//! memoization with schema invalidation, `-j` determinism, runs requested
+//! on an explicit tier, and the rejection of a `--filter` that selects no
+//! kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
@@ -189,23 +190,103 @@ fn parallel_output_is_byte_identical_to_serial() {
     );
 }
 
-/// Run fingerprints of `stencil_blur` at smoke scale, recorded before
-/// prepared kernels memoized their program and memory hashes. They name
-/// existing run-cache entries, checkpoint plans, and `failures.json`
-/// records, so a change to any of them invalidates every user's cache.
+/// The SimPoint scenarios plan their estimates as runs next to their
+/// shared ground truth, so render only formats. On the detailed tier the
+/// two estimates are runs of their own; on the sampled tier the sampled
+/// estimate is the ground truth and dedupes with it. A second campaign on
+/// the same cache simulates nothing and renders the same text. Only a
+/// sampled campaign stores checkpoint plans.
+#[test]
+fn simpoint_estimates_are_planned_runs() {
+    let check = lf_bench::engine::by_name("simpoint_check").unwrap();
+    let sampled = lf_bench::engine::by_name("simpoint_sampled").unwrap();
+    let scenarios = [check.as_ref(), sampled.as_ref()];
+    for (tier, unique, plans) in [(Tier::Detailed, 3, 0), (Tier::Sampled, 2, 1)] {
+        let dir = scratch_dir(&format!("simpoint-{}", tier.tag()));
+        let campaign = || {
+            let mut opts = opts_for("stencil_blur");
+            opts.tier = tier;
+            opts.disk_cache = Some(DiskCache::new(dir.clone()));
+            let sims = counting_hook(&mut opts);
+            let output = run_scenarios(&scenarios, &opts);
+            let simulated = sims.load(Ordering::SeqCst);
+            (output, simulated)
+        };
+        let (first, simulated) = campaign();
+        assert_eq!(first.report.requests, 4, "{tier:?}: ground truth + estimate, twice");
+        assert_eq!(first.report.unique, unique, "{tier:?}");
+        assert_eq!(simulated, unique, "{tier:?}: each unique run simulates once");
+        assert!(first.failures.is_empty(), "{tier:?}");
+        for s in &first.scenarios {
+            let row = s.text.lines().find(|l| l.starts_with("stencil_blur")).unwrap();
+            assert!(row.ends_with('%') || row.ends_with('x'), "{tier:?}: {row}");
+        }
+        let ckpts = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "ckpt"))
+            .count();
+        assert_eq!(ckpts, plans, "{tier:?}: stored checkpoint plans");
+
+        let (second, resimulated) = campaign();
+        assert_eq!(resimulated, 0, "{tier:?}: a cached campaign simulates nothing");
+        for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
+            assert_eq!(a.text, b.text, "{tier:?}: {} renders from the cache alike", a.name);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A sampled run whose checkpoint plan is corrupt falls back to full
+/// detailed simulation and so has no estimate: `simpoint_sampled` says so
+/// in one line instead of failing its render.
+#[test]
+fn simpoint_sampled_reports_a_detailed_fallback_in_one_line() {
+    let scenario = lf_bench::engine::by_name("simpoint_sampled").unwrap();
+    let dir = scratch_dir("simpoint-fallback");
+    let campaign = || {
+        let mut opts = opts_for("stencil_blur");
+        opts.tier = Tier::Sampled;
+        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        run_scenarios(&[scenario.as_ref()], &opts)
+    };
+    campaign();
+    // Corrupt the stored plan and drop the cached outcome, so the next
+    // campaign reads the plan again.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        match path.extension().and_then(|x| x.to_str()) {
+            Some("ckpt") => std::fs::write(&path, b"not a plan").unwrap(),
+            Some("json") => std::fs::remove_file(&path).unwrap(),
+            _ => {}
+        }
+    }
+    let output = campaign();
+    assert!(output.failures.is_empty(), "a fallback is not a failure");
+    let text = &output.scenarios[0].text;
+    let rows: Vec<_> = text.lines().filter(|l| l.starts_with("stencil_blur")).collect();
+    assert_eq!(rows, ["stencil_blur     no estimate: the sampled run fell back to detailed"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run fingerprints of `stencil_blur` at smoke scale. The detailed and
+/// sampled cells were recorded before prepared kernels memoized their
+/// program and memory hashes, the `simpoint-check` cells when that tier
+/// was added. They name existing run-cache entries, checkpoint plans, and
+/// `failures.json` records, so a change to any of them invalidates every
+/// user's cache.
 const PINNED_FINGERPRINTS: [(&str, u64); 12] = [
     ("annotated/lf/detailed", 0xbd66af028e01f054),
     ("annotated/lf/sampled", 0x6b3ddee3f833876e),
-    ("annotated/lf/functional", 0x0d16dff8e9b43c68),
+    ("annotated/lf/simpoint-check", 0x0e8bcf848baeb93f),
     ("annotated/base/detailed", 0xe34f03d256245da8),
     ("annotated/base/sampled", 0xd0cef648cfea3477),
-    ("annotated/base/functional", 0xe0eace6ed28253bf),
+    ("annotated/base/simpoint-check", 0xb133a8762909c9b8),
     ("raw/lf/detailed", 0x91e0d4fda917b4c1),
     ("raw/lf/sampled", 0xfdb8b695ef441bbc),
-    ("raw/lf/functional", 0x720f39d8de0cc72a),
+    ("raw/lf/simpoint-check", 0x12da208c3a13a13d),
     ("raw/base/detailed", 0xaf13ce90852b23a1),
     ("raw/base/sampled", 0x2658a3c0617f1e5b),
-    ("raw/base/functional", 0x83c8dbb15157601b),
+    ("raw/base/simpoint-check", 0x9b8878abdd80b174),
 ];
 
 #[test]
@@ -220,7 +301,7 @@ fn raw_and_annotated_hintings_fingerprint_apart() {
         for (cfg_name, cfg) in
             [("lf", LoopFrogConfig::default()), ("base", LoopFrogConfig::baseline())]
         {
-            for tier in [Tier::Detailed, Tier::Sampled, Tier::Functional] {
+            for tier in [Tier::Detailed, Tier::Sampled, Tier::SimpointCheck] {
                 let cell = format!("{hinting_name}/{cfg_name}/{}", tier.tag());
                 let memoized = prep.request_fingerprint_tiered(&cfg, tier);
                 let from_scratch = run_fingerprint_tiered(
