@@ -1,6 +1,12 @@
 //! Microbenchmarks for the simulator's hot components: branch prediction,
-//! the cache hierarchy, the SSB's versioned read/write path, and conflict
-//! detection.
+//! the cache hierarchy, the SSB's versioned read/write path, conflict
+//! detection, issue-queue wakeup and select, and packing's per-iteration
+//! induction-variable detection.
+//!
+//! Every benchmark drives a public API. The store-queue search and the
+//! completion wheel are private to `loopfrog`'s engine, so they have no
+//! benchmark here; `lf-bench profile` attributes their cost to the issue
+//! and writeback stages.
 
 use lf_bench::microbench::{bench_function, Bencher};
 use std::hint::black_box;
@@ -71,9 +77,58 @@ fn bench_conflict(b: &mut Bencher) {
     });
 }
 
+fn bench_iq(b: &mut Bencher) {
+    use lf_uarch::{IssueQueue, PhysReg, PhysRegFile};
+    use std::collections::VecDeque;
+    // Producers complete eight iterations after they are renamed, so about
+    // sixteen operand-waiting consumers sit in the queue. Each iteration
+    // inserts two consumers of a fresh producer (one reading it through
+    // both sources), wakes the oldest producer, and selects what it woke.
+    let mut prf = PhysRegFile::new(64);
+    let mut iq: IssueQueue<u64> = IssueQueue::new(96);
+    let mut in_flight: VecDeque<PhysReg> = VecDeque::new();
+    let mut uid = 0u64;
+    b.iter(|| {
+        let p = prf.alloc().expect("each iteration releases one producer");
+        iq.insert(uid, 0, [Some(p), None], &prf);
+        iq.insert(uid + 1, 1, [Some(p), Some(p)], &prf);
+        uid += 2;
+        in_flight.push_back(p);
+        if in_flight.len() > 8 {
+            let done = in_flight.pop_front().expect("nine in flight");
+            prf.write(done, uid);
+            iq.wakeup(black_box(done));
+            prf.release(done);
+        }
+        iq.select(2, |_, _| true)
+    });
+}
+
+fn bench_packing(b: &mut Bencher) {
+    use lf_isa::RegionId;
+    use loopfrog::packing::PackingPredictors;
+    use loopfrog::regset::RegSet;
+    use loopfrog::PackingConfig;
+    // Four loop regions whose iterations write an induction variable, a
+    // scratch and an accumulator, and read the IV, an invariant and the
+    // accumulator: the detector keeps the IV and the accumulator.
+    let mut p = PackingPredictors::new(&PackingConfig::default());
+    let written: RegSet = [5, 6, 9].into_iter().collect();
+    let rbw: RegSet = [5, 7, 9].into_iter().collect();
+    let mut i = 0usize;
+    b.iter(|| {
+        let r = RegionId(0x40 + i % 4);
+        p.observe_iteration(r, black_box(written), black_box(rbw), 20);
+        i += 1;
+        p.ivs(r)
+    });
+}
+
 fn main() {
     bench_function("tage_predict_update", bench_tage);
     bench_function("hierarchy_strided_loads", bench_cache);
     bench_function("ssb_write_then_versioned_read", bench_ssb);
     bench_function("conflict_read_write_check", bench_conflict);
+    bench_function("iq_insert_wakeup_select", bench_iq);
+    bench_function("packing_observe_iteration", bench_packing);
 }

@@ -99,6 +99,30 @@ pub fn atomic_write_json(doc: &Json, path: &Path) -> io::Result<()> {
     atomic_write(path, &(doc.to_string_pretty() + "\n"))
 }
 
+/// Reads a `BENCH_*.json` trajectory for an append: the document and its
+/// `runs` array, oldest first. A missing file is an empty history. A file
+/// that does not parse, or has no `runs` array, is an `InvalidData` error,
+/// so an append never overwrites a history it could not read (a conflicted
+/// merge leaves exactly such a file).
+pub fn read_trajectory(path: &Path) -> io::Result<(Json, Vec<Json>)> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let mut doc = Json::obj();
+            doc.set("schema_version", crate::artifact::SCHEMA_VERSION);
+            return Ok((doc, Vec::new()));
+        }
+        Err(e) => return Err(e),
+    };
+    let doc = Json::parse(&text).map_err(|e| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("not a trajectory document: {e}"))
+    })?;
+    let runs = doc.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "trajectory document has no `runs` array")
+    })?;
+    Ok((doc, runs))
+}
+
 /// Removes orphaned temp files (`*.tmp.<pid>.<seq>`) left in `dir` by a
 /// crash between write and rename, returning how many were swept. Only
 /// plain files directly in `dir` are considered; subdirectories (e.g.
@@ -173,6 +197,33 @@ mod tests {
         );
         assert_eq!(sweep_orphan_tmps(&dir), 0, "idempotent");
         assert_eq!(sweep_orphan_tmps(&dir.join("no-such-dir")), 0, "missing dir sweeps nothing");
+    }
+
+    /// Both trajectory writers (`lf-bench perf` and `run --json`) refuse a
+    /// file they cannot read and leave its bytes alone; a missing file is
+    /// created with the one new entry.
+    #[test]
+    fn trajectory_appends_refuse_a_history_they_cannot_read() {
+        let dir = scratch_dir("trajectory");
+        let conflicted = "{\"runs\": [\n<<<<<<< HEAD\n";
+        for (i, garbage) in [conflicted, "{\"schema_version\": 2}", ""].iter().enumerate() {
+            let path = dir.join(format!("garbage-{i}.json"));
+            std::fs::write(&path, garbage).unwrap();
+            let err = read_trajectory(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{garbage:?}");
+            assert!(crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).is_err());
+            assert!(crate::engine::cli::append_harness_entry(&path, Json::obj()).is_err());
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), *garbage, "bytes unchanged");
+        }
+        let runs = |path: &Path| read_trajectory(path).unwrap().1.len();
+        let path = dir.join("throughput.json");
+        crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
+        crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
+        assert_eq!(runs(&path), 2);
+        let path = dir.join("harness.json");
+        crate::engine::cli::append_harness_entry(&path, Json::obj()).unwrap();
+        assert_eq!(runs(&path), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

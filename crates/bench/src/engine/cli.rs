@@ -738,7 +738,14 @@ fn write_artifacts(output: &EngineOutput, dir: &Path) -> Result<(), String> {
         .map_err(|e| format!("error: failed to write {}: {e}", planner_path.display()))?;
     println!("wrote {}", planner_path.display());
     let harness_path = dir.join("BENCH_harness.json");
-    append_harness_entry(&harness_path, output)
+    let mut entry = output.report.to_json();
+    let unix_secs = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    entry.set("unix_time", unix_secs);
+    entry.set("scenarios", output.scenarios.len() as u64);
+    append_harness_entry(&harness_path, entry)
         .map_err(|e| format!("error: failed to update {}: {e}", harness_path.display()))?;
     println!("wrote {}", harness_path.display());
     Ok(())
@@ -748,29 +755,11 @@ fn write_json(doc: &Json, path: &Path) -> std::io::Result<()> {
     crate::durable::atomic_write_json(doc, path)
 }
 
-/// Appends this invocation's planner telemetry to the wall-clock
+/// Appends this invocation's planner telemetry `entry` to the wall-clock
 /// trajectory file (one entry per engine run; CI tracks the history as an
 /// artifact).
-fn append_harness_entry(path: &Path, output: &EngineOutput) -> std::io::Result<()> {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .filter(|d| d.get("runs").and_then(Json::as_arr).is_some())
-        .unwrap_or_else(|| {
-            let mut d = Json::obj();
-            d.set("schema_version", crate::artifact::SCHEMA_VERSION);
-            d.set("runs", Json::Arr(Vec::new()));
-            d
-        });
-    let mut runs: Vec<Json> =
-        doc.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default();
-    let mut entry = output.report.to_json();
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    entry.set("unix_time", unix_secs);
-    entry.set("scenarios", output.scenarios.len() as u64);
+pub(crate) fn append_harness_entry(path: &Path, entry: Json) -> std::io::Result<()> {
+    let (mut doc, mut runs) = crate::durable::read_trajectory(path)?;
     runs.push(entry);
     doc.set("runs", Json::Arr(runs));
     write_json(&doc, path)

@@ -6,20 +6,25 @@
 //! and reports simulated kilocycles per second and committed MIPS. The
 //! same basket also runs on the functional fast tier, whose emulation
 //! throughput (M insts/s) is what the tiered sampling path fast-forwards
-//! at; its wall time is kept out of the detailed-throughput figures. Each
-//! invocation appends one entry to `results/BENCH_throughput.json`, so
-//! the file accumulates a throughput trajectory across commits the same
-//! way `BENCH_harness.json` tracks planner wall time.
+//! at; its wall time is kept out of the detailed-throughput figures. After
+//! the timed reps, one more rep per detailed cell runs under the engine
+//! self-profiler (untimed), and the pooled per-stage shares go into the
+//! entry as `stage_shares`, so each before/after pair shows where its time
+//! went. Each invocation appends one entry to
+//! `results/BENCH_throughput.json`, so the file accumulates a throughput
+//! trajectory across commits the same way `BENCH_harness.json` tracks
+//! planner wall time.
 //!
 //! The basket is deliberately frozen: entries are only comparable when
 //! they simulate the same work, so changing [`BASKET`] or the pinned
 //! configs invalidates the trajectory (bump the label if you must).
 
+use crate::profile::StagePool;
 use crate::runner::scale_tag;
 use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
-use loopfrog::{simulate, LoopFrogConfig};
+use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -77,6 +82,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut func_samples: Vec<Sample> = Vec::new();
+    let mut stages = StagePool::default();
     for name in BASKET {
         let w = lf_workloads::by_name(name, opts.scale)
             .unwrap_or_else(|| panic!("perf basket kernel {name} is not registered"));
@@ -99,6 +105,10 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
                 best_wall_s = best_wall_s.min(wall);
             }
             samples.push(Sample { kernel: w.name, config: tag, cycles, insts, best_wall_s });
+            let mut core = LoopFrogCore::new(&ann.program, w.mem.clone(), cfg.clone());
+            core.enable_profiler();
+            let r = core.run().unwrap_or_else(|e| panic!("{name} ({tag}, profiled) failed: {e}"));
+            stages.add(&r.profile.expect("profiler was enabled"));
         }
         // The functional fast tier over the same annotated program: zero
         // simulated cycles, instruction throughput only.
@@ -163,6 +173,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
         "functional tier: {func_insts} insts in {:.1} ms — {func_mips:.1} M insts/s",
         func_wall_s * 1e3
     );
+    println!("stage shares (one profiled rep per cell, untimed): {}", stages.shares_line());
 
     let mut entry = Json::obj();
     let unix_secs = std::time::SystemTime::now()
@@ -184,6 +195,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
     entry.set("functional_insts", func_insts);
     entry.set("functional_wall_ms", func_wall_s * 1e3);
     entry.set("functional_mips", func_mips);
+    entry.set("stage_shares", stages.shares_json());
     let mut per = Vec::new();
     for s in samples.iter().chain(&func_samples) {
         let mut j = Json::obj();
@@ -197,7 +209,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
     entry.set("per_run", Json::Arr(per));
 
     if let Some(path) = &opts.json_path {
-        match append_throughput_entry(path, &entry, opts) {
+        match append_throughput_entry(path, &entry, opts.warn_frac) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("error: failed to update {}: {e}", path.display());
@@ -209,22 +221,15 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
 }
 
 /// Appends `entry` to the throughput trajectory and emits the
-/// non-blocking regression warning against the best prior entry at the
-/// same scale. File schema mirrors `BENCH_harness.json`: a top-level
-/// `runs` array, oldest first.
-fn append_throughput_entry(path: &Path, entry: &Json, opts: &PerfOptions) -> std::io::Result<()> {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .filter(|d| d.get("runs").and_then(Json::as_arr).is_some())
-        .unwrap_or_else(|| {
-            let mut d = Json::obj();
-            d.set("schema_version", crate::artifact::SCHEMA_VERSION);
-            d.set("runs", Json::Arr(Vec::new()));
-            d
-        });
-    let mut runs: Vec<Json> =
-        doc.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default();
+/// non-blocking regression warning (more than `warn_frac` slower) against
+/// the best prior entry at the same scale. File schema mirrors
+/// `BENCH_harness.json`: a top-level `runs` array, oldest first.
+pub(crate) fn append_throughput_entry(
+    path: &Path,
+    entry: &Json,
+    warn_frac: f64,
+) -> std::io::Result<()> {
+    let (mut doc, mut runs) = crate::durable::read_trajectory(path)?;
 
     // Regression check: the warning is advisory (wall clock varies across
     // hosts and CI runners), so it never affects the exit status.
@@ -236,7 +241,7 @@ fn append_throughput_entry(path: &Path, entry: &Json, opts: &PerfOptions) -> std
         })
         .filter_map(|r| r.get("kcycles_per_sec").and_then(Json::as_f64))
         .fold(f64::NAN, f64::max);
-    if prior_best.is_finite() && this_kcps < prior_best * (1.0 - opts.warn_frac) {
+    if prior_best.is_finite() && this_kcps < prior_best * (1.0 - warn_frac) {
         eprintln!(
             "warning: throughput regression: {this_kcps:.0} kcycles/s is {:.0}% below the best \
              recorded entry ({prior_best:.0} kcycles/s) at this scale",
@@ -288,6 +293,10 @@ mod tests {
         assert!(entry.get("kcycles_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(entry.get("committed_mips").and_then(Json::as_f64).unwrap() > 0.0);
         assert_eq!(entry.get("scale").and_then(Json::as_str), Some("smoke"));
+        let shares = entry.get("stage_shares").expect("stage shares recorded");
+        let stages = ["commit", "spawn_service", "writeback", "issue", "rename", "fetch"];
+        let sum: f64 = stages.iter().map(|s| shares.get(s).and_then(Json::as_f64).expect(s)).sum();
+        assert!((sum - 1.0).abs() < 1e-9, "stage shares sum to 1, got {sum}");
 
         // The basket's simulated work is pinned to the committed ledger:
         // every detailed cell must simulate the cycles and instructions of

@@ -41,14 +41,14 @@ impl Default for ProfileOptions {
 /// Stage-time accumulator: pools sampled nanoseconds by stage name across
 /// reports while preserving the pipeline's stage order.
 #[derive(Debug, Default, Clone)]
-struct StagePool {
+pub(crate) struct StagePool {
     stages: Vec<(&'static str, u64)>,
     sampled_ticks: u64,
     total_ticks: u64,
 }
 
 impl StagePool {
-    fn add(&mut self, report: &ProfileReport) {
+    pub(crate) fn add(&mut self, report: &ProfileReport) {
         self.sampled_ticks += report.sampled_ticks;
         self.total_ticks += report.total_ticks;
         for s in &report.stages {
@@ -73,6 +73,22 @@ impl StagePool {
             .find(|(n, _)| *n == name)
             .map(|(_, ns)| *ns as f64 / total as f64)
             .unwrap_or(0.0)
+    }
+
+    /// Each stage's share of the pooled sampled time, keyed by stage name.
+    pub(crate) fn shares_json(&self) -> Json {
+        let mut j = Json::obj();
+        for (name, _) in &self.stages {
+            j.set(name, self.share(name));
+        }
+        j
+    }
+
+    /// `<stage> <share>%` for every stage, in pipeline order.
+    pub(crate) fn shares_line(&self) -> String {
+        let shares: Vec<String> =
+            self.stages.iter().map(|(n, _)| format!("{n} {:.1}%", self.share(n) * 100.0)).collect();
+        shares.join(", ")
     }
 
     fn to_json(&self) -> Json {

@@ -166,7 +166,7 @@ impl LoopFrogCore<'_> {
         {
             let t = &mut self.ctx[tid];
             for u in d.inst.uses().iter().flatten() {
-                if !t.c_written_regs.contains(&u.index()) {
+                if !t.c_written_regs.contains(u.index()) {
                     t.c_read_before_write.insert(u.index());
                 }
             }
@@ -346,13 +346,13 @@ impl LoopFrogCore<'_> {
             }
             let ct = &self.ctx[child];
             let consumed =
-                ct.c_read_before_write.contains(arch) || ct.read_before_write.contains(arch);
-            if !consumed && ct.c_written_regs.contains(arch) {
+                ct.c_read_before_write.contains(*arch) || ct.read_before_write.contains(*arch);
+            if !consumed && ct.c_written_regs.contains(*arch) {
                 continue; // the child overwrote the prediction unread
             }
             if !consumed
                 && self.ctx[child].spawned_child.is_none()
-                && !self.ctx[child].written_regs.contains(arch)
+                && !self.ctx[child].written_regs.contains(*arch)
             {
                 // Safe in-place repair: nobody has read the register.
                 let cp = self.ctx[child].map.as_ref().expect("map").get(*arch);
@@ -417,8 +417,8 @@ impl LoopFrogCore<'_> {
                     // prefix is exact; the renamed set conservatively
                     // includes possible wrong-path reads) consumed the
                     // stale inherited value: violation.
-                    if succ_t.c_read_before_write.contains(&a)
-                        || succ_t.read_before_write.contains(&a)
+                    if succ_t.c_read_before_write.contains(a)
+                        || succ_t.read_before_write.contains(a)
                     {
                         violation = true;
                     }
@@ -450,11 +450,11 @@ impl LoopFrogCore<'_> {
             );
         } else {
             for &(a, pp) in &diffs {
-                if self.ctx[succ].c_written_regs.contains(&a) {
+                if self.ctx[succ].c_written_regs.contains(a) {
                     // The successor's committed write is newer: skip.
                     continue;
                 }
-                if self.ctx[succ].written_regs.contains(&a) {
+                if self.ctx[succ].written_regs.contains(a) {
                     // An in-flight write already owns the map entry; but if
                     // a branch squash walks it back, the restore target
                     // must be the parent's value, not the stale inherited

@@ -14,8 +14,8 @@ impl LoopFrogCore<'_> {
     /// Fetches up to `width` instructions across threadlets, oldest first.
     pub(super) fn do_fetch(&mut self) {
         let mut budget = self.cfg.core.width;
-        let order: Vec<usize> = self.order.iter().copied().collect();
-        for tid in order {
+        let order = self.order_snapshot();
+        for &tid in order.as_slice() {
             if budget == 0 {
                 break;
             }

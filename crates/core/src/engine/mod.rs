@@ -374,6 +374,14 @@ impl<'p> LoopFrogCore<'p> {
         v
     }
 
+    /// The active context ids, oldest first, copied so a stage can walk
+    /// them while it mutates the core.
+    pub(crate) fn order_snapshot(&self) -> TidList {
+        let mut v = TidList::new();
+        self.order.iter().for_each(|&t| v.push(t));
+        v
+    }
+
     /// The slice lookup order for a read by `tid`: all active contexts from
     /// the oldest up to and including `tid` (oldest → newest).
     pub(crate) fn slice_order(&self, tid: usize) -> TidList {

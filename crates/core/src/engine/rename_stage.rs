@@ -13,8 +13,8 @@ impl LoopFrogCore<'_> {
     /// Renames up to `width` instructions across threadlets, oldest first.
     pub(super) fn do_rename(&mut self) {
         let mut budget = self.cfg.core.width;
-        let order: Vec<usize> = self.order.iter().copied().collect();
-        for tid in order {
+        let order = self.order_snapshot();
+        for &tid in order.as_slice() {
             while budget > 0 {
                 if self.ctx[tid].state != CtxState::Active || self.ctx[tid].fetch_queue.is_empty() {
                     break;
@@ -85,10 +85,10 @@ impl LoopFrogCore<'_> {
             for (i, u) in f.inst.uses().iter().enumerate() {
                 let Some(u) = u else { continue };
                 let a = u.index();
-                if !t.iter_written.contains(&a) {
+                if !t.iter_written.contains(a) {
                     t.iter_rbw.insert(a);
                 }
-                if !t.written_regs.contains(&a) && t.read_before_write.insert(a) {
+                if !t.written_regs.contains(a) && t.read_before_write.insert(a) {
                     d.epoch_first_rbw[i] = Some(a);
                 }
             }
@@ -202,14 +202,13 @@ impl LoopFrogCore<'_> {
             let rbw = std::mem::take(&mut t.iter_rbw);
             let size = t.insts_since_detach;
             t.insts_since_detach = 0;
-            self.packing.observe_iteration(region, &written, &rbw, size);
+            self.packing.observe_iteration(region, written, rbw, size);
         }
         // Capture the current IV mappings; the value predictor trains at
         // this detach's commit, when the values are guaranteed ready.
         if let Some(ivs) = self.packing.ivs(region) {
             let map = self.ctx[tid].map.as_ref().expect("map");
-            d.iv_capture = ivs.iter().map(|&a| (a, map.get(a))).collect();
-            d.iv_capture.sort_by_key(|(a, _)| *a);
+            d.iv_capture = ivs.iter().map(|a| (a, map.get(a))).collect();
         }
 
         if already_in_region {

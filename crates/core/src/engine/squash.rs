@@ -41,10 +41,10 @@ impl LoopFrogCore<'_> {
                 let cur = self.ctx[tid].map.as_mut().expect("map").set(dst.arch, dst.old);
                 self.prf.release(cur);
                 if d.epoch_first_write {
-                    self.ctx[tid].written_regs.remove(&dst.arch);
+                    self.ctx[tid].written_regs.remove(dst.arch);
                 }
             }
-            for a in d.epoch_first_rbw.iter().flatten() {
+            for &a in d.epoch_first_rbw.iter().flatten() {
                 self.ctx[tid].read_before_write.remove(a);
             }
             if d.inst.is_load() {

@@ -66,6 +66,7 @@ mod dyninst;
 mod engine;
 pub mod packing;
 pub mod profiler;
+pub mod regset;
 pub mod ssb;
 pub mod stats;
 pub mod telemetry;

@@ -18,9 +18,10 @@
 //! values and patches or squashes (§4.3).
 
 use crate::config::PackingConfig;
+use crate::regset::RegSet;
 use lf_isa::RegionId;
 use lf_stats::Ema;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct StridePred {
@@ -40,9 +41,9 @@ struct RegionState {
     size_ema: Ema,
     iters_observed: u32,
     /// Registers written during the previous iteration.
-    prev_written: HashSet<usize>,
+    prev_written: RegSet,
     /// Current induction-variable candidate set.
-    ivs: HashSet<usize>,
+    ivs: RegSet,
     values: HashMap<usize, StridePred>,
 }
 
@@ -83,8 +84,8 @@ impl PackingPredictors {
         self.regions.entry(r).or_insert_with(|| RegionState {
             size_ema: Ema::new(alpha),
             iters_observed: 0,
-            prev_written: HashSet::new(),
-            ivs: HashSet::new(),
+            prev_written: RegSet::default(),
+            ivs: RegSet::default(),
             values: HashMap::new(),
         })
     }
@@ -95,8 +96,8 @@ impl PackingPredictors {
     pub fn observe_iteration(
         &mut self,
         region: RegionId,
-        written: &HashSet<usize>,
-        read_before_write: &HashSet<usize>,
+        written: RegSet,
+        read_before_write: RegSet,
         size: u64,
     ) {
         let st = self.region(region);
@@ -105,20 +106,11 @@ impl PackingPredictors {
         // IV candidates: written last iteration AND consumed (read before
         // written) this iteration AND written again this iteration.
         if st.iters_observed >= 2 {
-            let cand: HashSet<usize> = st
-                .prev_written
-                .iter()
-                .filter(|r| read_before_write.contains(*r) && written.contains(*r))
-                .copied()
-                .collect();
+            let cand = st.prev_written.intersection(read_before_write).intersection(written);
             // The IV set converges to the intersection over iterations.
-            if st.iters_observed == 2 {
-                st.ivs = cand;
-            } else {
-                st.ivs.retain(|r| cand.contains(r));
-            }
+            st.ivs = if st.iters_observed == 2 { cand } else { st.ivs.intersection(cand) };
         }
-        st.prev_written = written.clone();
+        st.prev_written = written;
     }
 
     /// Trains the strided value predictor with `reg`'s value observed at a
@@ -153,9 +145,9 @@ impl PackingPredictors {
         }
     }
 
-    /// The current induction-variable set for a region (tests/diagnostics).
-    pub fn ivs(&self, region: RegionId) -> Option<&HashSet<usize>> {
-        self.regions.get(&region).map(|s| &s.ivs)
+    /// The current induction-variable set for a region, if it was observed.
+    pub fn ivs(&self, region: RegionId) -> Option<RegSet> {
+        self.regions.get(&region).map(|s| s.ivs)
     }
 
     /// Decides the packing factor for a detach of `region`, with predicted
@@ -188,9 +180,10 @@ impl PackingPredictors {
         if p < 2 {
             return PackDecision::unpacked();
         }
-        // Every IV must be confidently predictable.
+        // Every IV must be confidently predictable. Predictions come out in
+        // ascending register order, the order `RegSet` iterates in.
         let mut predictions = Vec::new();
-        for &reg in &st.ivs {
+        for reg in st.ivs.iter() {
             match st.values.get(&reg) {
                 Some(v) if v.confidence >= threshold => {
                     let ahead = v.stride.wrapping_mul((p - 1) as i64);
@@ -199,7 +192,6 @@ impl PackingPredictors {
                 _ => return PackDecision::unpacked(),
             }
         }
-        predictions.sort_by_key(|(r, _, _)| *r);
         // Verify-build invariant: a packed decision stays within
         // [2, max_factor] and predicts every detected IV exactly once.
         #[cfg(feature = "verify")]
@@ -215,7 +207,7 @@ impl PackingPredictors {
 mod tests {
     use super::*;
 
-    fn set(regs: &[usize]) -> HashSet<usize> {
+    fn set(regs: &[usize]) -> RegSet {
         regs.iter().copied().collect()
     }
 
@@ -224,7 +216,7 @@ mod tests {
         // not consumed); register 7 is a live-in invariant (read only).
         for i in 0..iters {
             p.train_value(region, 5, (i as u64) * 8);
-            p.observe_iteration(region, &set(&[5, 6]), &set(&[5, 7]), size);
+            p.observe_iteration(region, set(&[5, 6]), set(&[5, 7]), size);
         }
     }
 
@@ -234,9 +226,9 @@ mod tests {
         let r = RegionId(10);
         train_simple_loop(&mut p, r, 6, 20);
         let ivs = p.ivs(r).unwrap();
-        assert!(ivs.contains(&5));
-        assert!(!ivs.contains(&6), "scratch is not an IV");
-        assert!(!ivs.contains(&7), "read-only live-in is not an IV");
+        assert!(ivs.contains(5));
+        assert!(!ivs.contains(6), "scratch is not an IV");
+        assert!(!ivs.contains(7), "read-only live-in is not an IV");
     }
 
     #[test]
@@ -275,7 +267,7 @@ mod tests {
         for (i, v) in noisy.iter().enumerate() {
             p.train_value(r, 5, *v);
             let _ = i;
-            p.observe_iteration(r, &set(&[5]), &set(&[5]), 20);
+            p.observe_iteration(r, set(&[5]), set(&[5]), 20);
         }
         assert_eq!(p.decide(r), PackDecision::unpacked());
     }
@@ -293,14 +285,14 @@ mod tests {
         assert!(p.decide(r).factor > 1);
         // Stride change: confidence collapses...
         p.train_value(r, 5, 1000);
-        p.observe_iteration(r, &set(&[5]), &set(&[5]), 20);
+        p.observe_iteration(r, set(&[5]), set(&[5]), 20);
         p.train_value(r, 5, 1003);
-        p.observe_iteration(r, &set(&[5]), &set(&[5]), 20);
+        p.observe_iteration(r, set(&[5]), set(&[5]), 20);
         assert_eq!(p.decide(r).factor, 1);
         // ...then rebuilds on the new stride.
         for i in 2..10u64 {
             p.train_value(r, 5, 1000 + i * 3);
-            p.observe_iteration(r, &set(&[5]), &set(&[5]), 20);
+            p.observe_iteration(r, set(&[5]), set(&[5]), 20);
         }
         assert!(p.decide(r).factor > 1);
     }
@@ -362,15 +354,15 @@ mod tests {
         for (i, v) in noisy.iter().enumerate() {
             p.train_value(r, 5, (i as u64) * 8);
             p.train_value(r, 6, *v);
-            p.observe_iteration(r, &set(&[5, 6]), &set(&[5, 6]), 20);
+            p.observe_iteration(r, set(&[5, 6]), set(&[5, 6]), 20);
         }
-        assert_eq!(p.ivs(r).unwrap(), &set(&[5, 6]));
+        assert_eq!(p.ivs(r), Some(set(&[5, 6])));
         assert_eq!(p.decide(r), PackDecision::unpacked());
         // Once reg 6 locks onto a stride, both IVs are predicted.
         for i in 0..8u64 {
             p.train_value(r, 5, 64 + i * 8);
             p.train_value(r, 6, 100 + i * 4);
-            p.observe_iteration(r, &set(&[5, 6]), &set(&[5, 6]), 20);
+            p.observe_iteration(r, set(&[5, 6]), set(&[5, 6]), 20);
         }
         let d = p.decide(r);
         assert_eq!(d.factor, 5);
@@ -391,7 +383,7 @@ mod tests {
         // Continued correct strides rebuild confidence to the threshold.
         for i in 8..13u32 {
             p.train_value(r, 5, (i as u64) * 8);
-            p.observe_iteration(r, &set(&[5, 6]), &set(&[5, 7]), 20);
+            p.observe_iteration(r, set(&[5, 6]), set(&[5, 7]), 20);
         }
         assert_eq!(p.decide(r).factor, 5);
     }

@@ -7,9 +7,10 @@
 //! to the operating system and the programmer.
 
 use crate::dyninst::{FetchedInst, Uid};
+use crate::regset::RegSet;
 use lf_isa::RegionId;
 use lf_uarch::rename::RenameMap;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A detach whose spawn is deferred until a threadlet context frees: the
 /// register state at the detach is held (reference-counted) so the
@@ -71,10 +72,10 @@ pub(crate) struct Threadlet {
     /// region (trains the epoch-size EMA).
     pub insts_since_detach: u64,
     /// Architectural registers written in the current iteration.
-    pub iter_written: HashSet<usize>,
+    pub iter_written: RegSet,
     /// Architectural registers read before being written in the current
     /// iteration (live-ins).
-    pub iter_rbw: HashSet<usize>,
+    pub iter_rbw: RegSet,
 
     // ---- window slices ----
     pub rob: VecDeque<Uid>,
@@ -96,14 +97,14 @@ pub(crate) struct Threadlet {
     /// Architectural registers this epoch read before writing (consumption
     /// check for packing repair). Updated at rename; may transiently
     /// contain wrong-path entries until the squash walk-back.
-    pub read_before_write: HashSet<usize>,
+    pub read_before_write: RegSet,
     /// Architectural registers this epoch has written (rename-time; may
     /// transiently contain wrong-path entries).
-    pub written_regs: HashSet<usize>,
+    pub written_regs: RegSet,
     /// Exact committed-prefix version of `read_before_write`.
-    pub c_read_before_write: HashSet<usize>,
+    pub c_read_before_write: RegSet,
     /// Exact committed-prefix version of `written_regs`.
-    pub c_written_regs: HashSet<usize>,
+    pub c_written_regs: RegSet,
 
     // ---- lifecycle ----
     /// The epoch's halting reattach (or a halt) has committed; the context
@@ -153,8 +154,8 @@ impl Threadlet {
             ren_region: None,
             ren_iters: 0,
             insts_since_detach: 0,
-            iter_written: HashSet::new(),
-            iter_rbw: HashSet::new(),
+            iter_written: RegSet::default(),
+            iter_rbw: RegSet::default(),
             rob: VecDeque::new(),
             lq: VecDeque::new(),
             sq: VecDeque::new(),
@@ -162,10 +163,10 @@ impl Threadlet {
             checkpoint: None,
             checkpoint_pc: 0,
             predicted_regs: Vec::new(),
-            read_before_write: HashSet::new(),
-            written_regs: HashSet::new(),
-            c_read_before_write: HashSet::new(),
-            c_written_regs: HashSet::new(),
+            read_before_write: RegSet::default(),
+            written_regs: RegSet::default(),
+            c_read_before_write: RegSet::default(),
+            c_written_regs: RegSet::default(),
             finished: false,
             finished_with_halt: false,
             retire_at: None,

@@ -28,9 +28,14 @@ impl Counters {
         Counters::default()
     }
 
-    /// Adds `n` to counter `name`, creating it at zero if absent.
+    /// Adds `n` to counter `name`, creating it at zero if absent. Only the
+    /// first add of a name allocates its key.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_string()).or_insert(0) += n;
+        if let Some(v) = self.map.get_mut(name) {
+            *v += n;
+        } else {
+            self.map.insert(name.to_string(), n);
+        }
     }
 
     /// Increments counter `name` by one.

@@ -13,7 +13,7 @@
 //! it.
 
 use crate::rename::{PhysReg, PhysRegFile};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 #[derive(Debug, Clone)]
@@ -62,7 +62,9 @@ impl<K> From<bool> for Offer<K> {
 pub struct IssueQueue<K: Copy + Ord + Debug = u64> {
     capacity: usize,
     entries: BTreeMap<K, Entry>,
-    waiters: HashMap<PhysReg, Vec<K>>,
+    /// Consumers waiting on each physical register (indexed by `PhysReg.0`),
+    /// in insertion order; ids of squashed consumers stay until it wakes.
+    waiters: Vec<Vec<K>>,
     /// Operand-ready, unparked entries as `(uid, tid)`, oldest first.
     ready: Vec<(K, usize)>,
     /// Parked entries as `(uid, tid)`, oldest first.
@@ -77,7 +79,7 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
         IssueQueue {
             capacity,
             entries: BTreeMap::new(),
-            waiters: HashMap::new(),
+            waiters: Vec::new(),
             ready: Vec::new(),
             parked: Vec::new(),
             spare: Vec::new(),
@@ -125,7 +127,11 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
         for s in srcs.iter().flatten() {
             if !prf.is_ready(*s) {
                 waiting += 1;
-                self.waiters.entry(*s).or_default().push(uid);
+                let i = s.0 as usize;
+                if i >= self.waiters.len() {
+                    self.waiters.resize_with(i + 1, Vec::new);
+                }
+                self.waiters[i].push(uid);
             }
         }
         let prev = self.entries.insert(uid, Entry { tid, srcs, waiting });
@@ -138,21 +144,24 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
 
     /// Wakes consumers of physical register `p` (its producer completed).
     pub fn wakeup(&mut self, p: PhysReg) {
-        if let Some(uids) = self.waiters.remove(&p) {
-            for uid in uids {
-                // An entry may wait on `p` through both source slots, so it
-                // can appear twice; the first visit clears both.
-                let Some(e) = self.entries.get_mut(&uid) else { continue };
-                if e.waiting == 0 {
-                    continue;
-                }
-                let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
-                e.waiting -= n.clamp(1, e.waiting);
-                if e.waiting == 0 {
-                    insert_sorted(&mut self.ready, (uid, e.tid));
-                }
+        let Some(list) = self.waiters.get_mut(p.0 as usize) else { return };
+        // Taken out for the walk and put back emptied, keeping its capacity.
+        let mut uids = std::mem::take(list);
+        for &uid in &uids {
+            // An entry may wait on `p` through both source slots, so it can
+            // appear twice; the first visit clears both.
+            let Some(e) = self.entries.get_mut(&uid) else { continue };
+            if e.waiting == 0 {
+                continue;
+            }
+            let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
+            e.waiting -= n.clamp(1, e.waiting);
+            if e.waiting == 0 {
+                insert_sorted(&mut self.ready, (uid, e.tid));
             }
         }
+        uids.clear();
+        self.waiters[p.0 as usize] = uids;
     }
 
     /// Walks the ready list oldest-first and offers each entry to `issue`,
@@ -403,22 +412,26 @@ mod tests {
     }
 
     /// Property test pinning the ready list and parking to the scan-all
-    /// model: random insert/wakeup/select/squash schedules with random
-    /// verdicts must produce the same offer order, issued set and
-    /// occupancy from both after every step.
+    /// model: random insert/wakeup/select/squash/release schedules with
+    /// random verdicts must produce the same offer order, issued set and
+    /// occupancy from both after every step. Registers come from a small
+    /// file and are released once no live entry waits on them, so a
+    /// recycled register's waiter list still holds the ids of squashed
+    /// consumers when its new producer wakes it.
     #[test]
     fn randomized_against_scan_all_model() {
         use lf_stats::rng::SmallRng;
         const TIDS: usize = 3;
         let mut rng = SmallRng::seed_from_u64(0x1a_5e1ec7);
         for trial in 0..100u64 {
-            let mut prf = prf_with(4096);
+            let mut prf = prf_with(16);
             let mut iq: IssueQueue<u64> = IssueQueue::new(24);
             let mut model = ScanAll { capacity: 24, ..ScanAll::default() };
             let mut pending_regs: Vec<PhysReg> = Vec::new();
+            let mut live_regs: Vec<PhysReg> = Vec::new();
             let mut used = std::collections::HashSet::new();
             for step in 0..400u64 {
-                match rng.random_range(0..10u32) {
+                match rng.random_range(0..11u32) {
                     0..=3 => {
                         // Ids arrive in random order; none is ever reused.
                         let uid = loop {
@@ -433,8 +446,9 @@ mod tests {
                                 Some(pending_regs[rng.random_range(0..pending_regs.len())])
                             }
                             _ => {
-                                let p = prf.alloc().unwrap();
+                                let p = prf.alloc()?;
                                 pending_regs.push(p);
+                                live_regs.push(p);
                                 Some(p)
                             }
                         };
@@ -490,6 +504,15 @@ mod tests {
                         assert_eq!(got, want, "offer order diverged (trial {trial}, step {step})");
                         assert_eq!(got_issued, want_issued);
                         assert_eq!(n, m);
+                    }
+                    9 if !live_regs.is_empty() => {
+                        let i = rng.random_range(0..live_regs.len());
+                        let p = live_regs[i];
+                        if model.entries.values().all(|(_, pending, _)| !pending.contains(&p)) {
+                            live_regs.swap_remove(i);
+                            pending_regs.retain(|&q| q != p);
+                            prf.release(p);
+                        }
                     }
                     _ => {
                         let t = rng.random_range(0..TIDS);
