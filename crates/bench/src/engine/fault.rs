@@ -33,8 +33,9 @@ use std::path::Path;
 use std::time::Duration;
 
 /// Trace events kept from the flight recorder when a budget failure is
-/// reported (the *last* window; earlier events are dropped).
-const FLIGHT_RECORDER_KEEP: usize = 64;
+/// reported (the *last* window; earlier events are dropped), and the depth
+/// a budget failure's replay arms the recorder at.
+pub const FLIGHT_RECORDER_KEEP: usize = 64;
 
 /// Default per-run cycle budget. Far above any legitimate suite run at
 /// either scale, so it only ever converts livelocks into structured
@@ -68,10 +69,9 @@ pub enum RunError {
         wall_clock: bool,
         /// The last flight-recorder window (one rendered line per event),
         /// for diagnosing what the pipeline was doing when time ran out.
-        /// The planner arms the recorder for every budget-clamped run and
-        /// strips the events again on normal completion, so this window is
-        /// populated without cached artifacts depending on the harness
-        /// budget.
+        /// Runs are simulated unobserved; the planner fills this window by
+        /// replaying the failed run to the cycle it stopped at with the
+        /// recorder armed.
         flight_recorder: Vec<String>,
     },
     /// The run killed enough distinct worker processes (crash, SIGKILL,

@@ -20,6 +20,7 @@
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
     hang_program, render_flight_recorder, FaultPlan, FaultStats, RunBudget, RunError,
+    FLIGHT_RECORDER_KEEP,
 };
 use crate::engine::pool::{try_parallel_map, WorkerPanic};
 use crate::engine::spans::SpanLog;
@@ -327,12 +328,15 @@ fn execute_one(
     // the watchdog path is exercised end to end.
     let hang = faults.should_hang(run.fingerprint);
     let hang_prog;
-    let (program, mem) = if hang {
+    let program = if hang {
         hang_prog = hang_program();
-        (&hang_prog, lf_isa::Memory::new(64))
+        &hang_prog
     } else {
-        (&run.prepared.program, run.prepared.workload.mem.clone())
+        &run.prepared.program
     };
+    let initial_mem =
+        || if hang { lf_isa::Memory::new(64) } else { run.prepared.workload.mem.clone() };
+    let mem = initial_mem();
 
     // The sampled tiers run outside the cycle-budget watchdog: they exist
     // precisely to keep the detailed-cycle count small, and their
@@ -363,22 +367,12 @@ fn execute_one(
     if let Some(b) = budget_cycles {
         cfg.max_cycles = b;
     }
-    // Arm the recorder for any run a watchdog might stop mid-flight, so a
-    // budget failure carries a real pre-stop event window. If the run
-    // completes normally, the artificially recorded events are stripped
-    // again below: cached artifacts must not depend on whether a harness
-    // budget happened to be in effect.
-    let armed = (hang || budget_cycles.is_some() || budget.deadline.is_some())
-        && cfg.telemetry.flight_recorder_depth == 0;
-    if armed {
-        cfg.telemetry.flight_recorder_depth = 64;
-    }
     let mut core = LoopFrogCore::new(program, mem, cfg);
     if let Some(d) = budget.deadline {
         core.set_deadline(std::time::Instant::now() + d);
     }
 
-    let mut result = core.run().map_err(|e| RunError::Sim { message: e.to_string() })?;
+    let result = core.run().map_err(|e| RunError::Sim { message: e.to_string() })?;
     let budget_hit = match result.stop {
         SimStop::Deadline => true,
         // `MaxCycles` is a legitimate outcome when the *config* bounds the
@@ -390,15 +384,26 @@ fn execute_one(
         _ => false,
     };
     if budget_hit {
+        // Runs are simulated unobserved. Unless the config records events
+        // itself, a budget failure is explained by replaying it to the
+        // cycle it stopped at with the recorder armed: the simulation is
+        // deterministic and observers never perturb it, so this is the
+        // window the failed run would have recorded.
+        let mut window = result.flight_recorder;
+        if run.config.telemetry.flight_recorder_depth == 0 {
+            let mut cfg = run.config.clone();
+            cfg.max_cycles = result.stats.cycles;
+            let mut replay = LoopFrogCore::new(program, initial_mem(), cfg);
+            replay.arm_flight_recorder_live(FLIGHT_RECORDER_KEEP);
+            let replayed = replay.run().expect("a replay reaches the cycle its run stopped at");
+            window = replayed.flight_recorder;
+        }
         return Err(RunError::BudgetExceeded {
             cycles: result.stats.cycles,
             budget_cycles,
             wall_clock: result.stop == SimStop::Deadline,
-            flight_recorder: render_flight_recorder(&result.flight_recorder),
+            flight_recorder: render_flight_recorder(&window),
         });
-    }
-    if armed {
-        result.flight_recorder.clear();
     }
     Ok(RunOutcome::from_result(run.fingerprint, result))
 }

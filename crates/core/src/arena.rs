@@ -137,17 +137,24 @@ impl InstArena {
     /// Removes and returns `uid`'s instruction, freeing its slot for
     /// reuse. Stale uids return `None`.
     pub(crate) fn remove(&mut self, uid: Uid) -> Option<DynInst> {
-        match self.slots.get_mut(uid.slot as usize) {
-            Some(s) if s.seq == uid.seq => {
-                s.seq = 0;
-                let d = s.d.take();
-                debug_assert!(d.is_some(), "occupied slot holds an instruction");
-                self.free.push(uid.slot);
-                self.live -= 1;
-                d
-            }
-            _ => None,
-        }
+        self.free_slot(uid).and_then(Option::take)
+    }
+
+    /// Drops live `uid`'s instruction where it lies and frees its slot:
+    /// cheaper than [`InstArena::remove`] once the caller has read it.
+    pub(crate) fn discard(&mut self, uid: Uid) {
+        *self.free_slot(uid).expect("discarding a live instruction") = None;
+    }
+
+    /// Frees `uid`'s slot for reuse and returns its contents, or `None` for
+    /// a stale uid.
+    fn free_slot(&mut self, uid: Uid) -> Option<&mut Option<DynInst>> {
+        let s = self.slots.get_mut(uid.slot as usize).filter(|s| s.seq == uid.seq)?;
+        s.seq = 0;
+        debug_assert!(s.d.is_some(), "occupied slot holds an instruction");
+        self.free.push(uid.slot);
+        self.live -= 1;
+        Some(&mut s.d)
     }
 }
 

@@ -12,6 +12,33 @@ use crate::ssb::WriteOutcome;
 use lf_isa::Inst;
 use lf_uarch::AccessKind;
 
+/// Bytes of the granule-aligned view a speculative drain reads. A store of
+/// at most 8 bytes spans at most two granules of 8 bytes or more, and less
+/// than 24 bytes of smaller ones, so granules up to 64 bytes fit.
+const DRAIN_VIEW_BYTES: usize = 128;
+
+/// What the architectural threadlet's head waited on in a cycle that
+/// committed nothing; indexes `LoopFrogCore::commit_stalls`.
+#[derive(Clone, Copy)]
+enum CommitStall {
+    RetireWait,
+    Frontend,
+    NotIssued,
+    Load,
+    Exec,
+    Drain,
+}
+
+/// The counter name of each [`CommitStall`], in variant order.
+pub(super) const COMMIT_STALL_NAMES: [&str; 6] = [
+    "stall_retire_wait",
+    "stall_frontend",
+    "stall_not_issued",
+    "stall_load",
+    "stall_exec",
+    "stall_drain",
+];
+
 enum DrainOutcome {
     Done,
     /// The SSB slice is full: the drain stalls until the threadlet becomes
@@ -123,22 +150,22 @@ impl LoopFrogCore<'_> {
             let tid = self.arch_tid();
             let t = &self.ctx[tid];
             let reason = match t.rob.front() {
-                None if t.finished => "stall_retire_wait",
-                None => "stall_frontend",
+                None if t.finished => CommitStall::RetireWait,
+                None => CommitStall::Frontend,
                 Some(&uid) => {
                     let d = &self.slab[uid];
                     if !d.issued {
-                        "stall_not_issued"
+                        CommitStall::NotIssued
                     } else if !d.completed && d.inst.is_load() {
-                        "stall_load"
+                        CommitStall::Load
                     } else if !d.completed {
-                        "stall_exec"
+                        CommitStall::Exec
                     } else {
-                        "stall_drain"
+                        CommitStall::Drain
                     }
                 }
             };
-            self.stats.counters.add(reason, 1);
+            self.commit_stalls[reason as usize] += 1;
         }
         Ok(())
     }
@@ -148,16 +175,20 @@ impl LoopFrogCore<'_> {
         let front = self.ctx[tid].rob.pop_front();
         debug_assert_eq!(front, Some(uid));
         self.rob_occupancy -= 1;
-        let d = self.slab.remove(uid).expect("committing live instruction");
-        if let Some(dst) = d.dst {
+        let d = self.slab.get_mut(uid).expect("committing live instruction");
+        let (pc, inst, dst) = (d.pc, d.inst, d.dst);
+        let (is_sync_exit, is_halting_reattach) = (d.is_sync_exit, d.is_halting_reattach);
+        let iv_capture = std::mem::take(&mut d.iv_capture);
+        self.slab.discard(uid);
+        if let Some(dst) = dst {
             self.prf.release(dst.old);
         }
-        if d.inst.is_load() {
+        if inst.is_load() {
             let f = self.ctx[tid].lq.pop_front();
             debug_assert_eq!(f, Some(uid));
             self.lq_occupancy -= 1;
         }
-        if d.inst.is_store() {
+        if inst.is_store() {
             let f = self.ctx[tid].sq.pop_front();
             debug_assert_eq!(f, Some(uid));
             self.sq_occupancy -= 1;
@@ -165,12 +196,12 @@ impl LoopFrogCore<'_> {
 
         {
             let t = &mut self.ctx[tid];
-            for u in d.inst.uses().iter().flatten() {
+            for u in inst.uses().iter().flatten() {
                 if !t.c_written_regs.contains(u.index()) {
                     t.c_read_before_write.insert(u.index());
                 }
             }
-            if let Some(def) = d.inst.def() {
+            if let Some(def) = inst.def() {
                 t.c_written_regs.insert(def.index());
             }
         }
@@ -179,7 +210,7 @@ impl LoopFrogCore<'_> {
                 cycle: self.cycle,
                 tid,
                 uid: uid.seq(),
-                pc: d.pc,
+                pc,
                 architectural: is_arch,
             });
         }
@@ -194,20 +225,20 @@ impl LoopFrogCore<'_> {
 
         // Hint and halt effects take place at in-order commit, where they
         // are non-speculative within the threadlet.
-        if let Some((lf_isa::HintKind::Detach, region)) = d.inst.hint() {
+        if let Some((lf_isa::HintKind::Detach, region)) = inst.hint() {
             self.deselect.note_suppressed_detach(region);
         }
-        if !d.iv_capture.is_empty() {
-            if let Some((_, region)) = d.inst.hint() {
-                for &(a, p) in &d.iv_capture {
+        if !iv_capture.is_empty() {
+            if let Some((_, region)) = inst.hint() {
+                for &(a, p) in &iv_capture {
                     debug_assert!(self.prf.is_ready(p), "older producer committed first");
                     let v = self.prf.read(p);
                     self.packing.train_value(region, a, v);
                 }
             }
         }
-        if d.is_sync_exit {
-            if let Some((_, region)) = d.inst.hint() {
+        if is_sync_exit {
+            if let Some((_, region)) = inst.hint() {
                 // Cancel a still-deferred spawn for this region...
                 let cancel = matches!(
                     &self.ctx[tid].pending_spawn,
@@ -229,11 +260,11 @@ impl LoopFrogCore<'_> {
                 }
             }
         }
-        if d.is_halting_reattach {
+        if is_halting_reattach {
             self.ctx[tid].finished = true;
             self.verify_packing(tid);
         }
-        if matches!(d.inst, Inst::Halt) {
+        if matches!(inst, Inst::Halt) {
             if is_arch {
                 self.halted = true;
             } else {
@@ -260,13 +291,15 @@ impl LoopFrogCore<'_> {
             };
             (d.pc, d.eff_addr.expect("issued store"), len, d.store_data)
         };
-        let granules = self.ssb.granules_of(addr, len);
+        let granules = self.access_granules(addr, len);
 
         if is_arch {
             self.mem.write(addr, len, data).map_err(|_| SimError::Fault { pc, addr })?;
             let _ = self.hier.access_data(pc as u64, addr, AccessKind::Store, self.cycle);
             let younger = self.younger_than(tid);
-            if let Some(victim) = self.conflict.on_write(tid, &granules, younger.as_slice()) {
+            if let Some(victim) =
+                self.conflict.on_write(tid, granules.as_slice(), younger.as_slice())
+            {
                 self.stats.squashes_conflict += 1;
                 if let Some(r) = self.ctx[victim].spawn_region {
                     self.deselect.on_conflict(r);
@@ -279,9 +312,11 @@ impl LoopFrogCore<'_> {
             let g = self.ssb.granule();
             let range_start = (addr / g) * g;
             let range_end = ((addr + len - 1) / g + 1) * g;
+            let span = (range_end - range_start) as usize;
+            assert!(span <= DRAIN_VIEW_BYTES, "SSB granules above 64 bytes are not supported");
+            let mut view = [0u8; DRAIN_VIEW_BYTES];
             let order = self.slice_order(tid);
-            let (view, _) =
-                self.ssb.read(order.as_slice(), range_start, range_end - range_start, &self.mem);
+            self.ssb.read_into(order.as_slice(), range_start, &mut view[..span], &self.mem);
             let bytes = data.to_le_bytes();
             let outcome = self
                 .ssb
@@ -307,7 +342,8 @@ impl LoopFrogCore<'_> {
                         self.conflict.on_read(tid, &fill_reads);
                     }
                     let younger = self.younger_than(tid);
-                    if let Some(victim) = self.conflict.on_write(tid, &granules, younger.as_slice())
+                    if let Some(victim) =
+                        self.conflict.on_write(tid, granules.as_slice(), younger.as_slice())
                     {
                         self.stats.squashes_conflict += 1;
                         if let Some(r) = self.ctx[victim].spawn_region {
@@ -319,7 +355,7 @@ impl LoopFrogCore<'_> {
             }
         }
         #[cfg(feature = "verify")]
-        self.verify_store_granules(tid, &granules);
+        self.verify_store_granules(tid, granules.as_slice());
         if let Some(d) = self.slab.get_mut(uid) {
             d.drained = true;
             d.completed = true;
@@ -442,7 +478,7 @@ impl LoopFrogCore<'_> {
         if violation {
             // Restart the successor from the corrected checkpoint (its
             // younger chain is recycled and will respawn).
-            self.stats.counters.add("squashes_register", 1);
+            self.squashes_register += 1;
             self.squash_threadlets_with_reason(
                 succ,
                 true,

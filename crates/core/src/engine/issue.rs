@@ -214,16 +214,16 @@ impl LoopFrogCore<'_> {
         if addr.checked_add(len).is_none_or(|end| end > self.mem.len() as u64) {
             return LoadOutcome::Fault;
         }
-        let granules = self.ssb.granules_of(addr, len);
+        let granules = self.access_granules(addr, len);
         let is_arch = self.arch_tid() == v.tid;
         if is_arch {
             // Dispatched directly to the L1D, but still updates the
             // conflict detector (§4, "they still update the conflict
             // detector").
             let ready = self.hier.access_data(v.pc as u64, addr, AccessKind::Load, self.cycle);
-            self.conflict.on_read(v.tid, &granules);
+            self.conflict.on_read(v.tid, granules.as_slice());
             #[cfg(feature = "verify")]
-            self.verify_load_granules(v.tid, &granules);
+            self.verify_load_granules(v.tid, granules.as_slice());
             let value = self.mem.read(addr, len).expect("bounds checked");
             LoadOutcome::Value { value, ready }
         } else {
@@ -231,15 +231,15 @@ impl LoopFrogCore<'_> {
             // including the L1D lookup). The L1D access also models the
             // prefetching side effect of (possibly failed) speculation.
             let order = self.slice_order(v.tid);
-            let (bytes, all_ssb) = self.ssb.read(order.as_slice(), addr, len, &self.mem);
+            let mut buf = [0u8; 8];
+            let all_ssb =
+                self.ssb.read_into(order.as_slice(), addr, &mut buf[..len as usize], &self.mem);
             let l1d_ready = self.hier.access_data(v.pc as u64, addr, AccessKind::Load, self.cycle);
             let ssb_ready = self.cycle + self.cfg.ssb.read_latency;
             let ready = if all_ssb { ssb_ready } else { ssb_ready.max(l1d_ready) };
-            self.conflict.on_read(v.tid, &granules);
+            self.conflict.on_read(v.tid, granules.as_slice());
             #[cfg(feature = "verify")]
-            self.verify_load_granules(v.tid, &granules);
-            let mut buf = [0u8; 8];
-            buf[..len as usize].copy_from_slice(&bytes);
+            self.verify_load_granules(v.tid, granules.as_slice());
             LoadOutcome::Value { value: u64::from_le_bytes(buf), ready }
         }
     }

@@ -93,29 +93,39 @@ const DEADLINE_CHECK_CYCLES: u64 = 4096;
 /// the per-access hot path).
 const MAX_CONTEXTS: usize = 16;
 
-/// A small inline list of context ids (avoids a heap allocation per memory
-/// access when computing slice lookup orders).
+/// The most bytes one load or store accesses.
+const MAX_ACCESS_BYTES: u64 = 8;
+
+/// A small fixed-capacity list held inline, for lists built on the
+/// per-access hot path, where a heap allocation per access would dominate.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TidList {
-    arr: [usize; MAX_CONTEXTS],
+pub(crate) struct InlineList<T, const N: usize> {
+    arr: [T; N],
     len: usize,
 }
 
-impl TidList {
-    fn new() -> TidList {
-        TidList { arr: [0; MAX_CONTEXTS], len: 0 }
+impl<T: Copy + Default, const N: usize> InlineList<T, N> {
+    fn new() -> Self {
+        InlineList { arr: [T::default(); N], len: 0 }
     }
 
-    fn push(&mut self, t: usize) {
+    fn push(&mut self, t: T) {
         self.arr[self.len] = t;
         self.len += 1;
     }
 
-    /// The contexts as a slice.
-    pub(crate) fn as_slice(&self) -> &[usize] {
+    /// The items as a slice.
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.arr[..self.len]
     }
 }
+
+/// Context ids, such as a slice lookup order.
+pub(crate) type TidList = InlineList<usize, MAX_CONTEXTS>;
+
+/// The granules one load or store covers: an access of at most
+/// [`MAX_ACCESS_BYTES`] bytes spans at most that many.
+pub(crate) type Granules = InlineList<u64, { MAX_ACCESS_BYTES as usize }>;
 
 /// The LoopFrog core simulator.
 ///
@@ -163,6 +173,12 @@ pub struct LoopFrogCore<'p> {
     pub(crate) sq_occupancy: usize,
 
     pub(crate) stats: SimStats,
+    /// Cycles that committed nothing, by [`commit::COMMIT_STALL_NAMES`];
+    /// with `squashes_register`, kept as integers on the hot path and
+    /// folded into `stats.counters` under those names by `finish`.
+    pub(crate) commit_stalls: [u64; 6],
+    /// Successor restarts forced by a register-independence violation.
+    pub(crate) squashes_register: u64,
     pub(crate) telem: Telemetry,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Sampled wall-clock stage profiler (see [`crate::profiler`]); `None`
@@ -279,6 +295,8 @@ impl<'p> LoopFrogCore<'p> {
             lq_occupancy: 0,
             sq_occupancy: 0,
             stats: SimStats::new(threadlets),
+            commit_stalls: [0; 6],
+            squashes_register: 0,
             telem: Telemetry::new(&cfg),
             tracer: None,
             profiler: None,
@@ -395,6 +413,16 @@ impl<'p> LoopFrogCore<'p> {
         v
     }
 
+    /// The granules one load or store `[addr, addr+len)` covers, as
+    /// [`Ssb::granules_of`] lists them, without allocating.
+    pub(crate) fn access_granules(&self, addr: u64, len: u64) -> Granules {
+        assert!((1..=MAX_ACCESS_BYTES).contains(&len), "an access is 1 to 8 bytes, not {len}");
+        let g = self.ssb.granule();
+        let mut out = Granules::new();
+        (addr / g..=(addr + len - 1) / g).for_each(|granule| out.push(granule));
+        out
+    }
+
     /// Simulates one cycle.
     fn tick(&mut self) -> Result<(), SimError> {
         self.rename_stall = RenameStall::default();
@@ -495,7 +523,7 @@ impl<'p> LoopFrogCore<'p> {
                 + s.squashes_sync
                 + s.squashes_packing
                 + s.squashes_wrong_path
-                + s.counters.get("squashes_register"),
+                + self.squashes_register,
         }
     }
 
@@ -630,7 +658,16 @@ impl<'p> LoopFrogCore<'p> {
             }
         }
         let mut stats = std::mem::replace(&mut self.stats, SimStats::new(self.ctx.len()));
-        stats.counters.merge(self.hier.counters());
+        stats.counters.merge(&self.hier.counters());
+        // The hot path's integer counters join under their names, each only
+        // once non-zero, as if it had been counted there.
+        let stalls = std::mem::take(&mut self.commit_stalls);
+        let register = ("squashes_register", std::mem::take(&mut self.squashes_register));
+        for (k, v) in commit::COMMIT_STALL_NAMES.into_iter().zip(stalls).chain([register]) {
+            if v > 0 {
+                stats.counters.add(k, v);
+            }
+        }
         let [(l1i_a, l1i_m), (l1d_a, l1d_m), (l2_a, l2_m)] = self.hier.cache_stats();
         for (k, v) in [
             ("l1i_accesses", l1i_a),
@@ -689,7 +726,8 @@ impl<'p> LoopFrogCore<'p> {
         }
     }
 
-    /// Statistics collected so far.
+    /// Statistics collected so far. The hierarchy's and the commit stage's
+    /// counters join `counters` only in the final [`SimResult`].
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }

@@ -42,30 +42,30 @@ impl LoopFrogCore<'_> {
         let width = self.cfg.core.width;
         let (rob_res, win_res, prf_res) =
             if is_arch { (0, 0, 1) } else { (2 * width, width, 2 * width) };
-        let f = self.ctx[tid].fetch_queue.front().expect("checked nonempty").clone();
+        let inst = self.ctx[tid].fetch_queue.front().expect("checked nonempty").inst;
         if self.rob_occupancy + rob_res >= self.cfg.core.rob_size {
             self.rename_stall.rob = true;
             return false;
         }
-        let needs_def = f.inst.def().is_some();
+        let needs_def = inst.def().is_some();
         if needs_def && self.prf.free_count() < prf_res {
             return false;
         }
-        let needs_exec = crate::dyninst::inst_needs_execute(&f.inst);
+        let needs_exec = crate::dyninst::inst_needs_execute(&inst);
         if needs_exec && self.iq.len() + win_res >= self.cfg.core.iq_size {
             self.rename_stall.iq = true;
             return false;
         }
-        if f.inst.is_load() && self.lq_occupancy + win_res >= self.cfg.core.lq_size {
+        if inst.is_load() && self.lq_occupancy + win_res >= self.cfg.core.lq_size {
             self.rename_stall.lsq = true;
             return false;
         }
-        if f.inst.is_store() && self.sq_occupancy + win_res >= self.cfg.core.sq_size {
+        if inst.is_store() && self.sq_occupancy + win_res >= self.cfg.core.sq_size {
             self.rename_stall.lsq = true;
             return false;
         }
 
-        self.ctx[tid].fetch_queue.pop_front();
+        let f = self.ctx[tid].fetch_queue.pop_front().expect("checked nonempty");
         let mut d = DynInst::new(tid, &f);
 
         // --- register rename ---
@@ -302,19 +302,18 @@ impl LoopFrogCore<'_> {
         predictions: &[(usize, u64)],
     ) {
         let parent_epoch = self.ctx[parent].epoch;
-        let mut predicted_regs = Vec::new();
+        self.ctx[child].reset_free();
         if factor > 1 {
             for &(a, v) in predictions {
                 let p = self.prf.alloc_ready(v).expect("headroom checked");
                 let old = child_map.set(a, p);
                 self.prf.release(old);
-                predicted_regs.push((a, v));
+                self.ctx[child].predicted_regs.push((a, v));
             }
         }
         let checkpoint = child_map.clone_with_refs(&mut self.prf);
 
         let t = &mut self.ctx[child];
-        *t = crate::threadlet::Threadlet::new_free();
         t.state = CtxState::Active;
         t.epoch = parent_epoch + 1;
         t.fetch_pc = region.0;
@@ -322,7 +321,6 @@ impl LoopFrogCore<'_> {
         t.map = Some(child_map);
         t.checkpoint = Some(checkpoint);
         t.checkpoint_pc = region.0;
-        t.predicted_regs = predicted_regs;
         t.parent = Some(parent);
         t.spawn_region = Some(region);
         self.ctx[parent].spawned_child = Some(child);

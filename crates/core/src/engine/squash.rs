@@ -177,7 +177,7 @@ impl LoopFrogCore<'_> {
                 c.release_all(&mut self.prf);
             }
             let flush_until = self.ctx[tid].slice_flush_until.max(self.cycle);
-            self.ctx[tid] = crate::threadlet::Threadlet::new_free();
+            self.ctx[tid].reset_free();
             self.ctx[tid].slice_flush_until = flush_until;
         }
     }

@@ -797,3 +797,21 @@ fn external_write_during_conflicting_speculation() {
     let got = core.mem().read_u64(0x1000 + 60 * 8).unwrap();
     assert_eq!(got, expect, "iteration 60 must observe the post-write ordering");
 }
+
+/// An access's inline granule list is the SSB's `granules_of` list, for
+/// byte-sized and default granules.
+#[test]
+fn access_granules_match_granules_of() {
+    let mut b = ProgramBuilder::new();
+    b.halt();
+    let program = b.build().unwrap();
+    for granule in [1, 4] {
+        let mut cfg = LoopFrogConfig::default();
+        cfg.ssb.granule = granule;
+        let core = LoopFrogCore::new(&program, Memory::new(64), cfg);
+        for (addr, len) in [(0, 4), (2, 4), (8, 1), (3, 8), (13, 8)] {
+            let want = core.ssb.granules_of(addr, len);
+            assert_eq!(core.access_granules(addr, len).as_slice(), want);
+        }
+    }
+}

@@ -148,27 +148,33 @@ impl Ssb {
     /// Returns the assembled bytes and whether *all* bytes came from SSB
     /// slices (in which case the parallel L1D lookup result is not needed).
     pub fn read(&self, order: &[usize], addr: u64, len: u64, mem: &Memory) -> (Vec<u8>, bool) {
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = vec![0; len as usize];
+        let all_ssb = self.read_into(order, addr, &mut out, mem);
+        (out, all_ssb)
+    }
+
+    /// [`Ssb::read`] into a caller's buffer: fills `out` with the
+    /// `out.len()` bytes at `addr` and returns whether all of them came
+    /// from SSB slices.
+    pub(crate) fn read_into(
+        &self,
+        order: &[usize],
+        addr: u64,
+        out: &mut [u8],
+        mem: &Memory,
+    ) -> bool {
         let mut all_ssb = true;
-        for i in 0..len {
-            let a = addr + i;
+        for (a, byte) in (addr..).zip(out.iter_mut()) {
             // Newest-first: scan own slice backwards to oldest.
-            let mut byte = None;
-            for &s in order.iter().rev() {
-                if let Some(b) = self.peek_byte(s, a) {
-                    byte = Some(b);
-                    break;
-                }
-            }
-            match byte {
-                Some(b) => out.push(b),
+            *byte = match order.iter().rev().find_map(|&s| self.peek_byte(s, a)) {
+                Some(b) => b,
                 None => {
                     all_ssb = false;
-                    out.push(mem.read_u8(a).unwrap_or(0));
+                    mem.read_u8(a).unwrap_or(0)
                 }
-            }
+            };
         }
-        (out, all_ssb)
+        all_ssb
     }
 
     /// Whether `slice` can absorb a new line mapping to `line_addr`'s set

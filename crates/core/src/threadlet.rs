@@ -181,6 +181,29 @@ impl Threadlet {
         }
     }
 
+    /// Frees the context in place: every field takes its
+    /// [`Threadlet::new_free`] value, but the fetch queue, window slices,
+    /// `unknown_stores` and `predicted_regs` are emptied, not dropped, so
+    /// the next epoch reuses their storage.
+    pub fn reset_free(&mut self) {
+        fn emptied<T>(q: &mut VecDeque<T>) -> VecDeque<T> {
+            let mut q = std::mem::take(q);
+            q.clear();
+            q
+        }
+        let mut predicted_regs = std::mem::take(&mut self.predicted_regs);
+        predicted_regs.clear();
+        *self = Threadlet {
+            fetch_queue: emptied(&mut self.fetch_queue),
+            rob: emptied(&mut self.rob),
+            lq: emptied(&mut self.lq),
+            sq: emptied(&mut self.sq),
+            unknown_stores: emptied(&mut self.unknown_stores),
+            predicted_regs,
+            ..Threadlet::new_free()
+        };
+    }
+
     /// Verify-build invariant: a Free context owns no window entries,
     /// register maps, or deferred spawns (they would leak physical
     /// registers and occupancy on reallocation).
@@ -228,5 +251,83 @@ impl Threadlet {
         debug_assert!(self.pending_spawn.is_none(), "caller releases pending spawns");
         debug_assert!(self.rob.is_empty() && self.lq.is_empty() && self.sq.is_empty());
         debug_assert!(self.unknown_stores.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arena::InstArena;
+    use crate::dyninst::DynInst;
+    use lf_uarch::PhysRegFile;
+
+    /// Freeing a context in place leaves the same field values as a new
+    /// free context. The literal names every field, so a field added later
+    /// must be populated here too. (`VecDeque`'s `Debug` hides capacity, so
+    /// kept storage does not show.)
+    #[test]
+    fn reset_free_matches_new_free() {
+        let mut prf = PhysRegFile::new(256);
+        let fetched = FetchedInst {
+            pc: 7,
+            inst: lf_isa::Inst::Nop,
+            bp: None,
+            pred_next: 8,
+            pack_factor: 2,
+            pack_predictions: vec![(1, 2, 3)],
+            suppressed: true,
+        };
+        let mut arena = InstArena::new();
+        let uid = arena.insert(DynInst::new(0, &fetched));
+        let region = Some(RegionId(3));
+        let regs: RegSet = [1, 2].into_iter().collect();
+        let mut t = Threadlet {
+            state: CtxState::Active,
+            epoch: 9,
+            fetch_pc: 11,
+            fetch_ready: 12,
+            fetch_halted: true,
+            fetch_halt_is_reattach: true,
+            fetch_stalled_indirect: true,
+            fetch_region: region,
+            fetch_iters: 4,
+            fetch_queue: VecDeque::from([fetched]),
+            fetch_line: Some(64),
+            map: Some(RenameMap::new_initial(&mut prf)),
+            ren_region: region,
+            ren_iters: 5,
+            insts_since_detach: 6,
+            iter_written: regs,
+            iter_rbw: regs,
+            rob: VecDeque::from([uid]),
+            lq: VecDeque::from([uid]),
+            sq: VecDeque::from([uid]),
+            unknown_stores: VecDeque::from([uid]),
+            checkpoint: Some(RenameMap::new_initial(&mut prf)),
+            checkpoint_pc: 13,
+            predicted_regs: vec![(1, 99)],
+            read_before_write: regs,
+            written_regs: regs,
+            c_read_before_write: regs,
+            c_written_regs: regs,
+            finished: true,
+            finished_with_halt: true,
+            retire_at: Some(14),
+            committed_this_epoch: 15,
+            epoch_committed_total: 16,
+            slice_flush_until: 17,
+            parent: Some(1),
+            spawned_child: Some(2),
+            spawn_region: region,
+            pending_spawn: Some(PendingSpawn {
+                region: RegionId(3),
+                map: RenameMap::new_initial(&mut prf),
+                factor: 2,
+                ivs: vec![(1, 4)],
+            }),
+            overflow_reported: true,
+        };
+        t.reset_free();
+        assert_eq!(format!("{t:?}"), format!("{:?}", Threadlet::new_free()));
     }
 }

@@ -22,7 +22,9 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways, set after set (`num_sets * cfg.ways` lines).
+    lines: Vec<Line>,
+    num_sets: usize,
     accesses: u64,
     misses: u64,
 }
@@ -38,7 +40,8 @@ impl Cache {
         assert!(num_sets >= 1, "cache too small for its geometry");
         Cache {
             cfg,
-            sets: vec![vec![Line { tag: 0, last_used: 0, valid: false }; cfg.ways]; num_sets],
+            lines: vec![Line { tag: 0, last_used: 0, valid: false }; num_sets * cfg.ways],
+            num_sets,
             accesses: 0,
             misses: 0,
         }
@@ -50,15 +53,17 @@ impl Cache {
         addr / self.cfg.line as u64
     }
 
-    fn set_of(&self, line_addr: u64) -> usize {
-        (line_addr % self.sets.len() as u64) as usize
+    /// The ways of the set `line_addr` maps to, as a range of `lines`.
+    fn set_of(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let start = (line_addr % self.num_sets as u64) as usize * self.cfg.ways;
+        start..start + self.cfg.ways
     }
 
     /// Looks up `line_addr`, updating LRU on hit. Returns whether it hit.
     pub fn access(&mut self, line_addr: u64, now: u64) -> bool {
         self.accesses += 1;
         let set = self.set_of(line_addr);
-        for l in self.sets[set].iter_mut() {
+        for l in &mut self.lines[set] {
             if l.valid && l.tag == line_addr {
                 l.last_used = now;
                 return true;
@@ -70,18 +75,17 @@ impl Cache {
 
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == line_addr)
+        self.lines[self.set_of(line_addr)].iter().any(|l| l.valid && l.tag == line_addr)
     }
 
     /// Fills `line_addr`, evicting the LRU way. Returns the evicted line
     /// address, if a valid line was displaced.
     pub fn fill(&mut self, line_addr: u64, now: u64) -> Option<u64> {
-        let set = self.set_of(line_addr);
-        if self.sets[set].iter().any(|l| l.valid && l.tag == line_addr) {
+        if self.probe(line_addr) {
             return None; // already resident (racing fills)
         }
-        let victim = self.sets[set]
+        let set = self.set_of(line_addr);
+        let victim = self.lines[set]
             .iter_mut()
             .min_by_key(|l| if l.valid { l.last_used + 1 } else { 0 })
             .expect("at least one way");
@@ -98,7 +102,7 @@ impl Cache {
     /// hit/miss counts start from zero.
     pub fn warm_fill(&mut self, line_addr: u64, now: u64) {
         let set = self.set_of(line_addr);
-        for l in self.sets[set].iter_mut() {
+        for l in &mut self.lines[set] {
             if l.valid && l.tag == line_addr {
                 l.last_used = now;
                 return;
@@ -110,7 +114,7 @@ impl Cache {
     /// Invalidates `line_addr` if resident.
     pub fn invalidate(&mut self, line_addr: u64) {
         let set = self.set_of(line_addr);
-        for l in self.sets[set].iter_mut() {
+        for l in &mut self.lines[set] {
             if l.valid && l.tag == line_addr {
                 l.valid = false;
             }
@@ -189,7 +193,20 @@ pub struct MemHierarchy {
     l1d_pref: StridePrefetcher,
     l2_pref: StridePrefetcher,
     dram_busy_until: u64,
-    counters: Counters,
+    events: Events,
+}
+
+/// The hierarchy's event counts. The access paths bump these integers;
+/// [`MemHierarchy::counters`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Events {
+    dram_accesses: u64,
+    l2_accesses: u64,
+    l2_misses: u64,
+    l2_neighbor_prefetches: u64,
+    l2_prefetches: u64,
+    l1d_mshr_full: u64,
+    l1d_prefetches: u64,
 }
 
 /// Cycles one DRAM line transfer occupies the channel (64 B at 25 B/cycle).
@@ -208,14 +225,30 @@ impl MemHierarchy {
             l1d_pref: StridePrefetcher::new(64, cfg.l1d_prefetch_degree),
             l2_pref: StridePrefetcher::new(128, cfg.l2_prefetch_degree),
             dram_busy_until: 0,
-            counters: Counters::new(),
+            events: Events::default(),
             cfg,
         }
     }
 
-    /// Event counters (l2_accesses, l2_misses, prefetches, …).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// Event counters (l2_accesses, l2_misses, prefetches, …), built on
+    /// demand. A counter is present only once it is non-zero.
+    pub fn counters(&self) -> Counters {
+        let e = &self.events;
+        let mut c = Counters::new();
+        for (name, n) in [
+            ("dram_accesses", e.dram_accesses),
+            ("l2_accesses", e.l2_accesses),
+            ("l2_misses", e.l2_misses),
+            ("l2_neighbor_prefetches", e.l2_neighbor_prefetches),
+            ("l2_prefetches", e.l2_prefetches),
+            ("l1d_mshr_full", e.l1d_mshr_full),
+            ("l1d_prefetches", e.l1d_prefetches),
+        ] {
+            if n > 0 {
+                c.add(name, n);
+            }
+        }
+        c
     }
 
     /// The L1D line size in bytes.
@@ -231,21 +264,21 @@ impl MemHierarchy {
     fn dram_access(&mut self, start: u64) -> u64 {
         let begin = start.max(self.dram_busy_until);
         self.dram_busy_until = begin + DRAM_OCCUPANCY;
-        self.counters.inc("dram_accesses");
+        self.events.dram_accesses += 1;
         begin + self.cfg.dram_latency
     }
 
     /// Accesses the L2 (and DRAM below it) for `line` (in L1-line units),
     /// returning the cycle the line is available to the L1.
     fn access_l2(&mut self, pc: u64, line: u64, start: u64, kind: AccessKind) -> u64 {
-        self.counters.inc("l2_accesses");
+        self.events.l2_accesses += 1;
         let hit = self.l2.access(line, start);
         let ready = if hit {
             // A resident tag may still have its data in flight.
             let base = start + self.cfg.l2.hit_latency;
             self.l2_mshr.merge(line, start).map_or(base, |r| r.max(base))
         } else {
-            self.counters.inc("l2_misses");
+            self.events.l2_misses += 1;
             if let Some(r) = self.l2_mshr.merge(line, start) {
                 r
             } else {
@@ -263,7 +296,7 @@ impl MemHierarchy {
                 if kind != AccessKind::Prefetch && self.cfg.l2_prefetch_degree > 0 {
                     let nb = line + 1;
                     if !self.l2.probe(nb) && self.l2_mshr.merge(nb, start).is_none() {
-                        self.counters.inc("l2_neighbor_prefetches");
+                        self.events.l2_neighbor_prefetches += 1;
                         let r = self.dram_access(ready);
                         self.l2.fill(nb, r);
                     }
@@ -273,10 +306,9 @@ impl MemHierarchy {
         };
         // L2 stride prefetcher trains on demand L2 traffic.
         if kind != AccessKind::Prefetch {
-            let preds = self.l2_pref.train(pc, line);
-            for p in preds {
+            for p in self.l2_pref.train(pc, line) {
                 if !self.l2.probe(p) {
-                    self.counters.inc("l2_prefetches");
+                    self.events.l2_prefetches += 1;
                     let begin = ready.max(self.dram_busy_until);
                     self.dram_busy_until = begin + DRAM_OCCUPANCY;
                     self.l2.fill(p, begin + self.cfg.dram_latency);
@@ -299,7 +331,7 @@ impl MemHierarchy {
         } else {
             let mut start = now + self.cfg.l1d.hit_latency;
             if let Err(free_at) = self.l1d_mshr.alloc(line, 0, now) {
-                self.counters.inc("l1d_mshr_full");
+                self.events.l1d_mshr_full += 1;
                 start = start.max(free_at);
             }
             let ready = self.access_l2(pc, line, start, kind);
@@ -308,10 +340,9 @@ impl MemHierarchy {
             ready
         };
         if kind != AccessKind::Prefetch {
-            let preds = self.l1d_pref.train(pc, line);
-            for p in preds {
+            for p in self.l1d_pref.train(pc, line) {
                 if !self.l1d.probe(p) {
-                    self.counters.inc("l1d_prefetches");
+                    self.events.l1d_prefetches += 1;
                     let r = self.access_l2(pc, p, ready, AccessKind::Prefetch);
                     self.l1d.fill(p, r);
                 }

@@ -5,10 +5,11 @@
 
 use lf_bench::engine::cache::{CacheLookup, DiskCache};
 use lf_bench::engine::fault::{
-    hang_program, read_failures_json, write_failures_json, FaultPlan, RunBudget,
+    hang_program, read_failures_json, render_flight_recorder, write_failures_json, FaultPlan,
+    RunBudget, RunError, FLIGHT_RECORDER_KEEP,
 };
-use lf_bench::engine::planner::Planner;
-use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
+use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
+use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, EngineOutput, Scenario};
 use lf_bench::{RunArtifact, RunConfig};
 use lf_workloads::Scale;
 use std::path::PathBuf;
@@ -67,6 +68,35 @@ fn counting_hook(opts: &mut EngineOptions) -> Arc<AtomicUsize> {
     count
 }
 
+/// Every failure of a hang-injected `stencil_blur` suite is a budget
+/// failure whose flight-recorder window is non-empty and equals the window
+/// of a core that ran the hang kernel, under the failed run's config and
+/// observed from cycle 0, to the reported cycle.
+fn assert_windows_are_replays(output: &EngineOutput) {
+    let rc = RunConfig::default();
+    let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
+    let prep = PreparedKernel::prepare(w, &Hinting::Annotated(rc.select.clone()));
+    let program = hang_program();
+    assert!(!output.failures.is_empty());
+    for f in &output.failures {
+        let RunError::BudgetExceeded { cycles, flight_recorder, .. } = &f.error else {
+            panic!("not a budget failure: {}", f.error.message());
+        };
+        assert!(!flight_recorder.is_empty(), "budget failure without a window");
+        let mut cfg = [&rc.base, &rc.lf]
+            .into_iter()
+            .find(|c| prep.request_fingerprint(c) == f.fingerprint)
+            .expect("the failure is one of the suite's two runs")
+            .clone();
+        cfg.max_cycles = *cycles;
+        let mut core = loopfrog::LoopFrogCore::new(&program, lf_isa::Memory::new(64), cfg);
+        core.arm_flight_recorder_live(FLIGHT_RECORDER_KEEP);
+        let r = core.run().expect("the hang kernel runs to its cycle cap");
+        assert_eq!(r.stats.cycles, *cycles);
+        assert_eq!(*flight_recorder, render_flight_recorder(&r.flight_recorder));
+    }
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("lf-bench-faults-test-{}-{tag}", std::process::id()));
@@ -112,6 +142,7 @@ fn hang_injection_is_stopped_by_the_cycle_budget() {
         assert!(f.error.message().contains("cycle budget"), "{}", f.error.message());
     }
     assert!(output.scenarios[0].text.contains("FAILED stencil_blur"));
+    assert_windows_are_replays(&output);
 }
 
 /// The wall-clock watchdog variant: with no cycle cap at all, the deadline
@@ -128,6 +159,7 @@ fn hang_injection_is_stopped_by_the_wall_clock_deadline() {
     for f in &output.failures {
         assert!(f.error.message().contains("wall-clock"), "{}", f.error.message());
     }
+    assert_windows_are_replays(&output);
 }
 
 /// Core-level deadline contract: an already-expired deadline stops a
