@@ -28,7 +28,7 @@
 //! the engine sweeps the cache directory at campaign startup and counts
 //! the sweeps in planner telemetry (`tmp_swept`), so a crashy deployment
 //! is visible in its own numbers. The crash-recovery harness
-//! (`tests/crash_recovery.rs`) asserts that after a kill + resume cycle no
+//! (`tests/crash_recovery.rs`) asserts that after a kill + rerun cycle no
 //! temp file survives anywhere.
 
 use lf_stats::Json;
@@ -199,9 +199,9 @@ mod tests {
         assert_eq!(sweep_orphan_tmps(&dir.join("no-such-dir")), 0, "missing dir sweeps nothing");
     }
 
-    /// Both trajectory writers (`lf-bench perf` and `run --json`) refuse a
-    /// file they cannot read and leave its bytes alone; a missing file is
-    /// created with the one new entry.
+    /// The trajectory writer (`lf-bench perf`) refuses a file it cannot
+    /// read and leaves its bytes alone; a missing file is created with the
+    /// one new entry.
     #[test]
     fn trajectory_appends_refuse_a_history_they_cannot_read() {
         let dir = scratch_dir("trajectory");
@@ -212,7 +212,6 @@ mod tests {
             let err = read_trajectory(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{garbage:?}");
             assert!(crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).is_err());
-            assert!(crate::engine::cli::append_harness_entry(&path, Json::obj()).is_err());
             assert_eq!(std::fs::read_to_string(&path).unwrap(), *garbage, "bytes unchanged");
         }
         let runs = |path: &Path| read_trajectory(path).unwrap().1.len();
@@ -220,9 +219,6 @@ mod tests {
         crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
         crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
         assert_eq!(runs(&path), 2);
-        let path = dir.join("harness.json");
-        crate::engine::cli::append_harness_entry(&path, Json::obj()).unwrap();
-        assert_eq!(runs(&path), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

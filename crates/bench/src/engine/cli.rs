@@ -33,17 +33,11 @@
 //!                        (a filter matching no kernel is an error)
 //!   --no-cache           skip the on-disk run cache (results/cache/)
 //!   --cache-dir DIR      cache location (default results/cache)
-//!   --json [DIR]         write per-scenario artifacts, planner.json, and
-//!                        the BENCH_harness.json trajectory under DIR
-//!                        (default results)
+//!   --json [DIR]         write per-scenario artifacts and planner.json
+//!                        under DIR (default results)
 //!   --assert-dedup       exit non-zero unless deduplication occurred
 //!   --budget-cycles N    per-run cycle budget (0 = unlimited; default 50M)
 //!   --deadline-secs N    per-run wall-clock deadline (default: none)
-//!   --resume [FILE]      re-run a campaign, re-executing only the runs a
-//!                        previous failures.json recorded as failed
-//!                        (default FILE: <json-dir|results>/failures.json).
-//!                        A missing FILE resumes with an empty failure set
-//!                        (a killed campaign may never have written one)
 //!   --inject-fault SPEC  deterministic fault injection (repeatable):
 //!                        panic:<rate> | hang:<fingerprint|rate> |
 //!                        corrupt-cache:<rate> | crash:<rate>
@@ -58,11 +52,12 @@
 //! Every `run` writes a failure report (`failures.json`, empty on a clean
 //! campaign) next to the artifacts; the campaign exits zero as long as it
 //! completes, even with failed runs — failures are data, not crashes.
+//! Failed runs are never cached, so rerunning the same command recovers a
+//! failed or killed campaign: exactly the runs missing from the cache
+//! re-execute.
 
 use crate::engine::cache::DiskCache;
-use crate::engine::fault::{
-    read_failures_json, write_failures_json, FaultPlan, RunBudget, DEFAULT_BUDGET_CYCLES,
-};
+use crate::engine::fault::{write_failures_json, FaultPlan, RunBudget, DEFAULT_BUDGET_CYCLES};
 use crate::engine::{
     by_name, registry, run_scenarios, supervise, EngineOptions, EngineOutput, Scenario,
 };
@@ -70,7 +65,6 @@ use crate::runner::scale_tag;
 use crate::tiered::Tier;
 use lf_stats::Json;
 use lf_workloads::Scale;
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -96,9 +90,6 @@ struct Cli {
     /// `--crash-after-ms`: hard-kill the process this many milliseconds
     /// into the campaign (the crash-recovery harness's timer kill point).
     crash_after_ms: Option<u64>,
-    /// `--resume` with its optional FILE operand (`Some(None)` = flag
-    /// present, default file).
-    resume: Option<Option<PathBuf>>,
     /// `perf`: repetitions per (kernel, config) pair.
     reps: usize,
     /// `perf`: free-form label recorded in the trajectory entry.
@@ -135,7 +126,7 @@ fn usage() -> ! {
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
          \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
          \x20                [--workers N]\n\
-         \x20                [--budget-cycles N] [--deadline-secs N] [--resume [FILE]]\n\
+         \x20                [--budget-cycles N] [--deadline-secs N]\n\
          \x20                [--inject-fault SPEC]... [--crash-after-ms N]\n\
          \x20                [--trace-out PATH]\n\
          \x20                [--reps N] [--label TEXT] [--warn-regression PCT]  (perf)\n\
@@ -163,7 +154,6 @@ fn parse(args: &[String]) -> Cli {
         fault_specs: Vec::new(),
         workers: 1,
         crash_after_ms: None,
-        resume: None,
         reps: 3,
         label: None,
         warn_frac: 0.15,
@@ -367,16 +357,6 @@ fn parse(args: &[String]) -> Cli {
                     }
                 }
             }
-            "--resume" => {
-                // Like --json, the FILE operand is optional.
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") && !is_scenario_like(v) => {
-                        i += 1;
-                        cli.resume = Some(Some(PathBuf::from(v.clone())));
-                    }
-                    _ => cli.resume = Some(None),
-                }
-            }
             name if !name.starts_with('-')
                 && (command == Some("run") || command == Some("worker")) =>
             {
@@ -429,31 +409,6 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         },
         deadline: cli.deadline_secs.map(Duration::from_secs),
     };
-    let resume_from = cli.resume.as_ref().map(|file| {
-        let path = file.clone().unwrap_or_else(|| failures_path(cli));
-        // A missing report is a normal resume-after-kill state: the
-        // previous campaign may have died before writing failures.json.
-        // Resume with an empty set (the cache carries the real recovery
-        // state); any other read problem is still fatal.
-        if !path.exists() {
-            eprintln!(
-                "warning: --resume: {} does not exist (campaign killed before writing it?); \
-                 resuming with an empty failure set",
-                path.display()
-            );
-            return HashSet::new();
-        }
-        match read_failures_json(&path) {
-            Ok(fps) => {
-                eprintln!("resuming: {} failed run(s) recorded in {}", fps.len(), path.display());
-                fps
-            }
-            Err(e) => {
-                eprintln!("error: --resume: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
     EngineOptions {
         scale: cli.scale,
         tier: cli.tier,
@@ -463,14 +418,13 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         sim_hook: None,
         budget,
         faults: cli.faults.clone(),
-        resume_from,
         spans: None,
         poisoned: std::collections::HashMap::new(),
         carried_faults: Default::default(),
     }
 }
 
-/// Where this invocation reads and writes its failure report.
+/// Where this invocation writes its failure report.
 fn failures_path(cli: &Cli) -> PathBuf {
     cli.json_dir.clone().unwrap_or_else(|| PathBuf::from("results")).join("failures.json")
 }
@@ -642,8 +596,7 @@ fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
     }
     print_telemetry(output);
     // The failure report is written on every run — empty on a clean
-    // campaign — so a follow-up --resume always has a current file to
-    // read.
+    // campaign — so it always describes the latest campaign.
     let failures = failures_path(cli);
     match write_failures_json(&failures, &output.failures, scale_tag(cli.scale)) {
         Ok(()) => eprintln!("wrote {}", failures.display()),
@@ -686,7 +639,7 @@ fn print_telemetry(output: &EngineOutput) {
     let f = &r.faults;
     if !output.failures.is_empty() || f.cache_corrupt > 0 || f.cache_schema_mismatch > 0 {
         eprintln!(
-            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale; {} resumed",
+            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale",
             output.failures.len(),
             f.panicked,
             f.budget_exceeded,
@@ -696,19 +649,17 @@ fn print_telemetry(output: &EngineOutput) {
             f.poisoned,
             f.cache_corrupt,
             f.quarantined,
-            f.cache_schema_mismatch,
-            f.resumed
+            f.cache_schema_mismatch
         );
     }
     // The end-of-campaign summary is always printed: every campaign
     // states its hygiene counters (swept debris, quarantines, retries)
     // even when they are zero, so scripts can grep one stable line.
     eprintln!(
-        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} run(s) resumed; {} worker respawn(s) ({} ms backoff)",
+        "campaign: swept {} temp file(s); {} corrupt entr{} quarantined; {} worker respawn(s) ({} ms backoff)",
         f.tmp_swept,
         f.quarantined,
         if f.quarantined == 1 { "y" } else { "ies" },
-        f.resumed,
         f.worker_respawns,
         f.backoff_ms
     );
@@ -720,7 +671,7 @@ fn print_telemetry(output: &EngineOutput) {
     }
 }
 
-/// Writes the per-scenario artifacts plus planner/harness telemetry,
+/// Writes the per-scenario artifacts plus the planner telemetry,
 /// printing a `wrote <path>` confirmation on stdout for each (they are
 /// part of the campaign's byte-compared output). Stops at the first
 /// failure.
@@ -737,30 +688,9 @@ fn write_artifacts(output: &EngineOutput, dir: &Path) -> Result<(), String> {
     write_json(&output.report.to_json(), &planner_path)
         .map_err(|e| format!("error: failed to write {}: {e}", planner_path.display()))?;
     println!("wrote {}", planner_path.display());
-    let harness_path = dir.join("BENCH_harness.json");
-    let mut entry = output.report.to_json();
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    entry.set("unix_time", unix_secs);
-    entry.set("scenarios", output.scenarios.len() as u64);
-    append_harness_entry(&harness_path, entry)
-        .map_err(|e| format!("error: failed to update {}: {e}", harness_path.display()))?;
-    println!("wrote {}", harness_path.display());
     Ok(())
 }
 
 fn write_json(doc: &Json, path: &Path) -> std::io::Result<()> {
     crate::durable::atomic_write_json(doc, path)
-}
-
-/// Appends this invocation's planner telemetry `entry` to the wall-clock
-/// trajectory file (one entry per engine run; CI tracks the history as an
-/// artifact).
-pub(crate) fn append_harness_entry(path: &Path, entry: Json) -> std::io::Result<()> {
-    let (mut doc, mut runs) = crate::durable::read_trajectory(path)?;
-    runs.push(entry);
-    doc.set("runs", Json::Arr(runs));
-    write_json(&doc, path)
 }

@@ -17,17 +17,15 @@
 //!   --inject-bug`) proving in CI that an injected panic, hang, or cache
 //!   corruption yields a completed campaign with an accurate report;
 //! - [`FaultStats`]: the failure counters surfaced in planner telemetry;
-//! - [`write_failures_json`] / [`read_failures_json`]: the on-disk failure
-//!   report consumed by `--resume`.
+//! - [`write_failures_json`]: the on-disk failure report.
 //!
 //! Injection decisions go through [`lf_stats::rate_gate`], the
 //! deterministic Bernoulli gate shared with `lf-verify`: the same
 //! fingerprint is selected on every run, so a failure report names runs
-//! that actually reproduce and a `--resume` replays exactly the failed
-//! set.
+//! that actually reproduce. Failed runs are never cached, so a plain
+//! rerun re-executes exactly the failed set.
 
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex, rate_gate, Json};
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::time::Duration;
@@ -200,8 +198,7 @@ pub enum HangTarget {
 }
 
 /// The parsed `--inject-fault` plan. All gates are deterministic functions
-/// of the run fingerprint, so repeated campaigns (and `--resume`) select
-/// the same victims.
+/// of the run fingerprint, so repeated campaigns select the same victims.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Fraction of runs whose worker panics before simulating.
@@ -214,7 +211,7 @@ pub struct FaultPlan {
     /// Fraction of runs whose worker hard-kills the whole process
     /// ([`std::process::abort`] — no unwinding, no destructors, the
     /// file-state equivalent of `kill -9`). Exercises the crash-recovery
-    /// path: atomic commits, the orphan sweep, and `--resume`.
+    /// path: atomic commits, the orphan sweep, and the recovering rerun.
     pub crash_rate: f64,
 }
 
@@ -328,9 +325,6 @@ pub struct FaultStats {
     /// Cache stores that failed even after retries (the run still counts
     /// as a success; only memoization is lost).
     pub store_failures: usize,
-    /// Simulated runs that a `--resume` re-executed (their fingerprints
-    /// appeared in the resumed failure report).
-    pub resumed: usize,
     /// Orphaned commit temp files swept from the cache directory at
     /// campaign start (debris of a killed predecessor).
     pub tmp_swept: usize,
@@ -366,7 +360,6 @@ impl FaultStats {
         j.set("quarantined_entries", self.quarantined as u64);
         j.set("cache_store_retries", self.store_retries as u64);
         j.set("cache_store_failures", self.store_failures as u64);
-        j.set("resumed_failures", self.resumed as u64);
         j.set("tmp_swept", self.tmp_swept as u64);
         j.set("poisoned", self.poisoned as u64);
         j.set("worker_deaths", self.worker_deaths as u64);
@@ -388,39 +381,15 @@ pub fn failures_to_json(failures: &[std::sync::Arc<RunFailure>], scale_tag: &str
 
 /// Writes the campaign failure report (pretty-printed, parent directories
 /// created). Written on every `lf-bench run`, with an empty list when the
-/// campaign was clean, so `--resume` always has a current file to read.
+/// campaign was clean, so the file always describes the latest campaign.
 /// Commits atomically: a kill -9 can never publish a truncated failure
-/// list for a later `--resume` to misread as "nothing failed".
+/// list for a reader to misread as "nothing failed".
 pub fn write_failures_json(
     path: &Path,
     failures: &[std::sync::Arc<RunFailure>],
     scale_tag: &str,
 ) -> io::Result<()> {
     crate::durable::atomic_write_json(&failures_to_json(failures, scale_tag), path)
-}
-
-/// Reads a failure report back, returning the set of failed run
-/// fingerprints (`--resume` re-executes exactly these; everything else is
-/// served from the cache).
-pub fn read_failures_json(path: &Path) -> Result<HashSet<u64>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))?;
-    let list = doc
-        .get("failures")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{} has no `failures` array", path.display()))?;
-    let mut fps = HashSet::new();
-    for f in list {
-        if let Some(fp) =
-            f.get("fingerprint").and_then(Json::as_str).and_then(parse_fingerprint_hex)
-        {
-            if fp != 0 {
-                fps.insert(fp);
-            }
-        }
-    }
-    Ok(fps)
 }
 
 #[cfg(test)]
@@ -491,12 +460,15 @@ mod tests {
             }),
         ];
         write_failures_json(&path, &failures, "smoke").unwrap();
-        let fps = read_failures_json(&path).unwrap();
-        assert_eq!(fps, HashSet::from([0xabc, 0xdef]));
-
-        // The budget record carries its context.
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let list = doc.get("failures").and_then(Json::as_arr).unwrap();
+        let fps: Vec<_> = list
+            .iter()
+            .map(|f| f.get("fingerprint").and_then(Json::as_str).and_then(parse_fingerprint_hex))
+            .collect();
+        assert_eq!(fps, [Some(0xabc), Some(0xdef)]);
+
+        // The budget record carries its context.
         let budget = &list[1];
         assert_eq!(budget.get("kind").and_then(Json::as_str), Some("budget_exceeded"));
         assert_eq!(budget.get("cycles").and_then(Json::as_u64), Some(9999));

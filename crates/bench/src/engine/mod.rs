@@ -21,10 +21,10 @@
 //! livelocked simulation, or a corrupt cache entry costs exactly the
 //! affected run, which becomes a structured [`fault::RunFailure`] (with a
 //! repro command) while every other run proceeds. Scenarios render
-//! partial tables with explicit `FAILED(<fingerprint>)` cells, the full
-//! failure list lands in `failures.json`, and `--resume` replays a
-//! campaign re-executing only what previously failed (successes are
-//! served from the cache).
+//! partial tables with explicit `FAILED(<fingerprint>)` cells, and the
+//! full failure list lands in `failures.json`. Failed runs are never
+//! cached, so a plain rerun re-executes only what previously failed
+//! (successes are served from the cache).
 
 pub mod cache;
 pub mod cli;
@@ -46,7 +46,7 @@ use lf_workloads::{Scale, Workload};
 use planner::{dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, PreparedKernel};
 use pool::WorkerPanic;
 use spans::{DurationSummary, SpanLog};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,10 +95,6 @@ pub struct EngineOptions {
     pub budget: RunBudget,
     /// Deterministic fault injection (`--inject-fault`); default inactive.
     pub faults: FaultPlan,
-    /// Fingerprints from a previous campaign's `failures.json`
-    /// (`--resume`). Only used for telemetry: failed runs were never
-    /// cached, so they re-execute naturally while successes hit the cache.
-    pub resume_from: Option<HashSet<u64>>,
     /// Caller-provided span log (`--trace-out`): phase and per-run spans
     /// are recorded into it for Chrome trace-event export. When `None`,
     /// the engine still records spans into a private log (the per-run
@@ -112,7 +108,7 @@ pub struct EngineOptions {
     /// otherwise take this process down too).
     pub poisoned: HashMap<u64, usize>,
     /// Failure counters carried in from a supervising process (worker
-    /// deaths, respawns, resumed runs); merged into this invocation's own
+    /// deaths, respawns, swept temp files); merged into this invocation's own
     /// counters so the rendered telemetry covers the whole campaign.
     pub carried_faults: FaultStats,
 }
@@ -129,7 +125,6 @@ impl EngineOptions {
             sim_hook: None,
             budget: RunBudget::default(),
             faults: FaultPlan::default(),
-            resume_from: None,
             spans: None,
             poisoned: HashMap::new(),
             carried_faults: FaultStats::default(),
@@ -359,7 +354,7 @@ pub struct PlannerReport {
     /// Wall-clock milliseconds for the whole invocation.
     pub total_wall_ms: u64,
     /// Failure counters: failed runs by cause, cache corruption and
-    /// quarantine activity, store retries, resumed runs.
+    /// quarantine activity, store retries.
     pub faults: FaultStats,
     /// Distribution of per-run simulation wall times (from the campaign
     /// span log; cached runs are not included).
@@ -502,13 +497,6 @@ pub(crate) fn run_planned(
                 }
             },
         }
-    }
-    if let Some(resume) = &opts.resume_from {
-        // Failed runs are never cached, so a resumed campaign re-executes
-        // exactly the previous failures; this counts how many of the
-        // misses are such replays (`+=`: a supervisor counts the ones its
-        // workers re-executed).
-        faults.resumed += misses.iter().filter(|r| resume.contains(&r.fingerprint)).count();
     }
     // Poisoned runs (they killed K distinct workers under the supervisor)
     // are never executed here — a genuinely poisonous run would take this
@@ -694,7 +682,9 @@ pub(crate) fn build_plan(
     let prepare_span = span_log.span("phase", "prepare");
     let (prepared, prep_panics) = prepare_kernels(&suite, &requests, opts.jobs);
     drop(prepare_span);
+    let dedupe_span = span_log.span("phase", "dedupe");
     let unique = dedupe(&requests, &prepared, opts.tier);
+    drop(dedupe_span);
     CampaignPlan { suite, per_scenario, prepared, prep_panics, unique }
 }
 

@@ -26,7 +26,7 @@ use crate::engine::pool::{try_parallel_map, WorkerPanic};
 use crate::engine::spans::SpanLog;
 use crate::engine::EngineOptions;
 use crate::runner::{RunConfig, RunOutcome};
-use crate::tiered::{combine_run_fingerprint, CheckpointStore, Tier};
+use crate::tiered::{combine_run_fingerprint, Tier};
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
@@ -307,7 +307,6 @@ fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
-    ckpt_store: Option<&CheckpointStore>,
 ) -> Result<RunOutcome, RunError> {
     if faults.should_crash(run.fingerprint) {
         // `abort()` raises SIGABRT with no unwinding and no destructors —
@@ -343,14 +342,9 @@ fn execute_one(
     // functional passes are bounded by an instruction fuel cap instead.
     let sampled = match run.tier {
         Tier::Detailed => None,
-        Tier::Sampled => Some(crate::tiered::run_sampled(
-            run.fingerprint,
-            program,
-            &mem,
-            &run.config,
-            run.prepared.workload.scale,
-            ckpt_store,
-        )),
+        Tier::Sampled => {
+            Some(crate::tiered::run_sampled(run.fingerprint, program, &mem, &run.config))
+        }
         Tier::SimpointCheck => {
             Some(crate::tiered::run_simpoint_check(run.fingerprint, program, &mem, &run.config))
         }
@@ -421,21 +415,12 @@ pub(crate) fn execute(
     span_log: &Arc<SpanLog>,
     faults: &mut FaultStats,
 ) -> Vec<Result<Arc<RunOutcome>, RunError>> {
-    // Checkpoint plans live next to the run-cache entries. Only a sampled
-    // campaign reads them back: elsewhere a kernel's one sampled run is
-    // cached as an outcome, and its plan would never be read again.
-    // `--no-cache` campaigns rebuild plans in memory.
-    let ckpt_store = opts
-        .disk_cache
-        .as_ref()
-        .filter(|_| opts.tier == Tier::Sampled)
-        .map(|c| CheckpointStore::new(c.dir()));
     let results = try_parallel_map(opts.jobs, runs, |run| -> Result<_, RunError> {
         let _span = span_log.span("run", run.kernel);
         if let Some(h) = &opts.sim_hook {
             h(run.kernel);
         }
-        let outcome = execute_one(run, &opts.budget, &opts.faults, ckpt_store.as_ref())?;
+        let outcome = execute_one(run, &opts.budget, &opts.faults)?;
         let stored = opts.disk_cache.as_ref().map(|c| store_outcome(c, &outcome, &opts.faults));
         Ok((Arc::new(outcome), stored.unwrap_or_default()))
     });

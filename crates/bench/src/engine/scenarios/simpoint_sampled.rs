@@ -73,19 +73,16 @@ impl Scenario for SimpointSampled {
                     continue;
                 }
             };
-            // A corrupt checkpoint plan makes the sampled run fall back to
-            // full detailed simulation, which leaves no estimate to show.
-            let Some(est_cycles) = sampled.tier_field("est_cycles").and_then(Json::as_f64) else {
-                writeln!(out, "{:<16} no estimate: the sampled run fell back to detailed", w.name)
-                    .unwrap();
-                continue;
-            };
             let count = |key: &str| {
                 sampled
                     .tier_field(key)
                     .and_then(Json::as_u64)
                     .unwrap_or_else(|| panic!("{} sampled outcome lacks tier.{key}", w.name))
             };
+            let est_cycles = sampled
+                .tier_field("est_cycles")
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{} sampled outcome lacks tier.est_cycles", w.name));
             let (total_insts, interval_len) = (count("total_insts"), count("interval_len"));
             let detailed_cycles = count("detailed_cycles");
             let windows =

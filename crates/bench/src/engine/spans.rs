@@ -1,6 +1,6 @@
 //! Campaign spans: structured wall-clock begin/end intervals across the
-//! engine's phases (plan → prepare → cache → simulate → render) and every
-//! individual simulation, exported as Chrome trace-event JSON.
+//! engine's phases (plan → prepare → dedupe → cache → simulate → render)
+//! and every individual simulation, exported as Chrome trace-event JSON.
 //!
 //! The engine always records spans — one mutex push per phase or run is
 //! noise next to a millisecond-scale simulation — because the per-run

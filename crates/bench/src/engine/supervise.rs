@@ -216,11 +216,6 @@ pub fn run_supervised(
         .map(|r| r.fingerprint)
         .filter(|&fp| !cache.entry_path(fp).exists())
         .collect();
-    if let Some(resume) = &opts.resume_from {
-        // Failed runs were never cached, so every resumed failure is
-        // queued here and re-executed by a worker.
-        stats.resumed = queue.iter().filter(|fp| resume.contains(fp)).count();
-    }
     eprintln!(
         "supervisor: {} workers, {} of {} run(s) queued",
         sup.workers,
@@ -238,12 +233,10 @@ pub fn run_supervised(
         }
     };
     // Final pass over the same plan and the worker-filled cache. Poisoned
-    // runs become structured failures instead of executing; the resumed
-    // runs were counted above, so the pass must not count them again.
+    // runs become structured failures instead of executing.
     let mut final_opts = opts.clone();
     final_opts.poisoned = poisoned;
     final_opts.carried_faults = stats;
-    final_opts.resume_from = None;
     Ok(run_planned(scenarios, &final_opts, &plan, &span_log, started))
 }
 

@@ -27,4 +27,4 @@ pub use runner::{
     RunOutcome,
 };
 pub use table::{fmt_pct, print_table, write_table};
-pub use tiered::{run_fingerprint_tiered, CheckpointStore, SampledPlan, Tier};
+pub use tiered::{run_fingerprint_tiered, SampledPlan, Tier};

@@ -12,8 +12,7 @@
 //! entry as `stage_shares`, so each before/after pair shows where its time
 //! went. Each invocation appends one entry to
 //! `results/BENCH_throughput.json`, so the file accumulates a throughput
-//! trajectory across commits the same way `BENCH_harness.json` tracks
-//! planner wall time.
+//! trajectory across commits.
 //!
 //! The basket is deliberately frozen: entries are only comparable when
 //! they simulate the same work, so changing [`BASKET`] or the pinned
@@ -222,8 +221,8 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
 
 /// Appends `entry` to the throughput trajectory and emits the
 /// non-blocking regression warning (more than `warn_frac` slower) against
-/// the best prior entry at the same scale. File schema mirrors
-/// `BENCH_harness.json`: a top-level `runs` array, oldest first.
+/// the best prior entry at the same scale. File schema: a top-level `runs`
+/// array, oldest first.
 pub(crate) fn append_throughput_entry(
     path: &Path,
     entry: &Json,

@@ -35,11 +35,12 @@
 //!    interval, and [`weighted_cycles`] reconstructs the whole-run cycle
 //!    count.
 //!
-//! Plans (picks + checkpoints) are content-addressed in a
-//! [`CheckpointStore`] under the run-cache directory, committed through
-//! [`crate::durable::atomic_write_bytes`]. A corrupt entry is quarantined
-//! exactly like a corrupt run-cache entry, and the run falls back to full
-//! detailed simulation rather than failing the campaign.
+//! Each sampled run builds its plan (picks + checkpoints) in memory and
+//! drops it with the run: a campaign stores nothing but the run's
+//! outcome, so a sampled outcome is a pure function of (program, memory,
+//! config). [`CheckpointStore`] and [`SampledPlan::to_bytes`] persist
+//! plans for `perfbench/harness`'s plan store and lookup probes only; no
+//! campaign calls them.
 
 use crate::runner::{scale_tag, RunOutcome};
 use lf_compiler::Cfg;
@@ -176,10 +177,10 @@ const PLAN_MAGIC: &[u8; 8] = b"LFPLAN\0\0";
 /// Plan-blob format version.
 const PLAN_VERSION: u32 = 1;
 
-/// A reusable sampling plan for one `(program, memory, scale)` identity:
-/// the interval geometry, the functional ground truth, and one warm
-/// checkpoint per selected SimPoint. Config-independent by construction —
-/// baseline and LoopFrog configs of the same prepared kernel share it.
+/// The sampling plan for one `(program, memory)` identity: the interval
+/// geometry, the functional ground truth, and one warm checkpoint per
+/// selected SimPoint. Config-independent by construction: baseline and
+/// LoopFrog runs of the same prepared kernel build identical plans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledPlan {
     /// BBV interval length in instructions.
@@ -357,7 +358,8 @@ pub fn build_plan(program: &Program, mem: &Memory) -> Result<SampledPlan, String
     Ok(SampledPlan { interval_len, total_insts, final_checksum, picks: with_ckpts })
 }
 
-/// The classified result of a checkpoint-store probe.
+/// The classified result of a checkpoint-store probe. Campaigns never
+/// probe the store (see [`CheckpointStore`]).
 #[derive(Debug)]
 pub enum PlanLookup {
     /// The blob validated end to end and reconstructed.
@@ -372,10 +374,11 @@ pub enum PlanLookup {
     },
 }
 
-/// Content-addressed sampling plans under the run-cache directory:
-/// `<cache>/<key>.ckpt`, committed through the shared atomic-write path
-/// and quarantined into the same `quarantine/` subdirectory as corrupt
-/// run-cache entries.
+/// Content-addressed sampling plans on disk: `<dir>/<key>.ckpt`,
+/// committed through the shared atomic-write path, with corrupt blobs
+/// moved to `<dir>/quarantine/`. Unused by campaigns, which rebuild each
+/// plan in memory (reading one back costs more than rebuilding it); only
+/// `perfbench/harness`'s plan store and lookup probes call it.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -614,19 +617,14 @@ pub fn run_simpoint_check(
     Ok(RunOutcome { fingerprint, stats, checksum: e.state_checksum(), rendered, from_cache: false })
 }
 
-/// Runs one kernel on the sampled tier: plan acquisition (store hit,
-/// fresh build + store, or corrupt-entry quarantine), window measurement,
-/// and whole-run reconstruction.
+/// Runs one kernel on the sampled tier: builds the sampling plan in
+/// memory, measures its windows, and reconstructs the whole run.
 ///
 /// The returned outcome's `stats.cycles` is the weighted estimate and
 /// `committed_insts` the full-run count, so tables and speedup math read
 /// it like a detailed run; its checksum is the functional final-state
 /// checksum, so the engine's golden-state gate applies unchanged. Other
 /// scalar stats are the carrier window's and are window-local.
-///
-/// A corrupt store entry is quarantined and the run transparently falls
-/// back to full detailed simulation (`tier.fallback_detailed` in the
-/// rendered record says so).
 ///
 /// # Errors
 ///
@@ -636,32 +634,8 @@ pub fn run_sampled(
     program: &Program,
     mem: &Memory,
     cfg: &LoopFrogConfig,
-    scale: Scale,
-    store: Option<&CheckpointStore>,
 ) -> Result<RunOutcome, String> {
-    let key = CheckpointStore::plan_key(program, mem, scale);
-    let (plan, plan_from_cache) = match store.map(|s| s.lookup(key)) {
-        Some(PlanLookup::Hit(plan)) => (*plan, true),
-        Some(PlanLookup::Corrupt { quarantined }) => {
-            eprintln!(
-                "warning: corrupt checkpoint plan {} ({}quarantined); falling back to full \
-                 detailed simulation",
-                fingerprint_hex(key),
-                if quarantined { "" } else { "not " }
-            );
-            return run_detailed_fallback(fingerprint, program, mem, cfg);
-        }
-        Some(PlanLookup::Miss) | None => {
-            let plan = build_plan(program, mem)?;
-            if let Some(s) = store {
-                if let Err(e) = s.store(key, &plan) {
-                    eprintln!("warning: checkpoint plan write failed: {e}");
-                }
-            }
-            (plan, false)
-        }
-    };
-
+    let plan = build_plan(program, mem)?;
     let m = sample_windows(program, &plan, cfg)?;
     let mut stats = m.carrier.stats.clone();
     stats.cycles = m.est_cycles.round() as u64;
@@ -672,8 +646,6 @@ pub fn run_sampled(
     t.set("interval_len", plan.interval_len);
     t.set("est_cycles", m.est_cycles);
     t.set("detailed_cycles", m.detailed_cycles);
-    t.set("plan_from_cache", plan_from_cache);
-    t.set("fallback_detailed", false);
     let mut wins = Vec::new();
     for w in &m.windows {
         let mut j = Json::obj();
@@ -693,23 +665,6 @@ pub fn run_sampled(
         rendered,
         from_cache: false,
     })
-}
-
-/// Full detailed simulation standing in for a sampled run whose plan was
-/// corrupt: correctness over speed, campaign never errors.
-fn run_detailed_fallback(
-    fingerprint: u64,
-    program: &Program,
-    mem: &Memory,
-    cfg: &LoopFrogConfig,
-) -> Result<RunOutcome, String> {
-    let mut core = LoopFrogCore::new(program, mem.clone(), cfg.clone());
-    let result = core.run().map_err(|e| e.to_string())?;
-    let mut outcome = RunOutcome::from_result(fingerprint, result);
-    let mut t = tier_json(Tier::Sampled);
-    t.set("fallback_detailed", true);
-    outcome.rendered.set("tier", t);
-    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -822,7 +777,7 @@ mod tests {
     fn sampled_run_estimates_within_smoke_tolerance() {
         let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
-        let out = run_sampled(9, &w.program, &w.mem, &cfg, Scale::Smoke, None).unwrap();
+        let out = run_sampled(9, &w.program, &w.mem, &cfg).unwrap();
         let mut core = LoopFrogCore::new(&w.program, w.mem.clone(), cfg.clone());
         let full = core.run().unwrap();
         assert_eq!(out.checksum, full.checksum, "golden-state gate applies to sampled runs");
@@ -846,7 +801,7 @@ mod tests {
         let w = lf_workloads::by_name("event_queue", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
         let run = || {
-            let out = run_sampled(3, &w.program, &w.mem, &cfg, Scale::Smoke, None).unwrap();
+            let out = run_sampled(3, &w.program, &w.mem, &cfg).unwrap();
             (out.stats.cycles, out.checksum, out.rendered.to_string_compact())
         };
         assert_eq!(run(), run());

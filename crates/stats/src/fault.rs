@@ -4,11 +4,11 @@
 //! Both `lf-bench` (`--inject-fault panic:<rate>|...`) and `lf-verify`
 //! (`--inject-bug-rate`) need to decide *deterministically* whether a
 //! given run or case is selected for an injected fault: the decision must
-//! be a pure function of the item's stable identity so a re-run (or a
-//! `--resume`) selects exactly the same victims, and so a failure report
-//! names items that actually reproduce. [`rate_gate`] is that shared
-//! decision: a salted hash of the identity mapped to `[0, 1)` and compared
-//! against the requested rate.
+//! be a pure function of the item's stable identity so a re-run selects
+//! exactly the same victims, and so a failure report names items that
+//! actually reproduce. [`rate_gate`] is that shared decision: a salted
+//! hash of the identity mapped to `[0, 1)` and compared against the
+//! requested rate.
 //!
 //! [`Backoff`] is the retry schedule used for transient I/O failures
 //! (run-cache stores, artifact writes): exponential growth from a base

@@ -5,23 +5,23 @@
 //! it without cleanup — `--inject-fault crash:<rate>` aborts inside the
 //! simulate phase, `--crash-after-ms N` aborts on a timer wherever the
 //! campaign happens to be, and one case delivers a true external SIGKILL —
-//! then reruns with `--resume` and asserts the recovery contract:
+//! then reruns the same command and asserts the recovery contract:
 //!
-//! 1. the resumed campaign completes (exit 0);
+//! 1. the rerun completes (exit 0);
 //! 2. its stdout and scenario artifact are byte-identical to an uncrashed
 //!    campaign's (modulo the `planner` telemetry section, which carries
 //!    wall-clock times);
 //! 3. no orphaned commit temp files survive, and `failures.json` reports
 //!    a clean campaign;
-//! 4. the resume serves every run the kill left committed in the cache
+//! 4. the rerun serves every run the kill left committed in the cache
 //!    and re-simulates exactly the rest — cache misses alone decide what
 //!    re-executes.
 //!
 //! Kill points are randomized but seeded (`LF_CRASH_SEED`), and the timer
 //! sweep width scales with `LF_CRASH_POINTS` (CI's recovery-smoke job
-//! widens it; the default keeps `cargo test` quick). Because a killed
-//! campaign usually dies *before* writing `failures.json`, every resume
-//! here also exercises the missing-failure-report path end to end.
+//! widens it; the default keeps `cargo test` quick). A killed campaign
+//! usually dies *before* writing `failures.json`; the rerun reads nothing
+//! back but the run cache, so it needs no report.
 
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
@@ -136,21 +136,17 @@ fn count(doc: &Json, key: &str) -> u64 {
 /// The full recovery contract, checked against a reference run.
 fn assert_recovered(dir: &Path, ref_stdout: &str, ref_artifact: &str, what: &str) {
     let committed = committed_entries(dir);
-    let resumed = run(&mut campaign(dir, &["--resume"]));
-    assert!(
-        resumed.status.success(),
-        "[{what}] resumed campaign must complete:\n{}",
-        stderr_of(&resumed)
-    );
+    let rerun = run(&mut campaign(dir, &[]));
+    assert!(rerun.status.success(), "[{what}] the rerun must complete:\n{}", stderr_of(&rerun));
     assert_eq!(
-        stdout_of(&resumed),
+        stdout_of(&rerun),
         ref_stdout,
-        "[{what}] resumed stdout must be byte-identical to an uncrashed run"
+        "[{what}] rerun stdout must be byte-identical to an uncrashed run"
     );
     assert_eq!(
         normalized_artifact(dir),
         ref_artifact,
-        "[{what}] resumed artifact must be byte-identical (modulo planner telemetry)"
+        "[{what}] rerun artifact must be byte-identical (modulo planner telemetry)"
     );
 
     // A clean failure report.
@@ -172,12 +168,12 @@ fn assert_recovered(dir: &Path, ref_stdout: &str, ref_artifact: &str, what: &str
     assert_eq!(
         count(&planner, "disk_cache_hits"),
         committed,
-        "[{what}] the resume serves every committed entry from the cache"
+        "[{what}] the rerun serves every committed entry from the cache"
     );
     assert_eq!(
         count(&planner, "simulated"),
         count(&planner, "unique_runs") - committed,
-        "[{what}] the resume re-simulates exactly the uncommitted runs"
+        "[{what}] the rerun re-simulates exactly the uncommitted runs"
     );
 }
 
@@ -225,9 +221,9 @@ fn timer_points() -> usize {
 }
 
 /// `--inject-fault crash:1.0` aborts the process inside the simulate
-/// phase — a deterministic in-worker kill -9. The resume (run *without*
-/// the injection, as a recovery would be) must complete byte-identically,
-/// through the missing-failures.json path.
+/// phase — a deterministic in-worker kill -9. The rerun (*without* the
+/// injection, as a recovery would be) must complete byte-identically,
+/// though the killed campaign never wrote `failures.json`.
 #[test]
 fn simulate_phase_crash_recovers_byte_identically() {
     let (ref_stdout, ref_artifact, _) = reference("inject-crash");
@@ -275,7 +271,7 @@ fn simulate_phase_crash_keeps_runs_committed_before_it() {
 
 /// The timer sweep: seeded `--crash-after-ms` points spread across the
 /// whole campaign duration, so kills land in plan, prepare, cache,
-/// simulate, and render phases alike. Every crashed campaign must resume
+/// simulate, and render phases alike. Every crashed campaign must rerun
 /// to a byte-identical result; a campaign that happens to finish before
 /// its timer must already be identical.
 #[test]
@@ -328,85 +324,30 @@ fn external_sigkill_recovers_byte_identically() {
     }
 }
 
-/// `--resume` in a directory that has no failure report at all (the
-/// predecessor died before writing one — or never existed) warns and
-/// proceeds instead of refusing to recover.
+/// A `--no-cache` campaign has no memoization and nothing to recover: it
+/// simulates everything, completes, and creates no cache state.
 #[test]
-fn resume_without_a_failure_report_warns_and_completes() {
-    let dir = scratch_dir("resume-fresh");
-    let out = run(&mut campaign(&dir, &["--resume"]));
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert!(
-        stderr_of(&out).contains("resuming with an empty failure set"),
-        "the missing report is called out:\n{}",
-        stderr_of(&out)
-    );
-}
-
-/// `--resume` from a failure report whose fingerprints no longer appear in
-/// the plan (stale file from another campaign shape): the unknown entries
-/// are simply not matched — nothing re-executes on their behalf, and the
-/// campaign completes cleanly.
-#[test]
-fn resume_with_stale_fingerprints_completes_cleanly() {
-    let dir = scratch_dir("resume-stale");
-    // A clean first campaign fills the cache and writes an empty report.
-    let first = run(&mut campaign(&dir, &[]));
-    assert!(first.status.success());
-
-    // Replace the report with failures this plan has never heard of.
-    let stale = r#"{
-  "failures": [
-    { "fingerprint": "00000000deadbeef", "kernel": "no_such_kernel" },
-    { "fingerprint": "00000000cafef00d", "kernel": "also_gone" }
-  ]
-}"#;
-    std::fs::write(dir.join("results/failures.json"), stale).unwrap();
-
-    let resumed = run(&mut campaign(&dir, &["--resume"]));
-    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
-    assert!(stderr_of(&resumed).contains("resuming: 2 failed run(s)"));
-    let planner = planner_json(&dir);
-    let faults = planner.get("faults").expect("planner telemetry has a faults section");
-    assert_eq!(
-        faults.get("resumed_failures").and_then(Json::as_u64),
-        Some(0),
-        "stale fingerprints match nothing in the plan"
-    );
-    assert_eq!(
-        planner.get("simulated").and_then(Json::as_u64),
-        Some(0),
-        "nothing re-executes for unknown fingerprints — the cache serves everything"
-    );
-}
-
-/// `--resume --no-cache`: with the cache disabled there is no memoization
-/// — the resume degenerates to a full re-run, which must still complete
-/// and must not create cache state.
-#[test]
-fn resume_with_no_cache_reruns_everything_without_cache_state() {
-    let dir = scratch_dir("resume-nocache");
-    let out = run(&mut campaign(&dir, &["--resume", "--no-cache"]));
+fn no_cache_campaign_creates_no_cache_state() {
+    let dir = scratch_dir("no-cache");
+    let out = run(&mut campaign(&dir, &["--no-cache"]));
     assert!(out.status.success(), "{}", stderr_of(&out));
     assert!(!dir.join("results/cache").exists(), "--no-cache must not create cache state");
 }
 
-/// A clean campaign's empty failure report resumes as a no-op: everything
-/// is served from the cache and the report stays empty.
+/// Rerunning a clean campaign is a no-op: everything is served from the
+/// cache and the failure report stays empty.
 #[test]
-fn resume_from_an_empty_failure_report_serves_the_cache() {
-    let dir = scratch_dir("resume-empty");
+fn rerun_of_a_clean_campaign_serves_the_cache() {
+    let dir = scratch_dir("rerun-clean");
     let first = run(&mut campaign(&dir, &[]));
     assert!(first.status.success());
 
-    let resumed = run(&mut campaign(&dir, &["--resume"]));
-    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
-    assert!(stderr_of(&resumed).contains("resuming: 0 failed run(s)"));
+    let rerun = run(&mut campaign(&dir, &[]));
+    assert!(rerun.status.success(), "{}", stderr_of(&rerun));
     let planner = planner_json(&dir);
-    assert_eq!(
-        count(&planner, "simulated"),
-        0,
-        "the resumed campaign is served entirely from the cache"
-    );
+    assert_eq!(count(&planner, "simulated"), 0, "the rerun is served entirely from the cache");
     assert_eq!(count(&planner, "disk_cache_hits"), count(&planner, "unique_runs"));
+    let failures = dir.join("results/failures.json");
+    let doc = Json::parse(&std::fs::read_to_string(&failures).unwrap()).unwrap();
+    assert_eq!(doc.get("failures").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
 }

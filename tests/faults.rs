@@ -1,12 +1,11 @@
 //! Integration tests for fault-tolerant campaigns: panic isolation,
-//! watchdog budgets, cache corruption quarantine, and `--resume` — all
-//! driven through the real engine on real kernels with deterministic
+//! watchdog budgets, cache corruption quarantine, and recovery by rerun —
+//! all driven through the real engine on real kernels with deterministic
 //! `--inject-fault` gates.
 
 use lf_bench::engine::cache::{CacheLookup, DiskCache};
 use lf_bench::engine::fault::{
-    hang_program, read_failures_json, render_flight_recorder, write_failures_json, FaultPlan,
-    RunBudget, RunError, FLIGHT_RECORDER_KEEP,
+    hang_program, render_flight_recorder, FaultPlan, RunBudget, RunError, FLIGHT_RECORDER_KEEP,
 };
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, EngineOutput, Scenario};
@@ -275,12 +274,12 @@ fn concurrent_stores_under_corruption_leave_one_whole_entry() {
     assert!(leftovers.is_empty(), "no temp debris after contended stores: {leftovers:?}");
 }
 
-/// The resume contract on a mixed campaign: previously failed runs (never
-/// cached) re-execute; previous successes are served from the cache.
+/// The recovery contract on a mixed campaign: a plain rerun re-executes
+/// the previously failed runs (never cached) and serves the previous
+/// successes from the cache.
 #[test]
-fn resume_reexecutes_only_previously_failed_runs() {
-    let dir = scratch_dir("resume");
-    let failures_path = dir.join("failures.json");
+fn rerun_reexecutes_only_previously_failed_runs() {
+    let dir = scratch_dir("rerun");
 
     // Campaign 0: one of the two fdtd kernels runs cleanly and is cached.
     let mut warm = opts_for("gems_fdtd");
@@ -300,21 +299,19 @@ fn resume_reexecutes_only_previously_failed_runs() {
     let text = &broken.scenarios[0].text;
     assert!(text.contains("gems_fdtd"), "partial table keeps the surviving kernel:\n{text}");
     assert!(text.contains("FAILED fotonik_fdtd"), "and names the failed one:\n{text}");
-    write_failures_json(&failures_path, &broken.failures, "smoke").unwrap();
 
-    // Campaign 2 resumes: exactly the failed runs re-execute.
-    let mut resume = opts_for("fdtd");
-    resume.disk_cache = Some(DiskCache::new(dir.clone()));
-    resume.resume_from = Some(read_failures_json(&failures_path).unwrap());
-    let sims = counting_hook(&mut resume);
-    let resumed = run_scenarios(&[&SuiteScenario], &resume);
-    assert_eq!(resumed.report.disk_hits, 2);
+    // Campaign 2 reruns without the injection: exactly the failed runs
+    // re-execute.
+    let mut again = opts_for("fdtd");
+    again.disk_cache = Some(DiskCache::new(dir.clone()));
+    let sims = counting_hook(&mut again);
+    let rerun = run_scenarios(&[&SuiteScenario], &again);
+    assert_eq!(rerun.report.disk_hits, 2);
     assert_eq!(sims.load(Ordering::SeqCst), 2, "only the failed runs simulate");
-    assert_eq!(resumed.report.faults.resumed, 2);
-    assert!(resumed.failures.is_empty());
-    let text = &resumed.scenarios[0].text;
+    assert!(rerun.failures.is_empty());
+    let text = &rerun.scenarios[0].text;
     assert!(text.contains("gems_fdtd") && text.contains("fotonik_fdtd"));
-    assert!(!text.contains("FAILED"), "the resumed campaign is whole:\n{text}");
+    assert!(!text.contains("FAILED"), "the rerun campaign is whole:\n{text}");
 
     // Campaign 3: nothing left to do — everything hits.
     let mut done = opts_for("fdtd");

@@ -68,9 +68,7 @@ fn normalized_artifacts(dir: &Path) -> Vec<(String, String)> {
     let mut artifacts = Vec::new();
     for entry in std::fs::read_dir(&results).expect("results dir exists").flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.ends_with(".json")
-            || matches!(name.as_str(), "planner.json" | "BENCH_harness.json" | "failures.json")
-        {
+        if !name.ends_with(".json") || matches!(name.as_str(), "planner.json" | "failures.json") {
             continue;
         }
         let text = std::fs::read_to_string(entry.path()).unwrap();
@@ -199,7 +197,7 @@ fn two_workers_render_byte_identically_to_single_process() {
 /// A crash storm: every run aborts its worker. The supervisor
 /// must absorb the deaths, classify each run as poisonous after it kills
 /// two distinct workers, quarantine them into `failures.json`, and still
-/// exit 0. A later `--resume` without the injection re-executes the
+/// exit 0. A later rerun without the injection re-executes the
 /// quarantined runs and converges to the byte-identical clean result.
 #[test]
 fn crash_storm_poisons_runs_and_resume_recovers() {
@@ -229,25 +227,23 @@ fn crash_storm_poisons_runs_and_resume_recovers() {
     }
     assert_no_debris(&dir, "poison");
 
-    // Recovery: rerun with --resume and no injection (exactly how an
-    // operator recovers from a code fix) — byte-identical to clean.
-    let resumed = run(&mut campaign(&dir, &["--workers", "2", "--resume"]));
-    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
-    // The workers re-executed every quarantined run, and the telemetry
-    // says so.
+    // Recovery: rerun with no injection (exactly how an operator recovers
+    // from a code fix) — byte-identical to clean.
+    let rerun = run(&mut campaign(&dir, &["--workers", "2"]));
+    assert!(rerun.status.success(), "{}", stderr_of(&rerun));
+    // Poisoned runs were never cached, so the supervisor queues exactly
+    // them for its workers.
     let planner =
         Json::parse(&std::fs::read_to_string(dir.join("results/planner.json")).unwrap()).unwrap();
-    assert_eq!(
-        planner.get("faults").and_then(|f| f.get("resumed_failures")).and_then(Json::as_u64),
-        Some(records.len() as u64),
-        "every poisoned run counts as resumed: {planner:?}"
-    );
-    assert_eq!(stdout_of(&resumed), stdout_of(&reference), "recovered stdout matches");
+    let unique = planner.get("unique_runs").and_then(Json::as_u64).unwrap();
+    let queued = format!("supervisor: 2 workers, {} of {unique} run(s) queued", records.len());
+    assert!(stderr_of(&rerun).contains(&queued), "{queued:?} in:\n{}", stderr_of(&rerun));
+    assert_eq!(stdout_of(&rerun), stdout_of(&reference), "recovered stdout matches");
     assert_eq!(normalized_artifacts(&dir), normalized_artifacts(&ref_dir));
     let clean =
         Json::parse(&std::fs::read_to_string(dir.join("results/failures.json")).unwrap()).unwrap();
     assert_eq!(clean.get("failures").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
-    assert_no_debris(&dir, "poison-resume");
+    assert_no_debris(&dir, "poison-rerun");
 }
 
 /// True external SIGKILLs: the harness kills at least three live worker

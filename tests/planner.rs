@@ -1,12 +1,13 @@
 //! Integration tests for the experiment engine's run planner: cross-
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
-//! memoization with schema invalidation, `-j` determinism, runs requested
-//! on an explicit tier, and the rejection of a `--filter` that selects no
-//! kernel.
+//! memoization with schema invalidation, `-j` and cache independence of
+//! the artifacts, runs requested on an explicit tier, the campaign's phase
+//! spans, and the rejection of a `--filter` that selects no kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
+use lf_bench::engine::spans::SpanLog;
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
 use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, Tier};
 use lf_stats::Json;
@@ -157,51 +158,64 @@ fn disk_cache_round_trips_and_schema_bump_invalidates() {
     assert_eq!(sims_third.load(Ordering::SeqCst), 2);
 }
 
+/// Rendered text and artifacts depend on neither `-j` nor the cache. The
+/// serial side runs on a fresh disk cache and the parallel side on none.
+/// fig9's SSB sweep over one kernel yields 5 unique runs (the shared
+/// baseline plus four LoopFrog sizes), enough to exercise the pool.
+/// fig6 on the sampled tier runs one kernel's baseline and LoopFrog
+/// estimates, so a sampled record that depended on what the cache held
+/// when it was simulated would differ between the two sides.
 #[test]
 fn parallel_output_is_byte_identical_to_serial() {
-    // fig9's SSB sweep over one kernel yields 5 unique runs (the shared
-    // baseline plus four LoopFrog sizes) — enough to exercise the pool.
-    let fig9 = lf_bench::engine::by_name("fig9_ssb_size").unwrap();
+    for (name, tier, unique) in
+        [("fig9_ssb_size", Tier::Detailed, 5), ("fig6_speedups", Tier::Sampled, 2)]
+    {
+        let scenario = lf_bench::engine::by_name(name).unwrap();
+        let dir = scratch_dir(&format!("serial-{name}"));
+        let run_with = |jobs: usize, cache: Option<DiskCache>| {
+            let mut opts = opts_for("stencil_blur");
+            opts.jobs = jobs;
+            opts.tier = tier;
+            opts.disk_cache = cache;
+            run_scenarios(&[scenario.as_ref()], &opts)
+        };
+        let serial = run_with(1, Some(DiskCache::new(dir.clone())));
+        let parallel = run_with(4, None);
 
-    let run_with = |jobs: usize| {
-        let mut opts = opts_for("stencil_blur");
-        opts.jobs = jobs;
-        run_scenarios(&[fig9.as_ref()], &opts)
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-
-    assert_eq!(serial.report.unique, 5);
-    assert_eq!(parallel.report.unique, 5);
-    assert_eq!(
-        serial.scenarios[0].text, parallel.scenarios[0].text,
-        "rendered text must not depend on -j"
-    );
-    // Artifacts match too, modulo the planner telemetry (wall-clock and
-    // job count legitimately differ).
-    let strip = |mut doc: Json| {
-        doc.set("planner", Json::Null);
-        doc.to_string_pretty()
-    };
-    assert_eq!(
-        strip(serial.scenarios[0].artifact.clone()),
-        strip(parallel.scenarios[0].artifact.clone()),
-        "artifacts must not depend on -j"
-    );
+        assert_eq!(serial.report.unique, unique, "{name}");
+        assert_eq!(parallel.report.unique, unique, "{name}");
+        assert!(serial.failures.is_empty() && parallel.failures.is_empty(), "{name}");
+        assert_eq!(
+            serial.scenarios[0].text, parallel.scenarios[0].text,
+            "{name}: rendered text must not depend on -j or the cache"
+        );
+        // Artifacts match too, modulo the planner telemetry (wall-clock,
+        // job count and cache hits legitimately differ).
+        let strip = |mut doc: Json| {
+            doc.set("planner", Json::Null);
+            doc.to_string_pretty()
+        };
+        assert_eq!(
+            strip(serial.scenarios[0].artifact.clone()),
+            strip(parallel.scenarios[0].artifact.clone()),
+            "{name}: artifacts must not depend on -j or the cache"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The SimPoint scenarios plan their estimates as runs next to their
 /// shared ground truth, so render only formats. On the detailed tier the
 /// two estimates are runs of their own; on the sampled tier the sampled
 /// estimate is the ground truth and dedupes with it. A second campaign on
-/// the same cache simulates nothing and renders the same text. Only a
-/// sampled campaign stores checkpoint plans.
+/// the same cache simulates nothing and renders the same text. No
+/// campaign stores checkpoint plans: the cache holds only run entries.
 #[test]
 fn simpoint_estimates_are_planned_runs() {
     let check = lf_bench::engine::by_name("simpoint_check").unwrap();
     let sampled = lf_bench::engine::by_name("simpoint_sampled").unwrap();
     let scenarios = [check.as_ref(), sampled.as_ref()];
-    for (tier, unique, plans) in [(Tier::Detailed, 3, 0), (Tier::Sampled, 2, 1)] {
+    for (tier, unique) in [(Tier::Detailed, 3), (Tier::Sampled, 2)] {
         let dir = scratch_dir(&format!("simpoint-{}", tier.tag()));
         let campaign = || {
             let mut opts = opts_for("stencil_blur");
@@ -221,11 +235,18 @@ fn simpoint_estimates_are_planned_runs() {
             let row = s.text.lines().find(|l| l.starts_with("stencil_blur")).unwrap();
             assert!(row.ends_with('%') || row.ends_with('x'), "{tier:?}: {row}");
         }
-        let ckpts = std::fs::read_dir(&dir)
+        let entries: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "ckpt"))
-            .count();
-        assert_eq!(ckpts, plans, "{tier:?}: stored checkpoint plans");
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(entries.len(), unique, "{tier:?}: one entry per run: {entries:?}");
+        for name in &entries {
+            let stem = name.strip_suffix(".json").unwrap_or_else(|| panic!("{tier:?}: {name}"));
+            assert!(
+                stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()),
+                "{tier:?}: {name} is not a run entry"
+            );
+        }
 
         let (second, resimulated) = campaign();
         assert_eq!(resimulated, 0, "{tier:?}: a cached campaign simulates nothing");
@@ -236,44 +257,40 @@ fn simpoint_estimates_are_planned_runs() {
     }
 }
 
-/// A sampled run whose checkpoint plan is corrupt falls back to full
-/// detailed simulation and so has no estimate: `simpoint_sampled` says so
-/// in one line instead of failing its render.
+/// A campaign's phase spans are plan, prepare, dedupe, cache, simulate
+/// and render, each starting after the previous one ends.
 #[test]
-fn simpoint_sampled_reports_a_detailed_fallback_in_one_line() {
-    let scenario = lf_bench::engine::by_name("simpoint_sampled").unwrap();
-    let dir = scratch_dir("simpoint-fallback");
-    let campaign = || {
-        let mut opts = opts_for("stencil_blur");
-        opts.tier = Tier::Sampled;
-        opts.disk_cache = Some(DiskCache::new(dir.clone()));
-        run_scenarios(&[scenario.as_ref()], &opts)
+fn phase_spans_follow_the_pipeline_without_overlap() {
+    let scenario = SuiteScenario("spans");
+    let mut opts = opts_for("stencil_blur");
+    let log = Arc::new(SpanLog::new());
+    opts.spans = Some(log.clone());
+    run_scenarios(&[&scenario], &opts);
+    let phases: Vec<_> = log.events().into_iter().filter(|e| e.cat == "phase").collect();
+    let order = ["plan", "prepare", "dedupe", "cache", "simulate", "render"];
+    assert_eq!(phases.len(), order.len(), "{phases:?}");
+    let span = |name: &str| {
+        let mut found = phases.iter().filter(|e| e.name == name);
+        let e = found.next().unwrap_or_else(|| panic!("no {name} phase span: {phases:?}"));
+        assert!(found.next().is_none(), "two {name} phase spans");
+        (e.ts_us, e.ts_us + e.dur_us)
     };
-    campaign();
-    // Corrupt the stored plan and drop the cached outcome, so the next
-    // campaign reads the plan again.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        match path.extension().and_then(|x| x.to_str()) {
-            Some("ckpt") => std::fs::write(&path, b"not a plan").unwrap(),
-            Some("json") => std::fs::remove_file(&path).unwrap(),
-            _ => {}
-        }
+    for pair in order.windows(2) {
+        let ((_, end), (start, _)) = (span(pair[0]), span(pair[1]));
+        assert!(
+            end <= start,
+            "{} ends at {end} us, after {} starts at {start} us",
+            pair[0],
+            pair[1]
+        );
     }
-    let output = campaign();
-    assert!(output.failures.is_empty(), "a fallback is not a failure");
-    let text = &output.scenarios[0].text;
-    let rows: Vec<_> = text.lines().filter(|l| l.starts_with("stencil_blur")).collect();
-    assert_eq!(rows, ["stencil_blur     no estimate: the sampled run fell back to detailed"]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Run fingerprints of `stencil_blur` at smoke scale. The detailed and
 /// sampled cells were recorded before prepared kernels memoized their
 /// program and memory hashes, the `simpoint-check` cells when that tier
-/// was added. They name existing run-cache entries, checkpoint plans, and
-/// `failures.json` records, so a change to any of them invalidates every
-/// user's cache.
+/// was added. They name existing run-cache entries and `failures.json`
+/// records, so a change to any of them invalidates every user's cache.
 const PINNED_FINGERPRINTS: [(&str, u64); 12] = [
     ("annotated/lf/detailed", 0xbd66af028e01f054),
     ("annotated/lf/sampled", 0x6b3ddee3f833876e),

@@ -1,13 +1,11 @@
 //! Integration tests for the tiered execution path (DESIGN §13): the
 //! sampled tier's accuracy and detailed-cycle reduction bounds on the
-//! eval-scale basket, byte-identical deterministic checkpoint restore,
-//! and corrupt-plan quarantine with transparent detailed fallback.
+//! eval-scale basket, and byte-identical deterministic checkpoint restore.
 
 use lf_bench::perf::BASKET;
-use lf_bench::tiered::{build_plan, run_sampled, sample_windows, CheckpointStore, SampledPlan};
+use lf_bench::tiered::{build_plan, sample_windows, SampledPlan};
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::{Memory, Program};
-use lf_stats::Json;
 use lf_workloads::Scale;
 use loopfrog::{simulate, LoopFrogConfig};
 
@@ -121,76 +119,4 @@ fn pristine_restore_equals_uninterrupted_run() {
         lf_bench::artifact::sim_result_json(&restored).to_string_compact(),
         lf_bench::artifact::sim_result_json(&uninterrupted).to_string_compact()
     );
-}
-
-/// The store round trip at the run level: the first sampled run builds
-/// and persists the plan, the second serves it from the store, and both
-/// produce the same outcome.
-#[test]
-fn stored_plans_are_reused_and_reproduce_the_outcome() {
-    let cfg = LoopFrogConfig::default();
-    let (program, mem) = prepared("md_force", Scale::Smoke);
-    let dir = std::env::temp_dir().join(format!("lf-tiered-it-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(&dir);
-    let key = CheckpointStore::plan_key(&program, &mem, Scale::Smoke);
-
-    let first = run_sampled(7, &program, &mem, &cfg, Scale::Smoke, Some(&store)).unwrap();
-    assert!(store.entry_path(key).exists(), "first run must persist the plan");
-    let second = run_sampled(7, &program, &mem, &cfg, Scale::Smoke, Some(&store)).unwrap();
-
-    assert_eq!(first.stats.cycles, second.stats.cycles);
-    assert_eq!(first.stats.committed_insts, second.stats.committed_insts);
-    assert_eq!(first.checksum, second.checksum);
-    let from_cache = |o: &lf_bench::runner::RunOutcome| {
-        matches!(
-            o.rendered.get("tier").and_then(|t| t.get("plan_from_cache")),
-            Some(Json::Bool(true))
-        )
-    };
-    assert!(!from_cache(&first), "first run builds the plan fresh");
-    assert!(from_cache(&second), "second run must hit the stored plan");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A corrupt checkpoint blob is quarantined and the run transparently
-/// falls back to full detailed simulation: same cycles as a detailed
-/// run, no error surfaced to the campaign.
-#[test]
-fn corrupt_plan_is_quarantined_and_falls_back_to_detailed() {
-    let cfg = LoopFrogConfig::default();
-    let (program, mem) = prepared("event_queue", Scale::Smoke);
-    let dir = std::env::temp_dir().join(format!("lf-tiered-it-corrupt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(&dir);
-    let key = CheckpointStore::plan_key(&program, &mem, Scale::Smoke);
-
-    run_sampled(9, &program, &mem, &cfg, Scale::Smoke, Some(&store)).unwrap();
-    let entry = store.entry_path(key);
-    let mut bytes = std::fs::read(&entry).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&entry, &bytes).unwrap();
-
-    let outcome = run_sampled(9, &program, &mem, &cfg, Scale::Smoke, Some(&store))
-        .expect("a corrupt plan must not fail the run");
-    let full = simulate(&program, mem.clone(), cfg.clone()).unwrap();
-    assert_eq!(
-        outcome.stats.cycles, full.stats.cycles,
-        "fallback must be a genuine full detailed run"
-    );
-    assert_eq!(outcome.checksum, full.checksum);
-    assert!(
-        matches!(
-            outcome.rendered.get("tier").and_then(|t| t.get("fallback_detailed")),
-            Some(Json::Bool(true))
-        ),
-        "outcome must record the detailed fallback"
-    );
-    assert!(!entry.exists(), "corrupt blob must be moved out of the store");
-    assert!(
-        store.quarantine_dir().join(entry.file_name().unwrap()).exists(),
-        "corrupt blob must land in quarantine"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
