@@ -313,10 +313,10 @@ fn execute_one(
         // for everything on disk it is indistinguishable from `kill -9`,
         // which is exactly what the crash-recovery harness wants to model
         // deterministically from inside the process.
-        eprintln!(
+        crate::engine::supervise::eprint_line(format_args!(
             "injected fault: crash (run {}) — aborting the campaign process",
             lf_stats::fingerprint_hex(run.fingerprint)
-        );
+        ));
         std::process::abort();
     }
     if faults.should_panic(run.fingerprint) {
@@ -449,7 +449,9 @@ fn store_outcome(cache: &DiskCache, outcome: &RunOutcome, plan: &FaultPlan) -> (
         });
     match &stored {
         // The run itself succeeded; only cross-process memoization is lost.
-        Err(e) => eprintln!("warning: run cache write failed after {tried} attempts: {e}"),
+        Err(e) => crate::engine::supervise::eprint_line(format_args!(
+            "warning: run cache write failed after {tried} attempts: {e}"
+        )),
         Ok(()) if plan.should_corrupt(outcome.fingerprint) => {
             let _ = std::fs::write(
                 cache.entry_path(outcome.fingerprint),

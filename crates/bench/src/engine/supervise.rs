@@ -80,6 +80,25 @@ const READY: &str = "ready";
 /// A line from worker `slot` (pid), or `None` at its stdout EOF.
 type Event = (usize, u32, Option<String>);
 
+/// Writes `args` and a newline to `out` in one `write_all` call. Worker
+/// processes share the supervisor's stderr, and `eprintln!` may issue one
+/// `write` per formatted piece, so concurrent workers could split each
+/// other's lines; one buffer written at once arrives whole.
+pub(crate) fn write_line(
+    out: &mut impl Write,
+    args: std::fmt::Arguments<'_>,
+) -> std::io::Result<()> {
+    let mut line = std::fmt::format(args);
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+/// Prints one line to stderr whole (see [`write_line`]). Every line a
+/// worker process prints goes through here.
+pub(crate) fn eprint_line(args: std::fmt::Arguments<'_>) {
+    let _ = write_line(&mut std::io::stderr().lock(), args);
+}
+
 fn env_knob<T: std::str::FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
     std::env::var(name)
         .ok()
@@ -422,7 +441,7 @@ fn supervise(
 /// the run cache.
 pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
     if opts.disk_cache.is_none() {
-        eprintln!("worker: --no-cache leaves nowhere to commit outcomes");
+        eprint_line(format_args!("worker: --no-cache leaves nowhere to commit outcomes"));
         return 2;
     }
     let span_log: Arc<SpanLog> = Arc::default();
@@ -435,7 +454,7 @@ pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
     }
     for line in std::io::stdin().lock().lines().map_while(Result::ok) {
         let Some(run) = parse_fingerprint_hex(&line).and_then(|fp| runs.get(&fp)) else {
-            eprintln!("worker: {line:?} is not a run of this plan");
+            eprint_line(format_args!("worker: {line:?} is not a run of this plan"));
             return 2;
         };
         // An injected crash aborts right here: the worker dies holding
@@ -443,11 +462,48 @@ pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
         // A failed run publishes nothing: the final pass re-executes it,
         // fails the same way, and writes the structured record.
         if let Err(error) = execute_single(run, opts, &span_log) {
-            eprintln!("worker: run {line} failed locally: {}", error.message());
+            eprint_line(format_args!("worker: run {line} failed locally: {}", error.message()));
         }
         if writeln!(stdout, "{line}").is_err() {
             return 0;
         }
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_line;
+    use std::io::Write;
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_formatted_line_arrives_in_one_write() {
+        let mut out = Calls::default();
+        let run = 0x00c0_ffee_u64;
+        write_line(
+            &mut out,
+            format_args!("injected fault: crash (run {run:016x}) — aborting the campaign process"),
+        )
+        .unwrap();
+        assert_eq!(out.0.len(), 1, "one line, one write: {:?}", out.0);
+        assert_eq!(
+            String::from_utf8(out.0.remove(0)).unwrap(),
+            "injected fault: crash (run 0000000000c0ffee) — aborting the campaign process\n"
+        );
+    }
 }

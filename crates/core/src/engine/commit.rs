@@ -18,7 +18,7 @@ use lf_uarch::AccessKind;
 const DRAIN_VIEW_BYTES: usize = 128;
 
 /// What the architectural threadlet's head waited on in a cycle that
-/// committed nothing; indexes `LoopFrogCore::commit_stalls`.
+/// committed nothing; indexes [`crate::telemetry::COMMIT_STALL_NAMES`].
 #[derive(Clone, Copy)]
 enum CommitStall {
     RetireWait,
@@ -28,16 +28,6 @@ enum CommitStall {
     Exec,
     Drain,
 }
-
-/// The counter name of each [`CommitStall`], in variant order.
-pub(super) const COMMIT_STALL_NAMES: [&str; 6] = [
-    "stall_retire_wait",
-    "stall_frontend",
-    "stall_not_issued",
-    "stall_load",
-    "stall_exec",
-    "stall_drain",
-];
 
 enum DrainOutcome {
     Done,
@@ -53,6 +43,7 @@ impl LoopFrogCore<'_> {
     /// and retires/promotes threadlets.
     pub(super) fn do_commit(&mut self) -> Result<(), SimError> {
         self.committed_this_cycle = 0;
+        self.commit_stall = None;
         let budget_start = self.cfg.core.commit_width;
         let mut budget = budget_start;
         let mut idx = 0;
@@ -114,6 +105,7 @@ impl LoopFrogCore<'_> {
                         // past the halting reattach.
                         let p = self.ctx[tid].pending_spawn.take().expect("checked");
                         p.map.release_all(&mut self.prf);
+                        self.state_changed = true;
                         let t = &mut self.ctx[tid];
                         t.finished = false;
                         t.fetch_halted = false;
@@ -131,10 +123,12 @@ impl LoopFrogCore<'_> {
                     None => {
                         self.ctx[tid].retire_at =
                             Some(self.cycle + self.cfg.ssb.conflict_check_latency);
+                        self.state_changed = true;
                         idx += 1;
                     }
                     Some(at) if self.cycle >= at => {
                         self.retire_arch(tid);
+                        self.state_changed = true;
                         // The promoted successor may commit this same cycle.
                         continue;
                     }
@@ -165,7 +159,7 @@ impl LoopFrogCore<'_> {
                     }
                 }
             };
-            self.commit_stalls[reason as usize] += 1;
+            self.commit_stall = Some(reason as usize);
         }
         Ok(())
     }

@@ -14,12 +14,12 @@ impl LoopFrogCore<'_> {
     /// Fetches up to `width` instructions across threadlets, oldest first.
     pub(super) fn do_fetch(&mut self) {
         let mut budget = self.cfg.core.width;
-        let order = self.order_snapshot();
-        for &tid in order.as_slice() {
+        // Fetch never changes `order`, so it can walk it by index.
+        for i in 0..self.order.len() {
             if budget == 0 {
                 break;
             }
-            budget = self.fetch_threadlet(tid, budget);
+            budget = self.fetch_threadlet(self.order[i], budget);
         }
     }
 
@@ -60,6 +60,7 @@ impl LoopFrogCore<'_> {
                 // program bug caught when the faulting control instruction
                 // reaches the architectural head). Stall until redirected.
                 self.ctx[tid].fetch_stalled_indirect = true;
+                self.state_changed = true;
                 break;
             };
 

@@ -39,6 +39,9 @@ impl IssueView {
 impl LoopFrogCore<'_> {
     /// Issues ready instructions up to the aggregate execution bandwidth.
     pub(super) fn do_issue(&mut self) {
+        if !self.iq.has_ready() {
+            return;
+        }
         // Aggregate issue bandwidth: bounded by total execution pipes.
         let fu = &self.cfg.core.fu;
         let width = fu.int_alu + fu.int_mul_div + fu.fp + fu.load + fu.store;
@@ -48,8 +51,9 @@ impl LoopFrogCore<'_> {
         self.stats.issued_insts += issued as u64;
     }
 
-    /// Attempts to issue one instruction. A rejected or parked offer has
-    /// no side effects: it claims no pipe and writes no state.
+    /// Attempts to issue one instruction. A rejected or parked offer
+    /// claims no pipe and writes no instruction state; a park still moves
+    /// the entry in the IQ, so it flags `state_changed`.
     fn try_issue_one(&mut self, uid: Uid) -> Offer<Uid> {
         let v = IssueView::of(self.slab.get(uid).expect("IQ entries are live"));
         debug_assert!(!self.slab[uid].issued);
@@ -60,6 +64,7 @@ impl LoopFrogCore<'_> {
             // Behind the store-address barrier: park until that store issues.
             let t = &self.ctx[v.tid];
             if t.unknown_stores.front().is_some_and(|&s| s < v.uid) {
+                self.state_changed = true;
                 return Offer::Park;
             }
             let base = v.srcs[0].map(|p| self.prf.read(p)).unwrap_or(0);
@@ -250,6 +255,7 @@ impl LoopFrogCore<'_> {
         let mut uids = std::mem::take(&mut self.wb_scratch);
         debug_assert!(uids.is_empty());
         self.completions.drain_due(self.cycle, &mut uids);
+        self.state_changed |= !uids.is_empty();
         for &uid in &uids {
             if !self.slab.contains(uid) {
                 continue; // squashed while in flight

@@ -32,7 +32,10 @@ use crate::packing::PackingPredictors;
 use crate::profiler::{Profiler, Stage};
 use crate::ssb::Ssb;
 use crate::stats::{SimResult, SimStats, SimStop};
-use crate::telemetry::{CycleBucket, IntervalSample, IntervalSampler, Telemetry};
+use crate::telemetry::{
+    CycleBucket, CycleSample, CycleStats, IntervalSample, IntervalSampler, Telemetry,
+    COMMIT_STALL_NAMES,
+};
 use crate::threadlet::{CtxState, Threadlet};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wheel::CompletionWheel;
@@ -173,11 +176,12 @@ pub struct LoopFrogCore<'p> {
     pub(crate) sq_occupancy: usize,
 
     pub(crate) stats: SimStats,
-    /// Cycles that committed nothing, by [`commit::COMMIT_STALL_NAMES`];
-    /// with `squashes_register`, kept as integers on the hot path and
-    /// folded into `stats.counters` under those names by `finish`.
-    pub(crate) commit_stalls: [u64; 6],
-    /// Successor restarts forced by a register-independence violation.
+    /// The statistics every simulated cycle adds to, folded into `stats`
+    /// and the registry by `finish`.
+    pub(crate) cycle_stats: CycleStats,
+    /// Successor restarts forced by a register-independence violation;
+    /// kept as an integer on the hot path and folded into
+    /// `stats.counters` under its name by `finish`.
     pub(crate) squashes_register: u64,
     pub(crate) telem: Telemetry,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
@@ -189,7 +193,6 @@ pub struct LoopFrogCore<'p> {
     /// [`LoopFrogCore::arm_flight_recorder_live`] for on-demand dumps).
     pub(crate) recorder_live_dump: bool,
     pub(crate) halted: bool,
-    pub(crate) fault: Option<SimError>,
     /// Harness-side wall-clock watchdog; checked every
     /// [`DEADLINE_CHECK_CYCLES`] cycles in the step loop.
     pub(crate) deadline: Option<std::time::Instant>,
@@ -198,6 +201,13 @@ pub struct LoopFrogCore<'p> {
     /// Instructions committed by the current cycle's commit stage (cycle
     /// accounting's productive slots).
     pub(crate) committed_this_cycle: usize,
+    /// What the current cycle's commit stage stalled on, if it committed
+    /// nothing (an index into [`COMMIT_STALL_NAMES`]).
+    pub(crate) commit_stall: Option<usize>,
+    /// Set by the few stage sites that change simulator state without
+    /// bumping a counter (see [`LoopFrogCore::activity`]); reset every
+    /// tick.
+    pub(crate) state_changed: bool,
     /// Front-end recovery window after the latest squash or misprediction.
     pub(crate) recovery_until: u64,
     /// Cycle of the latest SSB-overflow drain stall (accounting signal).
@@ -295,17 +305,18 @@ impl<'p> LoopFrogCore<'p> {
             lq_occupancy: 0,
             sq_occupancy: 0,
             stats: SimStats::new(threadlets),
-            commit_stalls: [0; 6],
+            cycle_stats: CycleStats::new(&cfg),
             squashes_register: 0,
             telem: Telemetry::new(&cfg),
             tracer: None,
             profiler: None,
             recorder_live_dump: false,
             halted: false,
-            fault: None,
             deadline: None,
             last_commit_cycle: 0,
             committed_this_cycle: 0,
+            commit_stall: None,
+            state_changed: false,
             recovery_until: 0,
             overflow_stall_cycle: u64::MAX,
             rename_stall: RenameStall::default(),
@@ -392,14 +403,6 @@ impl<'p> LoopFrogCore<'p> {
         v
     }
 
-    /// The active context ids, oldest first, copied so a stage can walk
-    /// them while it mutates the core.
-    pub(crate) fn order_snapshot(&self) -> TidList {
-        let mut v = TidList::new();
-        self.order.iter().for_each(|&t| v.push(t));
-        v
-    }
-
     /// The slice lookup order for a read by `tid`: all active contexts from
     /// the oldest up to and including `tid` (oldest → newest).
     pub(crate) fn slice_order(&self, tid: usize) -> TidList {
@@ -423,9 +426,14 @@ impl<'p> LoopFrogCore<'p> {
         out
     }
 
-    /// Simulates one cycle.
-    fn tick(&mut self) -> Result<(), SimError> {
+    /// Simulates one cycle. Returns the cycle's [`CycleSample`] when the
+    /// tick was *quiet*: it changed no simulator state other than the
+    /// per-cycle statistics, so the state is a fixed point of `tick` until
+    /// [`LoopFrogCore::quiet_horizon`] (DESIGN.md §10.8).
+    fn tick(&mut self) -> Result<Option<CycleSample>, SimError> {
         self.rename_stall = RenameStall::default();
+        self.state_changed = false;
+        let activity = self.activity();
         // Sampled self-profiling: on a sampled tick every stage call is
         // wall-clock timed; otherwise each stage pays one `Option` test.
         let sampling = self.profiler.is_some() && Profiler::is_sample(self.cycle);
@@ -439,7 +447,7 @@ impl<'p> LoopFrogCore<'p> {
             // The halting partial cycle is not counted in `stats.cycles`,
             // so it gets no accounting slots either (the sum invariant
             // holds over counted cycles only).
-            return Ok(());
+            return Ok(None);
         }
         // Contexts freed by retirement can immediately host a deferred
         // spawn, keeping the epoch chain full.
@@ -459,45 +467,114 @@ impl<'p> LoopFrogCore<'p> {
         self.do_fetch();
         self.prof(Stage::Fetch, t0);
 
-        // Activity statistics (Figure 7): contexts actively executing.
-        let active = self
-            .order
-            .iter()
-            .filter(|&&t| self.ctx[t].state == CtxState::Active && !self.ctx[t].finished)
-            .count();
-        self.stats.cycles_with_active[active.min(self.cfg.core.threadlets)] += 1;
-        let in_region =
-            self.order.len() > 1 || self.order.iter().any(|&t| self.ctx[t].ren_region.is_some());
-        if in_region {
-            self.stats.region_cycles += 1;
+        // Activity statistics (Figure 7): contexts actively executing, and
+        // whether the core is inside a parallel region.
+        let (mut active, mut detached) = (0, false);
+        for &t in &self.order {
+            let c = &self.ctx[t];
+            active += usize::from(c.state == CtxState::Active && !c.finished);
+            detached |= c.ren_region.is_some();
         }
-
+        let in_region = self.order.len() > 1 || detached;
         // Cycle accounting: every one of this cycle's commit slots goes to
         // exactly one bucket — committed slots are productive, the rest are
         // attributed to a single stall cause.
-        let committed = self.committed_this_cycle as u64;
-        let width = self.cfg.core.commit_width as u64;
-        self.telem.accounting.add(CycleBucket::BaseCommit, committed);
-        if committed < width {
-            let cause = self.classify_stall();
-            self.telem.accounting.add(cause, width - committed);
-        }
-        self.telem.commit_bandwidth.record(committed);
-        self.telem.rob_occupancy.record(self.rob_occupancy as u64);
-        self.telem.iq_occupancy.record(self.iq.len() as u64);
+        let committed = self.committed_this_cycle;
+        let sample = CycleSample {
+            commit_stall: self.commit_stall,
+            active: active.min(self.cfg.core.threadlets),
+            in_region,
+            committed,
+            stall_bucket: (committed < self.cfg.core.commit_width).then(|| self.classify_stall()),
+            rob: self.rob_occupancy,
+            iq: self.iq.len(),
+        };
+        self.cycle_stats.add(&sample, 1);
 
         #[cfg(feature = "verify")]
         self.verify_tick();
 
         self.cycle += 1;
         self.stats.cycles = self.cycle;
-        if self.telem.sampler.is_some() {
-            let sample = self.interval_sample();
-            if let Some(s) = &mut self.telem.sampler {
-                s.on_cycle(sample.cycle, sample);
+        self.sample_interval();
+        let quiet = !self.state_changed && committed == 0 && self.activity() == activity;
+        Ok(quiet.then_some(sample))
+    }
+
+    /// The sum of the counters the stages bump whenever they change state:
+    /// a tick that leaves it, `committed_this_cycle` and `state_changed`
+    /// untouched changed nothing but the per-cycle statistics.
+    fn activity(&self) -> u64 {
+        let s = &self.stats;
+        s.fetched_insts
+            + s.fetch_icache_stalls
+            + s.renamed_insts
+            + s.issued_insts
+            + s.spawns
+            + s.squashes_overflow
+    }
+
+    /// The first cycle at or after `self.cycle` at which anything a quiet
+    /// tick left unchanged can change: a completion falls due, a context's
+    /// fetch, retirement or slice-flush wait ends, squash recovery ends, a
+    /// busy functional unit frees for a rejected ready entry, or the run
+    /// loop has a budget, watchdog, deadline or interval-sample check due.
+    /// Every cycle before it would tick exactly as the quiet tick did.
+    fn quiet_horizon(&self) -> u64 {
+        let now = self.cycle;
+        let mut end = self.cfg.max_cycles.min(self.last_commit_cycle + WATCHDOG_CYCLES + 1);
+        if self.deadline.is_some() {
+            end = end.min(now.next_multiple_of(DEADLINE_CHECK_CYCLES));
+        }
+        if let Some(s) = &self.telem.sampler {
+            end = end.min(s.next_boundary());
+        }
+        let mut wait_until = |at: u64| {
+            if at >= now && at < end {
+                end = at;
+            }
+        };
+        wait_until(self.recovery_until);
+        for t in &self.ctx {
+            wait_until(t.fetch_ready);
+            wait_until(t.slice_flush_until);
+            if let Some(at) = t.retire_at {
+                wait_until(at);
             }
         }
-        Ok(())
+        if self.iq.has_ready() {
+            // Ready entries were offered and rejected: a pipe frees.
+            if let Some(at) = self.fu.next_release(now) {
+                wait_until(at);
+            }
+        }
+        if let Some(at) = self.completions.next_due(now, end) {
+            end = at;
+        }
+        end.max(now)
+    }
+
+    /// Jumps over the cycles a quiet tick's fixed point lasts, adding
+    /// exactly the statistics ticking them would have added.
+    #[cfg(not(feature = "verify"))]
+    fn skip_quiet_cycles(&mut self, sample: CycleSample) {
+        let end = self.quiet_horizon();
+        if end == self.cycle {
+            return;
+        }
+        self.cycle_stats.add(&sample, end - self.cycle);
+        self.completions.advance_to(end);
+        self.cycle = end;
+        self.stats.cycles = end;
+        self.sample_interval();
+    }
+
+    /// Records the interval sample due at the current cycle count, if any.
+    fn sample_interval(&mut self) {
+        if self.telem.sampler.as_ref().is_some_and(|s| s.next_boundary() == self.cycle) {
+            let sample = self.interval_sample();
+            self.telem.sampler.as_mut().expect("checked").record(sample);
+        }
     }
 
     /// Records a sampled stage duration (no-op on unsampled ticks).
@@ -606,9 +683,14 @@ impl<'p> LoopFrogCore<'p> {
                     return Ok(SimStop::Deadline);
                 }
             }
-            self.tick()?;
-            if let Some(f) = self.fault.take() {
-                return Err(f);
+            let quiet = self.tick()?;
+            // Verify builds tick through the span a skip would jump and
+            // check that prediction instead (DESIGN.md §7.3).
+            #[cfg(feature = "verify")]
+            self.verify_quiet_span(quiet);
+            #[cfg(not(feature = "verify"))]
+            if let Some(sample) = quiet {
+                self.skip_quiet_cycles(sample);
             }
         }
         Ok(SimStop::Halted)
@@ -658,12 +740,17 @@ impl<'p> LoopFrogCore<'p> {
             }
         }
         let mut stats = std::mem::replace(&mut self.stats, SimStats::new(self.ctx.len()));
+        let cycle_stats = std::mem::replace(&mut self.cycle_stats, CycleStats::new(&self.cfg));
+        let occupancy = cycle_stats.histograms(&self.cfg);
+        let CycleStats { commit_stalls, cycles_with_active, region_cycles, accounting, .. } =
+            cycle_stats;
+        stats.cycles_with_active = cycles_with_active;
+        stats.region_cycles = region_cycles;
         stats.counters.merge(&self.hier.counters());
         // The hot path's integer counters join under their names, each only
         // once non-zero, as if it had been counted there.
-        let stalls = std::mem::take(&mut self.commit_stalls);
         let register = ("squashes_register", std::mem::take(&mut self.squashes_register));
-        for (k, v) in commit::COMMIT_STALL_NAMES.into_iter().zip(stalls).chain([register]) {
+        for (k, v) in COMMIT_STALL_NAMES.into_iter().zip(commit_stalls).chain([register]) {
             if v > 0 {
                 stats.counters.add(k, v);
             }
@@ -688,10 +775,7 @@ impl<'p> LoopFrogCore<'p> {
             stats.counters.add(k, v);
         }
 
-        // The registry reads the accounting and histograms, so build it
-        // before the telemetry is moved out.
-        let registry = crate::telemetry::build_registry(&stats, &self.telem, &self.cfg);
-        let accounting = std::mem::take(&mut self.telem.accounting);
+        let registry = crate::telemetry::build_registry(&stats, &accounting, occupancy, &self.cfg);
         let intervals =
             self.telem.sampler.take().map(IntervalSampler::into_samples).unwrap_or_default();
         // A run stopped mid-flight (cycle cap or deadline) reports the
@@ -727,7 +811,8 @@ impl<'p> LoopFrogCore<'p> {
     }
 
     /// Statistics collected so far. The hierarchy's and the commit stage's
-    /// counters join `counters` only in the final [`SimResult`].
+    /// counters join `counters`, and the per-cycle `cycles_with_active`
+    /// and `region_cycles` are filled, only in the final [`SimResult`].
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }

@@ -13,8 +13,10 @@ impl LoopFrogCore<'_> {
     /// Renames up to `width` instructions across threadlets, oldest first.
     pub(super) fn do_rename(&mut self) {
         let mut budget = self.cfg.core.width;
-        let order = self.order_snapshot();
-        for &tid in order.as_slice() {
+        // Rename changes `order` only by a spawn appending its child, which
+        // first renames next cycle: walk the contexts active now by index.
+        for i in 0..self.order.len() {
+            let tid = self.order[i];
             while budget > 0 {
                 if self.ctx[tid].state != CtxState::Active || self.ctx[tid].fetch_queue.is_empty() {
                     break;

@@ -3,9 +3,11 @@
 //! module so the hot-path stage files only carry one-line hook calls.
 
 use super::LoopFrogCore;
+use crate::telemetry::CycleSample;
 use crate::threadlet::CtxState;
-use crate::verify::BoundaryPre;
+use crate::verify::{BoundaryPre, QuietSpan};
 use lf_isa::NUM_ARCH_REGS;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 impl LoopFrogCore<'_> {
     /// Per-cycle invariants: occupancy conservation, epoch-sorted active
@@ -186,10 +188,110 @@ impl LoopFrogCore<'_> {
         });
     }
 
+    /// The quiet-span oracle, called after every tick with the tick's
+    /// sample when it was quiet. Inside an open span, each tick must be
+    /// quiet with the span's sample; at the span's end the state digest
+    /// must be unchanged and the per-cycle statistics must equal the bulk
+    /// prediction. Outside one, a quiet tick opens the span a production
+    /// build would skip.
+    pub(super) fn verify_quiet_span(&mut self, quiet: Option<CycleSample>) {
+        if let Some(span) = self.verify.quiet_span.as_mut().filter(|s| s.open) {
+            let (end, sample, digest) = (span.end, span.sample, span.digest);
+            let ticked = self.cycle - 1;
+            span.open = quiet == Some(sample) && self.cycle < end;
+            if quiet != Some(sample) {
+                let msg = format!(
+                    "quiet-span: cycle {ticked} inside the span predicted quiet until cycle {end} \
+                     ticked {quiet:?}, not {sample:?}"
+                );
+                self.verify.violation(msg);
+                return;
+            }
+            if self.cycle < end {
+                return;
+            }
+            if self.quiet_digest() != digest {
+                let msg = format!(
+                    "quiet-span: engine state changed across the quiet span ending at cycle {end}"
+                );
+                self.verify.violation(msg);
+            }
+            let span = self.verify.quiet_span.as_ref().expect("checked");
+            if self.cycle_stats != span.predicted {
+                let msg = format!(
+                    "quiet-span: per-cycle statistics at cycle {end} are {:?}, but the bulk \
+                     addition predicted {:?}",
+                    self.cycle_stats, span.predicted
+                );
+                self.verify.violation(msg);
+            }
+            // Like a skip landing on `end`, the tick at `end` runs in full
+            // before the next span can open.
+            return;
+        }
+        let Some(sample) = quiet else { return };
+        let end = self.quiet_horizon();
+        if end == self.cycle {
+            return;
+        }
+        let digest = self.quiet_digest();
+        let span = self.verify.quiet_span.get_or_insert_with(|| QuietSpan {
+            open: false,
+            end,
+            sample,
+            predicted: self.cycle_stats.clone(),
+            digest,
+        });
+        span.predicted.clone_from(&self.cycle_stats);
+        span.predicted.add(&sample, end - self.cycle);
+        (span.open, span.end, span.sample, span.digest) = (true, end, sample, digest);
+        self.verify.quiet_cycles += end - self.cycle;
+    }
+
+    /// A digest of the engine state a quiet span must leave unchanged:
+    /// every context's fields, the active order, occupancies, IQ, wheel
+    /// and PRF counts, the `SimStats` fields that are not per-cycle, and
+    /// the memory hierarchy's access and miss counts. Allocation-free, so
+    /// verify builds keep the allocation bounds of `tests/allocations.rs`.
+    fn quiet_digest(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        for t in &self.ctx {
+            (t.state == CtxState::Active, t.epoch, t.fetch_pc, t.fetch_ready).hash(&mut h);
+            (t.fetch_halted, t.fetch_halt_is_reattach, t.fetch_stalled_indirect).hash(&mut h);
+            (t.fetch_region, t.fetch_iters, t.fetch_queue.len(), t.fetch_line).hash(&mut h);
+            (t.map.is_some(), t.ren_region, t.ren_iters, t.insts_since_detach).hash(&mut h);
+            t.rob.iter().map(|u| u.seq()).for_each(|u| u.hash(&mut h));
+            (t.lq.len(), t.sq.len(), t.unknown_stores.len(), t.checkpoint.is_some()).hash(&mut h);
+            (t.predicted_regs.as_slice(), t.finished, t.finished_with_halt).hash(&mut h);
+            (t.retire_at, t.committed_this_epoch, t.epoch_committed_total).hash(&mut h);
+            (t.slice_flush_until, t.parent, t.spawned_child, t.spawn_region).hash(&mut h);
+            (t.pending_spawn.is_some(), t.overflow_reported).hash(&mut h);
+        }
+        self.order.hash(&mut h);
+        (self.rob_occupancy, self.lq_occupancy, self.sq_occupancy).hash(&mut h);
+        (self.iq.len(), self.iq.has_ready(), self.iq.parked().count()).hash(&mut h);
+        (self.completions.len(), self.completions.overflow_hits()).hash(&mut h);
+        (self.prf.free_count(), self.slab.high_water()).hash(&mut h);
+        (self.halted, self.last_commit_cycle, self.recovery_until).hash(&mut h);
+        (self.overflow_stall_cycle, self.squashes_register, self.ssb.overflows()).hash(&mut h);
+        let s = &self.stats;
+        (s.committed_insts, s.commits_arch, s.commits_spec_success, s.commits_spec_failed)
+            .hash(&mut h);
+        (s.issued_insts, s.fetched_insts, s.renamed_insts, s.fetch_icache_stalls).hash(&mut h);
+        (s.branches, s.branch_mispredicts, s.spawns, s.packed_spawns).hash(&mut h);
+        (s.pack_factor_sum, s.pack_factor_max, s.pack_patches).hash(&mut h);
+        (s.squashes_conflict, s.squashes_overflow, s.squashes_sync).hash(&mut h);
+        (s.squashes_packing, s.squashes_wrong_path).hash(&mut h);
+        s.counters.iter().for_each(|kv| kv.hash(&mut h));
+        // Every hierarchy access counts at its L1 at least.
+        self.hier.cache_stats().hash(&mut h);
+        h.finish()
+    }
+
     /// End-of-run invariant: accounting buckets sum to `cycles × width`.
     pub(super) fn verify_finish(&mut self) {
         let want = self.stats.cycles * self.cfg.core.commit_width as u64;
-        let got = self.telem.accounting.total();
+        let got = self.cycle_stats.accounting.total();
         if got != want {
             let msg = format!(
                 "accounting: buckets sum to {got} but cycles×width = {} × {} = {want}",

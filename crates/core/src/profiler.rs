@@ -3,8 +3,10 @@
 //! Answers "where does the *simulator's* time go?" (as opposed to the
 //! telemetry layer, which accounts *simulated* cycles). Reading the clock
 //! around all six stage calls of every tick would double the cost of short
-//! stages, so the profiler samples: every [`SAMPLE_PERIOD`]-th tick is
-//! timed end to end, the rest run untouched. Stage latencies are strongly
+//! stages, so the profiler samples: a tick of a cycle that is a multiple
+//! of [`SAMPLE_PERIOD`] is timed end to end, the rest run untouched.
+//! Cycles skipped after a quiet tick cost no stage time and are never
+//! timed. Stage latencies are strongly
 //! periodic in this engine (the same loop kernels dominate each run), so a
 //! 1-in-64 systematic sample converges on the true shares within a few
 //! thousand cycles while keeping overhead under a percent.
@@ -57,13 +59,15 @@ pub struct StageProfile {
 
 /// The self-profiler's result: per-stage wall-clock shares estimated from
 /// sampled ticks. Shares are relative to the total sampled stage time;
-/// extrapolate absolute cost with `sampled_ns * total_ticks /
-/// sampled_ticks`.
+/// `sampled_ns / sampled_ticks` estimates a stage's cost per *ticked*
+/// cycle. Cycles the core skips after a quiet tick (DESIGN.md §10.8) are
+/// never timed, so scaling by `total_ticks` would overstate the total.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Ticks that were wall-clock timed.
     pub sampled_ticks: u64,
-    /// Total ticks simulated while the profiler was enabled.
+    /// Simulated cycles while the profiler was enabled, skipped quiet
+    /// cycles included.
     pub total_ticks: u64,
     /// Per-stage sampled totals, in tick order.
     pub stages: Vec<StageProfile>,

@@ -128,6 +128,8 @@ pub struct IntervalSample {
 #[derive(Debug, Clone)]
 pub struct IntervalSampler {
     period: u64,
+    /// The cycle count at which the next boundary sample is due.
+    next: u64,
     samples: Vec<IntervalSample>,
 }
 
@@ -139,7 +141,7 @@ impl IntervalSampler {
     /// Panics if `period == 0`.
     pub fn new(period: u64) -> IntervalSampler {
         assert!(period > 0, "interval period must be positive");
-        IntervalSampler { period, samples: Vec::new() }
+        IntervalSampler { period, next: period, samples: Vec::new() }
     }
 
     /// The sampling period in cycles.
@@ -147,12 +149,19 @@ impl IntervalSampler {
         self.period
     }
 
-    /// Called once per cycle (with the post-increment cycle count); records
-    /// a sample on interval boundaries.
-    pub fn on_cycle(&mut self, cycle: u64, sample: IntervalSample) {
-        if cycle > 0 && cycle.is_multiple_of(self.period) {
-            self.samples.push(sample);
-        }
+    /// The cycle count at which the next boundary sample is due: the
+    /// caller records one with [`IntervalSampler::record`] when its cycle
+    /// count reaches it.
+    pub fn next_boundary(&self) -> u64 {
+        self.next
+    }
+
+    /// Records the boundary sample due at [`IntervalSampler::next_boundary`]
+    /// and arms the following boundary.
+    pub fn record(&mut self, sample: IntervalSample) {
+        debug_assert_eq!(sample.cycle, self.next, "boundary samples land on the boundary");
+        self.samples.push(sample);
+        self.next += self.period;
     }
 
     /// Records the final partial interval, if the run did not end exactly
@@ -249,42 +258,172 @@ impl Default for TelemetryConfig {
 /// Live telemetry state owned by the core during a run.
 #[derive(Debug)]
 pub(crate) struct Telemetry {
-    pub(crate) accounting: CycleAccounting,
     pub(crate) sampler: Option<IntervalSampler>,
     pub(crate) recorder: Option<FlightRecorder>,
-    /// Per-cycle ROB occupancy (all threadlets).
-    pub(crate) rob_occupancy: Histogram,
-    /// Per-cycle issue-queue occupancy.
-    pub(crate) iq_occupancy: Histogram,
-    /// Instructions committed per cycle (0..=commit_width).
-    pub(crate) commit_bandwidth: Histogram,
 }
 
 impl Telemetry {
     pub(crate) fn new(cfg: &crate::LoopFrogConfig) -> Telemetry {
-        let rob_w = (cfg.core.rob_size as u64 / 32).max(1);
-        let iq_w = (cfg.core.iq_size as u64 / 32).max(1);
         Telemetry {
-            accounting: CycleAccounting::default(),
             sampler: cfg.telemetry.interval_cycles.map(IntervalSampler::new),
             recorder: match cfg.telemetry.flight_recorder_depth {
                 0 => None,
                 k => Some(FlightRecorder::new(k)),
             },
-            rob_occupancy: Histogram::new(rob_w, 33),
-            iq_occupancy: Histogram::new(iq_w, 33),
-            commit_bandwidth: Histogram::new(1, cfg.core.commit_width + 1),
         }
+    }
+}
+
+/// The counter name of each commit-stall reason (what the architectural
+/// head waited on in a cycle that committed nothing), indexed as
+/// [`CycleSample::commit_stall`] is.
+pub(crate) const COMMIT_STALL_NAMES: [&str; 6] = [
+    "stall_retire_wait",
+    "stall_frontend",
+    "stall_not_issued",
+    "stall_load",
+    "stall_exec",
+    "stall_drain",
+];
+
+/// What one simulated cycle adds to the [`CycleStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CycleSample {
+    /// Index into [`COMMIT_STALL_NAMES`] when nothing committed.
+    pub(crate) commit_stall: Option<usize>,
+    /// Contexts actively executing.
+    pub(crate) active: usize,
+    /// Whether the core was inside a parallel region.
+    pub(crate) in_region: bool,
+    /// Instructions committed.
+    pub(crate) committed: usize,
+    /// Where the idle commit slots went, when any were idle.
+    pub(crate) stall_bucket: Option<CycleBucket>,
+    /// ROB occupancy (all threadlets).
+    pub(crate) rob: usize,
+    /// Issue-queue occupancy.
+    pub(crate) iq: usize,
+}
+
+/// Every statistic that each simulated cycle adds to. A ticked cycle adds
+/// its [`CycleSample`] once; a skipped quiet span adds its quiet tick's
+/// sample once per skipped cycle, through the same [`CycleStats::add`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct CycleStats {
+    commit_width: usize,
+    /// Cycles that committed nothing, by [`COMMIT_STALL_NAMES`].
+    pub(crate) commit_stalls: [u64; 6],
+    /// Cycles with exactly `k` contexts actively executing.
+    pub(crate) cycles_with_active: Vec<u64>,
+    /// Cycles inside a parallel region.
+    pub(crate) region_cycles: u64,
+    pub(crate) accounting: CycleAccounting,
+    /// Cycles at each ROB occupancy, IQ occupancy and commit count (indexed
+    /// by value): three additions per cycle instead of three histogram
+    /// divisions, folded into histograms once by
+    /// [`CycleStats::histograms`].
+    rob_occupancy: Vec<u64>,
+    iq_occupancy: Vec<u64>,
+    commit_bandwidth: Vec<u64>,
+}
+
+// `clone_from` reuses the count vectors' storage, so a verify build's
+// per-span copy does not allocate.
+impl Clone for CycleStats {
+    fn clone(&self) -> CycleStats {
+        let mut c = CycleStats {
+            commit_width: 0,
+            commit_stalls: [0; 6],
+            cycles_with_active: Vec::new(),
+            region_cycles: 0,
+            accounting: CycleAccounting::default(),
+            rob_occupancy: Vec::new(),
+            iq_occupancy: Vec::new(),
+            commit_bandwidth: Vec::new(),
+        };
+        c.clone_from(self);
+        c
+    }
+
+    fn clone_from(&mut self, source: &CycleStats) {
+        self.commit_width = source.commit_width;
+        self.commit_stalls = source.commit_stalls;
+        self.cycles_with_active.clone_from(&source.cycles_with_active);
+        self.region_cycles = source.region_cycles;
+        self.accounting = source.accounting.clone();
+        self.rob_occupancy.clone_from(&source.rob_occupancy);
+        self.iq_occupancy.clone_from(&source.iq_occupancy);
+        self.commit_bandwidth.clone_from(&source.commit_bandwidth);
+    }
+}
+
+impl CycleStats {
+    pub(crate) fn new(cfg: &crate::LoopFrogConfig) -> CycleStats {
+        CycleStats {
+            commit_width: cfg.core.commit_width,
+            commit_stalls: [0; 6],
+            cycles_with_active: vec![0; cfg.core.threadlets + 1],
+            region_cycles: 0,
+            accounting: CycleAccounting::default(),
+            rob_occupancy: vec![0; cfg.core.rob_size + 1],
+            iq_occupancy: vec![0; cfg.core.iq_size + 1],
+            commit_bandwidth: vec![0; cfg.core.commit_width + 1],
+        }
+    }
+
+    /// Adds `n` cycles that each produced sample `s`.
+    pub(crate) fn add(&mut self, s: &CycleSample, n: u64) {
+        if let Some(r) = s.commit_stall {
+            self.commit_stalls[r] += n;
+        }
+        self.cycles_with_active[s.active] += n;
+        if s.in_region {
+            self.region_cycles += n;
+        }
+        let committed = s.committed as u64;
+        self.accounting.add(CycleBucket::BaseCommit, committed * n);
+        if let Some(bucket) = s.stall_bucket {
+            self.accounting.add(bucket, (self.commit_width as u64 - committed) * n);
+        }
+        for (counts, value) in [
+            (&mut self.rob_occupancy, s.rob),
+            (&mut self.iq_occupancy, s.iq),
+            (&mut self.commit_bandwidth, s.committed),
+        ] {
+            if value >= counts.len() {
+                counts.resize(value + 1, 0);
+            }
+            counts[value] += n;
+        }
+    }
+
+    /// The per-cycle ROB occupancy, IQ occupancy and commit bandwidth
+    /// distributions, bucketed for the metrics dump.
+    pub(crate) fn histograms(&self, cfg: &crate::LoopFrogConfig) -> [Histogram; 3] {
+        let fold = |counts: &[u64], width: u64, buckets: usize| {
+            let mut h = Histogram::new(width, buckets);
+            for (value, &n) in counts.iter().enumerate() {
+                h.record_n(value as u64, n);
+            }
+            h
+        };
+        [
+            fold(&self.rob_occupancy, (cfg.core.rob_size as u64 / 32).max(1), 33),
+            fold(&self.iq_occupancy, (cfg.core.iq_size as u64 / 32).max(1), 33),
+            fold(&self.commit_bandwidth, 1, cfg.core.commit_width + 1),
+        ]
     }
 }
 
 /// Builds the full hierarchical metrics dump for a finished run: every
 /// pipeline stage's counters under dotted names, the cycle-accounting
-/// buckets, occupancy distributions, and derived formulas (IPC, miss and
-/// squash rates) evaluated over the final counter values.
+/// buckets, occupancy distributions (ROB, IQ, commit bandwidth, as
+/// [`CycleStats::histograms`] orders them), and derived formulas (IPC,
+/// miss and squash rates) evaluated over the final counter values.
 pub(crate) fn build_registry(
     stats: &crate::SimStats,
-    telem: &Telemetry,
+    accounting: &CycleAccounting,
+    occupancy: [Histogram; 3],
     cfg: &crate::LoopFrogConfig,
 ) -> lf_stats::MetricsRegistry {
     use lf_stats::Expr;
@@ -344,18 +483,14 @@ pub(crate) fn build_registry(
     }
 
     // Cycle accounting.
-    for (bucket, slots) in telem.accounting.iter() {
+    for (bucket, slots) in accounting.iter() {
         reg.set(&format!("accounting.{}", bucket.name()), slots);
     }
 
     // Occupancy and bandwidth distributions.
-    for (name, hist) in [
-        ("core.rob.occupancy", &telem.rob_occupancy),
-        ("core.iq.occupancy", &telem.iq_occupancy),
-        ("core.commit.bandwidth", &telem.commit_bandwidth),
-    ] {
-        reg.insert_distribution(name, "per-cycle samples", hist.clone())
-            .expect("fresh registry name");
+    let names = ["core.rob.occupancy", "core.iq.occupancy", "core.commit.bandwidth"];
+    for (name, hist) in names.into_iter().zip(occupancy) {
+        reg.insert_distribution(name, "per-cycle samples", hist).expect("fresh registry name");
     }
 
     // Derived formulas, evaluated at dump time over the values above.
@@ -444,25 +579,64 @@ mod tests {
             spawns: 0,
             squashes: 0,
         };
-        for c in 1..=10 {
-            s.on_cycle(c, snap(c));
-        }
-        s.finish(10, snap(10));
+        let run = |s: &mut IntervalSampler, cycles: u64| {
+            for c in 1..=cycles {
+                if c == s.next_boundary() {
+                    s.record(snap(c));
+                }
+            }
+            s.finish(cycles, snap(cycles));
+        };
+        run(&mut s, 10);
         assert_eq!(s.samples().len(), 3);
         assert_eq!(s.samples()[2].cycle, 10);
+        assert_eq!(s.next_boundary(), 12, "the next boundary is armed");
 
         // Exact multiple: no extra partial sample.
         let mut s = IntervalSampler::new(5);
-        for c in 1..=10 {
-            s.on_cycle(c, snap(c));
-        }
-        s.finish(10, snap(10));
+        run(&mut s, 10);
         assert_eq!(s.samples().len(), 2);
 
         // Zero cycles: zero samples.
         let mut s = IntervalSampler::new(5);
         s.finish(0, snap(0));
         assert!(s.samples().is_empty());
+    }
+
+    #[test]
+    fn cycle_stats_add_n_equals_n_single_adds() {
+        let cfg = crate::LoopFrogConfig::default();
+        let samples = [
+            CycleSample {
+                commit_stall: Some(3),
+                active: 2,
+                in_region: true,
+                committed: 0,
+                stall_bucket: Some(CycleBucket::Memory),
+                rob: cfg.core.rob_size,
+                iq: 7,
+            },
+            CycleSample {
+                commit_stall: None,
+                active: 1,
+                in_region: false,
+                committed: cfg.core.commit_width,
+                stall_bucket: None,
+                rob: 40,
+                iq: cfg.core.iq_size + 3, // past the pre-sized counts
+            },
+        ];
+        let (mut each, mut bulk) = (CycleStats::new(&cfg), CycleStats::new(&cfg));
+        for (s, n) in samples.iter().zip([5u64, 3]) {
+            (0..n).for_each(|_| each.add(s, 1));
+            bulk.add(s, n);
+        }
+        assert_eq!(bulk, each);
+        assert_eq!(bulk.accounting.total(), 8 * cfg.core.commit_width as u64);
+        let [rob, iq, commit] = bulk.histograms(&cfg);
+        assert_eq!((rob.count(), rob.max()), (8, cfg.core.rob_size as u64));
+        assert_eq!(iq.max(), cfg.core.iq_size as u64 + 3);
+        assert_eq!(commit.buckets()[0], 5);
     }
 
     #[test]

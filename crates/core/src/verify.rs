@@ -20,7 +20,14 @@
 //! - **epoch-order commit** — threadlets retire in strictly increasing
 //!   epoch order, and the active list is epoch-sorted every cycle;
 //! - **accounting conservation** — cycle-accounting buckets sum to
-//!   `cycles × commit_width` at the end of a run.
+//!   `cycles × commit_width` at the end of a run;
+//! - **quiet spans** — after every quiet tick (one that changed nothing but
+//!   the per-cycle statistics) the engine computes the horizon a
+//!   production build would jump to, then ticks through it instead: every
+//!   tick inside must be quiet with the same statistics, a digest of the
+//!   engine state must not change across the span, and the per-cycle
+//!   statistics at its end must equal what the skip's bulk addition
+//!   predicted (DESIGN.md §7.3, §10.8).
 //!
 //! Violations are recorded, not panicked, so a fuzzer can shrink the
 //! triggering program. With [`VerifyState::record_boundaries`] enabled the
@@ -71,6 +78,25 @@ pub struct VerifyState {
     /// program-order count by exactly this number. Boundary recording
     /// subtracts it to report emulator-comparable counts.
     pub(crate) promoted_spawns: u64,
+    /// The latest quiet span, kept (with its storage) after it closes.
+    pub(crate) quiet_span: Option<QuietSpan>,
+    pub(crate) quiet_cycles: u64,
+}
+
+/// A span of cycles a production build would skip, predicted after a quiet
+/// tick and checked as a verify build ticks through it.
+#[derive(Debug, Clone)]
+pub(crate) struct QuietSpan {
+    /// Whether the span is being ticked through.
+    pub(crate) open: bool,
+    /// The first cycle after the span (where a skip would land).
+    pub(crate) end: u64,
+    /// The quiet tick's statistics, which every tick inside must repeat.
+    pub(crate) sample: crate::telemetry::CycleSample,
+    /// The per-cycle statistics the skip's bulk addition predicts at `end`.
+    pub(crate) predicted: crate::telemetry::CycleStats,
+    /// The engine-state digest, which must not change across the span.
+    pub(crate) digest: u64,
 }
 
 /// Snapshot captured at the top of `retire_arch`, completed after the
@@ -99,5 +125,11 @@ impl VerifyState {
     /// Total violations observed, including ones past the retention cap.
     pub fn total_violations(&self) -> u64 {
         self.total_violations
+    }
+
+    /// Simulated cycles covered by predicted quiet spans: the cycles a
+    /// production build of the same run skips instead of ticking.
+    pub fn quiet_cycles(&self) -> u64 {
+        self.quiet_cycles
     }
 }

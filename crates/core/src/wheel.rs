@@ -1,7 +1,8 @@
 //! Calendar-queue (timing-wheel) completion schedule.
 //!
 //! The engine schedules every issued instruction's completion at an
-//! absolute cycle and drains exactly one cycle's events per tick. A
+//! absolute cycle and drains exactly one cycle's events per tick; a
+//! skipped quiet span jumps the wheel over cycles with nothing due. A
 //! `BTreeMap<u64, Vec<Uid>>` pays tree rebalancing and a fresh `Vec`
 //! allocation per (cycle, first event); the wheel replaces it with a
 //! power-of-two ring of reusable buckets indexed by `cycle & mask`, so
@@ -48,7 +49,6 @@ impl CompletionWheel {
     }
 
     /// Pending events.
-    #[allow(dead_code)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -76,8 +76,8 @@ impl CompletionWheel {
 
     /// Appends every event due at `cycle` to `out`, in scheduling order,
     /// and advances the wheel. Must be called with non-decreasing cycles;
-    /// skipped cycles' events are dropped only if the caller skips them
-    /// (the engine drains every cycle it simulates).
+    /// the engine drains every cycle it ticks and jumps the others with
+    /// [`CompletionWheel::advance_to`], which checks that nothing was due.
     pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<Uid>) {
         debug_assert!(cycle >= self.now, "drain must move forward");
         while let Some(e) = self.overflow.first_entry() {
@@ -90,13 +90,38 @@ impl CompletionWheel {
             out.extend(uids);
         }
         let b = &mut self.buckets[(cycle % HORIZON) as usize];
-        debug_assert!(
-            b.iter().all(|_| true),
-            "ring bucket may only hold events for exactly this cycle"
-        );
         self.len -= b.len();
         out.append(b); // moves elements out, keeps the bucket's capacity
         self.now = cycle + 1;
+    }
+
+    /// The earliest cycle in `[from, limit)` with an event due, in the ring
+    /// or the overflow map. `from` must be the next cycle to drain.
+    pub(crate) fn next_due(&self, from: u64, limit: u64) -> Option<u64> {
+        debug_assert_eq!(from, self.now, "next_due looks ahead from the next cycle to drain");
+        if self.len() == 0 {
+            return None;
+        }
+        // Overflow keys are at or after `now`; ring bucket `c % HORIZON`
+        // holds exactly the events due at `c` for `c` in
+        // `[now, now + HORIZON)`.
+        let overflow = self.overflow.keys().next().copied().filter(|&c| c < limit);
+        let ring_end = limit.min(from + HORIZON).min(overflow.unwrap_or(u64::MAX));
+        (from..ring_end).find(|&c| !self.buckets[(c % HORIZON) as usize].is_empty()).or(overflow)
+    }
+
+    /// Jumps the wheel to `cycle` as if every cycle before it had been
+    /// drained; the caller guarantees none of them had an event due.
+    /// (Verify builds tick through the spans a skip would jump.)
+    #[cfg_attr(feature = "verify", allow(dead_code))]
+    pub(crate) fn advance_to(&mut self, cycle: u64) {
+        debug_assert!(cycle >= self.now, "the wheel only moves forward");
+        debug_assert_eq!(
+            self.next_due(self.now, cycle),
+            None,
+            "advance_to would skip an event due before cycle {cycle}"
+        );
+        self.now = cycle;
     }
 }
 
@@ -183,8 +208,10 @@ mod tests {
     }
 
     /// Property test pinning the wheel to `BTreeMap<u64, Vec<Uid>>`
-    /// semantics: a random schedule interleaved with cycle advancement
-    /// must drain identical uid sequences from both.
+    /// semantics: a random schedule interleaved with cycle advancement —
+    /// one cycle at a time, or a jump with `advance_to` over a stretch
+    /// `next_due` reports empty — must drain identical uid sequences from
+    /// both, and `next_due` must name the model's first key in range.
     #[test]
     fn randomized_against_btreemap() {
         let mut seed: u64 = 0xC0FF_EE00;
@@ -192,7 +219,11 @@ mod tests {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (seed >> 33) % m
         };
-        for _trial in 0..30 {
+        let (mut jumps, mut overflow_found) = (0, 0);
+        for trial in 0..30 {
+            // Odd trials schedule rarely, leaving long empty stretches and
+            // overflow events with nothing due before them.
+            let sparse = trial % 2 == 1;
             let mut arena = InstArena::new();
             let mut wheel = CompletionWheel::new();
             let mut model: BTreeMap<u64, Vec<Uid>> = BTreeMap::new();
@@ -200,7 +231,8 @@ mod tests {
             while cycle < 3000 {
                 // A burst of schedules at the current cycle, with a long
                 // tail of latencies straddling the horizon.
-                for _ in 0..rnd(4) {
+                let burst = if sparse && rnd(32) != 0 { 0 } else { rnd(4) };
+                for _ in 0..burst {
                     let latency = 1 + rnd(HORIZON * 2);
                     let u = uid(&mut arena);
                     wheel.schedule(cycle + latency, u);
@@ -211,8 +243,25 @@ mod tests {
                 let want = model.remove(&cycle).unwrap_or_default();
                 assert_eq!(got, want, "drain order diverged from BTreeMap at cycle {cycle}");
                 cycle += 1;
+
+                let limit = cycle + 1 + rnd(HORIZON * 3);
+                let due = wheel.next_due(cycle, limit);
+                let want = model.range(cycle..limit).next().map(|(&c, _)| c);
+                assert_eq!(due, want, "next_due({cycle}, {limit}) diverged from BTreeMap");
+                if due.is_some_and(|c| c >= cycle + HORIZON) {
+                    overflow_found += 1;
+                }
+                // Now and then jump to the next event (or the limit).
+                if rnd(8) == 0 {
+                    let to = due.unwrap_or(limit);
+                    wheel.advance_to(to);
+                    jumps += to - cycle;
+                    cycle = to;
+                }
             }
             assert_eq!(wheel.len(), model.values().map(Vec::len).sum::<usize>());
         }
+        assert!(jumps > 10_000, "the walk jumps over empty stretches ({jumps} cycles)");
+        assert!(overflow_found > 0, "next_due found overflow-map events");
     }
 }

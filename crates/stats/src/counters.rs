@@ -110,10 +110,19 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, sample: u64) {
+        self.record_n(sample, 1);
+    }
+
+    /// Records `n` copies of `sample` at once, exactly as `n` calls of
+    /// [`Histogram::record`] would (`n == 0` records nothing).
+    pub fn record_n(&mut self, sample: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = ((sample / self.width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += sample;
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum += sample * n;
         self.max = self.max.max(sample);
     }
 
@@ -268,6 +277,23 @@ mod tests {
         assert_eq!(h.percentile(0.5), 5);
         assert_eq!(h.percentile(0.9), 9);
         assert_eq!(h.percentile(1.0), 10);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_record() {
+        // Includes samples past the clamped top bucket and a zero count.
+        let runs = [(3, 4), (27, 2), (5000, 3), (12, 0), (0, 1)];
+        let mut each = Histogram::new(10, 3);
+        let mut bulk = Histogram::new(10, 3);
+        for (sample, n) in runs {
+            (0..n).for_each(|_| each.record(sample));
+            bulk.record_n(sample, n);
+        }
+        assert_eq!(bulk, each);
+        assert_eq!(bulk.max(), 5000);
+        let mut untouched = Histogram::new(10, 3);
+        untouched.record_n(99, 0);
+        assert_eq!(untouched, Histogram::new(10, 3), "n = 0 leaves max alone");
     }
 
     #[test]

@@ -24,6 +24,10 @@ impl Pool {
             false
         }
     }
+
+    fn next_release(&self, now: u64) -> Option<u64> {
+        self.busy_until.iter().copied().filter(|&u| u > now).min()
+    }
 }
 
 /// All execution pipes of the core.
@@ -73,6 +77,17 @@ impl FuPools {
             FuClass::None => true,
         }
     }
+
+    /// The earliest cycle after `now` at which a unit that is busy at
+    /// `now` frees, or `None` when every unit is free by `now`. Until
+    /// then, [`FuPools::try_issue`] answers every class as it does at
+    /// `now`.
+    pub fn next_release(&self, now: u64) -> Option<u64> {
+        [&self.int_alu, &self.int_mul_div, &self.fp, &self.fp_div_sqrt, &self.load, &self.store]
+            .into_iter()
+            .filter_map(|p| p.next_release(now))
+            .min()
+    }
 }
 
 #[cfg(test)]
@@ -115,6 +130,17 @@ mod tests {
         let mut fu = tiny();
         assert!(fu.try_issue(FuClass::IntMulDiv, 0, 3));
         assert!(fu.try_issue(FuClass::IntMulDiv, 1, 3), "multiply pipelines");
+    }
+
+    #[test]
+    fn next_release_is_the_earliest_busy_unit() {
+        let mut fu = tiny();
+        assert_eq!(fu.next_release(0), None, "all units idle");
+        assert!(fu.try_issue(FuClass::FpDivSqrt, 0, 12));
+        assert!(fu.try_issue(FuClass::IntAlu, 0, 1));
+        assert_eq!(fu.next_release(0), Some(1));
+        assert_eq!(fu.next_release(1), Some(12), "the ALU is free again at 1");
+        assert_eq!(fu.next_release(12), None);
     }
 
     #[test]

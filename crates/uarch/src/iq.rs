@@ -115,6 +115,12 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
         self.len() == 0
     }
 
+    /// Whether any operand-ready, unparked entry waits for
+    /// [`IssueQueue::select`].
+    pub fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
     /// Whether the queue has no free slot.
     pub fn is_full(&self) -> bool {
         self.free.is_empty()

@@ -26,10 +26,13 @@ fn waits_for_wakeup() {
     let a = prf.alloc().unwrap(); // not ready
     let mut iq = IssueQueue::new(8);
     iq.insert(1, 0, [Some(a), None], &prf);
+    assert!(!iq.has_ready(), "an operand-waiting entry is not ready");
     assert_eq!(iq.select(4, |_, _| true), 0);
     prf.write(a, 9);
     iq.wakeup(a);
+    assert!(iq.has_ready());
     assert_eq!(iq.select(4, |_, _| true), 1);
+    assert!(!iq.has_ready());
 }
 
 #[test]
