@@ -64,11 +64,7 @@ impl RunArtifact {
         c.set("packing.enabled", Json::Bool(cfg.lf.packing.enabled));
         c.set("speculation", Json::Bool(cfg.lf.speculation));
         c.set("deselect_unprofitable", Json::Bool(cfg.deselect_unprofitable));
-        let interval = match cfg.lf.telemetry.interval_cycles {
-            Some(n) => Json::from(n),
-            None => Json::Null,
-        };
-        c.set("telemetry.interval_cycles", interval);
+        c.set("telemetry.interval_cycles", loopfrog::telemetry::INTERVAL_CYCLES);
         self.root.set("config", c);
     }
 
@@ -115,10 +111,11 @@ pub fn kernel_json(run: &KernelRun) -> Json {
 }
 
 /// One simulation's record: the registry dump plus explicit accounting
-/// and interval views (also present inside the registry as scalars).
+/// and interval views (also present inside the registry as scalars). The
+/// final-state checksum is not part of it: a JSON number cannot hold 64
+/// bits exactly, and the run cache keeps the checksum as hex beside it.
 pub fn sim_result_json(r: &SimResult) -> Json {
     let mut j = Json::obj();
-    j.set("checksum", r.checksum);
     j.set("registry", r.registry.to_json());
     let mut acct = Json::obj();
     for (bucket, n) in r.accounting.iter() {
@@ -170,9 +167,14 @@ mod tests {
         assert!(reg.get("core.cycles").is_some());
         assert!(reg.get("accounting.base_commit").is_some());
 
-        // The interval time series is non-empty by default.
+        // The interval time series is non-empty: every run samples.
         let intervals = lf.get("intervals").and_then(Json::as_arr).unwrap();
-        assert!(!intervals.is_empty(), "default config samples intervals");
+        assert!(!intervals.is_empty(), "every run samples intervals");
         assert!(intervals[0].get("committed_insts").is_some());
+
+        // The 64-bit checksum is not carried as a (rounded) JSON number.
+        for side in ["base", "loopfrog"] {
+            assert!(k.get(side).unwrap().get("checksum").is_none(), "{side} carries a checksum");
+        }
     }
 }

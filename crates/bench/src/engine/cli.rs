@@ -7,7 +7,6 @@
 //! lf-bench run --all [options]
 //! lf-bench perf [--scale smoke|eval|full] [--reps N] [--label TEXT]
 //!               [--json [DIR]] [--warn-regression PCT]
-//! lf-bench profile [--scale smoke|eval|full] [--reps N] [--json [DIR]]
 //! lf-bench trace <kernel> [--scale smoke|eval|full] [--config base|lf]
 //!                [--konata PATH] [--text PATH|-] [--cycles LO:HI]
 //!                [--tid N] [--kinds a,b,...]
@@ -115,13 +114,12 @@ enum Command {
         all: bool,
     },
     Perf,
-    Profile,
     Trace,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lf-bench <list|run|perf|profile|trace> [scenario...|kernel] [--all]\n\
+        "usage: lf-bench <list|run|perf|trace> [scenario...|kernel] [--all]\n\
          \x20                [--scale smoke|eval|full] [--tier sampled|detailed]\n\
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
          \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
@@ -191,7 +189,6 @@ fn parse(args: &[String]) -> Cli {
             "run" if command.is_none() => command = Some("run"),
             "worker" if command.is_none() => command = Some("worker"),
             "perf" if command.is_none() => command = Some("perf"),
-            "profile" if command.is_none() => command = Some("profile"),
             "trace" if command.is_none() => command = Some("trace"),
             "--reps" => {
                 let v = value("a repetition count");
@@ -379,7 +376,6 @@ fn parse(args: &[String]) -> Cli {
         Some("run") => cli.command = Command::Run { names, all },
         Some("worker") => cli.command = Command::Worker { names, all },
         Some("perf") => cli.command = Command::Perf,
-        Some("profile") => cli.command = Command::Profile,
         Some("trace") => {
             if cli.trace.kernel.is_empty() {
                 eprintln!("error: `trace` expects a kernel name");
@@ -463,13 +459,6 @@ pub fn main() {
                 label: cli.label.clone(),
                 json_path: Some(dir.join("BENCH_throughput.json")),
                 warn_frac: cli.warn_frac,
-            });
-        }
-        Command::Profile => {
-            crate::profile::run_profile(&crate::profile::ProfileOptions {
-                scale: cli.scale,
-                reps: cli.reps,
-                json_path: cli.json_dir.as_ref().map(|d| d.join("profile.json")),
             });
         }
         Command::Trace => {

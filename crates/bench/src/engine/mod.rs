@@ -654,6 +654,9 @@ pub(crate) fn build_plan(
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
 ) -> CampaignPlan {
+    // Phase 1: plan. Build the suite, then let scenarios declare work;
+    // nothing runs yet.
+    let plan_span = span_log.span("phase", "plan");
     let suite: Vec<Workload> = lf_workloads::all(opts.scale)
         .into_iter()
         .filter(|w| match &opts.filter {
@@ -661,9 +664,6 @@ pub(crate) fn build_plan(
             None => true,
         })
         .collect();
-
-    // Phase 1: plan. Scenarios only declare work; nothing runs yet.
-    let plan_span = span_log.span("phase", "plan");
     let mut planner = Planner::new(&suite);
     let mut per_scenario = Vec::new();
     for s in scenarios {

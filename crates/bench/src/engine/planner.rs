@@ -31,8 +31,10 @@ use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
 use lf_workloads::Workload;
-use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStop};
+use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -378,20 +380,18 @@ fn execute_one(
         _ => false,
     };
     if budget_hit {
-        // Runs are simulated unobserved. Unless the config records events
-        // itself, a budget failure is explained by replaying it to the
-        // cycle it stopped at with the recorder armed: the simulation is
-        // deterministic and observers never perturb it, so this is the
-        // window the failed run would have recorded.
-        let mut window = result.flight_recorder;
-        if run.config.telemetry.flight_recorder_depth == 0 {
-            let mut cfg = run.config.clone();
-            cfg.max_cycles = result.stats.cycles;
-            let mut replay = LoopFrogCore::new(program, initial_mem(), cfg);
-            replay.arm_flight_recorder_live(FLIGHT_RECORDER_KEEP);
-            let replayed = replay.run().expect("a replay reaches the cycle its run stopped at");
-            window = replayed.flight_recorder;
-        }
+        // Runs are simulated unobserved, so a budget failure is explained
+        // by replaying it to the cycle it stopped at with a flight recorder
+        // attached: the simulation is deterministic and observers never
+        // perturb it, so this is the window the failed run would have
+        // recorded.
+        let mut cfg = run.config.clone();
+        cfg.max_cycles = result.stats.cycles;
+        let recorder = Rc::new(RefCell::new(FlightRecorder::new(FLIGHT_RECORDER_KEEP)));
+        let mut replay = LoopFrogCore::new(program, initial_mem(), cfg);
+        replay.set_tracer(Box::new(Rc::clone(&recorder)));
+        replay.run().expect("a replay reaches the cycle its run stopped at");
+        let window = recorder.borrow().window();
         return Err(RunError::BudgetExceeded {
             cycles: result.stats.cycles,
             budget_cycles,

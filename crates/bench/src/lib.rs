@@ -15,7 +15,6 @@ pub mod durable;
 pub mod engine;
 pub mod microbench;
 pub mod perf;
-pub mod profile;
 pub mod runner;
 pub mod table;
 pub mod tiered;

@@ -8,22 +8,25 @@
 //! throughput (M insts/s) is what the tiered sampling path fast-forwards
 //! at; its wall time is kept out of the detailed-throughput figures. After
 //! the timed reps, one more rep per detailed cell runs under the engine
-//! self-profiler (untimed), and the pooled per-stage shares go into the
-//! entry as `stage_shares`, so each before/after pair shows where its time
-//! went. Each invocation appends one entry to
-//! `results/BENCH_throughput.json`, so the file accumulates a throughput
-//! trajectory across commits.
+//! self-profiler ([`loopfrog::LoopFrogCore::enable_profiler`], untimed).
+//! Its per-stage shares of sampled wall-clock time are printed as one
+//! table row per (kernel, config) cell plus a pooled total, and recorded
+//! in the entry: pooled as `stage_shares`, and per cell in each detailed
+//! `per_run` row, so each before/after pair shows where its time went.
+//! Profiling is core-side state, not configuration: a profiled run's
+//! simulated results are byte-identical to an unprofiled one. Each
+//! invocation appends one entry to `results/BENCH_throughput.json`, so the
+//! file accumulates a throughput trajectory across commits.
 //!
 //! The basket is deliberately frozen: entries are only comparable when
 //! they simulate the same work, so changing [`BASKET`] or the pinned
 //! configs invalidates the trajectory (bump the label if you must).
 
-use crate::profile::StagePool;
 use crate::runner::scale_tag;
 use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
-use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore};
+use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore, ProfileReport};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -70,6 +73,56 @@ struct Sample {
     cycles: u64,
     insts: u64,
     best_wall_s: f64,
+    /// Stage times of the cell's profiled rep (`None` on the functional
+    /// tier, which has no pipeline stages).
+    stages: Option<StagePool>,
+}
+
+/// Stage-time accumulator: pools sampled nanoseconds by stage name across
+/// profile reports while preserving the pipeline's stage order.
+#[derive(Default)]
+struct StagePool {
+    stages: Vec<(&'static str, u64)>,
+    sampled_ticks: u64,
+    total_ticks: u64,
+}
+
+impl StagePool {
+    fn add(&mut self, report: &ProfileReport) {
+        self.sampled_ticks += report.sampled_ticks;
+        self.total_ticks += report.total_ticks;
+        for s in &report.stages {
+            match self.stages.iter_mut().find(|(name, _)| *name == s.name) {
+                Some((_, ns)) => *ns += s.sampled_ns,
+                None => self.stages.push((s.name, s.sampled_ns)),
+            }
+        }
+    }
+
+    fn total_ns(&self) -> u64 {
+        self.stages.iter().map(|(_, ns)| ns).sum()
+    }
+
+    fn share(&self, name: &str) -> f64 {
+        let total = self.total_ns();
+        if total == 0 {
+            return 0.0;
+        }
+        self.stages
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, ns)| *ns as f64 / total as f64)
+            .unwrap_or(0.0)
+    }
+
+    /// Each stage's share of the pooled sampled time, keyed by stage name.
+    fn shares_json(&self) -> Json {
+        let mut j = Json::obj();
+        for (name, _) in &self.stages {
+            j.set(name, self.share(name));
+        }
+        j
+    }
 }
 
 /// Runs the basket and returns the trajectory entry that was appended
@@ -103,11 +156,21 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
                 insts = r.stats.committed_insts;
                 best_wall_s = best_wall_s.min(wall);
             }
-            samples.push(Sample { kernel: w.name, config: tag, cycles, insts, best_wall_s });
             let mut core = LoopFrogCore::new(&ann.program, w.mem.clone(), cfg.clone());
             core.enable_profiler();
             let r = core.run().unwrap_or_else(|e| panic!("{name} ({tag}, profiled) failed: {e}"));
-            stages.add(&r.profile.expect("profiler was enabled"));
+            let report = r.profile.expect("profiler was enabled");
+            let mut cell = StagePool::default();
+            cell.add(&report);
+            stages.add(&report);
+            samples.push(Sample {
+                kernel: w.name,
+                config: tag,
+                cycles,
+                insts,
+                best_wall_s,
+                stages: Some(cell),
+            });
         }
         // The functional fast tier over the same annotated program: zero
         // simulated cycles, instruction throughput only.
@@ -129,6 +192,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
             cycles: 0,
             insts,
             best_wall_s,
+            stages: None,
         });
     }
 
@@ -172,7 +236,31 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
         "functional tier: {func_insts} insts in {:.1} ms — {func_mips:.1} M insts/s",
         func_wall_s * 1e3
     );
-    println!("stage shares (one profiled rep per cell, untimed): {}", stages.shares_line());
+
+    // One row per (kernel, config), one column per stage, shares of that
+    // cell's sampled stage time; the total row pools every cell.
+    let stage_names: Vec<&'static str> = stages.stages.iter().map(|(n, _)| *n).collect();
+    let mut header = vec!["kernel/config"];
+    header.extend(&stage_names);
+    header.push("sampled ms");
+    let row_for = |label: String, pool: &StagePool| {
+        let mut row = vec![label];
+        row.extend(stage_names.iter().map(|s| format!("{:5.1}%", pool.share(s) * 100.0)));
+        row.push(format!("{:.2}", pool.total_ns() as f64 / 1e6));
+        row
+    };
+    let mut rows: Vec<Vec<String>> = samples
+        .iter()
+        .filter_map(|s| Some(row_for(format!("{}/{}", s.kernel, s.config), s.stages.as_ref()?)))
+        .collect();
+    rows.push(row_for("TOTAL".into(), &stages));
+    println!(
+        "\nstage shares: one untimed profiled rep per cell, {} of {} ticks sampled (1 in {})\n",
+        stages.sampled_ticks,
+        stages.total_ticks,
+        loopfrog::profiler::SAMPLE_PERIOD
+    );
+    crate::print_table(&header, &rows);
 
     let mut entry = Json::obj();
     let unix_secs = std::time::SystemTime::now()
@@ -203,6 +291,9 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
         j.set("cycles", s.cycles);
         j.set("insts", s.insts);
         j.set("wall_ms", s.best_wall_s * 1e3);
+        if let Some(pool) = &s.stages {
+            j.set("stage_shares", pool.shares_json());
+        }
         per.push(j);
     }
     entry.set("per_run", Json::Arr(per));
@@ -265,6 +356,9 @@ pub(crate) fn append_throughput_entry(
 mod tests {
     use super::*;
 
+    /// The six pipeline stages the engine self-profiler times.
+    const STAGES: [&str; 6] = ["commit", "spawn_service", "writeback", "issue", "rename", "fetch"];
+
     #[test]
     fn basket_kernels_exist_at_both_scales() {
         for scale in [Scale::Smoke, Scale::Eval] {
@@ -293,9 +387,10 @@ mod tests {
         assert!(entry.get("committed_mips").and_then(Json::as_f64).unwrap() > 0.0);
         assert_eq!(entry.get("scale").and_then(Json::as_str), Some("smoke"));
         let shares = entry.get("stage_shares").expect("stage shares recorded");
-        let stages = ["commit", "spawn_service", "writeback", "issue", "rename", "fetch"];
-        let sum: f64 = stages.iter().map(|s| shares.get(s).and_then(Json::as_f64).expect(s)).sum();
+        let sum: f64 = STAGES.iter().map(|s| shares.get(s).and_then(Json::as_f64).expect(s)).sum();
         assert!((sum - 1.0).abs() < 1e-9, "stage shares sum to 1, got {sum}");
+        let per_run = entry.get("per_run").and_then(Json::as_arr).unwrap();
+        assert_eq!(per_run.len(), BASKET.len() * 3, "base, lf and functional per kernel");
 
         // The basket's simulated work is pinned to the committed ledger:
         // every detailed cell must simulate the cycles and instructions of
@@ -327,5 +422,40 @@ mod tests {
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("runs").and_then(Json::as_arr).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn profile_reports_shares_for_every_stage() {
+        let opts = PerfOptions {
+            scale: Scale::Smoke,
+            reps: 1,
+            label: None,
+            json_path: None,
+            warn_frac: 0.15,
+        };
+        let entry = run_perf(&opts);
+        // The pooled shares and every detailed cell's own shares cover the
+        // six pipeline stages and sum to 1, so every cell's profiled rep
+        // sampled some stage time.
+        let assert_shares = |shares: &Json, what: &str| {
+            let Json::Obj(m) = shares else { panic!("{what}: stage shares are not an object") };
+            assert_eq!(m.len(), STAGES.len(), "{what}: six pipeline stages");
+            let sum: f64 =
+                STAGES.iter().map(|s| shares.get(s).and_then(Json::as_f64).expect(s)).sum();
+            assert!((sum - 1.0).abs() < 1e-9, "{what}: stage shares sum to {sum}, not 1");
+        };
+        assert_shares(entry.get("stage_shares").expect("stage shares recorded"), "pooled");
+        let mut cells = Vec::new();
+        for r in entry.get("per_run").and_then(Json::as_arr).unwrap() {
+            let field = |k| r.get(k).and_then(Json::as_str).unwrap();
+            let cell = format!("{}/{}", field("kernel"), field("config"));
+            match field("config") {
+                "functional" => assert!(r.get("stage_shares").is_none(), "{cell}"),
+                _ => assert_shares(r.get("stage_shares").expect("cell shares"), &cell),
+            }
+            cells.push(cell);
+        }
+        assert!(cells.iter().any(|c| c == "stencil_blur/lf"));
+        assert!(cells.iter().any(|c| c == "stencil_blur/base"));
     }
 }

@@ -9,8 +9,7 @@
 //! - `--konata PATH` — Konata / O3PipeView-compatible pipeline
 //!   visualization ([`loopfrog::KonataTracer`]; open in Konata).
 //! - `--dump-flight-recorder PATH` — the last-N-event window at run end
-//!   (the PR4 flight recorder, armed on demand rather than only on budget
-//!   trips).
+//!   ([`loopfrog::FlightRecorder`], unfiltered), as JSON.
 //!
 //! One [`loopfrog::TraceFilter`] (from `--cycles LO:HI`, `--tid N`,
 //! `--kinds a,b,...`) is shared by the text and Konata sinks, so both
@@ -22,9 +21,12 @@ use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
 use loopfrog::{
-    KonataTracer, LoopFrogConfig, LoopFrogCore, TextTracer, TraceFilter, TraceKind, TraceMux,
+    FlightRecorder, KonataTracer, LoopFrogConfig, LoopFrogCore, TextTracer, TraceFilter, TraceKind,
+    TraceMux,
 };
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 /// Which pinned configuration to trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,13 +121,17 @@ pub fn run_trace(opts: &TraceOptions) -> u64 {
     if let Some(path) = &opts.konata {
         mux.add(Box::new(KonataTracer::new(create(path)).with_filter(filter.clone())));
     }
+    let dump = opts
+        .dump_flight_recorder
+        .as_ref()
+        .map(|path| (path, Rc::new(RefCell::new(FlightRecorder::new(DUMP_DEPTH)))));
+    if let Some((_, recorder)) = &dump {
+        mux.add(Box::new(Rc::clone(recorder)));
+    }
 
     let mut core = LoopFrogCore::new(&ann.program, w.mem.clone(), cfg);
     if !mux.is_empty() {
         core.set_tracer(Box::new(mux));
-    }
-    if opts.dump_flight_recorder.is_some() {
-        core.arm_flight_recorder_live(DUMP_DEPTH);
     }
     let result = core.run().unwrap_or_else(|e| {
         eprintln!("error: {} failed: {e}", opts.kernel);
@@ -134,9 +140,10 @@ pub fn run_trace(opts: &TraceOptions) -> u64 {
     // Dropping the core drops the tracer, flushing the buffered sinks.
     drop(core);
 
-    if let Some(path) = &opts.dump_flight_recorder {
-        let events: Vec<Json> = result
-            .flight_recorder
+    if let Some((path, recorder)) = &dump {
+        let events: Vec<Json> = recorder
+            .borrow()
+            .window()
             .iter()
             .map(|ev| {
                 let mut j = Json::obj();

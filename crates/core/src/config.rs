@@ -116,8 +116,6 @@ pub struct LoopFrogConfig {
     pub max_insts: u64,
     /// Hard limit on simulated cycles (safety fuel).
     pub max_cycles: u64,
-    /// Telemetry knobs: interval sampling and the flight recorder.
-    pub telemetry: crate::telemetry::TelemetryConfig,
 }
 
 impl Default for LoopFrogConfig {
@@ -133,7 +131,6 @@ impl Default for LoopFrogConfig {
             spawn_latency: 4,
             max_insts: u64::MAX,
             max_cycles: u64::MAX,
-            telemetry: crate::telemetry::TelemetryConfig::default(),
         }
     }
 }
@@ -150,11 +147,10 @@ impl LoopFrogConfig {
     }
 
     /// A stable canonical fingerprint over *every* configuration field,
-    /// including telemetry knobs (they change the [`crate::SimResult`]
-    /// contents, so runs under different telemetry settings must not be
-    /// deduplicated against each other). Combined with the annotated
-    /// program's code fingerprint and the workload scale, this identifies
-    /// a simulation: equal fingerprints ⇒ identical results.
+    /// plus the interval-sampling period, which shapes the
+    /// [`crate::SimResult`] too. Combined with the annotated program's code
+    /// fingerprint and the workload scale, this identifies a simulation:
+    /// equal fingerprints ⇒ identical results.
     ///
     /// Any new configuration field MUST be fed here, otherwise the
     /// experiment engine's cache will serve stale results when that field
@@ -171,8 +167,13 @@ impl LoopFrogConfig {
             .u64(self.spawn_latency)
             .u64(self.max_insts)
             .u64(self.max_cycles)
-            .opt_u64(self.telemetry.interval_cycles)
-            .usize(self.telemetry.flight_recorder_depth);
+            // Two retired config fields sat here: the interval period, then
+            // the flight-recorder depth. Every campaign ran with `Some(8192)`
+            // and `0`, so hashing those values in the same positions keeps
+            // every fingerprint (run-cache entry names, `failures.json`
+            // records) valid.
+            .opt_u64(Some(crate::telemetry::INTERVAL_CYCLES))
+            .usize(0);
         fp.finish()
     }
 }
@@ -328,8 +329,6 @@ mod tests {
             Box::new(|c| c.spawn_latency += 1),
             Box::new(|c| c.max_insts = 1 << 40),
             Box::new(|c| c.max_cycles = 1 << 40),
-            Box::new(|c| c.telemetry.interval_cycles = None),
-            Box::new(|c| c.telemetry.flight_recorder_depth += 1),
         ];
         for (i, m) in mutations.iter().enumerate() {
             let mut c = LoopFrogConfig::default();

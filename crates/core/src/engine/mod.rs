@@ -33,8 +33,8 @@ use crate::profiler::{Profiler, Stage};
 use crate::ssb::Ssb;
 use crate::stats::{SimResult, SimStats, SimStop};
 use crate::telemetry::{
-    CycleBucket, CycleSample, CycleStats, IntervalSample, IntervalSampler, Telemetry,
-    COMMIT_STALL_NAMES,
+    CycleBucket, CycleSample, CycleStats, IntervalSample, IntervalSampler, COMMIT_STALL_NAMES,
+    INTERVAL_CYCLES,
 };
 use crate::threadlet::{CtxState, Threadlet};
 use crate::trace::{TraceEvent, Tracer};
@@ -183,15 +183,12 @@ pub struct LoopFrogCore<'p> {
     /// kept as an integer on the hot path and folded into
     /// `stats.counters` under its name by `finish`.
     pub(crate) squashes_register: u64,
-    pub(crate) telem: Telemetry,
+    /// Snapshots the headline counters every [`INTERVAL_CYCLES`].
+    pub(crate) sampler: IntervalSampler,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Sampled wall-clock stage profiler (see [`crate::profiler`]); `None`
     /// unless [`LoopFrogCore::enable_profiler`] was called.
     pub(crate) profiler: Option<Profiler>,
-    /// When set, [`LoopFrogCore::finish`] reports the flight recorder's
-    /// live end-of-run window instead of the pre-squash capture (armed by
-    /// [`LoopFrogCore::arm_flight_recorder_live`] for on-demand dumps).
-    pub(crate) recorder_live_dump: bool,
     pub(crate) halted: bool,
     /// Harness-side wall-clock watchdog; checked every
     /// [`DEADLINE_CHECK_CYCLES`] cycles in the step loop.
@@ -307,10 +304,9 @@ impl<'p> LoopFrogCore<'p> {
             stats: SimStats::new(threadlets),
             cycle_stats: CycleStats::new(&cfg),
             squashes_register: 0,
-            telem: Telemetry::new(&cfg),
+            sampler: IntervalSampler::new(INTERVAL_CYCLES),
             tracer: None,
             profiler: None,
-            recorder_live_dump: false,
             halted: false,
             deadline: None,
             last_commit_cycle: 0,
@@ -526,9 +522,7 @@ impl<'p> LoopFrogCore<'p> {
         if self.deadline.is_some() {
             end = end.min(now.next_multiple_of(DEADLINE_CHECK_CYCLES));
         }
-        if let Some(s) = &self.telem.sampler {
-            end = end.min(s.next_boundary());
-        }
+        end = end.min(self.sampler.next_boundary());
         let mut wait_until = |at: u64| {
             if at >= now && at < end {
                 end = at;
@@ -571,9 +565,9 @@ impl<'p> LoopFrogCore<'p> {
 
     /// Records the interval sample due at the current cycle count, if any.
     fn sample_interval(&mut self) {
-        if self.telem.sampler.as_ref().is_some_and(|s| s.next_boundary() == self.cycle) {
+        if self.sampler.next_boundary() == self.cycle {
             let sample = self.interval_sample();
-            self.telem.sampler.as_mut().expect("checked").record(sample);
+            self.sampler.record(sample);
         }
     }
 
@@ -733,12 +727,8 @@ impl<'p> LoopFrogCore<'p> {
         // Close out the sampler while `self.stats` is still live (the final
         // partial interval snapshots the cumulative counters), then move
         // the statistics out.
-        if self.telem.sampler.is_some() {
-            let sample = self.interval_sample();
-            if let Some(s) = &mut self.telem.sampler {
-                s.finish(sample.cycle, sample);
-            }
-        }
+        let sample = self.interval_sample();
+        self.sampler.finish(sample.cycle, sample);
         let mut stats = std::mem::replace(&mut self.stats, SimStats::new(self.ctx.len()));
         let cycle_stats = std::mem::replace(&mut self.cycle_stats, CycleStats::new(&self.cfg));
         let occupancy = cycle_stats.histograms(&self.cfg);
@@ -776,38 +766,13 @@ impl<'p> LoopFrogCore<'p> {
         }
 
         let registry = crate::telemetry::build_registry(&stats, &accounting, occupancy, &self.cfg);
-        let intervals =
-            self.telem.sampler.take().map(IntervalSampler::into_samples).unwrap_or_default();
-        // A run stopped mid-flight (cycle cap or deadline) reports the
-        // *live* event window — what the pipeline was doing when time ran
-        // out; normal completions keep the pre-squash capture.
-        let live_dump = self.recorder_live_dump;
-        let flight_recorder = self
-            .telem
-            .recorder
-            .take()
-            .map(|r| match stop {
-                _ if live_dump => r.live_window(),
-                SimStop::MaxCycles | SimStop::Deadline => r.live_window(),
-                _ => r.into_pre_squash(),
-            })
-            .unwrap_or_default();
+        let intervals = self.sampler.take_samples();
         // Wall-clock data stays out of the deterministic statistics: the
         // report rides alongside them and is rendered only by callers that
         // asked for profiling.
         let profile = self.profiler.take().map(|p| p.report(self.cycle));
 
-        SimResult {
-            stop,
-            stats,
-            checksum,
-            final_regs,
-            registry,
-            accounting,
-            intervals,
-            flight_recorder,
-            profile,
-        }
+        SimResult { stop, stats, checksum, final_regs, registry, accounting, intervals, profile }
     }
 
     /// Statistics collected so far. The hierarchy's and the commit stage's
@@ -838,14 +803,11 @@ impl<'p> LoopFrogCore<'p> {
     }
 
     /// Attaches a pipeline-event observer (see [`crate::trace`]). Pass a
-    /// [`crate::TextTracer`] for a gem5-style textual trace.
+    /// [`crate::TextTracer`] for a gem5-style textual trace, a
+    /// [`crate::FlightRecorder`] for the last events of the run, or a
+    /// [`crate::TraceMux`] for several at once.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches and returns the tracer, if one was attached.
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
     }
 
     /// Enables the sampled wall-clock stage profiler (see
@@ -857,35 +819,16 @@ impl<'p> LoopFrogCore<'p> {
         self.profiler = Some(Profiler::new());
     }
 
-    /// Arms the flight recorder at `depth` events for an on-demand dump:
-    /// [`LoopFrogCore::finish`] will report the live end-of-run window —
-    /// the last `depth` events before the run ended, however it ended —
-    /// instead of the pre-squash capture. Like
-    /// [`LoopFrogCore::enable_profiler`], a core-side switch so the config
-    /// fingerprint (and with it dedup and caching) is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn arm_flight_recorder_live(&mut self, depth: usize) {
-        self.telem.recorder = Some(crate::telemetry::FlightRecorder::new(depth));
-        self.recorder_live_dump = true;
-    }
-
-    /// Whether any event observer (tracer or flight recorder) is active.
-    /// Emit sites check this before constructing an event so the common
-    /// unobserved case pays nothing.
+    /// Whether a tracer is attached. Emit sites check this before
+    /// constructing an event so the common unobserved case pays nothing.
     #[inline]
     pub(crate) fn observing(&self) -> bool {
-        self.tracer.is_some() || self.telem.recorder.is_some()
+        self.tracer.is_some()
     }
 
-    /// Emits a trace event to the flight recorder and/or tracer.
+    /// Emits a trace event to the attached tracer, if any.
     #[inline]
     pub(crate) fn emit(&mut self, ev: TraceEvent) {
-        if let Some(r) = &mut self.telem.recorder {
-            r.push(&ev);
-        }
         if let Some(t) = &mut self.tracer {
             t.event(&ev);
         }

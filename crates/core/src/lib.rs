@@ -81,8 +81,8 @@ pub use deselect::DeselectConfig;
 pub use engine::{simulate, LoopFrogCore, SimError};
 pub use profiler::{ProfileReport, StageProfile};
 pub use stats::{SimResult, SimStats, SimStop};
-pub use telemetry::{CycleAccounting, CycleBucket, IntervalSample, TelemetryConfig};
+pub use telemetry::{CycleAccounting, CycleBucket, IntervalSample};
 pub use trace::{
-    CountingTracer, KonataTracer, SquashReason, TextTracer, TraceEvent, TraceFilter, TraceKind,
-    TraceMux, Tracer,
+    CountingTracer, FlightRecorder, KonataTracer, SquashReason, TextTracer, TraceEvent,
+    TraceFilter, TraceKind, TraceMux, Tracer,
 };

@@ -236,14 +236,9 @@ pub struct SimResult {
     pub registry: lf_stats::MetricsRegistry,
     /// Per-commit-slot cycle accounting; sums to `cycles × commit_width`.
     pub accounting: crate::telemetry::CycleAccounting,
-    /// Interval snapshots (one per `telemetry.interval_cycles`, plus a
-    /// final partial interval); empty when sampling is disabled.
+    /// Interval snapshots: one per [`crate::telemetry::INTERVAL_CYCLES`],
+    /// plus a final partial interval.
     pub intervals: Vec<crate::telemetry::IntervalSample>,
-    /// Flight-recorder capture: the trace events immediately preceding the
-    /// most recent threadlet squash, or the live end-of-run window when the
-    /// run never squashed or stopped mid-flight (empty if the recorder was
-    /// off).
-    pub flight_recorder: Vec<crate::trace::TraceEvent>,
     /// Sampled wall-clock stage profile (see [`crate::profiler`]); `None`
     /// unless [`crate::LoopFrogCore::enable_profiler`] was called.
     /// Deliberately excluded from the deterministic statistics and every

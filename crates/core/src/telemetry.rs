@@ -1,8 +1,7 @@
-//! Run-time telemetry: cycle accounting, interval sampling, and a flight
-//! recorder, feeding the [`lf_stats::MetricsRegistry`] dump in
-//! [`crate::SimResult`].
+//! Run-time telemetry: cycle accounting and interval sampling, feeding the
+//! [`lf_stats::MetricsRegistry`] dump in [`crate::SimResult`].
 //!
-//! Three instruments, all cheap enough to stay on for every run:
+//! Two instruments, both cheap enough to stay on for every run:
 //!
 //! - **Cycle accounting** (gem5/top-down style): every commit slot of every
 //!   cycle is attributed to exactly one [`CycleBucket`] — productive commit
@@ -10,15 +9,20 @@
 //!   `cycles × commit_width` and a slowdown can be read off as "where did
 //!   the slots go".
 //! - **Interval sampling**: a snapshot of the headline counters every
-//!   `interval_cycles`, plus one final partial interval, giving exactly
+//!   [`INTERVAL_CYCLES`], plus one final partial interval, giving exactly
 //!   `⌈cycles / N⌉` samples — the time series behind phase plots.
-//! - **Flight recorder**: a bounded ring of the most recent pipeline
-//!   [`TraceEvent`]s; on a threadlet squash the ring is frozen so the events
-//!   *leading up to* the squash can be dumped post-mortem without paying
-//!   for full tracing.
+//!
+//! Both are simulated results, not observation: observers (tracers, the
+//! flight recorder, the self-profiler) are attached to a core by method
+//! calls and never change what a run computes.
 
-use crate::trace::TraceEvent;
 use lf_stats::Histogram;
+
+/// The interval-sampling period in cycles. Every run samples at this
+/// period; it feeds each run's fingerprint (see
+/// [`crate::LoopFrogConfig::fingerprint`]) because it shapes
+/// [`crate::SimResult::intervals`].
+pub const INTERVAL_CYCLES: u64 = 8192;
 
 /// Where one commit slot of one cycle went. The order here is the priority
 /// order used when classifying an idle slot (earlier variants win).
@@ -144,11 +148,6 @@ impl IntervalSampler {
         IntervalSampler { period, next: period, samples: Vec::new() }
     }
 
-    /// The sampling period in cycles.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// The cycle count at which the next boundary sample is due: the
     /// caller records one with [`IntervalSampler::record`] when its cycle
     /// count reaches it.
@@ -177,100 +176,9 @@ impl IntervalSampler {
         &self.samples
     }
 
-    /// Consumes the sampler, returning its samples.
-    pub fn into_samples(self) -> Vec<IntervalSample> {
-        self.samples
-    }
-}
-
-/// A bounded ring of recent [`TraceEvent`]s, frozen at the first event of
-/// each threadlet squash so the lead-up survives.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    cap: usize,
-    ring: std::collections::VecDeque<TraceEvent>,
-    pre_squash: Vec<TraceEvent>,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder keeping the last `cap` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> FlightRecorder {
-        assert!(cap > 0, "flight recorder depth must be positive");
-        FlightRecorder {
-            cap,
-            ring: std::collections::VecDeque::with_capacity(cap),
-            pre_squash: Vec::new(),
-        }
-    }
-
-    /// Records one event. A [`TraceEvent::SquashThreadlets`] freezes the
-    /// current ring contents (overwriting any earlier freeze: the *latest*
-    /// squash is the one worth debugging) before being recorded itself.
-    pub fn push(&mut self, ev: &TraceEvent) {
-        if matches!(ev, TraceEvent::SquashThreadlets { .. }) {
-            self.pre_squash = self.ring.iter().cloned().collect();
-        }
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev.clone());
-    }
-
-    /// The events captured before the most recent squash (empty if no
-    /// squash happened).
-    pub fn pre_squash(&self) -> &[TraceEvent] {
-        &self.pre_squash
-    }
-
-    /// The live ring — the last `cap` events recorded, regardless of
-    /// squashes. This is the window a watchdog wants when a run is
-    /// stopped mid-flight by a cycle budget or deadline.
-    pub fn live_window(&self) -> Vec<TraceEvent> {
-        self.ring.iter().cloned().collect()
-    }
-
-    /// Consumes the recorder, returning the pre-squash capture.
-    pub fn into_pre_squash(self) -> Vec<TraceEvent> {
-        self.pre_squash
-    }
-}
-
-/// Telemetry knobs, part of [`crate::LoopFrogConfig`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Interval-sampling period in cycles; `None` disables sampling.
-    pub interval_cycles: Option<u64>,
-    /// Flight-recorder depth in events; `0` disables the recorder.
-    pub flight_recorder_depth: usize,
-}
-
-impl Default for TelemetryConfig {
-    /// Sampling on (8192-cycle intervals), flight recorder off.
-    fn default() -> TelemetryConfig {
-        TelemetryConfig { interval_cycles: Some(8192), flight_recorder_depth: 0 }
-    }
-}
-
-/// Live telemetry state owned by the core during a run.
-#[derive(Debug)]
-pub(crate) struct Telemetry {
-    pub(crate) sampler: Option<IntervalSampler>,
-    pub(crate) recorder: Option<FlightRecorder>,
-}
-
-impl Telemetry {
-    pub(crate) fn new(cfg: &crate::LoopFrogConfig) -> Telemetry {
-        Telemetry {
-            sampler: cfg.telemetry.interval_cycles.map(IntervalSampler::new),
-            recorder: match cfg.telemetry.flight_recorder_depth {
-                0 => None,
-                k => Some(FlightRecorder::new(k)),
-            },
-        }
+    /// Moves the samples out, leaving the sampler empty.
+    pub fn take_samples(&mut self) -> Vec<IntervalSample> {
+        std::mem::take(&mut self.samples)
     }
 }
 
@@ -637,26 +545,5 @@ mod tests {
         assert_eq!((rob.count(), rob.max()), (8, cfg.core.rob_size as u64));
         assert_eq!(iq.max(), cfg.core.iq_size as u64 + 3);
         assert_eq!(commit.buckets()[0], 5);
-    }
-
-    #[test]
-    fn flight_recorder_freezes_on_squash() {
-        let mut r = FlightRecorder::new(2);
-        let retire = |cycle| TraceEvent::Retire { cycle, tid: 0, epoch: 0 };
-        r.push(&retire(1));
-        r.push(&retire(2));
-        r.push(&retire(3)); // evicts cycle 1
-        assert!(r.pre_squash().is_empty());
-        r.push(&TraceEvent::SquashThreadlets {
-            cycle: 4,
-            first: 1,
-            restart: false,
-            reason: crate::trace::SquashReason::Conflict,
-        });
-        let pre: Vec<u64> = r.pre_squash().iter().map(|e| e.cycle()).collect();
-        assert_eq!(pre, [2, 3]);
-        // Later events do not disturb the capture.
-        r.push(&retire(5));
-        assert_eq!(r.pre_squash().len(), 2);
     }
 }

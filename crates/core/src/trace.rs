@@ -10,11 +10,15 @@
 //! * [`TextTracer`] renders events as one line each,
 //! * [`KonataTracer`] renders the per-instruction lifecycle in the
 //!   Konata/O3PipeView `Kanata 0004` format (gem5's pipeline viewer),
+//! * [`FlightRecorder`] keeps the last N events in a ring, for post-mortem
+//!   dumps without a full trace,
 //! * [`CountingTracer`] aggregates per-kind counts (tests, cheap profiling),
 //! * [`TraceMux`] fans one stream out to several sinks.
 //!
-//! All sinks share the same [`TraceFilter`] admission logic, so a filtered
-//! text trace and a filtered Konata trace show the same slice of the run.
+//! The text and Konata sinks share the same [`TraceFilter`] admission
+//! logic, so a filtered text trace and a filtered Konata trace show the
+//! same slice of the run. Callers that read a sink back after the run keep
+//! a handle through the `Rc<RefCell<T>>` adapter at the end of this module.
 
 use lf_isa::{Inst, RegionId};
 use std::fmt;
@@ -378,33 +382,9 @@ impl<W: Write> TextTracer<W> {
         self
     }
 
-    /// Restricts output to cycles in `[start, end]` (inclusive).
-    pub fn with_cycle_range(mut self, start: u64, end: u64) -> TextTracer<W> {
-        self.filter = self.filter.with_cycle_range(start, end);
-        self
-    }
-
-    /// Restricts output to events concerning threadlet `tid`
-    /// (see [`TraceEvent::tid`]).
-    pub fn with_tid(mut self, tid: usize) -> TextTracer<W> {
-        self.filter = self.filter.with_tid(tid);
-        self
-    }
-
-    /// Restricts output to the given event kinds.
-    pub fn with_kinds(mut self, kinds: &[TraceKind]) -> TextTracer<W> {
-        self.filter = self.filter.with_kinds(kinds);
-        self
-    }
-
     /// Returns the sink.
     pub fn into_inner(self) -> W {
         self.sink
-    }
-
-    /// Mutable access to the sink (e.g. to take a captured buffer).
-    pub fn sink_mut(&mut self) -> &mut W {
-        &mut self.sink
     }
 }
 
@@ -593,6 +573,60 @@ impl Tracer for TraceMux {
     }
 }
 
+/// A bounded ring of the most recent events: the last `cap` events of a
+/// run, kept without paying for a full trace. The first event of each
+/// threadlet squash also freezes a copy of the ring, so the lead-up to the
+/// most recent squash survives the events that follow it. It sees every
+/// event (no [`TraceFilter`]); whoever attaches it picks the window to read
+/// after the run: [`FlightRecorder::window`] or
+/// [`FlightRecorder::pre_squash`].
+#[derive(Debug)]
+pub struct FlightRecorder {
+    cap: usize,
+    ring: std::collections::VecDeque<TraceEvent>,
+    pre_squash: Vec<TraceEvent>,
+}
+
+impl FlightRecorder {
+    /// Creates a recorder keeping the last `cap` events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0`.
+    pub fn new(cap: usize) -> FlightRecorder {
+        assert!(cap > 0, "flight recorder depth must be positive");
+        FlightRecorder {
+            cap,
+            ring: std::collections::VecDeque::with_capacity(cap),
+            pre_squash: Vec::new(),
+        }
+    }
+
+    /// The last `cap` events recorded, oldest first, regardless of
+    /// squashes: what the pipeline was doing when the run ended.
+    pub fn window(&self) -> Vec<TraceEvent> {
+        self.ring.iter().cloned().collect()
+    }
+
+    /// The events recorded before the most recent threadlet squash, oldest
+    /// first (empty if no squash happened).
+    pub fn pre_squash(&self) -> &[TraceEvent] {
+        &self.pre_squash
+    }
+}
+
+impl Tracer for FlightRecorder {
+    fn event(&mut self, ev: &TraceEvent) {
+        if matches!(ev, TraceEvent::SquashThreadlets { .. }) {
+            self.pre_squash = self.ring.iter().cloned().collect();
+        }
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(ev.clone());
+    }
+}
+
 /// Counts events per kind.
 #[derive(Debug, Default, Clone)]
 pub struct CountingTracer {
@@ -697,22 +731,21 @@ mod tests {
             String::from_utf8(t.into_inner()).unwrap()
         };
 
-        let by_cycle = feed(TextTracer::new(Vec::new()).with_cycle_range(2, 8));
+        let text = |f: TraceFilter| TextTracer::new(Vec::new()).with_filter(f);
+
+        let by_cycle = feed(text(TraceFilter::new().with_cycle_range(2, 8)));
         assert_eq!(by_cycle.lines().count(), 2);
 
-        let by_tid = feed(TextTracer::new(Vec::new()).with_tid(0));
+        let by_tid = feed(text(TraceFilter::new().with_tid(0)));
         assert_eq!(by_tid.lines().count(), 1);
 
-        let by_kind = feed(TextTracer::new(Vec::new()).with_kinds(&[TraceKind::Mispredict]));
+        let by_kind = feed(text(TraceFilter::new().with_kinds(&[TraceKind::Mispredict])));
         assert_eq!(by_kind.lines().count(), 1);
         assert!(by_kind.contains("mispred"));
 
-        let combined = feed(
-            TextTracer::new(Vec::new())
-                .with_cycle_range(2, 8)
-                .with_tid(1)
-                .with_kinds(&[TraceKind::Retire]),
-        );
+        let combined = feed(text(
+            TraceFilter::new().with_cycle_range(2, 8).with_tid(1).with_kinds(&[TraceKind::Retire]),
+        ));
         assert_eq!(combined.lines().count(), 1);
         assert!(combined.contains("epoch 1"));
     }
@@ -825,5 +858,28 @@ mod tests {
         assert_eq!(c.retires, 2);
         assert_eq!(c.spawns, 1);
         assert_eq!(c.flushes, 1);
+    }
+
+    #[test]
+    fn flight_recorder_freezes_on_squash() {
+        let mut r = FlightRecorder::new(2);
+        let retire = |cycle| TraceEvent::Retire { cycle, tid: 0, epoch: 0 };
+        let cycles = |evs: &[TraceEvent]| evs.iter().map(TraceEvent::cycle).collect::<Vec<_>>();
+        r.event(&retire(1));
+        r.event(&retire(2));
+        r.event(&retire(3)); // evicts cycle 1
+        assert_eq!(cycles(&r.window()), [2, 3]);
+        assert!(r.pre_squash().is_empty());
+        r.event(&TraceEvent::SquashThreadlets {
+            cycle: 4,
+            first: 1,
+            restart: false,
+            reason: SquashReason::Conflict,
+        });
+        assert_eq!(cycles(r.pre_squash()), [2, 3]);
+        // Later events move the window but not the capture.
+        r.event(&retire(5));
+        assert_eq!(cycles(&r.window()), [4, 5]);
+        assert_eq!(cycles(r.pre_squash()), [2, 3]);
     }
 }

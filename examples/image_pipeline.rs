@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             LoopFrogCore::new(&annotated.program, workload.mem.clone(), LoopFrogConfig::default());
         core.set_tracer(Box::new(std::rc::Rc::clone(&sink)));
         let r = core.run()?;
-        let buf = std::mem::take(sink.borrow_mut().sink_mut());
+        let buf = sink.replace(TextTracer::new(Vec::new())).into_inner();
         let text = String::from_utf8_lossy(&buf);
         println!("\npipeline trace (threadlet lifecycle, first 12 lines):");
         for line in text

@@ -57,13 +57,13 @@ fn repeated_runs_are_deterministic_under_default_config() {
 #[test]
 fn observers_never_perturb_artifacts() {
     // The zero-cost-when-disabled contract, from the other side: with
-    // every observer armed — full pipeline tracing into text and Konata
-    // sinks, the self-profiler, and a live flight recorder — the rendered
-    // artifact must stay byte-identical to an unobserved run. Observation
-    // is core-side state outside the deterministic statistics; if a trace
+    // every observer armed — full pipeline tracing into text, Konata and
+    // flight-recorder sinks, and the self-profiler — the rendered artifact
+    // must stay byte-identical to an unobserved run. Observation is
+    // core-side state outside the deterministic statistics; if a trace
     // emit or a profiler sample ever feeds back into simulated behavior,
     // this diffs loudly.
-    use loopfrog::{KonataTracer, TextTracer, TraceMux};
+    use loopfrog::{FlightRecorder, KonataTracer, TextTracer, TraceMux};
     let cfg = RunConfig { deselect_unprofitable: false, ..RunConfig::default() };
     for kernel in ["stencil_blur", "hash_lookup"] {
         let plain = render(kernel, &cfg);
@@ -71,9 +71,9 @@ fn observers_never_perturb_artifacts() {
             let mut mux = TraceMux::new();
             mux.add(Box::new(TextTracer::new(std::io::sink())));
             mux.add(Box::new(KonataTracer::new(std::io::sink())));
+            mux.add(Box::new(FlightRecorder::new(64)));
             core.set_tracer(Box::new(mux));
             core.enable_profiler();
-            core.arm_flight_recorder_live(64);
         });
         assert_eq!(plain, observed, "{kernel}: observers perturbed the artifact");
     }

@@ -11,7 +11,10 @@ use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, EngineOutput, Scenario};
 use lf_bench::{RunArtifact, RunConfig};
 use lf_workloads::Scale;
+use loopfrog::FlightRecorder;
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,11 +91,12 @@ fn assert_windows_are_replays(output: &EngineOutput) {
             .expect("the failure is one of the suite's two runs")
             .clone();
         cfg.max_cycles = *cycles;
+        let recorder = Rc::new(RefCell::new(FlightRecorder::new(FLIGHT_RECORDER_KEEP)));
         let mut core = loopfrog::LoopFrogCore::new(&program, lf_isa::Memory::new(64), cfg);
-        core.arm_flight_recorder_live(FLIGHT_RECORDER_KEEP);
+        core.set_tracer(Box::new(Rc::clone(&recorder)));
         let r = core.run().expect("the hang kernel runs to its cycle cap");
         assert_eq!(r.stats.cycles, *cycles);
-        assert_eq!(*flight_recorder, render_flight_recorder(&r.flight_recorder));
+        assert_eq!(*flight_recorder, render_flight_recorder(&recorder.borrow().window()));
     }
 }
 

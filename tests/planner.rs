@@ -2,7 +2,8 @@
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
 //! memoization with schema invalidation, `-j` and cache independence of
 //! the artifacts, runs requested on an explicit tier, the campaign's phase
-//! spans, and the rejection of a `--filter` that selects no kernel.
+//! spans and their coverage of its wall time, and the rejection of a
+//! `--filter` that selects no kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
@@ -284,6 +285,30 @@ fn phase_spans_follow_the_pipeline_without_overlap() {
             pair[1]
         );
     }
+}
+
+/// A cold campaign's phase spans account for at least 95% of its
+/// `total_wall_ms`: nothing the campaign waits for runs outside a phase.
+/// The wall time is in whole milliseconds, so the campaign must simulate
+/// (a cached one takes a few) for the ratio to resolve.
+#[test]
+fn phase_spans_cover_a_cold_campaign() {
+    let dir = scratch_dir("span-coverage");
+    let scenario = lf_bench::engine::by_name("fig6_speedups").expect("registered scenario");
+    let mut opts = opts_for("stencil_blur");
+    opts.jobs = 2;
+    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    let log = Arc::new(SpanLog::new());
+    opts.spans = Some(log.clone());
+    let output = run_scenarios(&[scenario.as_ref()], &opts);
+    assert_eq!(output.report.simulated, 2, "a cold campaign simulates");
+    let covered_us: u64 = log.events().iter().filter(|e| e.cat == "phase").map(|e| e.dur_us).sum();
+    let wall_us = output.report.total_wall_ms * 1000;
+    assert!(
+        covered_us * 100 >= wall_us * 95,
+        "phase spans cover {covered_us} us of a {wall_us} us campaign"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Run fingerprints of `stencil_blur` at smoke scale. The detailed and

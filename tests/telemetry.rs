@@ -1,11 +1,16 @@
 //! Integration tests for the telemetry layer: cycle accounting, interval
-//! sampling, registry dumps, and the JSON artifact pipeline — all driven
-//! through real kernel simulations rather than synthetic counters.
+//! sampling, registry dumps, the JSON artifact pipeline, and the flight
+//! recorder — all driven through real kernel simulations rather than
+//! synthetic counters.
 
 use lf_bench::{run_kernel, RunConfig};
+use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
-use loopfrog::{simulate, CycleBucket, LoopFrogConfig, TelemetryConfig};
+use loopfrog::telemetry::INTERVAL_CYCLES;
+use loopfrog::{simulate, CycleBucket, FlightRecorder, LoopFrogConfig, LoopFrogCore};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn smoke(name: &str) -> lf_workloads::Workload {
     lf_workloads::by_name(name, Scale::Smoke).expect("kernel exists")
@@ -37,37 +42,27 @@ fn accounting_buckets_sum_to_cycles_times_commit_width() {
     }
 }
 
-/// Interval sampling emits ⌈cycles / N⌉ cumulative snapshots whose final
-/// entry matches the end-of-run statistics.
+/// Interval sampling emits ⌈cycles / N⌉ cumulative snapshots, one on each
+/// boundary, whose final entry matches the end-of-run statistics.
 #[test]
 fn sampler_emits_ceil_cycles_over_period_snapshots() {
     let w = smoke("stencil_blur");
-    let period = 1000u64;
-    let mut cfg = LoopFrogConfig::default();
-    cfg.telemetry = TelemetryConfig { interval_cycles: Some(period), ..cfg.telemetry };
-    let r = simulate(&w.program, w.mem.clone(), cfg).expect("kernel simulates");
-    let expect = r.stats.cycles.div_ceil(period) as usize;
-    assert_eq!(r.intervals.len(), expect);
-    let last = r.intervals.last().unwrap();
-    assert_eq!(last.cycle, r.stats.cycles);
-    assert_eq!(last.committed_insts, r.stats.committed_insts);
-    // Snapshots are cumulative, hence monotone.
-    for pair in r.intervals.windows(2) {
-        assert!(pair[0].cycle < pair[1].cycle);
-        assert!(pair[0].committed_insts <= pair[1].committed_insts);
-        assert!(pair[0].issued_insts <= pair[1].issued_insts);
+    for cfg in [LoopFrogConfig::default(), LoopFrogConfig::baseline()] {
+        let r = simulate(&w.program, w.mem.clone(), cfg).expect("kernel simulates");
+        assert!(r.stats.cycles > INTERVAL_CYCLES, "the run spans several intervals");
+        assert_eq!(r.intervals.len(), r.stats.cycles.div_ceil(INTERVAL_CYCLES) as usize);
+        for (k, s) in r.intervals.iter().enumerate() {
+            let boundary = (k as u64 + 1) * INTERVAL_CYCLES;
+            assert_eq!(s.cycle, boundary.min(r.stats.cycles), "sample {k} off its boundary");
+        }
+        let last = r.intervals.last().unwrap();
+        assert_eq!(last.committed_insts, r.stats.committed_insts);
+        // Snapshots are cumulative, hence monotone.
+        for pair in r.intervals.windows(2) {
+            assert!(pair[0].committed_insts <= pair[1].committed_insts);
+            assert!(pair[0].issued_insts <= pair[1].issued_insts);
+        }
     }
-}
-
-/// Disabling the sampler yields no intervals; the registry still dumps.
-#[test]
-fn sampling_can_be_disabled() {
-    let w = smoke("event_queue");
-    let mut cfg = LoopFrogConfig::default();
-    cfg.telemetry.interval_cycles = None;
-    let r = simulate(&w.program, w.mem.clone(), cfg).expect("kernel simulates");
-    assert!(r.intervals.is_empty());
-    assert_eq!(r.registry.scalar("core.cycles"), r.stats.cycles);
 }
 
 /// The registry dump of a real run is internally consistent with the flat
@@ -110,22 +105,28 @@ fn artifact_json_round_trips_on_real_kernel() {
     assert!(!lf.get("intervals").unwrap().as_arr().unwrap().is_empty());
 }
 
-/// The flight recorder captures a bounded window of events preceding a
-/// squash on a kernel that actually squashes.
+/// An attached flight recorder captures a bounded window of events
+/// preceding a squash on a hinted kernel that actually squashes, and keeps
+/// the run's last events as its window.
 #[test]
 fn flight_recorder_captures_pre_squash_window() {
-    let w = smoke("event_queue");
-    let mut cfg = LoopFrogConfig::default();
-    cfg.telemetry.flight_recorder_depth = 32;
-    let r = simulate(&w.program, w.mem.clone(), cfg).expect("kernel simulates");
+    let w = smoke("hash_lookup");
+    let emu = w.reference_emulator().expect("kernel runs");
+    let program = annotate(&w.program, emu.profile(), &SelectOptions::default()).program;
+    let recorder = Rc::new(RefCell::new(FlightRecorder::new(32)));
+    let mut core = LoopFrogCore::new(&program, w.mem.clone(), LoopFrogConfig::default());
+    core.set_tracer(Box::new(Rc::clone(&recorder)));
+    let r = core.run().expect("kernel simulates");
     let squashes = r.stats.squashes_conflict
         + r.stats.squashes_sync
         + r.stats.squashes_packing
         + r.stats.squashes_wrong_path;
-    if squashes > 0 {
-        assert!(!r.flight_recorder.is_empty(), "a squash must freeze the ring");
-        assert!(r.flight_recorder.len() <= 32);
-    } else {
-        assert!(r.flight_recorder.is_empty());
-    }
+    assert!(squashes > 0, "event_queue squashes");
+    let recorder = recorder.borrow();
+    let pre = recorder.pre_squash();
+    assert!(!pre.is_empty(), "a squash must freeze the ring");
+    assert!(pre.len() <= 32);
+    let window = recorder.window();
+    assert_eq!(window.len(), 32, "a whole run fills the ring");
+    assert!(window.last().unwrap().cycle() <= r.stats.cycles);
 }
