@@ -91,7 +91,8 @@ struct Cli {
     crash_after_ms: Option<u64>,
     /// `perf`: repetitions per (kernel, config) pair.
     reps: usize,
-    /// `perf`: free-form label recorded in the trajectory entry.
+    /// `perf`: free-form label recorded in the trajectory entry; only a
+    /// labelled run appends to `BENCH_throughput.json`.
     label: Option<String>,
     /// `perf`: regression-warning threshold as a fraction.
     warn_frac: f64,
@@ -616,12 +617,13 @@ fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
 fn print_telemetry(output: &EngineOutput) {
     let r = &output.report;
     eprintln!(
-        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated; {} ms on {} jobs",
+        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated, {} served from SSB footprints; {} ms on {} jobs",
         r.requests,
         r.unique,
         r.requests - r.unique,
         r.disk_hits,
         r.simulated,
+        r.served,
         r.total_wall_ms,
         r.jobs
     );

@@ -13,8 +13,8 @@
 //!
 //! ```text
 //! plan (all scenarios) → prepare kernels → fingerprint + dedupe
-//!   → load disk cache → simulate + store each miss (parallel)
-//!   → render (serial)
+//!   → load disk cache → simulate + store each miss, serving the
+//!     geometry siblings a footprint fits (parallel) → render (serial)
 //! ```
 //!
 //! Campaigns are fault-tolerant end to end: a panicking worker, a
@@ -85,9 +85,11 @@ pub struct EngineOptions {
     /// On-disk run cache; `None` disables memoization across processes
     /// (`--no-cache`).
     pub disk_cache: Option<DiskCache>,
-    /// Test hook: fires once per *simulated* (not cached) run, with the
-    /// kernel name. Used to assert each unique fingerprint simulates
-    /// exactly once.
+    /// Test hook: fires once per *simulated* run, with the kernel name —
+    /// not for a run served from the disk cache or from a geometry
+    /// sibling's SSB footprint, nor for the re-simulation that checks a
+    /// served run in verify builds. Used to assert each unique fingerprint
+    /// simulates at most once.
     pub sim_hook: Option<Arc<dyn Fn(&'static str) + Send + Sync>>,
     /// Per-run execution budget (cycle cap + optional wall-clock
     /// deadline); the watchdog converting livelocks into structured
@@ -344,6 +346,9 @@ pub struct PlannerReport {
     pub disk_hits: usize,
     /// Runs actually simulated in this process.
     pub simulated: usize,
+    /// Runs committed from a geometry sibling's outcome because its SSB
+    /// footprint fits them (DESIGN.md §8.4), without being simulated.
+    pub served: usize,
     /// Distinct `(kernel, hinting)` preparations (profile + annotate).
     pub prepared: usize,
     /// Worker threads used.
@@ -375,6 +380,7 @@ impl PlannerReport {
         j.set("deduplicated", (self.requests - self.unique) as u64);
         j.set("disk_cache_hits", self.disk_hits as u64);
         j.set("simulated", self.simulated as u64);
+        j.set("served", self.served as u64);
         j.set("prepared_kernels", self.prepared as u64);
         j.set("jobs", self.jobs as u64);
         j.set("execute_wall_ms", self.execute_wall_ms);
@@ -513,7 +519,8 @@ pub(crate) fn run_planned(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let executed = execute(&misses, opts, span_log, &mut faults);
+    let planner::Executed { results: executed, served } =
+        execute(&misses, opts, span_log, &mut faults);
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
     for (run, deaths) in poisoned_runs {
@@ -570,7 +577,8 @@ pub(crate) fn run_planned(
         per_scenario: plan.per_scenario.clone(),
         unique: unique.len(),
         disk_hits,
-        simulated: misses.len(),
+        simulated: misses.len() - served,
+        served,
         prepared: ctx.prepared.len(),
         jobs: opts.jobs,
         execute_wall_ms,
@@ -701,14 +709,16 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
 /// Executes one unique run in this process (a worker process's unit of
 /// work) exactly as the campaign pool would: injection, budget, and tier
 /// dispatch, then the commit to the run cache. Panics are contained as in
-/// the pool. The store counters are dropped: a worker reports only the
-/// fingerprints it has committed.
+/// the pool. A lone run forms no geometry family, so it serves nothing.
+/// The store counters are dropped: a worker reports only the fingerprints
+/// it has committed.
 pub(crate) fn execute_single(
     run: &planner::UniqueRun,
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
 ) -> Result<Arc<RunOutcome>, RunError> {
     execute(&[run], opts, span_log, &mut FaultStats::default())
+        .results
         .pop()
         .expect("execute over one run yields one result")
 }

@@ -16,6 +16,14 @@
 //! prepared kernels. A [`PreparedKernel`] therefore hashes its program and
 //! memory image once; resolving a request only mixes those two hashes
 //! with the config fingerprint, scale tag, and tier.
+//!
+//! Detailed runs that differ only in the SSB's size, associativity and
+//! victim buffer form a *geometry family* ([`families`]). The pool
+//! simulates the family's most capacious member with its SSB footprint
+//! recorded and commits that outcome under the fingerprint of every
+//! sibling the footprint fits ([`loopfrog::SsbFootprint::fits`]), which
+//! would have run identically; the other siblings simulate in a second
+//! pass (DESIGN.md §8.4).
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
@@ -31,7 +39,7 @@ use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
 use lf_workloads::Workload;
-use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop};
+use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop, SsbFootprint};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -156,6 +164,21 @@ impl PreparedKernel {
             self.workload.scale,
             tier,
         )
+    }
+
+    /// The geometry family of simulating this prepared kernel under `cfg`
+    /// on `tier`: the run fingerprint with the SSB's size, associativity
+    /// and victim buffer set to fixed values. Only detailed runs form
+    /// families.
+    fn geometry_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> Option<u64> {
+        if tier != Tier::Detailed {
+            return None;
+        }
+        let mut shape = cfg.clone();
+        shape.ssb.size_bytes = 0;
+        shape.ssb.assoc = None;
+        shape.ssb.victim_entries = 0;
+        Some(self.request_fingerprint_tiered(&shape, tier))
     }
 }
 
@@ -304,12 +327,61 @@ pub(crate) fn dedupe(
     unique
 }
 
-/// Simulates one run on its tier under the campaign budget and fault plan.
+/// One pool task: the run to simulate, as an index into the executed
+/// runs, and the indices of the geometry siblings it may serve.
+type Task = (usize, Vec<usize>);
+
+/// Groups `runs` into geometry families (the key is a pure function of
+/// each run, so the same runs always form the same families). Returns one
+/// [`Task`] per family, ordered by its representative: the member with
+/// the most lines per slice, then fully associative, then the most victim
+/// entries, the first seen on a tie — the geometry least likely to spill.
+/// A run outside every family is a task of its own.
+fn families(runs: &[&UniqueRun]) -> Vec<Task> {
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<u64, usize> = HashMap::new();
+    for (i, run) in runs.iter().enumerate() {
+        match run.prepared.geometry_family(&run.config, run.tier) {
+            Some(key) => {
+                let family = *by_key.entry(key).or_insert_with(|| {
+                    members.push(Vec::new());
+                    members.len() - 1
+                });
+                members[family].push(i);
+            }
+            None => members.push(vec![i]),
+        }
+    }
+    let capacity = |i: usize| {
+        let cfg = &runs[i].config;
+        let ssb = &cfg.ssb;
+        (ssb.lines_per_slice(cfg.core.threadlets), ssb.assoc.is_none(), ssb.victim_entries)
+    };
+    let mut tasks: Vec<Task> = members
+        .into_iter()
+        .map(|mut family| {
+            let rep = (1..family.len()).fold(0, |best, j| {
+                if capacity(family[j]) > capacity(family[best]) {
+                    j
+                } else {
+                    best
+                }
+            });
+            (family.remove(rep), family)
+        })
+        .collect();
+    tasks.sort_by_key(|(rep, _)| *rep);
+    tasks
+}
+
+/// Simulates one run on its tier under the campaign budget and fault plan,
+/// with its SSB footprint recorded when `record` is set.
 fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
-) -> Result<RunOutcome, RunError> {
+    record: bool,
+) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
     if faults.should_crash(run.fingerprint) {
         // `abort()` raises SIGABRT with no unwinding and no destructors —
         // for everything on disk it is indistinguishable from `kill -9`,
@@ -352,7 +424,7 @@ fn execute_one(
         }
     };
     if let Some(result) = sampled {
-        return result.map_err(|message| RunError::Sim { message });
+        return result.map(|outcome| (outcome, None)).map_err(|message| RunError::Sim { message });
     }
 
     // The budget clamps a *clone* of the config: the fingerprint (and the
@@ -367,8 +439,11 @@ fn execute_one(
     if let Some(d) = budget.deadline {
         core.set_deadline(std::time::Instant::now() + d);
     }
+    if record {
+        core.record_ssb_footprint();
+    }
 
-    let result = core.run().map_err(|e| RunError::Sim { message: e.to_string() })?;
+    let mut result = core.run().map_err(|e| RunError::Sim { message: e.to_string() })?;
     let budget_hit = match result.stop {
         SimStop::Deadline => true,
         // `MaxCycles` is a legitimate outcome when the *config* bounds the
@@ -399,43 +474,169 @@ fn execute_one(
             flight_recorder: render_flight_recorder(&window),
         });
     }
-    Ok(RunOutcome::from_result(run.fingerprint, result))
+    let footprint = result.ssb_footprint.take();
+    Ok((RunOutcome::from_result(run.fingerprint, result), footprint))
+}
+
+/// The outcome of simulating and serving a set of runs.
+pub(crate) struct Executed {
+    /// Per-run results, in input order.
+    pub results: Vec<Result<Arc<RunOutcome>, RunError>>,
+    /// Runs committed from a geometry sibling's outcome rather than
+    /// simulated.
+    pub served: usize,
+}
+
+/// What one task committed: its run's outcome, then each sibling it
+/// served, and the extra store attempts and failed stores of all of them.
+struct TaskDone {
+    outcome: Arc<RunOutcome>,
+    served: Vec<(usize, Result<Arc<RunOutcome>, RunError>)>,
+    store_retries: usize,
+    store_failures: usize,
 }
 
 /// Simulates `runs` on the worker pool, returning per-run results in
-/// input order. Each task commits its outcome to the disk cache as soon
-/// as the run finishes, so a campaign killed mid-simulate keeps every run
-/// already done; store retries and failures are added to `faults`. A
+/// input order. Pass 1 simulates each geometry family's representative,
+/// then serves every sibling its footprint fits; pass 2 simulates the
+/// siblings left over. Each task commits its outcomes to the disk cache as
+/// soon as its run finishes, so a campaign killed mid-simulate keeps every
+/// run already done; store retries and failures are added to `faults`. A
 /// panicking, faulting, or over-budget run yields `Err` in its slot
-/// without disturbing its siblings. The options' `sim_hook` fires once
-/// per executed run.
+/// without disturbing the others, and serves nothing. The options'
+/// `sim_hook` fires once per simulated run.
 pub(crate) fn execute(
     runs: &[&UniqueRun],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
     faults: &mut FaultStats,
-) -> Vec<Result<Arc<RunOutcome>, RunError>> {
-    let results = try_parallel_map(opts.jobs, runs, |run| -> Result<_, RunError> {
-        let _span = span_log.span("run", run.kernel);
-        if let Some(h) = &opts.sim_hook {
-            h(run.kernel);
-        }
-        let outcome = execute_one(run, &opts.budget, &opts.faults)?;
-        let stored = opts.disk_cache.as_ref().map(|c| store_outcome(c, &outcome, &opts.faults));
-        Ok((Arc::new(outcome), stored.unwrap_or_default()))
-    });
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(Ok((outcome, (retries, failed)))) => {
-                faults.store_retries += retries;
-                faults.store_failures += usize::from(failed);
-                Ok(outcome)
+) -> Executed {
+    let mut results: Vec<Option<Result<Arc<RunOutcome>, RunError>>> = vec![None; runs.len()];
+    let representatives = families(runs);
+    let done = run_tasks(runs, &representatives, opts, span_log);
+    let mut served = absorb(&representatives, done, &mut results, faults);
+    let leftovers: Vec<Task> = representatives
+        .iter()
+        .flat_map(|(_, siblings)| siblings)
+        .filter(|&&s| results[s].is_none())
+        .map(|&s| (s, Vec::new()))
+        .collect();
+    let done = run_tasks(runs, &leftovers, opts, span_log);
+    served += absorb(&leftovers, done, &mut results, faults);
+    Executed {
+        results: results.into_iter().map(|r| r.expect("every run simulated or served")).collect(),
+        served,
+    }
+}
+
+/// Files each task's results into `results` and its store counters into
+/// `faults`; returns how many runs the tasks served. A served run the
+/// verify-build check failed counts as simulated, not served: that check
+/// simulated it.
+fn absorb(
+    tasks: &[Task],
+    done: Vec<Result<TaskDone, RunError>>,
+    results: &mut [Option<Result<Arc<RunOutcome>, RunError>>],
+    faults: &mut FaultStats,
+) -> usize {
+    let mut served = 0;
+    for ((i, _), done) in tasks.iter().zip(done) {
+        results[*i] = Some(done.map(|done| {
+            faults.store_retries += done.store_retries;
+            faults.store_failures += done.store_failures;
+            for (s, result) in done.served {
+                served += usize::from(result.is_ok());
+                results[s] = Some(result);
             }
-            Ok(Err(e)) => Err(e),
-            Err(WorkerPanic { payload }) => Err(RunError::Panicked { payload }),
-        })
+            done.outcome
+        }));
+    }
+    served
+}
+
+/// Runs `tasks` on the worker pool (the one instantiation of it both
+/// passes share), each task's panic caught into its slot.
+fn run_tasks(
+    runs: &[&UniqueRun],
+    tasks: &[Task],
+    opts: &EngineOptions,
+    span_log: &Arc<SpanLog>,
+) -> Vec<Result<TaskDone, RunError>> {
+    try_parallel_map(opts.jobs, tasks, |(i, siblings)| run_task(runs, *i, siblings, opts, span_log))
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|panic| Err(RunError::Panicked { payload: panic.payload })))
         .collect()
+}
+
+/// One task: simulates `runs[i]`, armed to record its SSB footprint when
+/// it has siblings, commits it, then serves each sibling the footprint
+/// fits and the fault plan leaves alone. The footprint dies with the task.
+fn run_task(
+    runs: &[&UniqueRun],
+    i: usize,
+    siblings: &[usize],
+    opts: &EngineOptions,
+    span_log: &Arc<SpanLog>,
+) -> Result<TaskDone, RunError> {
+    let run = runs[i];
+    let _span = span_log.span("run", run.kernel);
+    if let Some(h) = &opts.sim_hook {
+        h(run.kernel);
+    }
+    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, !siblings.is_empty())?;
+    let (mut store_retries, mut store_failures) = (0, 0);
+    let mut commit = |outcome: RunOutcome| {
+        if let Some(cache) = &opts.disk_cache {
+            let (retries, failed) = store_outcome(cache, &outcome, &opts.faults);
+            store_retries += retries;
+            store_failures += usize::from(failed);
+        }
+        Arc::new(outcome)
+    };
+    let outcome = commit(outcome);
+    let plan = &opts.faults;
+    let served = siblings
+        .iter()
+        .filter(|&&s| {
+            let (sibling, fp) = (&runs[s].config, runs[s].fingerprint);
+            footprint.as_ref().is_some_and(|f| f.fits(&sibling.ssb, sibling.core.threadlets))
+                && !(plan.should_crash(fp) || plan.should_panic(fp) || plan.should_hang(fp))
+        })
+        .map(|&s| (s, serve(run, &outcome, runs[s], opts).map(&mut commit)))
+        .collect();
+    Ok(TaskDone { outcome, served, store_retries, store_failures })
+}
+
+/// `outcome`, the simulated outcome of `rep`, under the fingerprint of its
+/// geometry sibling `sibling`. Verify builds also simulate the sibling and
+/// fail it, naming both runs, unless the two outcomes match.
+fn serve(
+    rep: &UniqueRun,
+    outcome: &RunOutcome,
+    sibling: &UniqueRun,
+    opts: &EngineOptions,
+) -> Result<RunOutcome, RunError> {
+    let served = RunOutcome { fingerprint: sibling.fingerprint, ..outcome.clone() };
+    if loopfrog::VERIFY {
+        // A wall-clock deadline is no part of a run's outcome.
+        let budget = RunBudget { deadline: None, ..opts.budget.clone() };
+        let simulated = execute_one(sibling, &budget, &opts.faults, false);
+        let same = simulated.as_ref().is_ok_and(|(o, _)| {
+            o.checksum == served.checksum
+                && o.rendered == served.rendered
+                && o.stats.to_json() == served.stats.to_json()
+        });
+        if !same {
+            return Err(RunError::Sim {
+                message: format!(
+                    "the outcome of run {} served to run {} differs from simulating it",
+                    lf_stats::fingerprint_hex(rep.fingerprint),
+                    lf_stats::fingerprint_hex(sibling.fingerprint)
+                ),
+            });
+        }
+    }
+    Ok(served)
 }
 
 /// Persists one outcome through the retry schedule, then (under

@@ -15,8 +15,10 @@
 //! `per_run` row, so each before/after pair shows where its time went.
 //! Profiling is core-side state, not configuration: a profiled run's
 //! simulated results are byte-identical to an unprofiled one. Each
-//! invocation appends one entry to `results/BENCH_throughput.json`, so the
-//! file accumulates a throughput trajectory across commits.
+//! labelled invocation (`--label`) appends one entry to
+//! `results/BENCH_throughput.json`, so the file accumulates a throughput
+//! trajectory across commits; an unlabelled, diagnostic run prints its
+//! tables and writes nothing.
 //!
 //! The basket is deliberately frozen: entries are only comparable when
 //! they simulate the same work, so changing [`BASKET`] or the pinned
@@ -44,9 +46,10 @@ pub struct PerfOptions {
     /// Repetitions per (kernel, config) pair; the best wall time is kept.
     pub reps: usize,
     /// Free-form label recorded in the trajectory entry (e.g. a commit
-    /// subject or "pr5-before").
+    /// subject, or a before/after tag). Only a labelled run appends its
+    /// entry.
     pub label: Option<String>,
-    /// Where to append the trajectory (`None` = print only).
+    /// Where a labelled run appends its entry (`None` = print only).
     pub json_path: Option<PathBuf>,
     /// Regression threshold for the non-blocking warning, as a fraction
     /// (0.15 = warn when >15% slower than the best prior entry at the
@@ -126,7 +129,7 @@ impl StagePool {
 }
 
 /// Runs the basket and returns the trajectory entry that was appended
-/// (or would have been, with `json_path: None`).
+/// (or would have been, without a label or a `json_path`).
 pub fn run_perf(opts: &PerfOptions) -> Json {
     let select = SelectOptions::default();
     let configs: [(&'static str, LoopFrogConfig); 2] =
@@ -298,7 +301,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
     }
     entry.set("per_run", Json::Arr(per));
 
-    if let Some(path) = &opts.json_path {
+    if let (Some(path), Some(_)) = (&opts.json_path, &opts.label) {
         match append_throughput_entry(path, &entry, opts.warn_frac) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => {
@@ -426,14 +429,23 @@ mod tests {
 
     #[test]
     fn profile_reports_shares_for_every_stage() {
+        // An unlabelled, diagnostic run prints its tables and leaves the
+        // ledger untouched.
+        let dir = std::env::temp_dir().join(format!("lf-perf-unlabelled-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_throughput.json");
+        let ledger = "{\"runs\": []}\n";
+        std::fs::write(&path, ledger).unwrap();
         let opts = PerfOptions {
             scale: Scale::Smoke,
             reps: 1,
             label: None,
-            json_path: None,
+            json_path: Some(path.clone()),
             warn_frac: 0.15,
         };
         let entry = run_perf(&opts);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ledger, "an unlabelled run wrote");
+        std::fs::remove_dir_all(&dir).ok();
         // The pooled shares and every detailed cell's own shares cover the
         // six pipeline stages and sum to 1, so every cell's profiled rep
         // sampled some stage time.

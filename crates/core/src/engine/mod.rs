@@ -772,7 +772,17 @@ impl<'p> LoopFrogCore<'p> {
         // asked for profiling.
         let profile = self.profiler.take().map(|p| p.report(self.cycle));
 
-        SimResult { stop, stats, checksum, final_regs, registry, accounting, intervals, profile }
+        SimResult {
+            stop,
+            stats,
+            checksum,
+            final_regs,
+            registry,
+            accounting,
+            intervals,
+            profile,
+            ssb_footprint: self.ssb.take_footprint(),
+        }
     }
 
     /// Statistics collected so far. The hierarchy's and the commit stage's
@@ -817,6 +827,14 @@ impl<'p> LoopFrogCore<'p> {
     /// report is returned in [`SimResult::profile`].
     pub fn enable_profiler(&mut self) {
         self.profiler = Some(Profiler::new());
+    }
+
+    /// Arms the SSB's footprint recorder (see [`crate::ssb::SsbFootprint`]).
+    /// Like the profiler, a core-side switch rather than a config field:
+    /// recording never changes what the run simulates, and the footprint is
+    /// returned in [`SimResult::ssb_footprint`].
+    pub fn record_ssb_footprint(&mut self) {
+        self.ssb.record_footprint();
     }
 
     /// Whether a tracer is attached. Emit sites check this before

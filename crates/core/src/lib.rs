@@ -76,10 +76,17 @@ pub mod trace;
 pub mod verify;
 mod wheel;
 
+/// Whether this build checks the engine's invariants every cycle (the
+/// `verify` feature, on in workspace builds). Callers that take an exact
+/// shortcut in production builds also check it against the long way when
+/// this is set, the way the core checks its quiet-cycle skip.
+pub const VERIFY: bool = cfg!(feature = "verify");
+
 pub use config::{LoopFrogConfig, PackingConfig, SsbConfig};
 pub use deselect::DeselectConfig;
 pub use engine::{simulate, LoopFrogCore, SimError};
 pub use profiler::{ProfileReport, StageProfile};
+pub use ssb::SsbFootprint;
 pub use stats::{SimResult, SimStats, SimStop};
 pub use telemetry::{CycleAccounting, CycleBucket, IntervalSample};
 pub use trace::{

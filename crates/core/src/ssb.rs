@@ -13,6 +13,13 @@
 //!
 //! A small, shared, fully associative victim buffer optionally extends the
 //! effective associativity of the slices (§6.6).
+//!
+//! An armed SSB ([`crate::LoopFrogCore::record_ssb_footprint`]) also
+//! records its [`SsbFootprint`]: the lines each slice epoch allocated. Geometry
+//! (`size_bytes`, `assoc`, `victim_entries`) is read only where a write
+//! allocates a line, so the footprint of a run that never spilled decides
+//! exactly which other geometries would have run it identically
+//! ([`SsbFootprint::fits`]; DESIGN.md §8.4).
 
 use crate::config::SsbConfig;
 use lf_isa::Memory;
@@ -59,28 +66,141 @@ pub struct Ssb {
     victim: Vec<VictimEntry>,
     lines_per_slice: usize,
     sets_per_slice: usize,
-    /// Peak line occupancy observed per slice (statistics).
-    peak_lines: Vec<usize>,
     overflows: u64,
+    /// The footprint being recorded; `None` unless armed.
+    recorder: Option<Recorder>,
+}
+
+/// The sets of one slice: a fully associative slice is one set.
+fn sets_per_slice(cfg: &SsbConfig, lines_per_slice: usize) -> usize {
+    match cfg.assoc {
+        Some(a) => (lines_per_slice / a).max(1),
+        None => 1,
+    }
+}
+
+/// An armed SSB's footprint so far. Within a slice epoch (the allocations
+/// between two clears of the slice) lines are only added, so an epoch is
+/// the set of lines it allocated.
+#[derive(Debug, Clone)]
+struct Recorder {
+    /// Per slice, the lines its open epoch allocated.
+    open: Vec<Vec<u64>>,
+    /// The closed epochs' lines, one epoch after another.
+    lines: Vec<u64>,
+    /// The end offset in `lines` of each closed epoch.
+    ends: Vec<usize>,
+    /// A line went to the victim buffer, or a write overflowed.
+    spilled: bool,
+}
+
+impl Recorder {
+    fn close(&mut self, slice: usize) {
+        let open = &mut self.open[slice];
+        if !open.is_empty() {
+            self.lines.extend_from_slice(open);
+            self.ends.push(self.lines.len());
+            open.clear();
+        }
+    }
+}
+
+/// The lines every slice epoch of a run allocated, recorded by an armed
+/// SSB whose every allocation landed in its slice.
+///
+/// Occupancy only grows within an epoch, so a slice of another geometry
+/// would have absorbed the same allocations, in the same order and without
+/// a spill, exactly when each epoch's final line set fits it: see
+/// [`SsbFootprint::fits`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SsbFootprint {
+    line: usize,
+    granule: usize,
+    lines: Vec<u64>,
+    ends: Vec<usize>,
+}
+
+impl SsbFootprint {
+    /// Whether an SSB of geometry `cfg` over `threadlets` slices would have
+    /// put every line of the recorded run in its slice: no epoch holds more
+    /// lines than a slice, and in a set-associative slice no set more than
+    /// `assoc` of them. Such a run takes every branch the recorded one took.
+    ///
+    /// `cfg` must share the recorded line and granule sizes.
+    pub fn fits(&self, cfg: &SsbConfig, threadlets: usize) -> bool {
+        debug_assert_eq!(
+            (cfg.line, cfg.granule),
+            (self.line, self.granule),
+            "a footprint answers only for its own line and granule sizes"
+        );
+        let capacity = cfg.lines_per_slice(threadlets);
+        let sets = sets_per_slice(cfg, capacity) as u64;
+        let mut per_set: Vec<u64> = Vec::new();
+        let mut start = 0;
+        for &end in &self.ends {
+            let epoch = &self.lines[start..end];
+            start = end;
+            if epoch.len() > capacity {
+                return false;
+            }
+            if let Some(ways) = cfg.assoc {
+                per_set.clear();
+                per_set.extend(epoch.iter().map(|l| l % sets));
+                per_set.sort_unstable();
+                if per_set.chunk_by(|a, b| a == b).any(|set| set.len() > ways) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 }
 
 impl Ssb {
     /// Creates an SSB with one slice per threadlet context.
     pub fn new(cfg: &SsbConfig, threadlets: usize) -> Ssb {
         let lines_per_slice = cfg.lines_per_slice(threadlets);
-        let sets_per_slice = match cfg.assoc {
-            Some(a) => (lines_per_slice / a).max(1),
-            None => 1,
-        };
         Ssb {
             cfg: cfg.clone(),
             slices: vec![Slice::default(); threadlets],
             victim: Vec::new(),
             lines_per_slice,
-            sets_per_slice,
-            peak_lines: vec![0; threadlets],
+            sets_per_slice: sets_per_slice(cfg, lines_per_slice),
             overflows: 0,
+            recorder: None,
         }
+    }
+
+    /// Arms footprint recording: from now on every line a write allocates
+    /// is recorded with its slice epoch. Unarmed, an allocation pays one
+    /// branch.
+    pub(crate) fn record_footprint(&mut self) {
+        self.recorder = Some(Recorder {
+            open: vec![Vec::new(); self.slices.len()],
+            lines: Vec::new(),
+            ends: Vec::new(),
+            spilled: false,
+        });
+    }
+
+    /// Closes every open epoch and returns the recorded footprint. `None`
+    /// if recording was never armed, or if any line went to the victim
+    /// buffer or any write overflowed: only a run whose every allocation
+    /// landed in its slice proves anything about other geometries.
+    pub(crate) fn take_footprint(&mut self) -> Option<SsbFootprint> {
+        let mut rec = self.recorder.take()?;
+        if rec.spilled {
+            return None;
+        }
+        for slice in 0..rec.open.len() {
+            rec.close(slice);
+        }
+        Some(SsbFootprint {
+            line: self.cfg.line,
+            granule: self.cfg.granule,
+            lines: rec.lines,
+            ends: rec.ends,
+        })
     }
 
     /// The configured granule size in bytes.
@@ -104,11 +224,6 @@ impl Ssb {
     /// Total overflow events (threadlet squashes forced by capacity).
     pub fn overflows(&self) -> u64 {
         self.overflows
-    }
-
-    /// Peak per-slice line occupancy.
-    pub fn peak_lines(&self) -> &[usize] {
-        &self.peak_lines
     }
 
     fn line_addr(&self, addr: u64) -> u64 {
@@ -226,11 +341,19 @@ impl Ssb {
                 let fresh = LineData { bytes: vec![0; line_sz as usize], valid: 0 };
                 if self.has_room(slice, la) {
                     self.slices[slice].lines.insert(la, fresh);
-                } else if self.victim.len() < self.cfg.victim_entries {
-                    self.victim.push(VictimEntry { slice, line_addr: la, data: fresh });
+                    if let Some(rec) = &mut self.recorder {
+                        rec.open[slice].push(la);
+                    }
                 } else {
-                    self.overflows += 1;
-                    return WriteOutcome::Overflow;
+                    if let Some(rec) = &mut self.recorder {
+                        rec.spilled = true;
+                    }
+                    if self.victim.len() < self.cfg.victim_entries {
+                        self.victim.push(VictimEntry { slice, line_addr: la, data: fresh });
+                    } else {
+                        self.overflows += 1;
+                        return WriteOutcome::Overflow;
+                    }
                 }
             }
 
@@ -273,7 +396,6 @@ impl Ssb {
 
             i += n;
         }
-        self.peak_lines[slice] = self.peak_lines[slice].max(self.slices[slice].lines.len());
         WriteOutcome::Ok { fill_reads }
     }
 
@@ -281,12 +403,18 @@ impl Ssb {
     pub fn invalidate_slice(&mut self, slice: usize) {
         self.slices[slice].lines.clear();
         self.victim.retain(|v| v.slice != slice);
+        if let Some(rec) = &mut self.recorder {
+            rec.close(slice);
+        }
     }
 
     /// Removes and returns the slice contents at threadlet commit, for
     /// application to architectural memory. Returns `(line_addr, bytes,
     /// valid_mask)` tuples; the line count drives the flush-timing model.
     pub fn take_slice(&mut self, slice: usize) -> Vec<(u64, Vec<u8>, u64)> {
+        if let Some(rec) = &mut self.recorder {
+            rec.close(slice);
+        }
         let mut out: Vec<(u64, Vec<u8>, u64)> =
             self.slices[slice].lines.drain().map(|(la, d)| (la, d.bytes, d.valid)).collect();
         let mut vict = Vec::new();
@@ -531,6 +659,112 @@ mod tests {
         assert_eq!(mem.read(0, 4).unwrap(), u32::from_le_bytes([0xAA; 4]) as u64);
         assert_eq!(mem.read(4, 4).unwrap(), u32::from_le_bytes([1, 2, 3, 4]) as u64);
         assert_eq!(ssb.slice_lines(0), 0);
+    }
+
+    /// One step of a random slice trace.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Write { slice: usize, addr: u64, len: usize },
+        Take(usize),
+        Invalidate(usize),
+    }
+
+    /// 2–4 slices and up to 120 steps over 49 lines, mostly writes (some
+    /// straddling a line boundary), with commits and squashes between.
+    fn random_trace(rng: &mut lf_stats::rng::SmallRng) -> (usize, Vec<Op>) {
+        let slices = rng.random_range(2..=4usize);
+        let steps = rng.random_range(1..=120usize);
+        let ops = (0..steps)
+            .map(|_| {
+                let slice = rng.random_range(0..slices);
+                match rng.random_range(0..16u32) {
+                    0 => Op::Take(slice),
+                    1 => Op::Invalidate(slice),
+                    _ => Op::Write {
+                        slice,
+                        addr: rng.random_range(0..48 * 32u64),
+                        len: rng.random_range(1..=8usize),
+                    },
+                }
+            })
+            .collect();
+        (slices, ops)
+    }
+
+    /// Replays `ops` through an SSB of geometry `cfg`, armed to record.
+    /// Returns the SSB and whether any write overflowed or put a line in
+    /// the victim buffer, as seen from outside the recorder.
+    fn replay(cfg: &SsbConfig, slices: usize, ops: &[Op]) -> (Ssb, bool) {
+        let mut ssb = Ssb::new(cfg, slices);
+        ssb.record_footprint();
+        let mut spilled = false;
+        for op in ops {
+            match *op {
+                Op::Write { slice, addr, len } => {
+                    spilled |=
+                        wr(&mut ssb, slice, addr, &[0xAB; 8][..len]) == WriteOutcome::Overflow;
+                    spilled |= !ssb.victim.is_empty();
+                }
+                Op::Take(slice) => {
+                    ssb.take_slice(slice);
+                }
+                Op::Invalidate(slice) => ssb.invalidate_slice(slice),
+            }
+        }
+        (ssb, spilled)
+    }
+
+    #[test]
+    fn footprint_fits_exactly_the_geometries_that_never_spill() {
+        let mut rng = lf_stats::rng::SmallRng::seed_from_u64(0x55b_f007);
+        let (mut fits, mut spills, mut set_bound, mut one_over) = (0, 0, 0, 0);
+        for case in 0..160 {
+            let (slices, ops) = random_trace(&mut rng);
+            // 64 fully associative lines per slice hold any epoch of the trace.
+            let capacious = SsbConfig { size_bytes: 64 * 32 * slices, ..SsbConfig::default() };
+            let (mut ssb, spilled) = replay(&capacious, slices, &ops);
+            assert!(!spilled, "case {case}: the capacious geometry spilled");
+            let footprint = ssb.take_footprint().expect("an armed run that never spilled");
+            assert!(footprint.fits(&capacious, slices), "case {case}");
+            let largest_epoch =
+                std::iter::once(0).chain(footprint.ends.iter().copied()).collect::<Vec<_>>();
+            let largest_epoch = largest_epoch.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            for size_bytes in [128, 256, 512, 768, 1024, 2048, 4096] {
+                for assoc in [None, Some(1), Some(2), Some(4), Some(8)] {
+                    for victim_entries in [0, 2, 8] {
+                        let g =
+                            SsbConfig { size_bytes, assoc, victim_entries, ..capacious.clone() };
+                        let (mut ssb, spilled) = replay(&g, slices, &ops);
+                        let what =
+                            format!("case {case}, {size_bytes} B, {assoc:?}, {victim_entries}");
+                        assert_eq!(footprint.fits(&g, slices), !spilled, "{what}: {ops:?}");
+                        let recorded = ssb.take_footprint();
+                        if spilled {
+                            assert_eq!(recorded, None, "{what}: a spilled run proves nothing");
+                            spills += 1;
+                        } else {
+                            assert_eq!(recorded.as_ref(), Some(&footprint), "{what}");
+                            fits += 1;
+                        }
+                        let capacity = g.lines_per_slice(slices);
+                        set_bound += usize::from(spilled && largest_epoch <= capacity);
+                        one_over += usize::from(assoc.is_none() && largest_epoch == capacity + 1);
+                    }
+                }
+            }
+        }
+        // Both outcomes, the per-set bound alone, and an epoch one line
+        // over capacity all occur, so each bound of `fits` is exercised.
+        assert!(fits > 1000 && spills > 1000, "{fits} fit, {spills} spilled");
+        assert!(set_bound > 100, "{set_bound} spills came from the per-set bound alone");
+        assert!(one_over > 10, "{one_over} epochs were one line over capacity");
+    }
+
+    #[test]
+    fn unarmed_ssb_records_no_footprint() {
+        let (mut ssb, _) = ssb4();
+        wr(&mut ssb, 0, 0, &[1; 4]);
+        assert_eq!(ssb.take_footprint(), None);
     }
 
     #[test]

@@ -244,6 +244,11 @@ pub struct SimResult {
     /// Deliberately excluded from the deterministic statistics and every
     /// cached/committed artifact.
     pub profile: Option<crate::profiler::ProfileReport>,
+    /// The lines every SSB slice epoch allocated (see
+    /// [`crate::ssb::SsbFootprint`]); `None` unless
+    /// [`crate::LoopFrogCore::record_ssb_footprint`] was called, and `None`
+    /// when the run overflowed a slice or used the victim buffer.
+    pub ssb_footprint: Option<crate::ssb::SsbFootprint>,
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Integration tests for the experiment engine's run planner: cross-
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
 //! memoization with schema invalidation, `-j` and cache independence of
-//! the artifacts, runs requested on an explicit tier, the campaign's phase
-//! spans and their coverage of its wall time, and the rejection of a
-//! `--filter` that selects no kernel.
+//! the artifacts, runs requested on an explicit tier, geometry siblings
+//! served from one SSB footprint, the campaign's phase spans and their
+//! coverage of its wall time, and the rejection of a `--filter` that
+//! selects no kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
@@ -112,9 +113,12 @@ fn changing_one_config_field_changes_the_fingerprints() {
 
     // The two scenarios share the baseline run; the variant's LoopFrog
     // config differs in one field and must not collapse with the default.
+    // That field is the SSB size, and stencil_blur's slices never spill at
+    // 512 B, so the default run's footprint serves the variant.
     assert_eq!(output.report.requests, 4);
     assert_eq!(output.report.unique, 3, "a one-field config change is a distinct run");
-    assert_eq!(sims.load(Ordering::SeqCst), 3);
+    assert_eq!((output.report.simulated, output.report.served), (2, 1));
+    assert_eq!(sims.load(Ordering::SeqCst), 2);
 
     // Direct fingerprint sensitivity at the API level.
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
@@ -308,6 +312,48 @@ fn phase_spans_cover_a_cold_campaign() {
         covered_us * 100 >= wall_us * 95,
         "phase spans cover {covered_us} us of a {wall_us} us campaign"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One simulation answers every SSB geometry it fits. fig9's size sweep
+/// and §6.6's associativity study over `astar_heap` declare 9 unique runs:
+/// the baseline and one family of 8 LoopFrog geometries. The 32 KiB run
+/// represents the family, and its footprint serves the 8 KiB, 2 KiB and
+/// four associativity variants; at 512 B the slices overflow, so that run
+/// simulates. Workspace test builds also simulate each served run and fail
+/// it unless the outcomes match, so a clean campaign checks all six. A
+/// second campaign on the same cache serves all 9 runs from it.
+#[test]
+fn geometry_siblings_are_served_from_one_footprint() {
+    let scenarios = ["fig9_ssb_size", "assoc_sensitivity"]
+        .map(|n| lf_bench::engine::by_name(n).unwrap_or_else(|| panic!("{n} is registered")));
+    let refs: Vec<&dyn Scenario> = scenarios.iter().map(|s| s.as_ref()).collect();
+    let dir = scratch_dir("geometry-families");
+    let campaign = || {
+        let mut opts = opts_for("astar_heap");
+        opts.jobs = 2;
+        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        let sims = counting_hook(&mut opts);
+        let output = run_scenarios(&refs, &opts);
+        let simulated = sims.load(Ordering::SeqCst);
+        (output, simulated)
+    };
+    let (first, simulated) = campaign();
+    let r = &first.report;
+    assert_eq!(r.unique, 9);
+    assert_eq!((r.disk_hits, r.simulated, r.served), (0, 3, 6), "baseline, 32 KiB and 512 B");
+    assert_eq!(simulated, 3, "served runs never fire the simulation hook");
+    assert!(first.failures.is_empty(), "{:?}", first.failures);
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(entries, 9, "one cache entry per unique run");
+
+    let (second, resimulated) = campaign();
+    let r = &second.report;
+    assert_eq!((r.disk_hits, r.simulated, r.served), (9, 0, 0));
+    assert_eq!(resimulated, 0);
+    for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
+        assert_eq!(a.text, b.text, "{} renders from the cache alike", a.name);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
