@@ -2,16 +2,17 @@
 //!
 //! Every experiment binary can dump a `results/*.json` document via
 //! `--json <path>`: tool name, workload scale, a configuration summary,
-//! and one record per kernel carrying the full metrics-registry dump of
-//! both the baseline and LoopFrog runs (cycle-accounting buckets,
-//! distributions, derived formulas), the interval time series, and the
-//! architectural checksum verdict. The schema is stable-ordered (sorted
-//! object keys) so artifacts diff cleanly across runs.
+//! and one record per kernel carrying a metrics view of both the baseline
+//! and LoopFrog runs (every counter under a dotted name, cycle-accounting
+//! buckets, distributions, derived ratios), the interval time series, and
+//! the architectural checksum verdict. The view is formatted here from
+//! each run's [`RunRecord`]; nothing derived is stored. The schema is
+//! stable-ordered (sorted object keys) so artifacts diff cleanly across
+//! runs.
 
-use crate::runner::{KernelRun, RunConfig};
-use lf_stats::Json;
+use crate::runner::{KernelRun, RunConfig, RunRecord};
+use lf_stats::{Histogram, Json};
 use lf_workloads::Scale;
-use loopfrog::SimResult;
 use std::io;
 use std::path::Path;
 
@@ -26,7 +27,13 @@ use std::path::Path;
 /// counters (`arena_high_water`, `wheel_overflow_hits`,
 /// `conflict_probes`), so cached registry dumps change shape; the planner
 /// section gains a `run_wall_us` timing summary.
-pub const SCHEMA_VERSION: u64 = 3;
+///
+/// v4: a run is recorded once — a cache entry holds the run's
+/// [`RunRecord`] (`record`: its own stats, accounting, intervals,
+/// occupancy distributions, commit width, and an estimate tier's `tier`)
+/// in place of the `stats` and pre-rendered `result` it held twice over;
+/// artifact kernel records are unchanged, formatted from the record.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Builder for one experiment's JSON artifact.
 #[derive(Debug, Clone)]
@@ -68,7 +75,7 @@ impl RunArtifact {
         self.root.set("config", c);
     }
 
-    /// Appends one kernel's record (both simulations, full registries).
+    /// Appends one kernel's record (both simulations' metrics views).
     pub fn push_kernel(&mut self, run: &KernelRun) {
         self.kernels.push(kernel_json(run));
     }
@@ -92,8 +99,8 @@ impl RunArtifact {
     }
 }
 
-/// One kernel's record: identity, verdicts, and both full results (the
-/// pre-rendered dumps carried by the run's memoized outcomes).
+/// One kernel's record: identity, verdicts, and the metrics view of both
+/// runs' records.
 pub fn kernel_json(run: &KernelRun) -> Json {
     let mut k = Json::obj();
     k.set("name", run.name);
@@ -105,38 +112,138 @@ pub fn kernel_json(run: &KernelRun) -> Json {
     k.set("checksum_ok", Json::Bool(run.checksum_ok));
     k.set("deselected", Json::Bool(run.deselected));
     k.set("speedup", run.speedup());
-    k.set("base", run.base.rendered.clone());
-    k.set("loopfrog", run.lf.rendered.clone());
+    k.set("base", record_json(&run.base.record));
+    k.set("loopfrog", record_json(&run.lf.record));
     k
 }
 
-/// One simulation's record: the registry dump plus explicit accounting
-/// and interval views (also present inside the registry as scalars). The
+/// One run's view: the `registry` of dotted-name metrics, plus explicit
+/// accounting and interval views and an estimate tier's record. The
 /// final-state checksum is not part of it: a JSON number cannot hold 64
-/// bits exactly, and the run cache keeps the checksum as hex beside it.
-pub fn sim_result_json(r: &SimResult) -> Json {
+/// bits exactly, and the run cache keeps the checksum as hex.
+fn record_json(r: &RunRecord) -> Json {
     let mut j = Json::obj();
-    j.set("registry", r.registry.to_json());
-    let mut acct = Json::obj();
-    for (bucket, n) in r.accounting.iter() {
-        acct.set(bucket.name(), n);
+    j.set("registry", registry_json(r));
+    j.set("accounting", r.accounting_json());
+    j.set("intervals", r.intervals_json());
+    if let Some(tier) = &r.tier {
+        j.set("tier", tier.clone());
     }
-    j.set("accounting", acct);
-    let intervals: Vec<Json> = r
-        .intervals
-        .iter()
-        .map(|s| {
-            let mut i = Json::obj();
-            i.set("cycle", s.cycle);
-            i.set("committed_insts", s.committed_insts);
-            i.set("issued_insts", s.issued_insts);
-            i.set("spawns", s.spawns);
-            i.set("squashes", s.squashes);
-            i
-        })
-        .collect();
-    j.set("intervals", Json::Arr(intervals));
     j
+}
+
+/// The record's counters under dotted names, stage by stage, with its
+/// accounting buckets, occupancy distributions and seven derived ratios.
+/// An estimate tier's view is its carrier window's.
+fn registry_json(r: &RunRecord) -> Json {
+    let s = &r.stats;
+    let c = |key: &str| s.counters.get(key);
+    let mut reg = Json::obj();
+    for (name, value) in [
+        // Core pipeline, stage by stage.
+        ("core.cycles", s.cycles),
+        ("core.fetch.insts", s.fetched_insts),
+        ("core.fetch.icache_stalls", s.fetch_icache_stalls),
+        ("core.rename.insts", s.renamed_insts),
+        ("core.issue.insts", s.issued_insts),
+        ("core.commit.arch_insts", s.commits_arch),
+        ("core.commit.spec_success_insts", s.commits_spec_success),
+        ("core.commit.spec_failed_insts", s.commits_spec_failed),
+        ("core.commit.total_insts", s.committed_insts),
+        ("core.branch.resolved", s.branches),
+        ("core.branch.mispredicts", s.branch_mispredicts),
+        ("core.config.commit_width", r.commit_width),
+        // Threadlet machinery: spawns, packing, squash causes, activity.
+        ("threadlet.spawns", s.spawns),
+        ("threadlet.packing.packed_spawns", s.packed_spawns),
+        ("threadlet.packing.factor_sum", s.pack_factor_sum),
+        ("threadlet.packing.factor_max", s.pack_factor_max as u64),
+        ("threadlet.packing.patches", s.pack_patches),
+        ("threadlet.squash.conflict", s.squashes_conflict),
+        ("threadlet.squash.sync_exit", s.squashes_sync),
+        ("threadlet.squash.packing", s.squashes_packing),
+        ("threadlet.squash.wrong_path", s.squashes_wrong_path),
+        ("threadlet.squash.register", c("squashes_register")),
+        ("threadlet.region_cycles", s.region_cycles),
+    ] {
+        reg.set(name, value);
+    }
+    for (k, cycles) in s.cycles_with_active.iter().enumerate() {
+        reg.set(&format!("threadlet.active.{k}"), *cycles);
+    }
+
+    // Memory hierarchy, SSB, conflict detection, deselection; every other
+    // counter under `counters.`.
+    let mapped = [
+        ("mem.l1i.accesses", "l1i_accesses"),
+        ("mem.l1i.misses", "l1i_misses"),
+        ("mem.l1d.accesses", "l1d_accesses"),
+        ("mem.l1d.misses", "l1d_misses"),
+        ("mem.l2.demand_accesses", "l2_demand_accesses"),
+        ("mem.l2.demand_misses", "l2_demand_misses"),
+        ("ssb.overflow_stalls", "ssb_overflows"),
+        ("conflict.bloom_false_positive_squashes", "bloom_false_positive_squashes"),
+        ("deselect.regions_suppressed", "regions_suppressed"),
+    ];
+    for (name, key) in mapped {
+        reg.set(name, c(key));
+    }
+    for (k, v) in s.counters.iter() {
+        if k != "squashes_register" && !mapped.iter().any(|&(_, key)| key == k) {
+            reg.set(&format!("counters.{k}"), v);
+        }
+    }
+
+    for (bucket, slots) in r.accounting.iter() {
+        reg.set(&format!("accounting.{}", bucket.name()), slots);
+    }
+    let names = ["core.rob.occupancy", "core.iq.occupancy", "core.commit.bandwidth"];
+    for (name, hist) in names.into_iter().zip(&r.occupancy) {
+        reg.set(name, distribution_json(hist));
+    }
+
+    // Derived ratios; a zero denominator reads 0.
+    let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+    let (cycles, insts) = (s.cycles as f64, s.committed_insts as f64);
+    let squashes = s.squashes_conflict as f64
+        + s.squashes_sync as f64
+        + s.squashes_packing as f64
+        + s.squashes_wrong_path as f64
+        + c("squashes_register") as f64;
+    let mispredicts = s.branch_mispredicts as f64;
+    for (name, value) in [
+        ("core.ipc", ratio(insts, cycles)),
+        ("core.commit.utilization", ratio(insts, cycles * r.commit_width as f64)),
+        ("core.branch.miss_rate", ratio(mispredicts, s.branches as f64)),
+        ("core.branch.mpki", ratio(mispredicts * 1000.0, insts)),
+        ("mem.l1d.miss_rate", ratio(c("l1d_misses") as f64, c("l1d_accesses") as f64)),
+        (
+            "mem.l2.demand_miss_rate",
+            ratio(c("l2_demand_misses") as f64, c("l2_demand_accesses") as f64),
+        ),
+        ("threadlet.squash.per_kilo_inst", ratio(squashes * 1000.0, insts)),
+    ] {
+        let mut f = Json::obj();
+        f.set("kind", "formula");
+        f.set("value", value);
+        reg.set(name, f);
+    }
+    reg
+}
+
+/// A distribution's summary fields and raw buckets.
+fn distribution_json(hist: &Histogram) -> Json {
+    let mut o = Json::obj();
+    o.set("kind", "distribution");
+    o.set("count", hist.count());
+    o.set("mean", hist.mean());
+    o.set("max", hist.max());
+    o.set("p50", hist.percentile(0.50));
+    o.set("p90", hist.percentile(0.90));
+    o.set("p99", hist.percentile(0.99));
+    o.set("bucket_width", hist.width());
+    o.set("buckets", Json::from(hist.buckets().to_vec()));
+    o
 }
 
 #[cfg(test)]
@@ -161,7 +268,7 @@ mod tests {
         let k = &kernels[0];
         assert_eq!(k.get("name").and_then(Json::as_str), Some("stencil_blur"));
 
-        // Registry dump carries cycle accounting and core counters.
+        // The registry view carries cycle accounting and core counters.
         let lf = k.get("loopfrog").unwrap();
         let reg = lf.get("registry").unwrap();
         assert!(reg.get("core.cycles").is_some());
@@ -176,5 +283,16 @@ mod tests {
         for side in ["base", "loopfrog"] {
             assert!(k.get(side).unwrap().get("checksum").is_none(), "{side} carries a checksum");
         }
+    }
+
+    /// The view formatted from a record is byte for byte the one the
+    /// simulator's own metrics dump produced when this pin was recorded:
+    /// the same names, values and ratios, in the same operation order.
+    #[test]
+    fn kernel_view_is_pinned_byte_for_byte() {
+        let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
+        let run = crate::run_kernel(&w, &RunConfig::default());
+        let text = kernel_json(&run).to_string_pretty();
+        assert_eq!(lf_isa::checksum::fnv1a(text.as_bytes()), 0x1999_bc88_aacb_2e54, "{text}");
     }
 }

@@ -211,13 +211,13 @@ mod tests {
             std::fs::write(&path, garbage).unwrap();
             let err = read_trajectory(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{garbage:?}");
-            assert!(crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).is_err());
+            assert!(crate::perf::append_throughput_entry(&path, &Json::obj()).is_err());
             assert_eq!(std::fs::read_to_string(&path).unwrap(), *garbage, "bytes unchanged");
         }
         let runs = |path: &Path| read_trajectory(path).unwrap().1.len();
         let path = dir.join("throughput.json");
-        crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
-        crate::perf::append_throughput_entry(&path, &Json::obj(), 0.15).unwrap();
+        crate::perf::append_throughput_entry(&path, &Json::obj()).unwrap();
+        crate::perf::append_throughput_entry(&path, &Json::obj()).unwrap();
         assert_eq!(runs(&path), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,9 +3,11 @@
 //!
 //! Each unique `(annotated program, config, scale)` fingerprint maps to
 //! one pretty-printed JSON file `results/cache/<fingerprint>.json`
-//! holding the run's statistics, final-state checksum, and full rendered
-//! record. A cache hit skips the cycle-level simulation entirely, so
-//! re-rendering a figure after a table-formatting change is free.
+//! holding the run's final-state checksum and its [`RunRecord`], the one
+//! copy of its facts; the outcome's table-facing statistics are derived
+//! from the record on load. A cache hit skips the cycle-level simulation
+//! entirely, so re-rendering a figure after a table-formatting change is
+//! free.
 //!
 //! Entries carry the artifact [`SCHEMA_VERSION`]; [`DiskCache::lookup`]
 //! classifies every non-hit so planner telemetry can distinguish an
@@ -17,9 +19,8 @@
 
 use crate::artifact::SCHEMA_VERSION;
 use crate::durable::atomic_write;
-use crate::runner::RunOutcome;
+use crate::runner::{RunOutcome, RunRecord};
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex, Json};
-use loopfrog::SimStats;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -102,9 +103,8 @@ impl DiskCache {
                 return Err(false);
             }
             let checksum = field("checksum").and_then(parse_fingerprint_hex).ok_or(false)?;
-            let stats = doc.get("stats").and_then(SimStats::from_json).ok_or(false)?;
-            let rendered = doc.get("result").ok_or(false)?.clone();
-            Ok(Box::new(RunOutcome { fingerprint, stats, checksum, rendered, from_cache: true }))
+            let record = doc.get("record").and_then(RunRecord::from_json).ok_or(false)?;
+            Ok(Box::new(RunOutcome::new(fingerprint, checksum, record)))
         };
         match parse(&text) {
             Ok(outcome) => CacheLookup::Hit(outcome),
@@ -113,17 +113,6 @@ impl DiskCache {
                 let quarantined = self.quarantine(&path, fingerprint).is_ok();
                 CacheLookup::Corrupt { quarantined }
             }
-        }
-    }
-
-    /// Loads a memoized outcome, or `None` on any non-hit. Kept as the
-    /// simple interface for callers that do not track miss causes; goes
-    /// through [`DiskCache::lookup`], so corrupt entries are still
-    /// quarantined.
-    pub fn load(&self, fingerprint: u64) -> Option<RunOutcome> {
-        match self.lookup(fingerprint) {
-            CacheLookup::Hit(outcome) => Some(*outcome),
-            _ => None,
         }
     }
 
@@ -148,8 +137,7 @@ impl DiskCache {
         // Full-width u64 checksums do not survive JSON's f64 numbers;
         // store them as hex tokens.
         doc.set("checksum", fingerprint_hex(outcome.checksum));
-        doc.set("stats", outcome.stats.to_json());
-        doc.set("result", outcome.rendered.clone());
+        doc.set("record", outcome.record.to_json());
         // Entries commit through the shared atomic path (temp + fsync +
         // rename), so a crashed run cannot leave a half-written entry
         // that later parses as truncated JSON.
@@ -160,7 +148,9 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lf_stats::Counters;
+    use lf_stats::{Counters, Histogram};
+    use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
+    use loopfrog::SimStats;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -175,14 +165,32 @@ mod tests {
         stats.committed_insts = 4000;
         stats.counters = Counters::new();
         stats.counters.add("l2_accesses", 77);
-        let mut rendered = Json::obj();
-        rendered.set("registry", Json::obj());
-        RunOutcome {
-            fingerprint,
+        let mut accounting = CycleAccounting::default();
+        accounting.add(CycleBucket::BaseCommit, 4000);
+        accounting.add(CycleBucket::Memory, 4000);
+        let mut rob = Histogram::new(2, 4);
+        rob.record_n(5, 1000);
+        let record = RunRecord {
             stats,
-            checksum: 0xdead_beef_dead_beef,
-            rendered,
-            from_cache: false,
+            accounting,
+            intervals: vec![IntervalSample {
+                cycle: 1000,
+                committed_insts: 4000,
+                issued_insts: 4100,
+                spawns: 3,
+                squashes: 1,
+            }],
+            occupancy: [rob, Histogram::new(1, 3), Histogram::new(1, 9)],
+            commit_width: 8,
+            tier: None,
+        };
+        RunOutcome::new(fingerprint, 0xdead_beef_dead_beef, record)
+    }
+
+    fn hit(cache: &DiskCache, fingerprint: u64) -> Option<Box<RunOutcome>> {
+        match cache.lookup(fingerprint) {
+            CacheLookup::Hit(outcome) => Some(outcome),
+            _ => None,
         }
     }
 
@@ -191,15 +199,35 @@ mod tests {
         let cache = DiskCache::new(scratch_dir("round-trip"));
         let out = sample_outcome(42);
         cache.store(&out).unwrap();
-        let back = cache.load(42).expect("entry loads");
-        assert!(back.from_cache);
+        let back = hit(&cache, 42).expect("entry loads");
         assert_eq!(back.fingerprint, 42);
         assert_eq!(back.checksum, out.checksum);
-        assert_eq!(back.stats.cycles, 1000);
+        assert_eq!(back.stats, out.stats);
         assert_eq!(back.stats.counters.get("l2_accesses"), 77);
-        assert_eq!(back.rendered, out.rendered);
-        assert!(cache.load(43).is_none(), "unknown fingerprints miss");
-        assert!(matches!(cache.lookup(43), CacheLookup::Miss));
+        assert_eq!(back.record, out.record);
+        assert!(matches!(cache.lookup(43), CacheLookup::Miss), "unknown fingerprints miss");
+
+        // The entry stores the record and nothing beside it: no registry
+        // dump, and no second copy of the statistics.
+        let text = std::fs::read_to_string(cache.entry_path(42)).unwrap();
+        assert!(!text.contains("registry"), "a stored entry holds no registry");
+        let doc = Json::parse(&text).unwrap();
+        let Json::Obj(keys) = &doc else { panic!("an entry is an object") };
+        let keys: Vec<&str> = keys.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["checksum", "fingerprint", "record", "schema_version"]);
+
+        // An estimate's whole-run cycles and instructions are derived from
+        // its tier record on load; the record keeps the carrier's own.
+        let mut tier = Json::obj();
+        tier.set("tier", "sampled");
+        tier.set("est_cycles", 123_456.6);
+        tier.set("total_insts", 999_999u64);
+        let mut record = out.record.clone();
+        record.tier = Some(tier);
+        cache.store(&RunOutcome::new(5, out.checksum, record)).unwrap();
+        let back = hit(&cache, 5).expect("entry loads");
+        assert_eq!((back.stats.cycles, back.stats.committed_insts), (123_457, 999_999));
+        assert_eq!(back.record.stats, out.stats);
     }
 
     #[test]
@@ -207,12 +235,11 @@ mod tests {
         let dir = scratch_dir("schema-bump");
         let cache = DiskCache::new(dir.clone());
         cache.store(&sample_outcome(7)).unwrap();
-        assert!(cache.load(7).is_some());
+        assert!(hit(&cache, 7).is_some());
         let bumped = DiskCache::with_schema(dir, SCHEMA_VERSION + 1);
-        assert!(bumped.load(7).is_none(), "a schema bump must invalidate old entries");
         assert!(
             matches!(bumped.lookup(7), CacheLookup::SchemaMismatch),
-            "a stale entry is classified, not treated as corrupt"
+            "a schema bump invalidates old entries, classified as stale, not corrupt"
         );
         assert!(bumped.entry_path(7).exists(), "stale entries stay in place to be overwritten");
     }
@@ -232,7 +259,13 @@ mod tests {
         // The slot is now a plain miss and can be refilled.
         assert!(matches!(cache.lookup(9), CacheLookup::Miss));
         cache.store(&sample_outcome(9)).unwrap();
-        assert!(cache.load(9).is_some());
+        assert!(hit(&cache, 9).is_some());
+
+        // A tier record without its estimate is corrupt, not a detailed run.
+        let mut out = sample_outcome(9);
+        out.record.tier = Some(Json::obj());
+        cache.store(&out).unwrap();
+        assert!(matches!(cache.lookup(9), CacheLookup::Corrupt { .. }));
     }
 
     #[test]
@@ -262,8 +295,8 @@ mod tests {
                 });
             }
         });
-        assert!(cache.load(1000).is_some());
-        assert!(cache.load(1001).is_some());
+        assert!(hit(&cache, 1000).is_some());
+        assert!(hit(&cache, 1001).is_some());
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

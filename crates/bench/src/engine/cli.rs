@@ -6,7 +6,7 @@
 //! lf-bench run <scenario>... [options]
 //! lf-bench run --all [options]
 //! lf-bench perf [--scale smoke|eval|full] [--reps N] [--label TEXT]
-//!               [--json [DIR]] [--warn-regression PCT]
+//!               [--json [DIR]]
 //! lf-bench trace <kernel> [--scale smoke|eval|full] [--config base|lf]
 //!                [--konata PATH] [--text PATH|-] [--cycles LO:HI]
 //!                [--tid N] [--kinds a,b,...]
@@ -34,7 +34,6 @@
 //!   --cache-dir DIR      cache location (default results/cache)
 //!   --json [DIR]         write per-scenario artifacts and planner.json
 //!                        under DIR (default results)
-//!   --assert-dedup       exit non-zero unless deduplication occurred
 //!   --budget-cycles N    per-run cycle budget (0 = unlimited; default 50M)
 //!   --deadline-secs N    per-run wall-clock deadline (default: none)
 //!   --inject-fault SPEC  deterministic fault injection (repeatable):
@@ -77,7 +76,6 @@ struct Cli {
     no_cache: bool,
     cache_dir: PathBuf,
     json_dir: Option<PathBuf>,
-    assert_dedup: bool,
     budget_cycles: Option<u64>,
     deadline_secs: Option<u64>,
     faults: FaultPlan,
@@ -94,8 +92,6 @@ struct Cli {
     /// `perf`: free-form label recorded in the trajectory entry; only a
     /// labelled run appends to `BENCH_throughput.json`.
     label: Option<String>,
-    /// `perf`: regression-warning threshold as a fraction.
-    warn_frac: f64,
     /// `run`: export campaign spans as Chrome trace-event JSON here.
     trace_out: Option<PathBuf>,
     /// `trace`: sink and filter options.
@@ -123,12 +119,12 @@ fn usage() -> ! {
         "usage: lf-bench <list|run|perf|trace> [scenario...|kernel] [--all]\n\
          \x20                [--scale smoke|eval|full] [--tier sampled|detailed]\n\
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
-         \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
+         \x20                [--cache-dir DIR] [--json [DIR]]\n\
          \x20                [--workers N]\n\
          \x20                [--budget-cycles N] [--deadline-secs N]\n\
          \x20                [--inject-fault SPEC]... [--crash-after-ms N]\n\
          \x20                [--trace-out PATH]\n\
-         \x20                [--reps N] [--label TEXT] [--warn-regression PCT]  (perf)\n\
+         \x20                [--reps N] [--label TEXT]  (perf)\n\
          \x20                [--config base|lf] [--konata PATH] [--text PATH|-]\n\
          \x20                [--cycles LO:HI] [--tid N] [--kinds a,b,...]\n\
          \x20                [--dump-flight-recorder PATH]  (trace)"
@@ -146,7 +142,6 @@ fn parse(args: &[String]) -> Cli {
         no_cache: false,
         cache_dir: PathBuf::from("results/cache"),
         json_dir: None,
-        assert_dedup: false,
         budget_cycles: None,
         deadline_secs: None,
         faults: FaultPlan::default(),
@@ -155,7 +150,6 @@ fn parse(args: &[String]) -> Cli {
         crash_after_ms: None,
         reps: 3,
         label: None,
-        warn_frac: 0.15,
         trace_out: None,
         trace: crate::tracecmd::TraceOptions {
             kernel: String::new(),
@@ -202,16 +196,6 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             "--label" => cli.label = Some(value("a label")),
-            "--warn-regression" => {
-                let v = value("a percentage");
-                cli.warn_frac = match v.trim_end_matches('%').parse::<f64>() {
-                    Ok(p) if p > 0.0 && p < 100.0 => p / 100.0,
-                    _ => {
-                        eprintln!("error: --warn-regression expects a percentage, got {v}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--all" => all = true,
             "--scale" => {
                 cli.scale = match value("`smoke`, `eval`, or `full`").as_str() {
@@ -268,7 +252,6 @@ fn parse(args: &[String]) -> Cli {
                     _ => cli.json_dir = Some(PathBuf::from("results")),
                 }
             }
-            "--assert-dedup" => cli.assert_dedup = true,
             "--budget-cycles" => {
                 let v = value("a cycle count (0 = unlimited)");
                 cli.budget_cycles = match v.parse::<u64>() {
@@ -459,7 +442,6 @@ pub fn main() {
                 reps: cli.reps,
                 label: cli.label.clone(),
                 json_path: Some(dir.join("BENCH_throughput.json")),
-                warn_frac: cli.warn_frac,
             });
         }
         Command::Trace => {
@@ -572,8 +554,8 @@ fn list(cli: &Cli) {
 }
 
 /// The back half of a campaign: print the rendered scenarios and the
-/// telemetry, write the failure report and JSON artifacts, and enforce
-/// `--assert-dedup`. Returns the process exit code.
+/// telemetry, and write the failure report and JSON artifacts. Returns
+/// the process exit code.
 fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
     for (i, s) in output.scenarios.iter().enumerate() {
         if separators {
@@ -600,13 +582,6 @@ fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
             eprintln!("{msg}");
             return 1;
         }
-    }
-    if cli.assert_dedup && output.report.unique >= output.report.requests {
-        eprintln!(
-            "error: --assert-dedup: no deduplication occurred ({} requests, {} unique)",
-            output.report.requests, output.report.unique
-        );
-        return 1;
     }
     0
 }

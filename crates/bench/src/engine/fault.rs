@@ -216,14 +216,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether any injection is armed.
-    pub fn is_active(&self) -> bool {
-        self.panic_rate > 0.0
-            || self.hang.is_some()
-            || self.corrupt_cache_rate > 0.0
-            || self.crash_rate > 0.0
-    }
-
     /// Parses one `--inject-fault` spec (`panic:<rate>`,
     /// `hang:<fingerprint|rate>`, `corrupt-cache:<rate>`, `crash:<rate>`)
     /// into the plan. Specs accumulate, so the flag may be repeated.
@@ -406,7 +398,7 @@ mod tests {
         assert_eq!(plan.panic_rate, 0.05);
         assert_eq!(plan.corrupt_cache_rate, 0.5);
         assert_eq!(plan.hang, Some(HangTarget::Fingerprint(0xdead_beef)));
-        assert!(plan.is_active());
+        assert_ne!(plan, FaultPlan::default(), "the specs armed the plan");
         assert!(plan.should_hang(0xdead_beef));
         assert!(!plan.should_hang(0xdead_bef0));
 
@@ -422,7 +414,7 @@ mod tests {
         assert!(plan.parse_spec("panic:2.0").is_err());
         assert!(plan.parse_spec("explode:0.5").is_err());
         assert!(plan.parse_spec("hang:notahexnum").is_err());
-        assert!(!plan.is_active());
+        assert_eq!(plan, FaultPlan::default(), "a rejected spec arms nothing");
     }
 
     #[test]

@@ -475,7 +475,7 @@ fn execute_one(
         });
     }
     let footprint = result.ssb_footprint.take();
-    Ok((RunOutcome::from_result(run.fingerprint, result), footprint))
+    Ok((RunOutcome::from_result(run.fingerprint, result, &run.config), footprint))
 }
 
 /// The outcome of simulating and serving a set of runs.
@@ -621,11 +621,9 @@ fn serve(
         // A wall-clock deadline is no part of a run's outcome.
         let budget = RunBudget { deadline: None, ..opts.budget.clone() };
         let simulated = execute_one(sibling, &budget, &opts.faults, false);
-        let same = simulated.as_ref().is_ok_and(|(o, _)| {
-            o.checksum == served.checksum
-                && o.rendered == served.rendered
-                && o.stats.to_json() == served.stats.to_json()
-        });
+        let same = simulated
+            .as_ref()
+            .is_ok_and(|(o, _)| o.checksum == served.checksum && o.record == served.record);
         if !same {
             return Err(RunError::Sim {
                 message: format!(

@@ -9,8 +9,7 @@
 //! Panics are isolated per *item*, not per worker: [`try_parallel_map`]
 //! catches each closure's unwind and delivers it as a [`WorkerPanic`] in
 //! that item's slot, so one poisoned run costs exactly one result while
-//! the worker thread moves on to the next index. [`parallel_map`] keeps
-//! the old propagate-on-panic contract for callers that want it.
+//! the worker thread moves on to the next index.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,30 +89,20 @@ where
     })
 }
 
-/// Maps `f` over `items`, preserving input order. A panic in `f`
-/// propagates to the caller — but only after every other item has been
-/// processed, so partial work is never torn down mid-flight.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_parallel_map(jobs, items, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|p| panic!("{}", p.payload)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The results of a map no item of which panicked.
+    fn values<R>(out: Vec<Result<R, WorkerPanic>>) -> Vec<R> {
+        out.into_iter().map(|r| r.expect("no item panics")).collect()
+    }
+
     #[test]
     fn preserves_order_and_covers_every_item() {
         let items: Vec<u64> = (0..100).collect();
-        let serial = parallel_map(1, &items, |&x| x * x);
-        let parallel = parallel_map(4, &items, |&x| x * x);
+        let serial = values(try_parallel_map(1, &items, |&x| x * x));
+        let parallel = values(try_parallel_map(4, &items, |&x| x * x));
         assert_eq!(serial, parallel);
         assert_eq!(parallel[7], 49);
         assert_eq!(parallel.len(), 100);
@@ -121,13 +110,13 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u64> = parallel_map(4, &Vec::<u64>::new(), |&x| x);
+        let out = try_parallel_map(4, &Vec::<u64>::new(), |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_jobs_than_items() {
-        let out = parallel_map(16, &[1u64, 2], |&x| x + 1);
+        let out = values(try_parallel_map(16, &[1u64, 2], |&x| x + 1));
         assert_eq!(out, vec![2, 3]);
     }
 
@@ -159,19 +148,5 @@ mod tests {
             std::panic::panic_any(42i32);
         });
         assert_eq!(out[0].as_ref().unwrap_err().payload, "non-string panic payload");
-    }
-
-    #[test]
-    fn parallel_map_propagates_the_original_payload() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(4, &[1u64, 2, 3], |&x| {
-                if x == 2 {
-                    panic!("boom on {x}");
-                }
-                x
-            })
-        }));
-        let p = WorkerPanic::from_payload(caught.unwrap_err());
-        assert!(p.payload.contains("boom on 2"));
     }
 }

@@ -23,7 +23,7 @@ pub mod tracecmd;
 pub use artifact::RunArtifact;
 pub use runner::{
     run_fingerprint, run_kernel, run_kernel_with, run_suite, scale_tag, KernelRun, RunConfig,
-    RunOutcome,
+    RunOutcome, RunRecord,
 };
 pub use table::{fmt_pct, print_table, write_table};
 pub use tiered::{run_fingerprint_tiered, SampledPlan, Tier};

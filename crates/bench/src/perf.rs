@@ -51,11 +51,11 @@ pub struct PerfOptions {
     pub label: Option<String>,
     /// Where a labelled run appends its entry (`None` = print only).
     pub json_path: Option<PathBuf>,
-    /// Regression threshold for the non-blocking warning, as a fraction
-    /// (0.15 = warn when >15% slower than the best prior entry at the
-    /// same scale).
-    pub warn_frac: f64,
 }
+
+/// A labelled run more than this fraction slower than the best prior
+/// entry at the same scale gets a non-blocking regression warning.
+const WARN_FRAC: f64 = 0.15;
 
 impl Default for PerfOptions {
     fn default() -> PerfOptions {
@@ -64,7 +64,6 @@ impl Default for PerfOptions {
             reps: 3,
             label: None,
             json_path: Some(PathBuf::from("results/BENCH_throughput.json")),
-            warn_frac: 0.15,
         }
     }
 }
@@ -302,7 +301,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
     entry.set("per_run", Json::Arr(per));
 
     if let (Some(path), Some(_)) = (&opts.json_path, &opts.label) {
-        match append_throughput_entry(path, &entry, opts.warn_frac) {
+        match append_throughput_entry(path, &entry) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("error: failed to update {}: {e}", path.display());
@@ -314,14 +313,10 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
 }
 
 /// Appends `entry` to the throughput trajectory and emits the
-/// non-blocking regression warning (more than `warn_frac` slower) against
-/// the best prior entry at the same scale. File schema: a top-level `runs`
-/// array, oldest first.
-pub(crate) fn append_throughput_entry(
-    path: &Path,
-    entry: &Json,
-    warn_frac: f64,
-) -> std::io::Result<()> {
+/// non-blocking regression warning (more than [`WARN_FRAC`] slower)
+/// against the best prior entry at the same scale. File schema: a
+/// top-level `runs` array, oldest first.
+pub(crate) fn append_throughput_entry(path: &Path, entry: &Json) -> std::io::Result<()> {
     let (mut doc, mut runs) = crate::durable::read_trajectory(path)?;
 
     // Regression check: the warning is advisory (wall clock varies across
@@ -334,7 +329,7 @@ pub(crate) fn append_throughput_entry(
         })
         .filter_map(|r| r.get("kcycles_per_sec").and_then(Json::as_f64))
         .fold(f64::NAN, f64::max);
-    if prior_best.is_finite() && this_kcps < prior_best * (1.0 - warn_frac) {
+    if prior_best.is_finite() && this_kcps < prior_best * (1.0 - WARN_FRAC) {
         eprintln!(
             "warning: throughput regression: {this_kcps:.0} kcycles/s is {:.0}% below the best \
              recorded entry ({prior_best:.0} kcycles/s) at this scale",
@@ -383,7 +378,6 @@ mod tests {
             reps: 1,
             label: Some("unit-test".into()),
             json_path: Some(path.clone()),
-            warn_frac: 0.15,
         };
         let entry = run_perf(&opts);
         assert!(entry.get("kcycles_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
@@ -441,7 +435,6 @@ mod tests {
             reps: 1,
             label: None,
             json_path: Some(path.clone()),
-            warn_frac: 0.15,
         };
         let entry = run_perf(&opts);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), ledger, "an unlabelled run wrote");

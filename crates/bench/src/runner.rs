@@ -10,8 +10,9 @@
 use crate::tiered::{run_fingerprint_tiered, Tier};
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::{Memory, Program};
-use lf_stats::Json;
+use lf_stats::{Histogram, Json};
 use lf_workloads::{Scale, Workload};
+use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
 use loopfrog::{LoopFrogConfig, SimResult, SimStats};
 use std::sync::Arc;
 
@@ -43,6 +44,135 @@ impl Default for RunConfig {
     }
 }
 
+/// Everything one run established, stored once: the run cache holds
+/// this record and nothing beside it, and the artifact writer formats its
+/// metrics view from it ([`crate::artifact::kernel_json`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRecord {
+    /// The simulation's own statistics. An estimate tier's are its carrier
+    /// window's, and window-local; [`RunOutcome::new`] derives the
+    /// whole-run view tables read.
+    pub stats: SimStats,
+    /// Per-commit-slot cycle accounting; sums to `cycles × commit_width`.
+    pub accounting: CycleAccounting,
+    /// Interval snapshots of the headline counters.
+    pub intervals: Vec<IntervalSample>,
+    /// Per-cycle ROB occupancy, IQ occupancy and commit bandwidth
+    /// distributions, in that order.
+    pub occupancy: [Histogram; 3],
+    /// The simulated core's commit width.
+    pub commit_width: u64,
+    /// An estimate tier's record: its `tier` tag, `est_cycles` and
+    /// `total_insts`, and how it sampled. `None` for a detailed run.
+    pub tier: Option<Json>,
+}
+
+/// The JSON keys of [`RunRecord::occupancy`], in order.
+const OCCUPANCY_KEYS: [&str; 3] = ["rob", "iq", "commit_bandwidth"];
+
+/// An estimate tier's whole-run cycle estimate and instruction count.
+fn estimate(tier: &Json) -> Option<(f64, u64)> {
+    Some((tier.get("est_cycles")?.as_f64()?, tier.get("total_insts")?.as_u64()?))
+}
+
+impl RunRecord {
+    /// The record of a finished simulation under `cfg`. The `SimResult`
+    /// is consumed: its facts move, nothing is copied.
+    pub fn from_result(result: SimResult, cfg: &LoopFrogConfig) -> RunRecord {
+        RunRecord {
+            stats: result.stats,
+            accounting: result.accounting,
+            intervals: result.intervals,
+            occupancy: result.occupancy,
+            commit_width: cfg.core.commit_width as u64,
+            tier: None,
+        }
+    }
+
+    /// Slots per accounting bucket, keyed by bucket name.
+    pub(crate) fn accounting_json(&self) -> Json {
+        let mut acct = Json::obj();
+        for (bucket, n) in self.accounting.iter() {
+            acct.set(bucket.name(), n);
+        }
+        acct
+    }
+
+    /// The interval snapshots, one object each.
+    pub(crate) fn intervals_json(&self) -> Json {
+        let intervals = self.intervals.iter().map(|s| {
+            let mut i = Json::obj();
+            i.set("cycle", s.cycle);
+            i.set("committed_insts", s.committed_insts);
+            i.set("issued_insts", s.issued_insts);
+            i.set("spawns", s.spawns);
+            i.set("squashes", s.squashes);
+            i
+        });
+        Json::Arr(intervals.collect())
+    }
+
+    /// Serializes the record for the run cache. Inverse of
+    /// [`RunRecord::from_json`].
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        j.set("stats", self.stats.to_json());
+        j.set("accounting", self.accounting_json());
+        j.set("intervals", self.intervals_json());
+        let mut occupancy = Json::obj();
+        for (key, hist) in OCCUPANCY_KEYS.into_iter().zip(&self.occupancy) {
+            occupancy.set(key, hist.to_json());
+        }
+        j.set("occupancy", occupancy);
+        j.set("commit_width", self.commit_width);
+        if let Some(tier) = &self.tier {
+            j.set("tier", tier.clone());
+        }
+        j
+    }
+
+    /// Reconstructs a [`RunRecord::to_json`] document; `None` if any field
+    /// is missing or mistyped (a corrupt cache entry), including a tier
+    /// record without its estimate.
+    pub fn from_json(j: &Json) -> Option<RunRecord> {
+        let acct = j.get("accounting")?;
+        let mut accounting = CycleAccounting::default();
+        for bucket in CycleBucket::ALL {
+            accounting.add(bucket, acct.get(bucket.name())?.as_u64()?);
+        }
+        let intervals = j
+            .get("intervals")?
+            .as_arr()?
+            .iter()
+            .map(|i| {
+                let u = |key: &str| i.get(key).and_then(Json::as_u64);
+                Some(IntervalSample {
+                    cycle: u("cycle")?,
+                    committed_insts: u("committed_insts")?,
+                    issued_insts: u("issued_insts")?,
+                    spawns: u("spawns")?,
+                    squashes: u("squashes")?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let occupancy = j.get("occupancy")?;
+        let [rob, iq, commit] =
+            OCCUPANCY_KEYS.map(|key| occupancy.get(key).and_then(Histogram::from_json));
+        let tier = j.get("tier").cloned();
+        if let Some(t) = &tier {
+            estimate(t)?;
+        }
+        Some(RunRecord {
+            stats: SimStats::from_json(j.get("stats")?)?,
+            accounting,
+            intervals,
+            occupancy: [rob?, iq?, commit?],
+            commit_width: j.get("commit_width")?.as_u64()?,
+            tier,
+        })
+    }
+}
+
 /// The memoizable product of one simulation: everything any scenario
 /// consumes, detached from the live simulator state so it can be shared
 /// (`Arc`), sent across worker threads, and round-tripped through the
@@ -52,37 +182,42 @@ pub struct RunOutcome {
     /// Content fingerprint of `(annotated program, memory, config, scale)`;
     /// see [`run_fingerprint`].
     pub fingerprint: u64,
-    /// Scalar statistics (tables and summary math).
+    /// Whole-run statistics for tables and summary math, derived from
+    /// `record` by [`RunOutcome::new`].
     pub stats: SimStats,
     /// Final architectural state checksum.
     pub checksum: u64,
-    /// The full machine-readable record (metrics registry, cycle
-    /// accounting, intervals), pre-rendered to JSON for artifacts.
-    pub rendered: Json,
-    /// Whether this outcome was served from the on-disk cache rather than
-    /// simulated in this process.
-    pub from_cache: bool,
+    /// The run's facts, stored once.
+    pub record: RunRecord,
 }
 
 impl RunOutcome {
-    /// Converts a finished simulation into its memoizable outcome. The
-    /// `SimResult` is consumed — statistics move, and the heavyweight
-    /// registry/interval state is rendered to JSON once and dropped.
-    pub fn from_result(fingerprint: u64, result: SimResult) -> RunOutcome {
-        let rendered = crate::artifact::sim_result_json(&result);
-        RunOutcome {
-            fingerprint,
-            checksum: result.checksum,
-            stats: result.stats,
-            rendered,
-            from_cache: false,
+    /// The outcome of a run whose facts are `record`, deriving its
+    /// table-facing `stats`: an estimate tier's `cycles` and
+    /// `committed_insts` are its `tier.est_cycles` (rounded) and
+    /// `tier.total_insts`, and every other field is the carrier window's;
+    /// a detailed run's stats are its record's.
+    pub fn new(fingerprint: u64, checksum: u64, record: RunRecord) -> RunOutcome {
+        let mut stats = record.stats.clone();
+        if let Some((cycles, insts)) = record.tier.as_ref().and_then(estimate) {
+            stats.cycles = cycles.round() as u64;
+            stats.committed_insts = insts;
         }
+        RunOutcome { fingerprint, stats, checksum, record }
     }
 
-    /// A field of the tier record (`rendered.tier.<key>`), which the
-    /// sampled tiers fill with their estimate.
+    /// Converts a finished simulation under `cfg` into its memoizable
+    /// outcome. The `SimResult` is consumed: its facts move into the
+    /// record.
+    pub fn from_result(fingerprint: u64, result: SimResult, cfg: &LoopFrogConfig) -> RunOutcome {
+        let checksum = result.checksum;
+        RunOutcome::new(fingerprint, checksum, RunRecord::from_result(result, cfg))
+    }
+
+    /// A field of the tier record (`record.tier.<key>`), which the
+    /// estimate tiers fill.
     pub fn tier_field(&self, key: &str) -> Option<&Json> {
-        self.rendered.get("tier")?.get(key)
+        self.record.tier.as_ref()?.get(key)
     }
 }
 
@@ -218,15 +353,17 @@ pub fn run_kernel_with(
     let base = sim(&cfg.base, "baseline");
     let lf = sim(&cfg.lf, "loopfrog");
 
-    // Results move into shared outcomes; nothing is deep-copied, and a
-    // deselected kernel mirrors the baseline by Arc, not by clone.
+    // Results move into shared outcomes, and a deselected kernel mirrors
+    // the baseline by Arc, not by clone.
     let base = Arc::new(RunOutcome::from_result(
         run_fingerprint(&ann.program, &w.mem, &cfg.base, w.scale),
         base,
+        &cfg.base,
     ));
     let lf = Arc::new(RunOutcome::from_result(
         run_fingerprint(&ann.program, &w.mem, &cfg.lf, w.scale),
         lf,
+        &cfg.lf,
     ));
     KernelRun::from_outcomes(w, selected_loops, golden, base, lf, cfg.deselect_unprofitable)
 }

@@ -42,14 +42,14 @@
 //! plans for `perfbench/harness`'s plan store and lookup probes only; no
 //! campaign calls them.
 
-use crate::runner::{scale_tag, RunOutcome};
+use crate::runner::{scale_tag, RunOutcome, RunRecord};
 use lf_compiler::Cfg;
 use lf_isa::checksum::fnv1a;
 use lf_isa::{Checkpoint, CheckpointError, Emulator, FastTier, Memory, Program};
 use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector, SimPoint};
 use lf_stats::{fingerprint_hex, Fingerprint, Json};
 use lf_workloads::Scale;
-use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStats};
+use loopfrog::{LoopFrogConfig, LoopFrogCore};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -472,8 +472,8 @@ pub struct SampledMeasurement {
     pub detailed_cycles: u64,
     /// Per-window measurements.
     pub windows: Vec<Window>,
-    /// The last window's full simulation record (carries the registry /
-    /// cycle accounting shape artifacts expect).
+    /// The last window's full simulation result: the facts an estimate's
+    /// [`RunRecord`] carries.
     pub carrier: loopfrog::SimResult,
 }
 
@@ -544,7 +544,8 @@ fn tier_json(tier: Tier) -> Json {
 /// stands in for the whole run.
 ///
 /// The outcome carries the estimate in `tier.{total_insts, simpoints,
-/// est_cycles}`, and the emulator's final-state checksum.
+/// est_cycles}`, the last interval's simulation as its carrier, and the
+/// emulator's final-state checksum.
 ///
 /// # Errors
 ///
@@ -590,6 +591,7 @@ pub fn run_simpoint_check(
     // 3. Detailed simulation of each representative interval, with the
     //    preceding intervals as microarchitectural warm-up.
     let mut samples = Vec::new();
+    let mut carrier = None;
     for p in &picks {
         let idx = p.interval.min(snapshots.len() - 1);
         let warm_idx = idx.saturating_sub(3);
@@ -600,31 +602,33 @@ pub fn run_simpoint_check(
         core.run_until_committed(warmup)
             .map_err(|err| format!("interval {} warm-up failed: {err}", p.interval))?;
         let (c0, i0) = (core.cycle(), core.committed_insts());
-        core.run_until_committed(warmup + interval)
+        let stop = core
+            .run_until_committed(warmup + interval)
             .map_err(|err| format!("interval {} failed: {err}", p.interval))?;
         let (c1, i1) = (core.cycle(), core.committed_insts());
         samples.push((*p, c1 - c0, (i1 - i0).max(1)));
+        carrier = Some(core.into_result(stop));
     }
+    let carrier = carrier.ok_or("SimPoint picked no interval")?;
 
-    let mut stats = SimStats::new(0);
-    stats.committed_insts = total_insts;
     let mut t = tier_json(Tier::SimpointCheck);
     t.set("total_insts", total_insts);
     t.set("simpoints", picks.len());
     t.set("est_cycles", weighted_cycles(&samples, total_insts));
-    let mut rendered = Json::obj();
-    rendered.set("tier", t);
-    Ok(RunOutcome { fingerprint, stats, checksum: e.state_checksum(), rendered, from_cache: false })
+    let mut record = RunRecord::from_result(carrier, cfg);
+    record.tier = Some(t);
+    Ok(RunOutcome::new(fingerprint, e.state_checksum(), record))
 }
 
 /// Runs one kernel on the sampled tier: builds the sampling plan in
 /// memory, measures its windows, and reconstructs the whole run.
 ///
 /// The returned outcome's `stats.cycles` is the weighted estimate and
-/// `committed_insts` the full-run count, so tables and speedup math read
-/// it like a detailed run; its checksum is the functional final-state
-/// checksum, so the engine's golden-state gate applies unchanged. Other
-/// scalar stats are the carrier window's and are window-local.
+/// `committed_insts` the full-run count (derived from its tier record by
+/// [`RunOutcome::new`]), so tables and speedup math read it like a
+/// detailed run; its checksum is the functional final-state checksum, so
+/// the engine's golden-state gate applies unchanged. Other scalar stats
+/// are the carrier window's and are window-local.
 ///
 /// # Errors
 ///
@@ -637,10 +641,6 @@ pub fn run_sampled(
 ) -> Result<RunOutcome, String> {
     let plan = build_plan(program, mem)?;
     let m = sample_windows(program, &plan, cfg)?;
-    let mut stats = m.carrier.stats.clone();
-    stats.cycles = m.est_cycles.round() as u64;
-    stats.committed_insts = plan.total_insts;
-    let mut rendered = crate::artifact::sim_result_json(&m.carrier);
     let mut t = tier_json(Tier::Sampled);
     t.set("total_insts", plan.total_insts);
     t.set("interval_len", plan.interval_len);
@@ -657,14 +657,9 @@ pub fn run_sampled(
         wins.push(j);
     }
     t.set("windows", Json::Arr(wins));
-    rendered.set("tier", t);
-    Ok(RunOutcome {
-        fingerprint,
-        stats,
-        checksum: plan.final_checksum,
-        rendered,
-        from_cache: false,
-    })
+    let mut record = RunRecord::from_result(m.carrier, cfg);
+    record.tier = Some(t);
+    Ok(RunOutcome::new(fingerprint, plan.final_checksum, record))
 }
 
 #[cfg(test)]
@@ -787,12 +782,7 @@ mod tests {
         // Smoke kernels are short, so windows are a large fraction of the
         // run; the eval-scale bound (3%) is asserted in tests/tiered.rs.
         assert!(err < 0.15, "smoke-scale estimate off by {:.1}%", err * 100.0);
-        let detailed = out
-            .rendered
-            .get("tier")
-            .and_then(|t| t.get("detailed_cycles"))
-            .and_then(Json::as_u64)
-            .unwrap();
+        let detailed = out.tier_field("detailed_cycles").and_then(Json::as_u64).unwrap();
         assert!(detailed < full.stats.cycles, "sampling must simulate fewer detailed cycles");
     }
 
@@ -802,7 +792,7 @@ mod tests {
         let cfg = LoopFrogConfig::default();
         let run = || {
             let out = run_sampled(3, &w.program, &w.mem, &cfg).unwrap();
-            (out.stats.cycles, out.checksum, out.rendered.to_string_compact())
+            (out.stats, out.checksum, out.record)
         };
         assert_eq!(run(), run());
     }

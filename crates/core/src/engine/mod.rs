@@ -177,7 +177,7 @@ pub struct LoopFrogCore<'p> {
 
     pub(crate) stats: SimStats,
     /// The statistics every simulated cycle adds to, folded into `stats`
-    /// and the registry by `finish`.
+    /// and the result's accounting and occupancy by `finish`.
     pub(crate) cycle_stats: CycleStats,
     /// Successor restarts forced by a register-independence violation;
     /// kept as an integer on the hot path and folded into
@@ -765,7 +765,6 @@ impl<'p> LoopFrogCore<'p> {
             stats.counters.add(k, v);
         }
 
-        let registry = crate::telemetry::build_registry(&stats, &accounting, occupancy, &self.cfg);
         let intervals = self.sampler.take_samples();
         // Wall-clock data stays out of the deterministic statistics: the
         // report rides alongside them and is rendered only by callers that
@@ -777,7 +776,7 @@ impl<'p> LoopFrogCore<'p> {
             stats,
             checksum,
             final_regs,
-            registry,
+            occupancy,
             accounting,
             intervals,
             profile,

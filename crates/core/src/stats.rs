@@ -6,7 +6,7 @@
 use lf_stats::Counters;
 
 /// Statistics collected over one simulation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total simulated cycles.
     pub cycles: u64,
@@ -231,9 +231,9 @@ pub struct SimResult {
     pub checksum: u64,
     /// Final architectural register values.
     pub final_regs: Vec<u64>,
-    /// The full hierarchical metrics dump (every pipeline stage's counters,
-    /// distributions, cycle-accounting buckets, and derived formulas).
-    pub registry: lf_stats::MetricsRegistry,
+    /// Per-cycle ROB occupancy, IQ occupancy and commit bandwidth
+    /// distributions, in that order.
+    pub occupancy: [lf_stats::Histogram; 3],
     /// Per-commit-slot cycle accounting; sums to `cycles × commit_width`.
     pub accounting: crate::telemetry::CycleAccounting,
     /// Interval snapshots: one per [`crate::telemetry::INTERVAL_CYCLES`],

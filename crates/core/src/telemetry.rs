@@ -1,5 +1,5 @@
-//! Run-time telemetry: cycle accounting and interval sampling, feeding the
-//! [`lf_stats::MetricsRegistry`] dump in [`crate::SimResult`].
+//! Run-time telemetry: cycle accounting, interval sampling and occupancy
+//! distributions, returned as facts in [`crate::SimResult`].
 //!
 //! Two instruments, both cheap enough to stay on for every run:
 //!
@@ -14,7 +14,10 @@
 //!
 //! Both are simulated results, not observation: observers (tracers, the
 //! flight recorder, the self-profiler) are attached to a core by method
-//! calls and never change what a run computes.
+//! calls and never change what a run computes. The core returns these
+//! facts and nothing derived from them: the dotted-name metrics view of a
+//! run (`core.ipc`, `accounting.*`, …) is formatted by the bench's
+//! artifact writer.
 
 use lf_stats::Histogram;
 
@@ -306,7 +309,8 @@ impl CycleStats {
     }
 
     /// The per-cycle ROB occupancy, IQ occupancy and commit bandwidth
-    /// distributions, bucketed for the metrics dump.
+    /// distributions, in that order, bucketed as [`crate::SimResult`]
+    /// carries them.
     pub(crate) fn histograms(&self, cfg: &crate::LoopFrogConfig) -> [Histogram; 3] {
         let fold = |counts: &[u64], width: u64, buckets: usize| {
             let mut h = Histogram::new(width, buckets);
@@ -321,136 +325,6 @@ impl CycleStats {
             fold(&self.commit_bandwidth, 1, cfg.core.commit_width + 1),
         ]
     }
-}
-
-/// Builds the full hierarchical metrics dump for a finished run: every
-/// pipeline stage's counters under dotted names, the cycle-accounting
-/// buckets, occupancy distributions (ROB, IQ, commit bandwidth, as
-/// [`CycleStats::histograms`] orders them), and derived formulas (IPC,
-/// miss and squash rates) evaluated over the final counter values.
-pub(crate) fn build_registry(
-    stats: &crate::SimStats,
-    accounting: &CycleAccounting,
-    occupancy: [Histogram; 3],
-    cfg: &crate::LoopFrogConfig,
-) -> lf_stats::MetricsRegistry {
-    use lf_stats::Expr;
-    let mut reg = lf_stats::MetricsRegistry::new();
-
-    // Core pipeline, stage by stage.
-    reg.set("core.cycles", stats.cycles);
-    reg.set("core.fetch.insts", stats.fetched_insts);
-    reg.set("core.fetch.icache_stalls", stats.fetch_icache_stalls);
-    reg.set("core.rename.insts", stats.renamed_insts);
-    reg.set("core.issue.insts", stats.issued_insts);
-    reg.set("core.commit.arch_insts", stats.commits_arch);
-    reg.set("core.commit.spec_success_insts", stats.commits_spec_success);
-    reg.set("core.commit.spec_failed_insts", stats.commits_spec_failed);
-    reg.set("core.commit.total_insts", stats.committed_insts);
-    reg.set("core.branch.resolved", stats.branches);
-    reg.set("core.branch.mispredicts", stats.branch_mispredicts);
-    reg.set("core.config.commit_width", cfg.core.commit_width as u64);
-
-    // Threadlet machinery: spawns, packing, squash causes, activity.
-    reg.set("threadlet.spawns", stats.spawns);
-    reg.set("threadlet.packing.packed_spawns", stats.packed_spawns);
-    reg.set("threadlet.packing.factor_sum", stats.pack_factor_sum);
-    reg.set("threadlet.packing.factor_max", stats.pack_factor_max as u64);
-    reg.set("threadlet.packing.patches", stats.pack_patches);
-    reg.set("threadlet.squash.conflict", stats.squashes_conflict);
-    reg.set("threadlet.squash.sync_exit", stats.squashes_sync);
-    reg.set("threadlet.squash.packing", stats.squashes_packing);
-    reg.set("threadlet.squash.wrong_path", stats.squashes_wrong_path);
-    reg.set("threadlet.squash.register", stats.counters.get("squashes_register"));
-    reg.set("threadlet.region_cycles", stats.region_cycles);
-    for (k, cycles) in stats.cycles_with_active.iter().enumerate() {
-        reg.set(&format!("threadlet.active.{k}"), *cycles);
-    }
-
-    // Memory hierarchy, SSB, conflict detection, deselection.
-    let mapped = [
-        ("mem.l1i.accesses", "l1i_accesses"),
-        ("mem.l1i.misses", "l1i_misses"),
-        ("mem.l1d.accesses", "l1d_accesses"),
-        ("mem.l1d.misses", "l1d_misses"),
-        ("mem.l2.demand_accesses", "l2_demand_accesses"),
-        ("mem.l2.demand_misses", "l2_demand_misses"),
-        ("ssb.overflow_stalls", "ssb_overflows"),
-        ("conflict.bloom_false_positive_squashes", "bloom_false_positive_squashes"),
-        ("deselect.regions_suppressed", "regions_suppressed"),
-    ];
-    for (name, key) in mapped {
-        reg.set(name, stats.counters.get(key));
-    }
-    let mapped_keys: std::collections::BTreeSet<&str> =
-        mapped.iter().map(|&(_, k)| k).chain(["squashes_register"]).collect();
-    for (k, v) in stats.counters.iter() {
-        if !mapped_keys.contains(k) {
-            reg.set(&format!("counters.{k}"), v);
-        }
-    }
-
-    // Cycle accounting.
-    for (bucket, slots) in accounting.iter() {
-        reg.set(&format!("accounting.{}", bucket.name()), slots);
-    }
-
-    // Occupancy and bandwidth distributions.
-    let names = ["core.rob.occupancy", "core.iq.occupancy", "core.commit.bandwidth"];
-    for (name, hist) in names.into_iter().zip(occupancy) {
-        reg.insert_distribution(name, "per-cycle samples", hist).expect("fresh registry name");
-    }
-
-    // Derived formulas, evaluated at dump time over the values above.
-    let formulas: [(&str, &str, Expr); 7] = [
-        (
-            "core.ipc",
-            "architectural instructions per cycle",
-            Expr::metric("core.commit.total_insts") / Expr::metric("core.cycles"),
-        ),
-        (
-            "core.commit.utilization",
-            "committed slots over available slots",
-            Expr::metric("core.commit.total_insts")
-                / (Expr::metric("core.cycles") * Expr::metric("core.config.commit_width")),
-        ),
-        (
-            "core.branch.miss_rate",
-            "mispredicts per resolved branch",
-            Expr::metric("core.branch.mispredicts") / Expr::metric("core.branch.resolved"),
-        ),
-        (
-            "core.branch.mpki",
-            "mispredicts per kilo-instruction",
-            Expr::metric("core.branch.mispredicts") * Expr::constant(1000.0)
-                / Expr::metric("core.commit.total_insts"),
-        ),
-        (
-            "mem.l1d.miss_rate",
-            "L1D misses per access",
-            Expr::metric("mem.l1d.misses") / Expr::metric("mem.l1d.accesses"),
-        ),
-        (
-            "mem.l2.demand_miss_rate",
-            "L2 demand misses per access",
-            Expr::metric("mem.l2.demand_misses") / Expr::metric("mem.l2.demand_accesses"),
-        ),
-        (
-            "threadlet.squash.per_kilo_inst",
-            "threadlet squashes per kilo-instruction",
-            (Expr::metric("threadlet.squash.conflict")
-                + Expr::metric("threadlet.squash.sync_exit")
-                + Expr::metric("threadlet.squash.packing")
-                + Expr::metric("threadlet.squash.wrong_path")
-                + Expr::metric("threadlet.squash.register"))
-                * Expr::constant(1000.0)
-                / Expr::metric("core.commit.total_insts"),
-        ),
-    ];
-    for (name, desc, expr) in formulas {
-        reg.register_formula(name, desc, expr).expect("fresh registry name");
-    }
-    reg
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Event counters and histograms for simulator statistics.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -186,6 +187,32 @@ impl Histogram {
         let n: u64 = self.buckets.iter().skip(first.min(self.buckets.len() - 1)).sum();
         n as f64 / self.count as f64
     }
+
+    /// Serializes the histogram's state: bucket width, bucket counts, and
+    /// the sample sum and maximum (the count is the buckets' sum). Inverse
+    /// of [`Histogram::from_json`]; every value is far below 2^53.
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        j.set("width", self.width);
+        j.set("buckets", Json::from(self.buckets.clone()));
+        j.set("sum", self.sum);
+        j.set("max", self.max);
+        j
+    }
+
+    /// Reconstructs a [`Histogram::to_json`] document; `None` if a field
+    /// is missing or mistyped, or the shape is not a valid histogram.
+    pub fn from_json(j: &Json) -> Option<Histogram> {
+        let u = |key: &str| j.get(key).and_then(Json::as_u64);
+        let buckets =
+            j.get("buckets")?.as_arr()?.iter().map(Json::as_u64).collect::<Option<Vec<u64>>>()?;
+        let width = u("width")?;
+        if width == 0 || buckets.is_empty() {
+            return None;
+        }
+        let count = buckets.iter().sum();
+        Some(Histogram { width, buckets, count, sum: u("sum")?, max: u("max")? })
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +321,20 @@ mod tests {
         let mut untouched = Histogram::new(10, 3);
         untouched.record_n(99, 0);
         assert_eq!(untouched, Histogram::new(10, 3), "n = 0 leaves max alone");
+    }
+
+    #[test]
+    fn histogram_json_round_trips() {
+        let mut h = Histogram::new(4, 5);
+        for s in [0, 3, 9, 100] {
+            h.record(s);
+        }
+        let back = Histogram::from_json(&Json::parse(&h.to_json().to_string_pretty()).unwrap());
+        assert_eq!(back, Some(h));
+        assert_eq!(Histogram::from_json(&Json::obj()), None);
+        let mut empty = Histogram::new(1, 1).to_json();
+        empty.set("buckets", Json::Arr(Vec::new()));
+        assert_eq!(Histogram::from_json(&empty), None, "a histogram has a bucket");
     }
 
     #[test]

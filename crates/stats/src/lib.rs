@@ -1,8 +1,7 @@
 //! # lf-stats — statistics utilities for the LoopFrog reproduction
 //!
 //! Event [`Counters`] and [`Histogram`]s for simulator statistics, a
-//! gem5-style hierarchical [`MetricsRegistry`] with derived-formula and
-//! distribution metrics plus JSON/text dumps ([`registry`], [`json`]),
+//! minimal [`Json`] model for artifacts and the run cache ([`json`]),
 //! summary math ([`geomean`], [`speedup`], Amdahl inversion), an exponential
 //! moving average ([`Ema`]) used by iteration packing, and a SimPoint-style
 //! phase analysis pipeline ([`simpoint`]) mirroring the paper's §6.1
@@ -14,7 +13,6 @@ pub mod counters;
 pub mod fault;
 pub mod fingerprint;
 pub mod json;
-pub mod registry;
 pub mod rng;
 pub mod simpoint;
 pub mod summary;
@@ -23,7 +21,6 @@ pub use counters::{Counters, Histogram};
 pub use fault::{rate_gate, Backoff};
 pub use fingerprint::{fingerprint_hex, parse_fingerprint_hex, Fingerprint};
 pub use json::Json;
-pub use registry::{Expr, MetricsRegistry, RegistryError};
 pub use rng::SmallRng;
 pub use simpoint::{pick_simpoints, BbvCollector, SimPoint};
 pub use summary::{amdahl_region_speedup, geomean, harmonic_mean, mean, speedup, speedup_pct, Ema};

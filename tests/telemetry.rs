@@ -1,7 +1,7 @@
 //! Integration tests for the telemetry layer: cycle accounting, interval
-//! sampling, registry dumps, the JSON artifact pipeline, and the flight
-//! recorder — all driven through real kernel simulations rather than
-//! synthetic counters.
+//! sampling, the artifact's metrics view, the JSON artifact pipeline, and
+//! the flight recorder — all driven through real kernel simulations
+//! rather than synthetic counters.
 
 use lf_bench::{run_kernel, RunConfig};
 use lf_compiler::{annotate, SelectOptions};
@@ -65,21 +65,25 @@ fn sampler_emits_ceil_cycles_over_period_snapshots() {
     }
 }
 
-/// The registry dump of a real run is internally consistent with the flat
-/// statistics and contains the documented namespaces.
+/// The artifact's metrics view of a real run is internally consistent
+/// with the flat statistics and contains the documented namespaces.
 #[test]
 fn registry_matches_flat_stats() {
     let w = smoke("stencil_blur");
-    let r = simulate(&w.program, w.mem.clone(), LoopFrogConfig::default()).expect("simulates");
-    let reg = &r.registry;
-    assert_eq!(reg.scalar("core.cycles"), r.stats.cycles);
-    assert_eq!(reg.scalar("core.commit.total_insts"), r.stats.committed_insts);
-    assert_eq!(reg.scalar("threadlet.spawns"), r.stats.spawns);
+    let run = run_kernel(&w, &RunConfig::default());
+    let r = &run.lf.record;
+    let doc = lf_bench::artifact::kernel_json(&run);
+    let reg = doc.get("loopfrog").and_then(|lf| lf.get("registry")).expect("a registry view");
+    let scalar = |name: &str| reg.get(name).and_then(Json::as_u64).expect(name);
+    assert_eq!(scalar("core.cycles"), r.stats.cycles);
+    assert_eq!(scalar("core.commit.total_insts"), r.stats.committed_insts);
+    assert_eq!(scalar("threadlet.spawns"), r.stats.spawns);
+    assert!(r.stats.spawns > 0, "the hinted run spawns");
     for bucket in CycleBucket::ALL {
         let name = format!("accounting.{}", bucket.name());
-        assert_eq!(reg.scalar(&name), r.accounting.get(bucket), "{name}");
+        assert_eq!(scalar(&name), r.accounting.get(bucket), "{name}");
     }
-    let ipc = reg.value("core.ipc");
+    let ipc = reg.get("core.ipc").and_then(|f| f.get("value")).and_then(Json::as_f64).unwrap();
     assert!((ipc - r.stats.ipc()).abs() < 1e-12, "formula must match SimStats::ipc");
 }
 

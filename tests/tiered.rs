@@ -4,6 +4,7 @@
 
 use lf_bench::perf::BASKET;
 use lf_bench::tiered::{build_plan, sample_windows, SampledPlan};
+use lf_bench::RunRecord;
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::{Memory, Program};
 use lf_workloads::Scale;
@@ -90,11 +91,11 @@ fn restored_plans_replay_byte_identically() {
                 (o.cycles, o.insts, o.detailed_cycles)
             );
         }
-        // The carrier's full rendered record — every counter the
+        // The carrier's full record — its stats and every counter the
         // artifacts consume — must also be identical.
         assert_eq!(
-            lf_bench::artifact::sim_result_json(&m.carrier).to_string_compact(),
-            lf_bench::artifact::sim_result_json(&original.carrier).to_string_compact()
+            RunRecord::from_result(m.carrier.clone(), &cfg),
+            RunRecord::from_result(original.carrier.clone(), &cfg)
         );
     }
 }
@@ -102,7 +103,7 @@ fn restored_plans_replay_byte_identically() {
 /// The exact-equality case of restore fidelity: a pristine checkpoint
 /// (instruction 0, empty hint rings) restored into the detailed core
 /// must reproduce an uninterrupted run byte for byte — same cycles,
-/// same checksum, same rendered record down to every counter.
+/// same checksum, same record down to every counter.
 #[test]
 fn pristine_restore_equals_uninterrupted_run() {
     let cfg = LoopFrogConfig::default();
@@ -110,13 +111,10 @@ fn pristine_restore_equals_uninterrupted_run() {
     let uninterrupted = simulate(&program, mem.clone(), cfg.clone()).unwrap();
 
     let ckpt = lf_isa::FastTier::new(&program, mem.clone()).checkpoint();
-    let mut core = loopfrog::LoopFrogCore::from_checkpoint(&program, &ckpt, cfg);
+    let mut core = loopfrog::LoopFrogCore::from_checkpoint(&program, &ckpt, cfg.clone());
     let restored = core.run().unwrap();
 
     assert_eq!(restored.stats.cycles, uninterrupted.stats.cycles);
     assert_eq!(restored.checksum, uninterrupted.checksum);
-    assert_eq!(
-        lf_bench::artifact::sim_result_json(&restored).to_string_compact(),
-        lf_bench::artifact::sim_result_json(&uninterrupted).to_string_compact()
-    );
+    assert_eq!(RunRecord::from_result(restored, &cfg), RunRecord::from_result(uninterrupted, &cfg));
 }
