@@ -709,7 +709,8 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
 /// Executes one unique run in this process (a worker process's unit of
 /// work) exactly as the campaign pool would: injection, budget, and tier
 /// dispatch, then the commit to the run cache. Panics are contained as in
-/// the pool. A lone run forms no geometry family, so it serves nothing.
+/// the pool. A lone run forms no geometry family, so it serves nothing,
+/// and a sampled one builds its own sampling plan.
 /// The store counters are dropped: a worker reports only the fingerprints
 /// it has committed.
 pub(crate) fn execute_single(

@@ -17,13 +17,19 @@
 //! memory image once; resolving a request only mixes those two hashes
 //! with the config fingerprint, scale tag, and tier.
 //!
-//! Detailed runs that differ only in the SSB's size, associativity and
-//! victim buffer form a *geometry family* ([`families`]). The pool
-//! simulates the family's most capacious member with its SSB footprint
-//! recorded and commits that outcome under the fingerprint of every
-//! sibling the footprint fits ([`loopfrog::SsbFootprint::fits`]), which
-//! would have run identically; the other siblings simulate in a second
-//! pass (DESIGN.md §8.4).
+//! Detailed or sampled runs that differ only in the SSB's size,
+//! associativity and victim buffer form a *geometry family*
+//! ([`families`]). The pool simulates the family's most capacious member
+//! with its SSB footprint recorded (a sampled run's is its windows'
+//! footprints appended) and commits that outcome under the fingerprint of
+//! every sibling the footprint fits ([`loopfrog::SsbFootprint::fits`]),
+//! which would have run identically; the other siblings simulate in a
+//! second pass (DESIGN.md §8.4).
+//!
+//! The sampled runs of one prepared kernel share one pool item
+//! (`groups`), which builds the kernel's sampling plan once, inside the
+//! first run that needs it, and drops it when the item ends, so at most
+//! `-j` plans are live (DESIGN.md §13.2).
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
@@ -34,7 +40,9 @@ use crate::engine::pool::{try_parallel_map, WorkerPanic};
 use crate::engine::spans::SpanLog;
 use crate::engine::EngineOptions;
 use crate::runner::{RunConfig, RunOutcome};
-use crate::tiered::{combine_run_fingerprint, Tier};
+use crate::tiered::{
+    build_plan, combine_run_fingerprint, run_sampled, run_simpoint_check, SampledPlan, Tier,
+};
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
@@ -42,6 +50,7 @@ use lf_workloads::Workload;
 use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop, SsbFootprint};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,10 +177,10 @@ impl PreparedKernel {
 
     /// The geometry family of simulating this prepared kernel under `cfg`
     /// on `tier`: the run fingerprint with the SSB's size, associativity
-    /// and victim buffer set to fixed values. Only detailed runs form
-    /// families.
+    /// and victim buffer set to fixed values. Detailed and sampled runs
+    /// form families; a simpoint-check run records no footprint.
     fn geometry_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> Option<u64> {
-        if tier != Tier::Detailed {
+        if tier == Tier::SimpointCheck {
             return None;
         }
         let mut shape = cfg.clone();
@@ -374,13 +383,43 @@ fn families(runs: &[&UniqueRun]) -> Vec<Task> {
     tasks
 }
 
+/// Splits `tasks` into pool items, each a list of indices into `tasks`.
+/// The sampled tasks of one prepared kernel form one group, in first-seen
+/// order, so the group builds the kernel's sampling plan once. Every other
+/// task is a group of its own: a detailed or simpoint-check run uses no
+/// plan, and a run a hang injection targets simulates the hang kernel
+/// rather than its own. Groups are ordered by their first task.
+fn groups(runs: &[&UniqueRun], tasks: &[Task], faults: &FaultPlan) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    // Keyed by the address of the kernel's one shared preparation.
+    let mut by_kernel: HashMap<u64, usize> = HashMap::new();
+    for (t, &(i, _)) in tasks.iter().enumerate() {
+        let run = runs[i];
+        let shares_plan = run.tier == Tier::Sampled && !faults.should_hang(run.fingerprint);
+        let kernel = shares_plan.then_some(Arc::as_ptr(&run.prepared) as u64);
+        match kernel.and_then(|k| by_kernel.get(&k)) {
+            Some(&g) => groups[g].push(t),
+            None => {
+                if let Some(k) = kernel {
+                    by_kernel.insert(k, groups.len());
+                }
+                groups.push(vec![t]);
+            }
+        }
+    }
+    groups
+}
+
 /// Simulates one run on its tier under the campaign budget and fault plan,
-/// with its SSB footprint recorded when `record` is set.
+/// with its SSB footprint recorded when `record` is set. A sampled run
+/// measures its windows from `plan`, the sampling plan of its prepared
+/// kernel, which it builds first if the slot is empty.
 fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
     record: bool,
+    plan: &mut Option<SampledPlan>,
 ) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
     if faults.should_crash(run.fingerprint) {
         // `abort()` raises SIGABRT with no unwinding and no destructors —
@@ -414,17 +453,24 @@ fn execute_one(
     // The sampled tiers run outside the cycle-budget watchdog: they exist
     // precisely to keep the detailed-cycle count small, and their
     // functional passes are bounded by an instruction fuel cap instead.
-    let sampled = match run.tier {
-        Tier::Detailed => None,
+    let sim = |message| RunError::Sim { message };
+    match run.tier {
+        Tier::Detailed => {}
         Tier::Sampled => {
-            Some(crate::tiered::run_sampled(run.fingerprint, program, &mem, &run.config))
+            // A hang-injected run's program is the hang kernel, so it is a
+            // group of its own ([`groups`]) and never finds a plan here.
+            debug_assert!(!hang || plan.is_none(), "a hang run was handed its kernel's plan");
+            let plan = match plan {
+                Some(plan) => plan,
+                None => plan.insert(build_plan(program, &mem).map_err(sim)?),
+            };
+            return run_sampled(run.fingerprint, program, plan, &run.config, record).map_err(sim);
         }
         Tier::SimpointCheck => {
-            Some(crate::tiered::run_simpoint_check(run.fingerprint, program, &mem, &run.config))
+            let outcome =
+                run_simpoint_check(run.fingerprint, program, &mem, &run.config).map_err(sim)?;
+            return Ok((outcome, None));
         }
-    };
-    if let Some(result) = sampled {
-        return result.map(|outcome| (outcome, None)).map_err(|message| RunError::Sim { message });
     }
 
     // The budget clamps a *clone* of the config: the fingerprint (and the
@@ -487,11 +533,13 @@ pub(crate) struct Executed {
     pub served: usize,
 }
 
-/// What one task committed: its run's outcome, then each sibling it
-/// served, and the extra store attempts and failed stores of all of them.
-struct TaskDone {
-    outcome: Arc<RunOutcome>,
-    served: Vec<(usize, Result<Arc<RunOutcome>, RunError>)>,
+/// What one pool item committed: the result of each run it simulated or
+/// served, by index into the executed runs, how many it served, and the
+/// extra store attempts and failed stores of all of them.
+#[derive(Default)]
+struct Committed {
+    results: Vec<(usize, Result<Arc<RunOutcome>, RunError>)>,
+    served: usize,
     store_retries: usize,
     store_failures: usize,
 }
@@ -499,7 +547,9 @@ struct TaskDone {
 /// Simulates `runs` on the worker pool, returning per-run results in
 /// input order. Pass 1 simulates each geometry family's representative,
 /// then serves every sibling its footprint fits; pass 2 simulates the
-/// siblings left over. Each task commits its outcomes to the disk cache as
+/// siblings left over. In each pass the sampled runs of one prepared
+/// kernel are one pool item that shares the kernel's sampling plan
+/// ([`groups`]). Each task commits its outcomes to the disk cache as
 /// soon as its run finishes, so a campaign killed mid-simulate keeps every
 /// run already done; store retries and failures are added to `faults`. A
 /// panicking, faulting, or over-budget run yields `Err` in its slot
@@ -513,103 +563,137 @@ pub(crate) fn execute(
 ) -> Executed {
     let mut results: Vec<Option<Result<Arc<RunOutcome>, RunError>>> = vec![None; runs.len()];
     let representatives = families(runs);
-    let done = run_tasks(runs, &representatives, opts, span_log);
-    let mut served = absorb(&representatives, done, &mut results, faults);
+    let mut served = run_pass(runs, &representatives, opts, span_log, &mut results, faults);
     let leftovers: Vec<Task> = representatives
         .iter()
         .flat_map(|(_, siblings)| siblings)
         .filter(|&&s| results[s].is_none())
         .map(|&s| (s, Vec::new()))
         .collect();
-    let done = run_tasks(runs, &leftovers, opts, span_log);
-    served += absorb(&leftovers, done, &mut results, faults);
+    served += run_pass(runs, &leftovers, opts, span_log, &mut results, faults);
     Executed {
         results: results.into_iter().map(|r| r.expect("every run simulated or served")).collect(),
         served,
     }
 }
 
-/// Files each task's results into `results` and its store counters into
-/// `faults`; returns how many runs the tasks served. A served run the
-/// verify-build check failed counts as simulated, not served: that check
-/// simulated it.
-fn absorb(
-    tasks: &[Task],
-    done: Vec<Result<TaskDone, RunError>>,
-    results: &mut [Option<Result<Arc<RunOutcome>, RunError>>],
-    faults: &mut FaultStats,
-) -> usize {
-    let mut served = 0;
-    for ((i, _), done) in tasks.iter().zip(done) {
-        results[*i] = Some(done.map(|done| {
-            faults.store_retries += done.store_retries;
-            faults.store_failures += done.store_failures;
-            for (s, result) in done.served {
-                served += usize::from(result.is_ok());
-                results[s] = Some(result);
-            }
-            done.outcome
-        }));
-    }
-    served
-}
-
 /// Runs `tasks` on the worker pool (the one instantiation of it both
-/// passes share), each task's panic caught into its slot.
-fn run_tasks(
+/// passes share), one [`groups`] item at a time. Files every run's
+/// result into `results` and the store counters into `faults`; returns
+/// how many runs the tasks served.
+fn run_pass(
     runs: &[&UniqueRun],
     tasks: &[Task],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
-) -> Vec<Result<TaskDone, RunError>> {
-    try_parallel_map(opts.jobs, tasks, |(i, siblings)| run_task(runs, *i, siblings, opts, span_log))
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|panic| Err(RunError::Panicked { payload: panic.payload })))
-        .collect()
+    results: &mut [Option<Result<Arc<RunOutcome>, RunError>>],
+    faults: &mut FaultStats,
+) -> usize {
+    let groups = groups(runs, tasks, &opts.faults);
+    let done =
+        try_parallel_map(opts.jobs, &groups, |group| run_group(runs, tasks, group, opts, span_log));
+    let mut served = 0;
+    for (group, done) in groups.iter().zip(done) {
+        match done {
+            Ok(done) => {
+                served += done.served;
+                faults.store_retries += done.store_retries;
+                faults.store_failures += done.store_failures;
+                for (i, result) in done.results {
+                    results[i] = Some(result);
+                }
+            }
+            // `run_group` catches each task's panic; a panic between two
+            // of them fails every task of the group.
+            Err(panic) => {
+                for &t in group {
+                    let failed = RunError::Panicked { payload: panic.payload.clone() };
+                    results[tasks[t].0] = Some(Err(failed));
+                }
+            }
+        }
+    }
+    served
 }
 
-/// One task: simulates `runs[i]`, armed to record its SSB footprint when
-/// it has siblings, commits it, then serves each sibling the footprint
-/// fits and the fault plan leaves alone. The footprint dies with the task.
+/// One pool item: runs the `group`'s tasks in order, each with its panic
+/// caught into its own run's result. Sampled tasks of a group share one
+/// prepared kernel, so the first that needs its sampling plan builds it
+/// and the rest measure from it; the plan is dropped with the group, so
+/// each worker holds at most one.
+fn run_group(
+    runs: &[&UniqueRun],
+    tasks: &[Task],
+    group: &[usize],
+    opts: &EngineOptions,
+    span_log: &Arc<SpanLog>,
+) -> Committed {
+    let mut plan = None;
+    let mut done = Committed::default();
+    for &t in group {
+        let (i, siblings) = &tasks[t];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_task(runs, *i, siblings, opts, span_log, &mut plan, &mut done)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(RunError::Panicked { payload: WorkerPanic::from_payload(payload).payload })
+        });
+        done.results.push((*i, result));
+    }
+    done
+}
+
+/// One task, in its own `run` span: simulates `runs[i]` (from `plan`
+/// when sampled), armed to record its SSB footprint when it has siblings,
+/// commits it, then serves each sibling the footprint fits and the fault
+/// plan leaves alone, adding their results and the store counters to
+/// `done`. A served run the verify-build check failed counts as
+/// simulated, not served: that check simulated it. The footprint dies
+/// with the task.
 fn run_task(
     runs: &[&UniqueRun],
     i: usize,
     siblings: &[usize],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
-) -> Result<TaskDone, RunError> {
+    plan: &mut Option<SampledPlan>,
+    done: &mut Committed,
+) -> Result<Arc<RunOutcome>, RunError> {
     let run = runs[i];
     let _span = span_log.span("run", run.kernel);
     if let Some(h) = &opts.sim_hook {
         h(run.kernel);
     }
-    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, !siblings.is_empty())?;
-    let (mut store_retries, mut store_failures) = (0, 0);
+    let record = !siblings.is_empty();
+    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, record, plan)?;
     let mut commit = |outcome: RunOutcome| {
         if let Some(cache) = &opts.disk_cache {
             let (retries, failed) = store_outcome(cache, &outcome, &opts.faults);
-            store_retries += retries;
-            store_failures += usize::from(failed);
+            done.store_retries += retries;
+            done.store_failures += usize::from(failed);
         }
         Arc::new(outcome)
     };
     let outcome = commit(outcome);
-    let plan = &opts.faults;
-    let served = siblings
+    let faults = &opts.faults;
+    let served: Vec<_> = siblings
         .iter()
         .filter(|&&s| {
             let (sibling, fp) = (&runs[s].config, runs[s].fingerprint);
             footprint.as_ref().is_some_and(|f| f.fits(&sibling.ssb, sibling.core.threadlets))
-                && !(plan.should_crash(fp) || plan.should_panic(fp) || plan.should_hang(fp))
+                && !(faults.should_crash(fp) || faults.should_panic(fp) || faults.should_hang(fp))
         })
         .map(|&s| (s, serve(run, &outcome, runs[s], opts).map(&mut commit)))
         .collect();
-    Ok(TaskDone { outcome, served, store_retries, store_failures })
+    done.served += served.iter().filter(|(_, result)| result.is_ok()).count();
+    done.results.extend(served);
+    Ok(outcome)
 }
 
 /// `outcome`, the simulated outcome of `rep`, under the fingerprint of its
-/// geometry sibling `sibling`. Verify builds also simulate the sibling and
-/// fail it, naming both runs, unless the two outcomes match.
+/// geometry sibling `sibling`. Verify builds also simulate the sibling,
+/// from a sampling plan of its own when sampled, and fail it, naming both
+/// runs, unless the two outcomes match.
 fn serve(
     rep: &UniqueRun,
     outcome: &RunOutcome,
@@ -620,7 +704,7 @@ fn serve(
     if loopfrog::VERIFY {
         // A wall-clock deadline is no part of a run's outcome.
         let budget = RunBudget { deadline: None, ..opts.budget.clone() };
-        let simulated = execute_one(sibling, &budget, &opts.faults, false);
+        let simulated = execute_one(sibling, &budget, &opts.faults, false, &mut None);
         let same = simulated
             .as_ref()
             .is_ok_and(|(o, _)| o.checksum == served.checksum && o.record == served.record);
@@ -660,4 +744,61 @@ fn store_outcome(cache: &DiskCache, outcome: &RunOutcome, plan: &FaultPlan) -> (
         Ok(()) => {}
     }
     ((tried - 1) as usize, stored.is_err())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::fault::HangTarget;
+    use lf_workloads::Scale;
+
+    fn prepare(name: &str) -> Arc<PreparedKernel> {
+        let w = lf_workloads::by_name(name, Scale::Smoke).expect("a suite kernel");
+        Arc::new(PreparedKernel::prepare(w, &Hinting::Raw))
+    }
+
+    /// The sampled tasks of one prepared kernel form one group, in
+    /// first-seen order; a detailed task, a simpoint-check task and a
+    /// task whose run a hang injection targets are each a group of one;
+    /// and groups follow their first task.
+    #[test]
+    fn sampled_tasks_of_one_prepared_kernel_form_one_group() {
+        let (a, b, again) =
+            (prepare("stencil_blur"), prepare("hash_lookup"), prepare("stencil_blur"));
+        let run = |prepared: &Arc<PreparedKernel>, n: u64, tier: Tier| {
+            let config = LoopFrogConfig { max_cycles: 1_000_000 + n, ..LoopFrogConfig::default() };
+            UniqueRun {
+                fingerprint: prepared.request_fingerprint_tiered(&config, tier),
+                kernel: prepared.workload.name,
+                prepared: Arc::clone(prepared),
+                config,
+                tier,
+            }
+        };
+        let runs = [
+            run(&a, 0, Tier::Sampled),
+            run(&b, 0, Tier::Sampled),
+            run(&a, 0, Tier::Detailed),
+            run(&a, 1, Tier::Sampled),
+            run(&a, 0, Tier::SimpointCheck),
+            run(&b, 1, Tier::Sampled),
+            run(&a, 2, Tier::Sampled),
+            run(&a, 1, Tier::Detailed),
+            run(&a, 3, Tier::Sampled),
+            // The same kernel prepared twice is two prepared kernels.
+            run(&again, 4, Tier::Sampled),
+        ];
+        let runs: Vec<&UniqueRun> = runs.iter().collect();
+        let tasks: Vec<Task> = (0..runs.len()).map(|i| (i, Vec::new())).collect();
+        let hang = FaultPlan {
+            hang: Some(HangTarget::Fingerprint(runs[6].fingerprint)),
+            ..FaultPlan::default()
+        };
+        let expected: Vec<Vec<usize>> =
+            vec![vec![0, 3, 6, 8], vec![1, 5], vec![2], vec![4], vec![7], vec![9]];
+        assert_eq!(groups(&runs, &tasks, &FaultPlan::default()), expected);
+        let expected: Vec<Vec<usize>> =
+            vec![vec![0, 3, 8], vec![1, 5], vec![2], vec![4], vec![6], vec![7], vec![9]];
+        assert_eq!(groups(&runs, &tasks, &hang), expected, "the hang run is a group of its own");
+    }
 }

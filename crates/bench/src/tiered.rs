@@ -35,12 +35,17 @@
 //!    interval, and [`weighted_cycles`] reconstructs the whole-run cycle
 //!    count.
 //!
-//! Each sampled run builds its plan (picks + checkpoints) in memory and
-//! drops it with the run: a campaign stores nothing but the run's
-//! outcome, so a sampled outcome is a pure function of (program, memory,
-//! config). [`CheckpointStore`] and [`SampledPlan::to_bytes`] persist
-//! plans for `perfbench/harness`'s plan store and lookup probes only; no
-//! campaign calls them.
+//! A plan (picks + checkpoints) depends only on the program and memory
+//! image, so a campaign builds it in memory once per prepared kernel: the
+//! kernel's sampled runs share one pool item, whose first run that needs
+//! the plan builds it, and the plan is dropped when the item ends
+//! (`engine::planner`). A campaign stores nothing but each run's outcome,
+//! so a sampled outcome is a pure function of (program, memory, config).
+//! [`run_sampled`] can also record each window's SSB footprint and append
+//! them, so one estimate serves the SSB geometries every window fits.
+//! [`CheckpointStore`] and [`SampledPlan::to_bytes`] persist plans for
+//! `perfbench/harness`'s plan store and lookup probes only; no campaign
+//! calls them.
 
 use crate::runner::{scale_tag, RunOutcome, RunRecord};
 use lf_compiler::Cfg;
@@ -49,7 +54,7 @@ use lf_isa::{Checkpoint, CheckpointError, Emulator, FastTier, Memory, Program};
 use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector, SimPoint};
 use lf_stats::{fingerprint_hex, Fingerprint, Json};
 use lf_workloads::Scale;
-use loopfrog::{LoopFrogConfig, LoopFrogCore};
+use loopfrog::{LoopFrogConfig, LoopFrogCore, SsbFootprint};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -330,12 +335,14 @@ pub fn build_plan(program: &Program, mem: &Memory) -> Result<SampledPlan, String
     let picks = pick_simpoints(vectors, MAX_SIMPOINTS, SIMPOINT_SEED);
 
     // Pass 3: a warm checkpoint at each pick's starting instruction. Each
-    // pick replays from scratch (functional replay costs microseconds at
-    // these run lengths): architectural state snapshots exactly at the
-    // pick, then the replay continues [`WARM_LOOKAHEAD_INSTS`] further so
-    // the hint streams also cover the detailed core's speculative
-    // run-ahead. Interval 0 is exempt — nothing ran ahead of a cold start,
-    // and its pristine empty-hint checkpoint reproduces it exactly.
+    // pick replays from scratch, and these replays are most of the plan's
+    // cost (about 119 of `build_plan`'s 194 ms over the 32 annotated eval
+    // kernels), which is why a campaign builds a kernel's plan once for
+    // all its configs: architectural state snapshots exactly at the pick,
+    // then the replay continues [`WARM_LOOKAHEAD_INSTS`] further so the
+    // hint streams also cover the detailed core's speculative run-ahead.
+    // Interval 0 is exempt — nothing ran ahead of a cold start, and its
+    // pristine empty-hint checkpoint reproduces it exactly.
     let mut with_ckpts = Vec::with_capacity(picks.len());
     for p in &picks {
         let start = p.interval as u64 * interval_len;
@@ -475,6 +482,11 @@ pub struct SampledMeasurement {
     /// The last window's full simulation result: the facts an estimate's
     /// [`RunRecord`] carries.
     pub carrier: loopfrog::SimResult,
+    /// The windows' SSB footprints, appended in window order: `None` unless
+    /// recorded, or if any window's slices spilled. Each window restores a
+    /// core with empty slices, so another SSB geometry measures every
+    /// window identically exactly when this footprint fits it.
+    pub footprint: Option<SsbFootprint>,
 }
 
 /// Restores a detailed core at each of the plan's checkpoints, runs the
@@ -489,11 +501,23 @@ pub fn sample_windows(
     plan: &SampledPlan,
     cfg: &LoopFrogConfig,
 ) -> Result<SampledMeasurement, String> {
+    measure_windows(program, plan, cfg, false)
+}
+
+/// [`sample_windows`], with every window's SSB footprint recorded into
+/// [`SampledMeasurement::footprint`] when `record` is set.
+fn measure_windows(
+    program: &Program,
+    plan: &SampledPlan,
+    cfg: &LoopFrogConfig,
+    record: bool,
+) -> Result<SampledMeasurement, String> {
     if plan.picks.is_empty() {
         return Err("sampling plan has no picks".to_string());
     }
     let mut windows = Vec::with_capacity(plan.picks.len());
     let mut samples = Vec::with_capacity(plan.picks.len());
+    let (mut footprint, mut spilled) = (None::<SsbFootprint>, false);
     let mut detailed_total = 0u64;
     let mut carrier = None;
     for (sp, ckpt) in &plan.picks {
@@ -503,6 +527,9 @@ pub fn sample_windows(
         let warm = if sp.interval == 0 { 0 } else { plan.interval_len / WARM_FRACTION };
         let measure = plan.interval_len / MEASURE_DIVISOR;
         let mut core = LoopFrogCore::from_checkpoint(program, ckpt, cfg.clone());
+        if record {
+            core.record_ssb_footprint();
+        }
         core.run_until_committed(warm)
             .map_err(|e| format!("window {} warm-up failed: {e}", sp.interval))?;
         let (mut c0, mut i0) = (core.cycle(), core.committed_insts());
@@ -519,13 +546,22 @@ pub fn sample_windows(
         detailed_total += c1;
         windows.push(Window { point: *sp, cycles: c1 - c0, insts: i1 - i0, detailed_cycles: c1 });
         samples.push((*sp, c1 - c0, i1 - i0));
-        carrier = Some(core.into_result(stop));
+        let mut result = core.into_result(stop);
+        if record {
+            match (result.ssb_footprint.take(), &mut footprint) {
+                (None, _) => spilled = true,
+                (Some(window), Some(run)) => run.append(window),
+                (Some(window), None) => footprint = Some(window),
+            }
+        }
+        carrier = Some(result);
     }
     Ok(SampledMeasurement {
         est_cycles: weighted_cycles(&samples, plan.total_insts),
         detailed_cycles: detailed_total,
         windows,
         carrier: carrier.expect("at least one window"),
+        footprint: footprint.filter(|_| !spilled),
     })
 }
 
@@ -620,8 +656,10 @@ pub fn run_simpoint_check(
     Ok(RunOutcome::new(fingerprint, e.state_checksum(), record))
 }
 
-/// Runs one kernel on the sampled tier: builds the sampling plan in
-/// memory, measures its windows, and reconstructs the whole run.
+/// Runs one kernel on the sampled tier: measures the windows of `plan`,
+/// the kernel's sampling plan ([`build_plan`]), and reconstructs the
+/// whole run. With `record` set it also returns the windows' SSB
+/// footprint ([`SampledMeasurement::footprint`]).
 ///
 /// The returned outcome's `stats.cycles` is the weighted estimate and
 /// `committed_insts` the full-run count (derived from its tier record by
@@ -632,15 +670,15 @@ pub fn run_simpoint_check(
 ///
 /// # Errors
 ///
-/// Returns a message if planning or any window simulation faults.
+/// Returns a message if any window simulation faults.
 pub fn run_sampled(
     fingerprint: u64,
     program: &Program,
-    mem: &Memory,
+    plan: &SampledPlan,
     cfg: &LoopFrogConfig,
-) -> Result<RunOutcome, String> {
-    let plan = build_plan(program, mem)?;
-    let m = sample_windows(program, &plan, cfg)?;
+    record: bool,
+) -> Result<(RunOutcome, Option<SsbFootprint>), String> {
+    let m = measure_windows(program, plan, cfg, record)?;
     let mut t = tier_json(Tier::Sampled);
     t.set("total_insts", plan.total_insts);
     t.set("interval_len", plan.interval_len);
@@ -659,7 +697,7 @@ pub fn run_sampled(
     t.set("windows", Json::Arr(wins));
     let mut record = RunRecord::from_result(m.carrier, cfg);
     record.tier = Some(t);
-    Ok(RunOutcome::new(fingerprint, plan.final_checksum, record))
+    Ok((RunOutcome::new(fingerprint, plan.final_checksum, record), m.footprint))
 }
 
 #[cfg(test)]
@@ -772,7 +810,8 @@ mod tests {
     fn sampled_run_estimates_within_smoke_tolerance() {
         let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
-        let out = run_sampled(9, &w.program, &w.mem, &cfg).unwrap();
+        let plan = build_plan(&w.program, &w.mem).unwrap();
+        let (out, _) = run_sampled(9, &w.program, &plan, &cfg, false).unwrap();
         let mut core = LoopFrogCore::new(&w.program, w.mem.clone(), cfg.clone());
         let full = core.run().unwrap();
         assert_eq!(out.checksum, full.checksum, "golden-state gate applies to sampled runs");
@@ -791,7 +830,8 @@ mod tests {
         let w = lf_workloads::by_name("event_queue", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
         let run = || {
-            let out = run_sampled(3, &w.program, &w.mem, &cfg).unwrap();
+            let plan = build_plan(&w.program, &w.mem).unwrap();
+            let (out, _) = run_sampled(3, &w.program, &plan, &cfg, false).unwrap();
             (out.stats, out.checksum, out.record)
         };
         assert_eq!(run(), run());

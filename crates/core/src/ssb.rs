@@ -154,6 +154,23 @@ impl SsbFootprint {
         }
         true
     }
+
+    /// Adds `other`'s epochs after this footprint's own, so the result
+    /// fits exactly the geometries both fit: the footprint of a run made
+    /// of several armed simulations, each starting with empty slices (a
+    /// sampled run's windows).
+    ///
+    /// `other` must share the recorded line and granule sizes.
+    pub fn append(&mut self, other: SsbFootprint) {
+        debug_assert_eq!(
+            (other.line, other.granule),
+            (self.line, self.granule),
+            "footprints of different line or granule sizes do not join"
+        );
+        let base = self.lines.len();
+        self.lines.extend(other.lines);
+        self.ends.extend(other.ends.into_iter().map(|end| base + end));
+    }
 }
 
 impl Ssb {
@@ -717,15 +734,34 @@ mod tests {
     #[test]
     fn footprint_fits_exactly_the_geometries_that_never_spill() {
         let mut rng = lf_stats::rng::SmallRng::seed_from_u64(0x55b_f007);
+        let mut split_rng = lf_stats::rng::SmallRng::seed_from_u64(0x5b117);
         let (mut fits, mut spills, mut set_bound, mut one_over) = (0, 0, 0, 0);
         for case in 0..160 {
             let (slices, ops) = random_trace(&mut rng);
             // 64 fully associative lines per slice hold any epoch of the trace.
             let capacious = SsbConfig { size_bytes: 64 * 32 * slices, ..SsbConfig::default() };
-            let (mut ssb, spilled) = replay(&capacious, slices, &ops);
-            assert!(!spilled, "case {case}: the capacious geometry spilled");
-            let footprint = ssb.take_footprint().expect("an armed run that never spilled");
+            let record = |ops: &[Op]| {
+                let (mut ssb, spilled) = replay(&capacious, slices, ops);
+                assert!(!spilled, "case {case}: the capacious geometry spilled");
+                ssb.take_footprint().expect("an armed run that never spilled")
+            };
+            let footprint = record(&ops);
             assert!(footprint.fits(&capacious, slices), "case {case}");
+            // The same recording split at a random step, where every slice
+            // commits so an epoch ends in each, into two armed runs, each
+            // starting empty (as a sampled run's windows do): appended,
+            // their footprints are the whole recording's.
+            let split = split_rng.random_range(0..=ops.len());
+            let boundary = (0..slices).map(Op::Take);
+            let whole: Vec<Op> = ops[..split]
+                .iter()
+                .copied()
+                .chain(boundary)
+                .chain(ops[split..].iter().copied())
+                .collect();
+            let mut joined = record(&ops[..split]);
+            joined.append(record(&ops[split..]));
+            assert_eq!(joined, record(&whole), "case {case}, split at {split}");
             let largest_epoch =
                 std::iter::once(0).chain(footprint.ends.iter().copied()).collect::<Vec<_>>();
             let largest_epoch = largest_epoch.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
@@ -738,6 +774,8 @@ mod tests {
                         let what =
                             format!("case {case}, {size_bytes} B, {assoc:?}, {victim_entries}");
                         assert_eq!(footprint.fits(&g, slices), !spilled, "{what}: {ops:?}");
+                        let (_, whole_spilled) = replay(&g, slices, &whole);
+                        assert_eq!(joined.fits(&g, slices), !whole_spilled, "{what}, split");
                         let recorded = ssb.take_footprint();
                         if spilled {
                             assert_eq!(recorded, None, "{what}: a spilled run proves nothing");

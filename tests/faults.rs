@@ -9,10 +9,11 @@ use lf_bench::engine::fault::{
 };
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, EngineOutput, Scenario};
-use lf_bench::{RunArtifact, RunConfig};
+use lf_bench::{RunArtifact, RunConfig, Tier};
 use lf_workloads::Scale;
 use loopfrog::FlightRecorder;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -354,4 +355,69 @@ fn render_panic_is_isolated_to_its_scenario() {
     );
     assert_eq!(output.failures.len(), 1);
     assert_eq!(output.failures[0].kernel, "bad_render");
+}
+
+/// Every file of a run cache, by name.
+fn cache_entries(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(p).unwrap()))
+        .collect()
+}
+
+/// A sampled campaign runs each kernel's runs as one pool item, yet an
+/// injected panic still costs exactly the runs it hits. Over
+/// `stencil_blur`'s SSB size and associativity sweeps (9 runs),
+/// `panic:0.45` hits the baseline, which runs before the 32 KiB
+/// representative in the same item, and three of the geometry siblings
+/// the representative would serve; `panic:0.74` also hits the
+/// representative, so its unhit siblings simulate in the second pass,
+/// behind four panicking runs of their item. The failures are exactly
+/// the gated runs, under the fingerprints they had when every sampled
+/// run built its own plan, and every other run commits the cache entry
+/// a clean campaign commits.
+#[test]
+fn sampled_panics_fail_exactly_the_runs_they_hit() {
+    let scenarios = ["fig9_ssb_size", "assoc_sensitivity"]
+        .map(|n| lf_bench::engine::by_name(n).unwrap_or_else(|| panic!("{n} is registered")));
+    let refs: Vec<&dyn Scenario> = scenarios.iter().map(|s| s.as_ref()).collect();
+    let campaign = |tag: &str, plan: FaultPlan| {
+        let dir = scratch_dir(tag);
+        let mut opts = opts_for("stencil_blur");
+        opts.tier = Tier::Sampled;
+        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        opts.faults = plan;
+        let output = run_scenarios(&refs, &opts);
+        let entries = cache_entries(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        (output, entries)
+    };
+    let (clean, clean_entries) = campaign("sampled-clean", FaultPlan::default());
+    assert!(clean.failures.is_empty(), "{:?}", clean.failures);
+    assert_eq!(clean_entries.len(), 9);
+
+    // Base, 2 KiB, 8-way, 4-way + victim; then also 4-way and 32 KiB.
+    let hit_045 = [0xd0cef648cfea3477, 0x9b34e3c9fca98f4c, 0x65230bd9d993ed3a, 0xdedfd171a53a277c];
+    let hit_074 = [&hit_045[..], &[0x486ab85fd1c5b56d, 0xe11e2d14be11f5ed]].concat();
+    for (spec, hit) in [("panic:0.45", &hit_045[..]), ("panic:0.74", &hit_074[..])] {
+        let (broken, entries) = campaign(&spec.replace([':', '.'], "-"), faults(&[spec]));
+        let mut failed: Vec<u64> = broken.failures.iter().map(|f| f.fingerprint).collect();
+        failed.sort_unstable();
+        let mut expected = hit.to_vec();
+        expected.sort_unstable();
+        assert_eq!(failed, expected, "{spec}: exactly the gated runs fail");
+        assert!(broken.failures.iter().all(|f| f.error.kind() == "panic"), "{spec}");
+        assert_eq!(broken.report.faults.failed_runs(), hit.len(), "{spec}");
+        let hit_names: Vec<String> =
+            hit.iter().map(|&fp| format!("{}.json", lf_stats::fingerprint_hex(fp))).collect();
+        let survivors: BTreeMap<String, Vec<u8>> = clean_entries
+            .iter()
+            .filter(|(name, _)| !hit_names.contains(name))
+            .map(|(name, bytes)| (name.clone(), bytes.clone()))
+            .collect();
+        assert_eq!(survivors.len(), 9 - hit.len(), "{spec}: every gated run is one of the 9");
+        assert!(entries == survivors, "{spec}: the other runs commit a clean campaign's entries");
+    }
 }

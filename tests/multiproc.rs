@@ -6,7 +6,8 @@
 //!
 //! 1. a campaign sharded across workers renders **byte-identically** to a
 //!    single-process campaign — same stdout, same artifacts (modulo the
-//!    `planner` telemetry section);
+//!    `planner` telemetry section), and on the sampled tier the same cache
+//!    entries;
 //! 2. worker deaths (injected `crash:<rate>` aborts, true external
 //!    SIGKILLs) are absorbed: the supervisor respawns workers, surviving
 //!    workers retry the lost runs, and the campaign still exits 0;
@@ -191,6 +192,64 @@ fn two_workers_render_byte_identically_to_single_process() {
         stderr_of(&sharded).contains("supervisor: 2 workers"),
         "the supervisor announces its workers:\n{}",
         stderr_of(&sharded)
+    );
+}
+
+/// Every run entry of a campaign's cache, by name, sorted.
+fn cache_entries(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut entries: Vec<_> = std::fs::read_dir(dir.join("results/cache"))
+        .expect("cache dir exists")
+        .flatten()
+        .filter(|e| e.path().is_file())
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap()))
+        .collect();
+    entries.sort();
+    assert!(!entries.is_empty(), "the campaign filled its cache");
+    entries
+}
+
+/// The same contract on the sampled tier. Workers take one fingerprint
+/// at a time, so each of their runs builds its own sampling plan and
+/// serves nothing, while the single-process campaign shares each
+/// kernel's plan and serves geometry siblings from their windows' SSB
+/// footprints. Both print the same stdout and write the same artifacts
+/// and cache entries, byte for byte.
+#[test]
+fn two_workers_render_sampled_campaigns_byte_identically() {
+    let sampled = ["--tier", "sampled"];
+    let ref_dir = scratch_dir("sampled-identity-ref");
+    let reference = run(&mut campaign(&ref_dir, &sampled));
+    assert!(reference.status.success(), "{}", stderr_of(&reference));
+
+    let dir = scratch_dir("sampled-identity-two");
+    let sharded = run(&mut campaign(&dir, &[&sampled[..], &["--workers", "2"]].concat()));
+    assert!(sharded.status.success(), "{}", stderr_of(&sharded));
+
+    assert_eq!(stdout_of(&sharded), stdout_of(&reference), "sharded sampled stdout differs");
+    assert_eq!(
+        normalized_artifacts(&dir),
+        normalized_artifacts(&ref_dir),
+        "sharded sampled artifacts differ (modulo planner telemetry)"
+    );
+    assert!(
+        cache_entries(&dir) == cache_entries(&ref_dir),
+        "sharded sampled cache entries must be byte-identical"
+    );
+    assert_no_debris(&dir, "sampled identity");
+
+    let planner = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join("results/planner.json")).unwrap();
+        Json::parse(&text).unwrap()
+    };
+    let (single, final_pass) = (planner(&ref_dir), planner(&dir));
+    let count = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_u64);
+    assert!(count(&single, "served") > Some(0), "one process serves siblings: {single:?}");
+    assert_eq!(count(&final_pass, "simulated"), Some(0), "{final_pass:?}");
+    assert_eq!(count(&final_pass, "served"), Some(0), "{final_pass:?}");
+    assert_eq!(
+        count(&final_pass, "disk_cache_hits"),
+        count(&final_pass, "unique_runs"),
+        "every unique run comes from the worker-filled cache: {final_pass:?}"
     );
 }
 

@@ -315,23 +315,23 @@ fn phase_spans_cover_a_cold_campaign() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One simulation answers every SSB geometry it fits. fig9's size sweep
-/// and §6.6's associativity study over `astar_heap` declare 9 unique runs:
-/// the baseline and one family of 8 LoopFrog geometries. The 32 KiB run
-/// represents the family, and its footprint serves the 8 KiB, 2 KiB and
-/// four associativity variants; at 512 B the slices overflow, so that run
-/// simulates. Workspace test builds also simulate each served run and fail
-/// it unless the outcomes match, so a clean campaign checks all six. A
-/// second campaign on the same cache serves all 9 runs from it.
-#[test]
-fn geometry_siblings_are_served_from_one_footprint() {
+/// Runs fig9's size sweep and §6.6's associativity study over
+/// `astar_heap` on `tier` twice on one cache, and returns the first
+/// campaign's `(simulated, served)`. Both declare 9 unique runs: the
+/// baseline and one family of 8 LoopFrog geometries. Workspace test
+/// builds also simulate each served run and fail it unless the outcomes
+/// match, so the first campaign must fail nothing; it writes one cache
+/// entry per unique run, and the second serves all 9 from the cache and
+/// renders the same text.
+fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize) {
     let scenarios = ["fig9_ssb_size", "assoc_sensitivity"]
         .map(|n| lf_bench::engine::by_name(n).unwrap_or_else(|| panic!("{n} is registered")));
     let refs: Vec<&dyn Scenario> = scenarios.iter().map(|s| s.as_ref()).collect();
-    let dir = scratch_dir("geometry-families");
+    let dir = scratch_dir(&format!("geometry-families-{}", tier.tag()));
     let campaign = || {
         let mut opts = opts_for("astar_heap");
         opts.jobs = 2;
+        opts.tier = tier;
         opts.disk_cache = Some(DiskCache::new(dir.clone()));
         let sims = counting_hook(&mut opts);
         let output = run_scenarios(&refs, &opts);
@@ -340,21 +340,39 @@ fn geometry_siblings_are_served_from_one_footprint() {
     };
     let (first, simulated) = campaign();
     let r = &first.report;
-    assert_eq!(r.unique, 9);
-    assert_eq!((r.disk_hits, r.simulated, r.served), (0, 3, 6), "baseline, 32 KiB and 512 B");
-    assert_eq!(simulated, 3, "served runs never fire the simulation hook");
-    assert!(first.failures.is_empty(), "{:?}", first.failures);
+    assert_eq!((r.unique, r.disk_hits), (9, 0), "{tier:?}");
+    assert_eq!(r.simulated + r.served, 9, "{tier:?}");
+    assert_eq!(simulated, r.simulated, "{tier:?}: served runs never fire the simulation hook");
+    assert!(first.failures.is_empty(), "{tier:?}: {:?}", first.failures);
     let entries = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(entries, 9, "one cache entry per unique run");
+    assert_eq!(entries, 9, "{tier:?}: one cache entry per unique run");
 
     let (second, resimulated) = campaign();
-    let r = &second.report;
-    assert_eq!((r.disk_hits, r.simulated, r.served), (9, 0, 0));
-    assert_eq!(resimulated, 0);
+    let r2 = &second.report;
+    assert_eq!((r2.disk_hits, r2.simulated, r2.served), (9, 0, 0), "{tier:?}");
+    assert_eq!(resimulated, 0, "{tier:?}");
     for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
-        assert_eq!(a.text, b.text, "{} renders from the cache alike", a.name);
+        assert_eq!(a.text, b.text, "{tier:?}: {} renders from the cache alike", a.name);
     }
     std::fs::remove_dir_all(&dir).ok();
+    (r.simulated, r.served)
+}
+
+/// One simulation answers every SSB geometry it fits. The 32 KiB run
+/// represents `astar_heap`'s family, and its footprint serves the 8 KiB,
+/// 2 KiB and four associativity variants; at 512 B the slices overflow,
+/// so that run simulates, as does the baseline.
+#[test]
+fn geometry_siblings_are_served_from_one_footprint() {
+    assert_eq!(serve_astar_heap_geometries(Tier::Detailed), (3, 6));
+}
+
+/// The sampled tier serves geometry siblings too: the 32 KiB estimate's
+/// windows are recorded, and their footprints appended serve every
+/// sibling they fit.
+#[test]
+fn sampled_geometry_siblings_are_served_from_their_windows_footprints() {
+    assert_eq!(serve_astar_heap_geometries(Tier::Sampled), (3, 6));
 }
 
 /// Run fingerprints of `stencil_blur` at smoke scale. The detailed and

@@ -1,9 +1,10 @@
 //! Integration tests for the tiered execution path (DESIGN §13): the
 //! sampled tier's accuracy and detailed-cycle reduction bounds on the
-//! eval-scale basket, and byte-identical deterministic checkpoint restore.
+//! eval-scale basket, byte-identical deterministic checkpoint restore,
+//! and the SSB footprint a sampled run records over its windows.
 
 use lf_bench::perf::BASKET;
-use lf_bench::tiered::{build_plan, sample_windows, SampledPlan};
+use lf_bench::tiered::{build_plan, run_sampled, sample_windows, SampledPlan};
 use lf_bench::RunRecord;
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::{Memory, Program};
@@ -117,4 +118,43 @@ fn pristine_restore_equals_uninterrupted_run() {
     assert_eq!(restored.stats.cycles, uninterrupted.stats.cycles);
     assert_eq!(restored.checksum, uninterrupted.checksum);
     assert_eq!(RunRecord::from_result(restored, &cfg), RunRecord::from_result(uninterrupted, &cfg));
+}
+
+/// A sampled run's SSB footprint is its windows' footprints appended.
+/// Over `astar_heap`'s geometries it fits exactly those under which no
+/// window's slices spill, and every geometry it fits measures the same
+/// windows, so a served sibling's record is the one it would simulate.
+#[test]
+fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
+    let (program, mem) = prepared("astar_heap", Scale::Smoke);
+    let plan = build_plan(&program, &mem).unwrap();
+    let with_ssb = |size_bytes, assoc, victim_entries| {
+        let mut cfg = LoopFrogConfig::default();
+        cfg.ssb.size_bytes = size_bytes;
+        cfg.ssb.assoc = assoc;
+        cfg.ssb.victim_entries = victim_entries;
+        cfg
+    };
+    let rep = with_ssb(32 << 10, None, 0);
+    let (outcome, footprint) = run_sampled(0, &program, &plan, &rep, true).unwrap();
+    let footprint = footprint.expect("no window spills a 32 KiB SSB");
+    let (mut fits, mut spills) = (0, 0);
+    for size_bytes in [512, 1 << 10, 2 << 10, 8 << 10] {
+        for assoc in [None, Some(2), Some(4)] {
+            for victim_entries in [0, 8] {
+                let cfg = with_ssb(size_bytes, assoc, victim_entries);
+                let what = format!("{size_bytes} B, {assoc:?}, {victim_entries} victims");
+                let (sibling, recorded) = run_sampled(0, &program, &plan, &cfg, true).unwrap();
+                let fit = footprint.fits(&cfg.ssb, cfg.core.threadlets);
+                assert_eq!(fit, recorded.is_some(), "{what}: fits iff no window spilled");
+                if fit {
+                    assert!(sibling.record == outcome.record, "{what}: measured differently");
+                    fits += 1;
+                } else {
+                    spills += 1;
+                }
+            }
+        }
+    }
+    assert!(fits > 0 && spills > 0, "{fits} geometries fit, {spills} spilled");
 }
