@@ -5,8 +5,8 @@
 //!
 //! Every benchmark drives a public API. The store-queue search and the
 //! completion wheel are private to `loopfrog`'s engine, so they have no
-//! benchmark here; `lf-bench profile` attributes their cost to the issue
-//! and writeback stages.
+//! benchmark here; `lf-bench perf`'s stage-share table attributes their
+//! cost to the issue and writeback stages.
 
 use lf_bench::microbench::{bench_function, Bencher};
 use std::hint::black_box;

@@ -399,8 +399,6 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         budget,
         faults: cli.faults.clone(),
         spans: None,
-        poisoned: std::collections::HashMap::new(),
-        carried_faults: Default::default(),
     }
 }
 

@@ -68,7 +68,6 @@ pub trait Scenario: Sync {
 }
 
 /// Engine invocation options.
-#[derive(Clone)]
 pub struct EngineOptions {
     /// Workload scale for every planned run.
     pub scale: Scale,
@@ -103,16 +102,6 @@ pub struct EngineOptions {
     /// timing summary in [`PlannerReport`] comes from it) but nothing is
     /// exported.
     pub spans: Option<Arc<SpanLog>>,
-    /// Runs quarantined as poisonous by the multi-process supervisor
-    /// (fingerprint → distinct worker deaths). Poisoned cache misses are
-    /// never executed in this process: they become structured
-    /// [`fault::RunError::Poisoned`] failures (a poisonous run would
-    /// otherwise take this process down too).
-    pub poisoned: HashMap<u64, usize>,
-    /// Failure counters carried in from a supervising process (worker
-    /// deaths, respawns, swept temp files); merged into this invocation's own
-    /// counters so the rendered telemetry covers the whole campaign.
-    pub carried_faults: FaultStats,
 }
 
 impl EngineOptions {
@@ -128,8 +117,6 @@ impl EngineOptions {
             budget: RunBudget::default(),
             faults: FaultPlan::default(),
             spans: None,
-            poisoned: HashMap::new(),
-            carried_faults: FaultStats::default(),
         }
     }
 }
@@ -432,27 +419,31 @@ pub fn run_scenarios(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> Engin
     // its worker processes, which re-derive the identical plan from the
     // same options).
     let plan = build_plan(scenarios, opts, &span_log);
-    run_planned(scenarios, opts, &plan, &span_log, started)
+    run_planned(scenarios, opts, &plan, &span_log, started, &HashMap::new(), FaultStats::default())
 }
 
 /// Phases 3-4 of a campaign over an already derived `plan`: cache
 /// lookups, simulation of the misses, and rendering. The supervisor calls
 /// this for its final pass over the plan it derived before handing runs to
-/// workers. `started` is when the campaign began, for the wall-clock
-/// telemetry.
+/// workers, with the runs it quarantined as `poisoned` (fingerprint →
+/// distinct worker deaths) and its failure counters (worker deaths,
+/// respawns, swept temp files) as `faults`, which this pass adds to, so
+/// the telemetry covers the whole campaign. `started` is when the campaign
+/// began, for the wall-clock telemetry.
 pub(crate) fn run_planned(
     scenarios: &[&dyn Scenario],
     opts: &EngineOptions,
     plan: &CampaignPlan,
     span_log: &Arc<SpanLog>,
     started: Instant,
+    poisoned: &HashMap<u64, usize>,
+    mut faults: FaultStats,
 ) -> EngineOutput {
     // Campaign durability: sweep commit temp files orphaned by a killed
     // predecessor. Everything else a kill leaves behind is a cache miss
     // that simply re-simulates. `--no-cache` campaigns run unswept (they
     // publish nothing worth recovering); `+=` because a supervising
     // process may have swept (and counted) already.
-    let mut faults = opts.carried_faults.clone();
     if let Some(cache) = &opts.disk_cache {
         faults.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
     }
@@ -509,7 +500,7 @@ pub(crate) fn run_planned(
     // process down too. A cache hit outranks a poison marker: if any
     // worker managed to commit the run, the result is trusted.
     let mut poisoned_runs: Vec<(&planner::UniqueRun, usize)> = Vec::new();
-    misses.retain(|run| match opts.poisoned.get(&run.fingerprint) {
+    misses.retain(|run| match poisoned.get(&run.fingerprint) {
         Some(&deaths) => {
             poisoned_runs.push((*run, deaths));
             false
@@ -704,24 +695,6 @@ pub(crate) fn repro_command(scale: Scale, tier: Tier, kernel: &str) -> String {
         t => format!(" --tier {}", t.tag()),
     };
     format!("lf-bench run --all --scale {tag}{tier_flag} --filter {kernel} -j 1 --no-cache")
-}
-
-/// Executes one unique run in this process (a worker process's unit of
-/// work) exactly as the campaign pool would: injection, budget, and tier
-/// dispatch, then the commit to the run cache. Panics are contained as in
-/// the pool. A lone run forms no geometry family, so it serves nothing,
-/// and a sampled one builds its own sampling plan.
-/// The store counters are dropped: a worker reports only the fingerprints
-/// it has committed.
-pub(crate) fn execute_single(
-    run: &planner::UniqueRun,
-    opts: &EngineOptions,
-    span_log: &Arc<SpanLog>,
-) -> Result<Arc<RunOutcome>, RunError> {
-    execute(&[run], opts, span_log, &mut FaultStats::default())
-        .results
-        .pop()
-        .expect("execute over one run yields one result")
 }
 
 /// The scenario registry, in render order. Names are stable CLI surface

@@ -17,19 +17,19 @@
 //! memory image once; resolving a request only mixes those two hashes
 //! with the config fingerprint, scale tag, and tier.
 //!
-//! Detailed or sampled runs that differ only in the SSB's size,
-//! associativity and victim buffer form a *geometry family*
-//! ([`families`]). The pool simulates the family's most capacious member
-//! with its SSB footprint recorded (a sampled run's is its windows'
-//! footprints appended) and commits that outcome under the fingerprint of
-//! every sibling the footprint fits ([`loopfrog::SsbFootprint::fits`]),
-//! which would have run identically; the other siblings simulate in a
-//! second pass (DESIGN.md §8.4).
+//! Runs that differ only in the SSB's size, associativity and victim
+//! buffer form a *geometry family*, and execution is one pass over pool
+//! items of families (`items`). A family simulates its most capacious
+//! member with its SSB footprint recorded (a sampled run's is its
+//! windows' footprints appended), commits that outcome under the
+//! fingerprint of every sibling the footprint fits
+//! ([`loopfrog::SsbFootprint::fits`]), which would have run identically,
+//! then simulates the other siblings (DESIGN.md §8.4).
 //!
-//! The sampled runs of one prepared kernel share one pool item
-//! (`groups`), which builds the kernel's sampling plan once, inside the
-//! first run that needs it, and drops it when the item ends, so at most
-//! `-j` plans are live (DESIGN.md §13.2).
+//! The sampled families of one prepared kernel share one pool item, which
+//! builds the kernel's sampling plan once, inside the first run that needs
+//! it, and drops it when the item ends, so at most `-j` plans are live
+//! (DESIGN.md §13.2).
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
@@ -45,7 +45,7 @@ use crate::tiered::{
 };
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
-use lf_isa::Program;
+use lf_isa::{Memory, Program};
 use lf_workloads::Workload;
 use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop, SsbFootprint};
 use std::cell::RefCell;
@@ -177,17 +177,13 @@ impl PreparedKernel {
 
     /// The geometry family of simulating this prepared kernel under `cfg`
     /// on `tier`: the run fingerprint with the SSB's size, associativity
-    /// and victim buffer set to fixed values. Detailed and sampled runs
-    /// form families; a simpoint-check run records no footprint.
-    fn geometry_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> Option<u64> {
-        if tier == Tier::SimpointCheck {
-            return None;
-        }
+    /// and victim buffer set to fixed values.
+    fn geometry_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
         let mut shape = cfg.clone();
         shape.ssb.size_bytes = 0;
         shape.ssb.assoc = None;
         shape.ssb.victim_entries = 0;
-        Some(self.request_fingerprint_tiered(&shape, tier))
+        self.request_fingerprint_tiered(&shape, tier)
     }
 }
 
@@ -336,37 +332,40 @@ pub(crate) fn dedupe(
     unique
 }
 
-/// One pool task: the run to simulate, as an index into the executed
-/// runs, and the indices of the geometry siblings it may serve.
-type Task = (usize, Vec<usize>);
+/// A geometry family: the index of its representative and the indices of
+/// its siblings, into the executed runs.
+type Family = (usize, Vec<usize>);
 
-/// Groups `runs` into geometry families (the key is a pure function of
-/// each run, so the same runs always form the same families). Returns one
-/// [`Task`] per family, ordered by its representative: the member with
-/// the most lines per slice, then fully associative, then the most victim
-/// entries, the first seen on a tie — the geometry least likely to spill.
-/// A run outside every family is a task of its own.
-fn families(runs: &[&UniqueRun]) -> Vec<Task> {
+/// Splits `runs` into pool items, each a list of geometry families.
+///
+/// A family is the runs with one [`PreparedKernel::geometry_family`] key,
+/// a pure function of each run, so the same runs always form the same
+/// families. Its representative is the member with the most lines per
+/// slice, then fully associative, then the most victim entries, the first
+/// seen on a tie — the geometry least likely to spill. The sampled
+/// families of one prepared kernel share one item, so the item builds the
+/// kernel's sampling plan once. Every other family is an item of its own:
+/// a kernel's detailed runs vary too much in cost to balance the pool as
+/// one item. Families are ordered by representative, items by their first
+/// family.
+fn items(runs: &[&UniqueRun]) -> Vec<Vec<Family>> {
     let mut members: Vec<Vec<usize>> = Vec::new();
     let mut by_key: HashMap<u64, usize> = HashMap::new();
     for (i, run) in runs.iter().enumerate() {
-        match run.prepared.geometry_family(&run.config, run.tier) {
-            Some(key) => {
-                let family = *by_key.entry(key).or_insert_with(|| {
-                    members.push(Vec::new());
-                    members.len() - 1
-                });
-                members[family].push(i);
-            }
-            None => members.push(vec![i]),
+        let family = *by_key
+            .entry(run.prepared.geometry_family(&run.config, run.tier))
+            .or_insert(members.len());
+        if family == members.len() {
+            members.push(Vec::new());
         }
+        members[family].push(i);
     }
     let capacity = |i: usize| {
         let cfg = &runs[i].config;
         let ssb = &cfg.ssb;
         (ssb.lines_per_slice(cfg.core.threadlets), ssb.assoc.is_none(), ssb.victim_entries)
     };
-    let mut tasks: Vec<Task> = members
+    let mut families: Vec<Family> = members
         .into_iter()
         .map(|mut family| {
             let rep = (1..family.len()).fold(0, |best, j| {
@@ -379,35 +378,25 @@ fn families(runs: &[&UniqueRun]) -> Vec<Task> {
             (family.remove(rep), family)
         })
         .collect();
-    tasks.sort_by_key(|(rep, _)| *rep);
-    tasks
-}
+    families.sort_by_key(|(rep, _)| *rep);
 
-/// Splits `tasks` into pool items, each a list of indices into `tasks`.
-/// The sampled tasks of one prepared kernel form one group, in first-seen
-/// order, so the group builds the kernel's sampling plan once. Every other
-/// task is a group of its own: a detailed or simpoint-check run uses no
-/// plan, and a run a hang injection targets simulates the hang kernel
-/// rather than its own. Groups are ordered by their first task.
-fn groups(runs: &[&UniqueRun], tasks: &[Task], faults: &FaultPlan) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut items: Vec<Vec<Family>> = Vec::new();
     // Keyed by the address of the kernel's one shared preparation.
     let mut by_kernel: HashMap<u64, usize> = HashMap::new();
-    for (t, &(i, _)) in tasks.iter().enumerate() {
-        let run = runs[i];
-        let shares_plan = run.tier == Tier::Sampled && !faults.should_hang(run.fingerprint);
-        let kernel = shares_plan.then_some(Arc::as_ptr(&run.prepared) as u64);
-        match kernel.and_then(|k| by_kernel.get(&k)) {
-            Some(&g) => groups[g].push(t),
-            None => {
-                if let Some(k) = kernel {
-                    by_kernel.insert(k, groups.len());
-                }
-                groups.push(vec![t]);
+    for family in families {
+        let run = runs[family.0];
+        let item = match run.tier {
+            Tier::Sampled => {
+                *by_kernel.entry(Arc::as_ptr(&run.prepared) as u64).or_insert(items.len())
             }
+            Tier::Detailed | Tier::SimpointCheck => items.len(),
+        };
+        if item == items.len() {
+            items.push(Vec::new());
         }
+        items[item].push(family);
     }
-    groups
+    items
 }
 
 /// Simulates one run on its tier under the campaign budget and fault plan,
@@ -435,44 +424,46 @@ fn execute_one(
     if faults.should_panic(run.fingerprint) {
         panic!("injected fault: panic (run {})", lf_stats::fingerprint_hex(run.fingerprint));
     }
-
-    // An injected hang swaps in a deliberately non-terminating kernel so
-    // the watchdog path is exercised end to end.
-    let hang = faults.should_hang(run.fingerprint);
-    let hang_prog;
-    let program = if hang {
-        hang_prog = hang_program();
-        &hang_prog
-    } else {
-        &run.prepared.program
-    };
-    let initial_mem =
-        || if hang { lf_isa::Memory::new(64) } else { run.prepared.workload.mem.clone() };
-    let mem = initial_mem();
+    // An injected hang runs a deliberately non-terminating kernel on the
+    // detailed core, whatever the run's tier, so the budget stops it and
+    // the watchdog path is exercised end to end. It records no footprint.
+    if faults.should_hang(run.fingerprint) {
+        return simulate_detailed(run, &hang_program(), &Memory::new(64), budget, false);
+    }
 
     // The sampled tiers run outside the cycle-budget watchdog: they exist
     // precisely to keep the detailed-cycle count small, and their
     // functional passes are bounded by an instruction fuel cap instead.
+    let (program, mem) = (&run.prepared.program, &run.prepared.workload.mem);
     let sim = |message| RunError::Sim { message };
     match run.tier {
-        Tier::Detailed => {}
+        Tier::Detailed => simulate_detailed(run, program, mem, budget, record),
         Tier::Sampled => {
-            // A hang-injected run's program is the hang kernel, so it is a
-            // group of its own ([`groups`]) and never finds a plan here.
-            debug_assert!(!hang || plan.is_none(), "a hang run was handed its kernel's plan");
             let plan = match plan {
                 Some(plan) => plan,
-                None => plan.insert(build_plan(program, &mem).map_err(sim)?),
+                None => plan.insert(build_plan(program, mem).map_err(sim)?),
             };
-            return run_sampled(run.fingerprint, program, plan, &run.config, record).map_err(sim);
+            run_sampled(run.fingerprint, program, plan, &run.config, record).map_err(sim)
         }
         Tier::SimpointCheck => {
             let outcome =
-                run_simpoint_check(run.fingerprint, program, &mem, &run.config).map_err(sim)?;
-            return Ok((outcome, None));
+                run_simpoint_check(run.fingerprint, program, mem, &run.config).map_err(sim)?;
+            Ok((outcome, None))
         }
     }
+}
 
+/// Simulates `program` from `mem` on the detailed core under `run`'s
+/// config, clamped by `budget`, with its SSB footprint recorded when
+/// `record` is set. A run the budget stops fails with the flight-recorder
+/// window of a replay.
+fn simulate_detailed(
+    run: &UniqueRun,
+    program: &Program,
+    mem: &Memory,
+    budget: &RunBudget,
+    record: bool,
+) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
     // The budget clamps a *clone* of the config: the fingerprint (and the
     // cache key) stay functions of the requested configuration, and the
     // clamp only ever binds below the config's own `max_cycles`.
@@ -481,7 +472,7 @@ fn execute_one(
     if let Some(b) = budget_cycles {
         cfg.max_cycles = b;
     }
-    let mut core = LoopFrogCore::new(program, mem, cfg);
+    let mut core = LoopFrogCore::new(program, mem.clone(), cfg);
     if let Some(d) = budget.deadline {
         core.set_deadline(std::time::Instant::now() + d);
     }
@@ -509,7 +500,7 @@ fn execute_one(
         let mut cfg = run.config.clone();
         cfg.max_cycles = result.stats.cycles;
         let recorder = Rc::new(RefCell::new(FlightRecorder::new(FLIGHT_RECORDER_KEEP)));
-        let mut replay = LoopFrogCore::new(program, initial_mem(), cfg);
+        let mut replay = LoopFrogCore::new(program, mem.clone(), cfg);
         replay.set_tracer(Box::new(Rc::clone(&recorder)));
         replay.run().expect("a replay reaches the cycle its run stopped at");
         let window = recorder.borrow().window();
@@ -544,56 +535,24 @@ struct Committed {
     store_failures: usize,
 }
 
-/// Simulates `runs` on the worker pool, returning per-run results in
-/// input order. Pass 1 simulates each geometry family's representative,
-/// then serves every sibling its footprint fits; pass 2 simulates the
-/// siblings left over. In each pass the sampled runs of one prepared
-/// kernel are one pool item that shares the kernel's sampling plan
-/// ([`groups`]). Each task commits its outcomes to the disk cache as
-/// soon as its run finishes, so a campaign killed mid-simulate keeps every
-/// run already done; store retries and failures are added to `faults`. A
-/// panicking, faulting, or over-budget run yields `Err` in its slot
-/// without disturbing the others, and serves nothing. The options'
-/// `sim_hook` fires once per simulated run.
+/// Simulates `runs` on the worker pool, one [`items`] item at a time, and
+/// returns per-run results in input order. Each run commits its outcomes
+/// to the disk cache as soon as it finishes, so a campaign killed
+/// mid-simulate keeps every run already done; store retries and failures
+/// are added to `faults`. A panicking, faulting, or over-budget run
+/// yields `Err` in its slot without disturbing the others, and serves
+/// nothing. The options' `sim_hook` fires once per simulated run.
 pub(crate) fn execute(
     runs: &[&UniqueRun],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
     faults: &mut FaultStats,
 ) -> Executed {
+    let items = items(runs);
+    let done = try_parallel_map(opts.jobs, &items, |item| run_item(runs, item, opts, span_log));
     let mut results: Vec<Option<Result<Arc<RunOutcome>, RunError>>> = vec![None; runs.len()];
-    let representatives = families(runs);
-    let mut served = run_pass(runs, &representatives, opts, span_log, &mut results, faults);
-    let leftovers: Vec<Task> = representatives
-        .iter()
-        .flat_map(|(_, siblings)| siblings)
-        .filter(|&&s| results[s].is_none())
-        .map(|&s| (s, Vec::new()))
-        .collect();
-    served += run_pass(runs, &leftovers, opts, span_log, &mut results, faults);
-    Executed {
-        results: results.into_iter().map(|r| r.expect("every run simulated or served")).collect(),
-        served,
-    }
-}
-
-/// Runs `tasks` on the worker pool (the one instantiation of it both
-/// passes share), one [`groups`] item at a time. Files every run's
-/// result into `results` and the store counters into `faults`; returns
-/// how many runs the tasks served.
-fn run_pass(
-    runs: &[&UniqueRun],
-    tasks: &[Task],
-    opts: &EngineOptions,
-    span_log: &Arc<SpanLog>,
-    results: &mut [Option<Result<Arc<RunOutcome>, RunError>>],
-    faults: &mut FaultStats,
-) -> usize {
-    let groups = groups(runs, tasks, &opts.faults);
-    let done =
-        try_parallel_map(opts.jobs, &groups, |group| run_group(runs, tasks, group, opts, span_log));
     let mut served = 0;
-    for (group, done) in groups.iter().zip(done) {
+    for (item, done) in items.iter().zip(done) {
         match done {
             Ok(done) => {
                 served += done.served;
@@ -603,54 +562,67 @@ fn run_pass(
                     results[i] = Some(result);
                 }
             }
-            // `run_group` catches each task's panic; a panic between two
-            // of them fails every task of the group.
+            // `run_item` catches each run's panic; a panic between two of
+            // them fails every run of the item.
             Err(panic) => {
-                for &t in group {
-                    let failed = RunError::Panicked { payload: panic.payload.clone() };
-                    results[tasks[t].0] = Some(Err(failed));
+                for (rep, siblings) in item {
+                    for &i in std::iter::once(rep).chain(siblings) {
+                        let failed = RunError::Panicked { payload: panic.payload.clone() };
+                        results[i] = Some(Err(failed));
+                    }
                 }
             }
         }
     }
-    served
+    Executed {
+        results: results.into_iter().map(|r| r.expect("every run simulated or served")).collect(),
+        served,
+    }
 }
 
-/// One pool item: runs the `group`'s tasks in order, each with its panic
-/// caught into its own run's result. Sampled tasks of a group share one
+/// One pool item: runs its families in order. A family simulates its
+/// representative, which serves every sibling its footprint fits, then
+/// simulates each sibling it did not serve; every simulated run has its
+/// panic caught into its own result. A sampled item's runs share one
 /// prepared kernel, so the first that needs its sampling plan builds it
-/// and the rest measure from it; the plan is dropped with the group, so
+/// and the rest measure from it; the plan is dropped with the item, so
 /// each worker holds at most one.
-fn run_group(
+fn run_item(
     runs: &[&UniqueRun],
-    tasks: &[Task],
-    group: &[usize],
+    item: &[Family],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
 ) -> Committed {
     let mut plan = None;
     let mut done = Committed::default();
-    for &t in group {
-        let (i, siblings) = &tasks[t];
+    let mut simulate = |i: usize, siblings: &[usize], done: &mut Committed| {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_task(runs, *i, siblings, opts, span_log, &mut plan, &mut done)
+            simulate_and_serve(runs, i, siblings, opts, span_log, &mut plan, done)
         }))
         .unwrap_or_else(|payload| {
             Err(RunError::Panicked { payload: WorkerPanic::from_payload(payload).payload })
         });
-        done.results.push((*i, result));
+        done.results.push((i, result));
+    };
+    for (rep, siblings) in item {
+        simulate(*rep, siblings, &mut done);
+        for &s in siblings {
+            if !done.results.iter().any(|&(i, _)| i == s) {
+                simulate(s, &[], &mut done);
+            }
+        }
     }
     done
 }
 
-/// One task, in its own `run` span: simulates `runs[i]` (from `plan`
-/// when sampled), armed to record its SSB footprint when it has siblings,
+/// One run, in its own `run` span: simulates `runs[i]` (from `plan` when
+/// sampled), armed to record its SSB footprint when it has siblings,
 /// commits it, then serves each sibling the footprint fits and the fault
 /// plan leaves alone, adding their results and the store counters to
 /// `done`. A served run the verify-build check failed counts as
 /// simulated, not served: that check simulated it. The footprint dies
-/// with the task.
-fn run_task(
+/// with the run.
+fn simulate_and_serve(
     runs: &[&UniqueRun],
     i: usize,
     siblings: &[usize],
@@ -749,7 +721,6 @@ fn store_outcome(cache: &DiskCache, outcome: &RunOutcome, plan: &FaultPlan) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::fault::HangTarget;
     use lf_workloads::Scale;
 
     fn prepare(name: &str) -> Arc<PreparedKernel> {
@@ -757,16 +728,20 @@ mod tests {
         Arc::new(PreparedKernel::prepare(w, &Hinting::Raw))
     }
 
-    /// The sampled tasks of one prepared kernel form one group, in
-    /// first-seen order; a detailed task, a simpoint-check task and a
-    /// task whose run a hang injection targets are each a group of one;
-    /// and groups follow their first task.
+    /// Runs that differ only in SSB size form one family, represented by
+    /// the largest; the sampled families of one prepared kernel share one
+    /// item, in representative order; a detailed or simpoint-check family
+    /// is an item of its own, siblings included; and items follow their
+    /// first family. No fault plan takes part: an injected hang runs the
+    /// hang kernel whatever its item.
     #[test]
-    fn sampled_tasks_of_one_prepared_kernel_form_one_group() {
+    fn sampled_families_of_one_prepared_kernel_share_one_item() {
         let (a, b, again) =
             (prepare("stencil_blur"), prepare("hash_lookup"), prepare("stencil_blur"));
-        let run = |prepared: &Arc<PreparedKernel>, n: u64, tier: Tier| {
-            let config = LoopFrogConfig { max_cycles: 1_000_000 + n, ..LoopFrogConfig::default() };
+        let run = |prepared: &Arc<PreparedKernel>, n: u64, kib: usize, tier: Tier| {
+            let mut config =
+                LoopFrogConfig { max_cycles: 1_000_000 + n, ..LoopFrogConfig::default() };
+            config.ssb.size_bytes = kib << 10;
             UniqueRun {
                 fingerprint: prepared.request_fingerprint_tiered(&config, tier),
                 kernel: prepared.workload.name,
@@ -776,29 +751,28 @@ mod tests {
             }
         };
         let runs = [
-            run(&a, 0, Tier::Sampled),
-            run(&b, 0, Tier::Sampled),
-            run(&a, 0, Tier::Detailed),
-            run(&a, 1, Tier::Sampled),
-            run(&a, 0, Tier::SimpointCheck),
-            run(&b, 1, Tier::Sampled),
-            run(&a, 2, Tier::Sampled),
-            run(&a, 1, Tier::Detailed),
-            run(&a, 3, Tier::Sampled),
+            run(&a, 0, 8, Tier::Sampled),
+            run(&b, 0, 8, Tier::Sampled),
+            run(&a, 0, 8, Tier::Detailed),
+            run(&a, 1, 8, Tier::Sampled),
+            run(&a, 0, 32, Tier::Sampled),
+            run(&a, 0, 8, Tier::SimpointCheck),
+            run(&a, 0, 2, Tier::Detailed),
+            run(&b, 1, 8, Tier::Sampled),
+            run(&a, 0, 32, Tier::SimpointCheck),
+            run(&a, 1, 8, Tier::Detailed),
             // The same kernel prepared twice is two prepared kernels.
-            run(&again, 4, Tier::Sampled),
+            run(&again, 2, 8, Tier::Sampled),
         ];
         let runs: Vec<&UniqueRun> = runs.iter().collect();
-        let tasks: Vec<Task> = (0..runs.len()).map(|i| (i, Vec::new())).collect();
-        let hang = FaultPlan {
-            hang: Some(HangTarget::Fingerprint(runs[6].fingerprint)),
-            ..FaultPlan::default()
-        };
-        let expected: Vec<Vec<usize>> =
-            vec![vec![0, 3, 6, 8], vec![1, 5], vec![2], vec![4], vec![7], vec![9]];
-        assert_eq!(groups(&runs, &tasks, &FaultPlan::default()), expected);
-        let expected: Vec<Vec<usize>> =
-            vec![vec![0, 3, 8], vec![1, 5], vec![2], vec![4], vec![6], vec![7], vec![9]];
-        assert_eq!(groups(&runs, &tasks, &hang), expected, "the hang run is a group of its own");
+        let expected: Vec<Vec<Family>> = vec![
+            vec![(1, vec![]), (7, vec![])],
+            vec![(2, vec![6])],
+            vec![(3, vec![]), (4, vec![0])],
+            vec![(8, vec![5])],
+            vec![(9, vec![])],
+            vec![(10, vec![])],
+        ];
+        assert_eq!(items(&runs), expected);
     }
 }

@@ -40,11 +40,9 @@
 //! failing the same way — to produce the structured failure record.
 
 use crate::engine::fault::FaultStats;
-use crate::engine::planner::UniqueRun;
+use crate::engine::planner::{execute, UniqueRun};
 use crate::engine::spans::SpanLog;
-use crate::engine::{
-    build_plan, execute_single, run_planned, signals, EngineOptions, EngineOutput, Scenario,
-};
+use crate::engine::{build_plan, run_planned, signals, EngineOptions, EngineOutput, Scenario};
 use crate::runner::scale_tag;
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -253,10 +251,7 @@ pub fn run_supervised(
     };
     // Final pass over the same plan and the worker-filled cache. Poisoned
     // runs become structured failures instead of executing.
-    let mut final_opts = opts.clone();
-    final_opts.poisoned = poisoned;
-    final_opts.carried_faults = stats;
-    Ok(run_planned(scenarios, &final_opts, &plan, &span_log, started))
+    Ok(run_planned(scenarios, opts, &plan, &span_log, started, &poisoned, stats))
 }
 
 /// Hands `queue` out to the workers until every run is committed,
@@ -457,11 +452,15 @@ pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
             eprint_line(format_args!("worker: {line:?} is not a run of this plan"));
             return 2;
         };
+        // One run is a family and a pool item of its own: it serves
+        // nothing, and a sampled run builds its own plan. The store
+        // counters are dropped; a worker reports only what it committed.
         // An injected crash aborts right here: the worker dies holding
         // the run, which is exactly what the supervisor exists to absorb.
         // A failed run publishes nothing: the final pass re-executes it,
         // fails the same way, and writes the structured record.
-        if let Err(error) = execute_single(run, opts, &span_log) {
+        let executed = execute(&[*run], opts, &span_log, &mut FaultStats::default());
+        if let Err(error) = &executed.results[0] {
             eprint_line(format_args!("worker: run {line} failed locally: {}", error.message()));
         }
         if writeln!(stdout, "{line}").is_err() {

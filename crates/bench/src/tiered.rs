@@ -334,32 +334,31 @@ pub fn build_plan(program: &Program, mem: &Memory) -> Result<SampledPlan, String
     }
     let picks = pick_simpoints(vectors, MAX_SIMPOINTS, SIMPOINT_SEED);
 
-    // Pass 3: a warm checkpoint at each pick's starting instruction. Each
-    // pick replays from scratch, and these replays are most of the plan's
-    // cost (about 119 of `build_plan`'s 194 ms over the 32 annotated eval
-    // kernels), which is why a campaign builds a kernel's plan once for
-    // all its configs: architectural state snapshots exactly at the pick,
-    // then the replay continues [`WARM_LOOKAHEAD_INSTS`] further so the
-    // hint streams also cover the detailed core's speculative run-ahead.
-    // Interval 0 is exempt — nothing ran ahead of a cold start, and its
+    // Pass 3: a warm checkpoint at each pick's starting instruction, all
+    // taken by one forward replay: architectural state snapshots exactly
+    // at the pick, then the replay continues [`WARM_LOOKAHEAD_INSTS`]
+    // further so the hint streams also cover the detailed core's
+    // speculative run-ahead, and goes on to the next pick. Picks are
+    // sorted and an interval apart, and an interval (at least
+    // [`MIN_INTERVAL_INSTS`]) is longer than the lookahead, so the replay
+    // reaches each pick in the state a fresh replay from instruction 0
+    // would: the fast tier's state and hint rings depend only on the
+    // instructions run, not on where a run stopped. Interval 0 is exempt
+    // from the lookahead — nothing ran ahead of a cold start, and its
     // pristine empty-hint checkpoint reproduces it exactly.
+    const _: () = assert!(MIN_INTERVAL_INSTS > WARM_LOOKAHEAD_INSTS);
     let mut with_ckpts = Vec::with_capacity(picks.len());
+    let mut fast = FastTier::new(program, mem.clone());
     for p in &picks {
         let start = p.interval as u64 * interval_len;
-        let mut fast = FastTier::new(program, mem.clone());
+        debug_assert!(fast.inst_count() <= start, "picks are sorted and an interval apart");
         fast.run_to_inst_count(start).map_err(|e| format!("checkpoint pass faulted: {e}"))?;
-        let arch = fast.checkpoint();
-        if p.interval == 0 {
-            with_ckpts.push((*p, arch));
-            continue;
-        }
-        fast.run_to_inst_count(start + WARM_LOOKAHEAD_INSTS)
-            .map_err(|e| format!("lookahead pass faulted: {e}"))?;
         let mut ckpt = fast.checkpoint();
-        ckpt.regs = arch.regs;
-        ckpt.mem = arch.mem;
-        ckpt.pc = arch.pc;
-        ckpt.insts = arch.insts;
+        if p.interval > 0 {
+            fast.run_to_inst_count(start + WARM_LOOKAHEAD_INSTS)
+                .map_err(|e| format!("lookahead pass faulted: {e}"))?;
+            ckpt.hints = fast.checkpoint().hints;
+        }
         with_ckpts.push((*p, ckpt));
     }
     Ok(SampledPlan { interval_len, total_insts, final_checksum, picks: with_ckpts })
@@ -754,6 +753,29 @@ mod tests {
         let back = SampledPlan::from_bytes(&plan.to_bytes()).unwrap();
         assert_eq!(plan, back);
         assert_eq!(plan.to_bytes(), back.to_bytes());
+    }
+
+    /// The plan's one forward replay takes each pick's checkpoint exactly
+    /// as a fresh replay from instruction 0 per pick does.
+    #[test]
+    fn one_replay_checkpoints_every_pick_like_fresh_replays() {
+        for name in ["hash_lookup", "stencil_blur"] {
+            let (program, mem) = kernel(name);
+            let plan = build_plan(&program, &mem).unwrap();
+            let later = plan.picks.iter().filter(|(p, _)| p.interval > 0).count();
+            assert!(later >= 2, "{name}: the replay must go on past a lookahead");
+            for (p, ckpt) in &plan.picks {
+                let start = p.interval as u64 * plan.interval_len;
+                let mut fast = FastTier::new(&program, mem.clone());
+                fast.run_to_inst_count(start).unwrap();
+                let mut fresh = fast.checkpoint();
+                if p.interval > 0 {
+                    fast.run_to_inst_count(start + WARM_LOOKAHEAD_INSTS).unwrap();
+                    fresh.hints = fast.checkpoint().hints;
+                }
+                assert_eq!(*ckpt, fresh, "{name}: the checkpoint at interval {}", p.interval);
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,35 @@ impl Scenario for SuiteScenario {
     }
 }
 
+/// One LoopFrog run of each suite kernel on `tier`, whatever the
+/// campaign's `--tier`: the shape of the SimPoint scenarios' requests.
+struct TieredRuns(Tier);
+
+impl Scenario for TieredRuns {
+    fn name(&self) -> &'static str {
+        "tiered_runs"
+    }
+    fn title(&self) -> &'static str {
+        "explicit-tier test scenario"
+    }
+    fn plan(&self, p: &mut Planner<'_>) {
+        let rc = RunConfig::default();
+        for w in p.kernels() {
+            p.request_tiered(w.name, Hinting::Annotated(rc.select.clone()), &rc.lf, self.0);
+        }
+    }
+    fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact {
+        let rc = RunConfig::default();
+        let hinting = Hinting::Annotated(rc.select.clone());
+        for w in ctx.kernels() {
+            if let Err(f) = ctx.try_outcome_tiered(w.name, &hinting, &rc.lf, self.0) {
+                out.push_str(&format!("FAILED {}: {}\n", w.name, f.error.message()));
+            }
+        }
+        RunArtifact::new(self.name(), ctx.scale())
+    }
+}
+
 fn opts_for(filter: &str) -> EngineOptions {
     let mut opts = EngineOptions::new(Scale::Smoke);
     opts.filter = Some(filter.to_string());
@@ -71,11 +100,11 @@ fn counting_hook(opts: &mut EngineOptions) -> Arc<AtomicUsize> {
     count
 }
 
-/// Every failure of a hang-injected `stencil_blur` suite is a budget
-/// failure whose flight-recorder window is non-empty and equals the window
-/// of a core that ran the hang kernel, under the failed run's config and
-/// observed from cycle 0, to the reported cycle.
-fn assert_windows_are_replays(output: &EngineOutput) {
+/// Every failure of a hang-injected `stencil_blur` campaign whose runs are
+/// on `tier` is a budget failure whose flight-recorder window is non-empty
+/// and equals the window of a core that ran the hang kernel, under the
+/// failed run's config and observed from cycle 0, to the reported cycle.
+fn assert_windows_are_replays(output: &EngineOutput, tier: Tier) {
     let rc = RunConfig::default();
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
     let prep = PreparedKernel::prepare(w, &Hinting::Annotated(rc.select.clone()));
@@ -88,7 +117,7 @@ fn assert_windows_are_replays(output: &EngineOutput) {
         assert!(!flight_recorder.is_empty(), "budget failure without a window");
         let mut cfg = [&rc.base, &rc.lf]
             .into_iter()
-            .find(|c| prep.request_fingerprint(c) == f.fingerprint)
+            .find(|c| prep.request_fingerprint_tiered(c, tier) == f.fingerprint)
             .expect("the failure is one of the suite's two runs")
             .clone();
         cfg.max_cycles = *cycles;
@@ -132,21 +161,35 @@ fn injected_panics_fail_runs_without_killing_the_campaign() {
 }
 
 /// A livelocked simulation (injected hang) is stopped by the cycle budget
-/// and reported as a structured budget failure, not a hung process.
+/// and reported as a structured budget failure, not a hung process, on
+/// every tier: an injected hang runs the hang kernel on the detailed core
+/// whatever the run's tier. The cases are a detailed campaign, a sampled
+/// campaign, and one simpoint-check request, each with its runs' tier and
+/// count.
 #[test]
 fn hang_injection_is_stopped_by_the_cycle_budget() {
-    let mut opts = opts_for("stencil_blur");
-    opts.faults = faults(&["hang:1.0"]);
-    opts.budget = RunBudget { max_cycles: Some(20_000), deadline: None };
-    let output = run_scenarios(&[&SuiteScenario], &opts);
+    let simpoint_check = TieredRuns(Tier::SimpointCheck);
+    let cases: [(Tier, &dyn Scenario, Tier, usize); 3] = [
+        (Tier::Detailed, &SuiteScenario, Tier::Detailed, 2),
+        (Tier::Sampled, &SuiteScenario, Tier::Sampled, 2),
+        (Tier::Detailed, &simpoint_check, Tier::SimpointCheck, 1),
+    ];
+    for (campaign, scenario, tier, runs) in cases {
+        let mut opts = opts_for("stencil_blur");
+        opts.tier = campaign;
+        opts.faults = faults(&["hang:1.0"]);
+        opts.budget = RunBudget { max_cycles: Some(20_000), deadline: None };
+        let output = run_scenarios(&[scenario], &opts);
 
-    assert_eq!(output.report.faults.budget_exceeded, 2);
-    for f in &output.failures {
-        assert_eq!(f.error.kind(), "budget_exceeded");
-        assert!(f.error.message().contains("cycle budget"), "{}", f.error.message());
+        assert_eq!(output.report.faults.budget_exceeded, runs, "{tier:?}");
+        assert_eq!(output.failures.len(), runs, "{tier:?}");
+        for f in &output.failures {
+            assert_eq!(f.error.kind(), "budget_exceeded", "{tier:?}");
+            assert!(f.error.message().contains("cycle budget"), "{}", f.error.message());
+        }
+        assert!(output.scenarios[0].text.contains("FAILED stencil_blur"), "{tier:?}");
+        assert_windows_are_replays(&output, tier);
     }
-    assert!(output.scenarios[0].text.contains("FAILED stencil_blur"));
-    assert_windows_are_replays(&output);
 }
 
 /// The wall-clock watchdog variant: with no cycle cap at all, the deadline
@@ -163,7 +206,7 @@ fn hang_injection_is_stopped_by_the_wall_clock_deadline() {
     for f in &output.failures {
         assert!(f.error.message().contains("wall-clock"), "{}", f.error.message());
     }
-    assert_windows_are_replays(&output);
+    assert_windows_are_replays(&output, Tier::Detailed);
 }
 
 /// Core-level deadline contract: an already-expired deadline stops a
@@ -373,11 +416,11 @@ fn cache_entries(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
 /// `panic:0.45` hits the baseline, which runs before the 32 KiB
 /// representative in the same item, and three of the geometry siblings
 /// the representative would serve; `panic:0.74` also hits the
-/// representative, so its unhit siblings simulate in the second pass,
-/// behind four panicking runs of their item. The failures are exactly
-/// the gated runs, under the fingerprints they had when every sampled
-/// run built its own plan, and every other run commits the cache entry
-/// a clean campaign commits.
+/// representative, so it serves nothing and its seven siblings simulate
+/// after it inside their family: four panic and three succeed. The
+/// failures are exactly the gated runs, under the fingerprints they had
+/// when every sampled run built its own plan, and every other run commits
+/// the cache entry a clean campaign commits.
 #[test]
 fn sampled_panics_fail_exactly_the_runs_they_hit() {
     let scenarios = ["fig9_ssb_size", "assoc_sensitivity"]
