@@ -6,7 +6,9 @@
 //! and LoopFrog runs (every counter under a dotted name, cycle-accounting
 //! buckets, distributions, derived ratios), the interval time series, and
 //! the architectural checksum verdict. The view is formatted here from
-//! each run's [`RunRecord`]; nothing derived is stored. The schema is
+//! each run's [`RunRecord`], only when the document is built
+//! ([`RunArtifact::to_json`]); nothing derived is stored, so a campaign
+//! that writes no artifact formats no kernel record. The schema is
 //! stable-ordered (sorted object keys) so artifacts diff cleanly across
 //! runs.
 
@@ -39,7 +41,8 @@ pub const SCHEMA_VERSION: u64 = 4;
 #[derive(Debug, Clone)]
 pub struct RunArtifact {
     root: Json,
-    kernels: Vec<Json>,
+    /// The kernels' records, formatted by [`RunArtifact::to_json`].
+    kernels: Vec<KernelRun>,
 }
 
 impl RunArtifact {
@@ -75,9 +78,10 @@ impl RunArtifact {
         self.root.set("config", c);
     }
 
-    /// Appends one kernel's record (both simulations' metrics views).
+    /// Appends one kernel's record (both simulations' metrics views). The
+    /// run's outcomes are shared, not copied.
     pub fn push_kernel(&mut self, run: &KernelRun) {
-        self.kernels.push(kernel_json(run));
+        self.kernels.push(run.clone());
     }
 
     /// Attaches tool-specific extra data (sweep tables, ablation points).
@@ -85,17 +89,18 @@ impl RunArtifact {
         self.root.set(key, value);
     }
 
-    /// Finalizes the document.
-    pub fn into_json(mut self) -> Json {
-        self.root.set("kernels", Json::Arr(self.kernels));
-        self.root
+    /// Builds the document, formatting every kernel record.
+    pub fn to_json(&self) -> Json {
+        let mut root = self.root.clone();
+        root.set("kernels", Json::Arr(self.kernels.iter().map(kernel_json).collect()));
+        root
     }
 
     /// Writes the document (pretty-printed) to `path`, creating parent
     /// directories as needed. Commits through the shared atomic path so a
     /// killed run never publishes a truncated artifact.
-    pub fn write(self, path: &Path) -> io::Result<()> {
-        crate::durable::atomic_write_json(&self.into_json(), path)
+    pub fn write(&self, path: &Path) -> io::Result<()> {
+        crate::durable::atomic_write_json(&self.to_json(), path)
     }
 }
 
@@ -259,7 +264,7 @@ mod tests {
         let mut art = RunArtifact::new("unit_test", Scale::Smoke);
         art.set_config(&cfg);
         art.push_kernel(&run);
-        let doc = art.into_json();
+        let doc = art.to_json();
         let text = doc.to_string_pretty();
         let back = Json::parse(&text).expect("artifact parses back");
 

@@ -644,7 +644,8 @@ fn write_artifacts(output: &EngineOutput, dir: &Path) -> Result<(), String> {
         .map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
     for s in &output.scenarios {
         let path = dir.join(format!("{}.json", s.name));
-        write_json(&s.artifact, &path)
+        s.artifact
+            .write(&path)
             .map_err(|e| format!("error: failed to write {}: {e}", path.display()))?;
         println!("wrote {}", path.display());
     }

@@ -37,7 +37,7 @@ pub mod spans;
 pub mod supervise;
 
 use crate::runner::{scale_tag, KernelRun, RunConfig, RunOutcome};
-use crate::tiered::Tier;
+use crate::tiered::{SampledWork, Tier};
 use crate::RunArtifact;
 use cache::{CacheLookup, DiskCache};
 use fault::{FaultPlan, FaultStats, RunBudget, RunError, RunFailure};
@@ -351,6 +351,10 @@ pub struct PlannerReport {
     /// Distribution of per-run simulation wall times (from the campaign
     /// span log; cached runs are not included).
     pub run_wall: DurationSummary,
+    /// The sampling plans, warm states and windows this process's pool
+    /// items built and measured (DESIGN.md §13.2). A supervisor's workers
+    /// report theirs to no one.
+    pub sampled: SampledWork,
 }
 
 impl PlannerReport {
@@ -374,6 +378,11 @@ impl PlannerReport {
         j.set("total_wall_ms", self.total_wall_ms);
         j.set("run_wall_us", self.run_wall.to_json());
         j.set("faults", self.faults.to_json());
+        let mut sampled = Json::obj();
+        sampled.set("plans", self.sampled.plans as u64);
+        sampled.set("warm_states", self.sampled.warm_states as u64);
+        sampled.set("windows", self.sampled.windows as u64);
+        j.set("sampled", sampled);
         j
     }
 }
@@ -386,8 +395,9 @@ pub struct ScenarioOutput {
     pub title: &'static str,
     /// The rendered text (tables and summary lines).
     pub text: String,
-    /// The finalized JSON artifact (planner section included).
-    pub artifact: Json,
+    /// The JSON artifact (planner section included), formatted only when
+    /// written.
+    pub artifact: RunArtifact,
 }
 
 /// The result of one engine invocation.
@@ -510,7 +520,7 @@ pub(crate) fn run_planned(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let planner::Executed { results: executed, served } =
+    let planner::Executed { results: executed, served, sampled } =
         execute(&misses, opts, span_log, &mut faults);
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
@@ -576,6 +586,7 @@ pub(crate) fn run_planned(
         total_wall_ms: 0,
         faults,
         run_wall: DurationSummary::from_durations(&span_log.durations_us("run")),
+        sampled,
     };
     let render_span = span_log.span("phase", "render");
     let mut rendered = Vec::new();
@@ -588,12 +599,7 @@ pub(crate) fn run_planned(
         })) {
             Ok((text, mut artifact)) => {
                 artifact.set_extra("planner", report.to_json());
-                rendered.push(ScenarioOutput {
-                    name: s.name(),
-                    title: s.title(),
-                    text,
-                    artifact: artifact.into_json(),
-                });
+                rendered.push(ScenarioOutput { name: s.name(), title: s.title(), text, artifact });
             }
             Err(payload) => {
                 let panic = WorkerPanic::from_payload(payload);
@@ -617,7 +623,7 @@ pub(crate) fn run_planned(
                         panic.payload,
                         record.repro
                     ),
-                    artifact: artifact.into_json(),
+                    artifact,
                 });
             }
         }

@@ -26,10 +26,11 @@
 //! ([`loopfrog::SsbFootprint::fits`]), which would have run identically,
 //! then simulates the other siblings (DESIGN.md §8.4).
 //!
-//! The sampled families of one prepared kernel share one pool item, which
-//! builds the kernel's sampling plan once, inside the first run that needs
-//! it, and drops it when the item ends, so at most `-j` plans are live
-//! (DESIGN.md §13.2).
+//! The sampled families of one prepared kernel share one pool item and one
+//! [`SampledKernel`]: the item builds the kernel's sampling plan once,
+//! inside the first run that needs it, and each pick's warm state once per
+//! memory configuration, and drops them when the item ends, so at most
+//! `-j` plans are live (DESIGN.md §13.2).
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
@@ -41,7 +42,7 @@ use crate::engine::spans::SpanLog;
 use crate::engine::EngineOptions;
 use crate::runner::{RunConfig, RunOutcome};
 use crate::tiered::{
-    build_plan, combine_run_fingerprint, run_sampled, run_simpoint_check, SampledPlan, Tier,
+    combine_run_fingerprint, run_simpoint_check, SampledKernel, SampledWork, Tier,
 };
 use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
@@ -401,14 +402,14 @@ fn items(runs: &[&UniqueRun]) -> Vec<Vec<Family>> {
 
 /// Simulates one run on its tier under the campaign budget and fault plan,
 /// with its SSB footprint recorded when `record` is set. A sampled run
-/// measures its windows from `plan`, the sampling plan of its prepared
-/// kernel, which it builds first if the slot is empty.
+/// measures its windows through `sampled`, its prepared kernel's shared
+/// plan and warm states, building what is missing first.
 fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
     record: bool,
-    plan: &mut Option<SampledPlan>,
+    sampled: &mut SampledKernel,
 ) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
     if faults.should_crash(run.fingerprint) {
         // `abort()` raises SIGABRT with no unwinding and no destructors —
@@ -439,11 +440,7 @@ fn execute_one(
     match run.tier {
         Tier::Detailed => simulate_detailed(run, program, mem, budget, record),
         Tier::Sampled => {
-            let plan = match plan {
-                Some(plan) => plan,
-                None => plan.insert(build_plan(program, mem).map_err(sim)?),
-            };
-            run_sampled(run.fingerprint, program, plan, &run.config, record).map_err(sim)
+            sampled.run(run.fingerprint, program, mem, &run.config, record).map_err(sim)
         }
         Tier::SimpointCheck => {
             let outcome =
@@ -522,17 +519,21 @@ pub(crate) struct Executed {
     /// Runs committed from a geometry sibling's outcome rather than
     /// simulated.
     pub served: usize,
+    /// The plans, warm states and windows the sampled runs built and
+    /// measured (the verify build's served-run checks not included).
+    pub sampled: SampledWork,
 }
 
 /// What one pool item committed: the result of each run it simulated or
-/// served, by index into the executed runs, how many it served, and the
-/// extra store attempts and failed stores of all of them.
+/// served, by index into the executed runs, how many it served, the extra
+/// store attempts and failed stores of all of them, and its sampled work.
 #[derive(Default)]
 struct Committed {
     results: Vec<(usize, Result<Arc<RunOutcome>, RunError>)>,
     served: usize,
     store_retries: usize,
     store_failures: usize,
+    sampled: SampledWork,
 }
 
 /// Simulates `runs` on the worker pool, one [`items`] item at a time, and
@@ -551,11 +552,12 @@ pub(crate) fn execute(
     let items = items(runs);
     let done = try_parallel_map(opts.jobs, &items, |item| run_item(runs, item, opts, span_log));
     let mut results: Vec<Option<Result<Arc<RunOutcome>, RunError>>> = vec![None; runs.len()];
-    let mut served = 0;
+    let (mut served, mut sampled) = (0, SampledWork::default());
     for (item, done) in items.iter().zip(done) {
         match done {
             Ok(done) => {
                 served += done.served;
+                sampled += done.sampled;
                 faults.store_retries += done.store_retries;
                 faults.store_failures += done.store_failures;
                 for (i, result) in done.results {
@@ -577,6 +579,7 @@ pub(crate) fn execute(
     Executed {
         results: results.into_iter().map(|r| r.expect("every run simulated or served")).collect(),
         served,
+        sampled,
     }
 }
 
@@ -584,20 +587,21 @@ pub(crate) fn execute(
 /// representative, which serves every sibling its footprint fits, then
 /// simulates each sibling it did not serve; every simulated run has its
 /// panic caught into its own result. A sampled item's runs share one
-/// prepared kernel, so the first that needs its sampling plan builds it
-/// and the rest measure from it; the plan is dropped with the item, so
-/// each worker holds at most one.
+/// prepared kernel and one [`SampledKernel`], so the first that needs the
+/// sampling plan builds it, the first under each memory configuration
+/// builds the picks' warm states, and the rest measure from them; both are
+/// dropped with the item, so each worker holds at most one plan.
 fn run_item(
     runs: &[&UniqueRun],
     item: &[Family],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
 ) -> Committed {
-    let mut plan = None;
+    let mut sampled = SampledKernel::default();
     let mut done = Committed::default();
     let mut simulate = |i: usize, siblings: &[usize], done: &mut Committed| {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            simulate_and_serve(runs, i, siblings, opts, span_log, &mut plan, done)
+            simulate_and_serve(runs, i, siblings, opts, span_log, &mut sampled, done)
         }))
         .unwrap_or_else(|payload| {
             Err(RunError::Panicked { payload: WorkerPanic::from_payload(payload).payload })
@@ -612,11 +616,12 @@ fn run_item(
             }
         }
     }
+    done.sampled = sampled.work();
     done
 }
 
-/// One run, in its own `run` span: simulates `runs[i]` (from `plan` when
-/// sampled), armed to record its SSB footprint when it has siblings,
+/// One run, in its own `run` span: simulates `runs[i]` (through `sampled`
+/// when sampled), armed to record its SSB footprint when it has siblings,
 /// commits it, then serves each sibling the footprint fits and the fault
 /// plan leaves alone, adding their results and the store counters to
 /// `done`. A served run the verify-build check failed counts as
@@ -628,7 +633,7 @@ fn simulate_and_serve(
     siblings: &[usize],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
-    plan: &mut Option<SampledPlan>,
+    sampled: &mut SampledKernel,
     done: &mut Committed,
 ) -> Result<Arc<RunOutcome>, RunError> {
     let run = runs[i];
@@ -637,7 +642,7 @@ fn simulate_and_serve(
         h(run.kernel);
     }
     let record = !siblings.is_empty();
-    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, record, plan)?;
+    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, record, sampled)?;
     let mut commit = |outcome: RunOutcome| {
         if let Some(cache) = &opts.disk_cache {
             let (retries, failed) = store_outcome(cache, &outcome, &opts.faults);
@@ -664,8 +669,8 @@ fn simulate_and_serve(
 
 /// `outcome`, the simulated outcome of `rep`, under the fingerprint of its
 /// geometry sibling `sibling`. Verify builds also simulate the sibling,
-/// from a sampling plan of its own when sampled, and fail it, naming both
-/// runs, unless the two outcomes match.
+/// from a sampling plan and warm states of its own when sampled, and fail
+/// it, naming both runs, unless the two outcomes match.
 fn serve(
     rep: &UniqueRun,
     outcome: &RunOutcome,
@@ -676,7 +681,8 @@ fn serve(
     if loopfrog::VERIFY {
         // A wall-clock deadline is no part of a run's outcome.
         let budget = RunBudget { deadline: None, ..opts.budget.clone() };
-        let simulated = execute_one(sibling, &budget, &opts.faults, false, &mut None);
+        let simulated =
+            execute_one(sibling, &budget, &opts.faults, false, &mut SampledKernel::default());
         let same = simulated
             .as_ref()
             .is_ok_and(|(o, _)| o.checksum == served.checksum && o.record == served.record);

@@ -28,19 +28,22 @@
 //!    starting instruction: architectural state snapshotted exactly at
 //!    the pick, hint streams captured [`WARM_LOOKAHEAD_INSTS`] further
 //!    to model the live core's speculative run-ahead;
-//! 5. each window restores a detailed core via
-//!    `LoopFrogCore::from_checkpoint`, runs a bounded detailed warm-up
-//!    (interval / [`WARM_FRACTION`] instructions; skipped at interval 0,
-//!    where the restore *is* the pristine cold start), measures the
-//!    interval, and [`weighted_cycles`] reconstructs the whole-run cycle
-//!    count.
+//! 5. each window restores a detailed core from its pick's checkpoint and
+//!    [`WarmState`] (`LoopFrogCore::from_warm`), runs a bounded detailed
+//!    warm-up (interval / [`WARM_FRACTION`] instructions; skipped at
+//!    interval 0, where the restore *is* the pristine cold start),
+//!    measures the interval, and [`weighted_cycles`] reconstructs the
+//!    whole-run cycle count.
 //!
 //! A plan (picks + checkpoints) depends only on the program and memory
-//! image, so a campaign builds it in memory once per prepared kernel: the
-//! kernel's sampled runs share one pool item, whose first run that needs
-//! the plan builds it, and the plan is dropped when the item ends
-//! (`engine::planner`). A campaign stores nothing but each run's outcome,
-//! so a sampled outcome is a pure function of (program, memory, config).
+//! image, and a pick's warm state only on its checkpoint and the memory
+//! configuration, so a campaign builds each once per prepared kernel: the
+//! kernel's sampled runs share one pool item and one [`SampledKernel`],
+//! whose first run that needs the plan builds it, whose first run under a
+//! memory configuration builds that configuration's warm states, and which
+//! is dropped when the item ends (`engine::planner`). A campaign stores
+//! nothing but each run's outcome, so a sampled outcome is a pure function
+//! of (program, memory, config).
 //! [`run_sampled`] can also record each window's SSB footprint and append
 //! them, so one estimate serves the SSB geometries every window fits.
 //! [`CheckpointStore`] and [`SampledPlan::to_bytes`] persist plans for
@@ -53,8 +56,9 @@ use lf_isa::checksum::fnv1a;
 use lf_isa::{Checkpoint, CheckpointError, Emulator, FastTier, Memory, Program};
 use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector, SimPoint};
 use lf_stats::{fingerprint_hex, Fingerprint, Json};
+use lf_uarch::MemConfig;
 use lf_workloads::Scale;
-use loopfrog::{LoopFrogConfig, LoopFrogCore, SsbFootprint};
+use loopfrog::{LoopFrogConfig, LoopFrogCore, SsbFootprint, WarmState};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -488,6 +492,11 @@ pub struct SampledMeasurement {
     pub footprint: Option<SsbFootprint>,
 }
 
+/// The warm state of each of `plan`'s picks under `mem`, in pick order.
+pub fn warm_states(plan: &SampledPlan, mem: &MemConfig) -> Vec<WarmState> {
+    plan.picks.iter().map(|(_, ckpt)| WarmState::new(ckpt, mem)).collect()
+}
+
 /// Restores a detailed core at each of the plan's checkpoints, runs the
 /// bounded detailed warm-up, measures the representative interval, and
 /// reconstructs the whole-run cycle count via [`weighted_cycles`].
@@ -500,40 +509,43 @@ pub fn sample_windows(
     plan: &SampledPlan,
     cfg: &LoopFrogConfig,
 ) -> Result<SampledMeasurement, String> {
-    measure_windows(program, plan, cfg, false)
+    measure_windows(program, plan, &warm_states(plan, &cfg.mem), cfg, false)
 }
 
-/// [`sample_windows`], with every window's SSB footprint recorded into
+/// [`sample_windows`] from `warm`, the picks' [`warm_states`] under
+/// `cfg.mem`, with every window's SSB footprint recorded into
 /// [`SampledMeasurement::footprint`] when `record` is set.
 fn measure_windows(
     program: &Program,
     plan: &SampledPlan,
+    warm: &[WarmState],
     cfg: &LoopFrogConfig,
     record: bool,
 ) -> Result<SampledMeasurement, String> {
     if plan.picks.is_empty() {
         return Err("sampling plan has no picks".to_string());
     }
+    assert_eq!(warm.len(), plan.picks.len(), "one warm state per pick");
     let mut windows = Vec::with_capacity(plan.picks.len());
     let mut samples = Vec::with_capacity(plan.picks.len());
     let (mut footprint, mut spilled) = (None::<SsbFootprint>, false);
     let mut detailed_total = 0u64;
     let mut carrier = None;
-    for (sp, ckpt) in &plan.picks {
+    for ((sp, ckpt), state) in plan.picks.iter().zip(warm) {
         // Interval 0's restore is the pristine cold start itself; measuring
         // from cycle 0 reproduces the run's real cold-start cycles, which a
         // warm-up would wrongly discard.
-        let warm = if sp.interval == 0 { 0 } else { plan.interval_len / WARM_FRACTION };
+        let warm_up = if sp.interval == 0 { 0 } else { plan.interval_len / WARM_FRACTION };
         let measure = plan.interval_len / MEASURE_DIVISOR;
-        let mut core = LoopFrogCore::from_checkpoint(program, ckpt, cfg.clone());
+        let mut core = LoopFrogCore::from_warm(program, ckpt, state, cfg.clone());
         if record {
             core.record_ssb_footprint();
         }
-        core.run_until_committed(warm)
+        core.run_until_committed(warm_up)
             .map_err(|e| format!("window {} warm-up failed: {e}", sp.interval))?;
         let (mut c0, mut i0) = (core.cycle(), core.committed_insts());
         let stop = core
-            .run_until_committed(warm + measure)
+            .run_until_committed(warm_up + measure)
             .map_err(|e| format!("window {} failed: {e}", sp.interval))?;
         let (c1, i1) = (core.cycle(), core.committed_insts());
         if i1 == i0 {
@@ -656,9 +668,10 @@ pub fn run_simpoint_check(
 }
 
 /// Runs one kernel on the sampled tier: measures the windows of `plan`,
-/// the kernel's sampling plan ([`build_plan`]), and reconstructs the
-/// whole run. With `record` set it also returns the windows' SSB
-/// footprint ([`SampledMeasurement::footprint`]).
+/// the kernel's sampling plan ([`build_plan`]), from `warm`, its picks'
+/// [`warm_states`] under `cfg.mem`, and reconstructs the whole run. With
+/// `record` set it also returns the windows' SSB footprint
+/// ([`SampledMeasurement::footprint`]).
 ///
 /// The returned outcome's `stats.cycles` is the weighted estimate and
 /// `committed_insts` the full-run count (derived from its tier record by
@@ -674,10 +687,11 @@ pub fn run_sampled(
     fingerprint: u64,
     program: &Program,
     plan: &SampledPlan,
+    warm: &[WarmState],
     cfg: &LoopFrogConfig,
     record: bool,
 ) -> Result<(RunOutcome, Option<SsbFootprint>), String> {
-    let m = measure_windows(program, plan, cfg, record)?;
+    let m = measure_windows(program, plan, warm, cfg, record)?;
     let mut t = tier_json(Tier::Sampled);
     t.set("total_insts", plan.total_insts);
     t.set("interval_len", plan.interval_len);
@@ -697,6 +711,84 @@ pub fn run_sampled(
     let mut record = RunRecord::from_result(m.carrier, cfg);
     record.tier = Some(t);
     Ok((RunOutcome::new(fingerprint, plan.final_checksum, record), m.footprint))
+}
+
+/// What sampled runs built and measured: sampling plans, warm states and
+/// restored windows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SampledWork {
+    /// Sampling plans built ([`build_plan`]).
+    pub plans: usize,
+    /// Warm states built, one per pick and memory configuration.
+    pub warm_states: usize,
+    /// Windows measured.
+    pub windows: usize,
+}
+
+impl std::ops::AddAssign for SampledWork {
+    fn add_assign(&mut self, other: SampledWork) {
+        self.plans += other.plans;
+        self.warm_states += other.warm_states;
+        self.windows += other.windows;
+    }
+}
+
+/// One prepared kernel's sampled-tier state, shared by its sampled runs:
+/// the sampling plan, built by the first run that needs it, and the
+/// picks' warm states per memory configuration, each built by the first
+/// run under that configuration. Every run passes the same program and
+/// memory image. Dropping it frees the plan and the warm states.
+#[derive(Debug, Default)]
+pub struct SampledKernel {
+    plan: Option<SampledPlan>,
+    warm: Vec<(MemConfig, Vec<WarmState>)>,
+    work: SampledWork,
+}
+
+impl SampledKernel {
+    /// Runs the kernel, `program` from `mem`, on the sampled tier under
+    /// `cfg` ([`run_sampled`]), building the plan and the warm states
+    /// under `cfg.mem` first if no earlier run did.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the plan cannot be built or any window's
+    /// simulation faults.
+    pub fn run(
+        &mut self,
+        fingerprint: u64,
+        program: &Program,
+        mem: &Memory,
+        cfg: &LoopFrogConfig,
+        record: bool,
+    ) -> Result<(RunOutcome, Option<SsbFootprint>), String> {
+        let plan = match &mut self.plan {
+            Some(plan) => plan,
+            slot => {
+                let plan = build_plan(program, mem)?;
+                self.work.plans += 1;
+                slot.insert(plan)
+            }
+        };
+        let warm = match self.warm.iter().position(|(m, _)| *m == cfg.mem) {
+            Some(i) => &self.warm[i].1,
+            None => {
+                let states = warm_states(plan, &cfg.mem);
+                self.work.warm_states += states.len();
+                self.warm.push((cfg.mem.clone(), states));
+                &self.warm[self.warm.len() - 1].1
+            }
+        };
+        let result = run_sampled(fingerprint, program, plan, warm, cfg, record)?;
+        self.work.windows += plan.picks.len();
+        Ok(result)
+    }
+
+    /// The plans, warm states and windows this kernel's runs built and
+    /// measured so far.
+    pub fn work(&self) -> SampledWork {
+        self.work
+    }
 }
 
 #[cfg(test)]
@@ -832,8 +924,7 @@ mod tests {
     fn sampled_run_estimates_within_smoke_tolerance() {
         let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
-        let plan = build_plan(&w.program, &w.mem).unwrap();
-        let (out, _) = run_sampled(9, &w.program, &plan, &cfg, false).unwrap();
+        let (out, _) = SampledKernel::default().run(9, &w.program, &w.mem, &cfg, false).unwrap();
         let mut core = LoopFrogCore::new(&w.program, w.mem.clone(), cfg.clone());
         let full = core.run().unwrap();
         assert_eq!(out.checksum, full.checksum, "golden-state gate applies to sampled runs");
@@ -852,8 +943,8 @@ mod tests {
         let w = lf_workloads::by_name("event_queue", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
         let run = || {
-            let plan = build_plan(&w.program, &w.mem).unwrap();
-            let (out, _) = run_sampled(3, &w.program, &plan, &cfg, false).unwrap();
+            let (out, _) =
+                SampledKernel::default().run(3, &w.program, &w.mem, &cfg, false).unwrap();
             (out.stats, out.checksum, out.record)
         };
         assert_eq!(run(), run());

@@ -38,6 +38,7 @@ use crate::telemetry::{
 };
 use crate::threadlet::{CtxState, Threadlet};
 use crate::trace::{TraceEvent, Tracer};
+use crate::warm::WarmState;
 use crate::wheel::CompletionWheel;
 use lf_isa::fast::Checkpoint;
 use lf_isa::{Memory, Program, NUM_ARCH_REGS};
@@ -327,13 +328,15 @@ impl<'p> LoopFrogCore<'p> {
 
     /// Creates a core resuming from a fast-tier [`Checkpoint`]: restores
     /// the architectural state (registers, memory image, program counter)
-    /// exactly, then installs the checkpoint's functional-warming hints
-    /// into the microarchitecture — recorded branch outcomes replayed
-    /// through the branch predictor (training TAGE/loop tables and
-    /// leaving context 0's global history where live execution would),
-    /// indirect targets installed in the BTB, and the fetch-line and
-    /// data-access streams warm-filled into the cache tags and stride
-    /// prefetchers in recorded order (stream position as the LRU clock).
+    /// exactly, then warms the microarchitecture with the checkpoint's
+    /// hint streams — recorded branch outcomes replayed through the branch
+    /// predictor (training TAGE/loop tables and leaving context 0's global
+    /// history where live execution would), indirect targets installed in
+    /// the BTB, and the fetch-line and data-access streams warm-filled into
+    /// the cache tags and stride prefetchers in recorded order (stream
+    /// position as the LRU clock). This is [`LoopFrogCore::from_warm`] with
+    /// a [`WarmState`] built for this one restore; callers restoring one
+    /// checkpoint several times build the warm state once.
     ///
     /// Warming establishes *state*, never *events*: `SimStats` and all
     /// cache/DRAM counters still start from zero, and
@@ -351,6 +354,27 @@ impl<'p> LoopFrogCore<'p> {
         ckpt: &Checkpoint,
         cfg: LoopFrogConfig,
     ) -> LoopFrogCore<'p> {
+        let warm = WarmState::new(ckpt, &cfg.mem);
+        LoopFrogCore::from_warm(program, ckpt, &warm, cfg)
+    }
+
+    /// Creates a core resuming from `ckpt` with `warm`, the checkpoint's
+    /// warm state under `cfg.mem`, installed into its predictor and caches:
+    /// the core [`LoopFrogCore::from_checkpoint`] restores, without
+    /// replaying the hint streams. Verify builds also replay them and
+    /// assert that the installed state equals the replayed one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint was taken from a different program, if
+    /// `warm` was built from another checkpoint or under another memory
+    /// configuration, or if the configuration is degenerate.
+    pub fn from_warm(
+        program: &'p Program,
+        ckpt: &Checkpoint,
+        warm: &WarmState,
+        cfg: LoopFrogConfig,
+    ) -> LoopFrogCore<'p> {
         assert_eq!(
             ckpt.code_fingerprint,
             program.code_fingerprint(),
@@ -358,22 +382,16 @@ impl<'p> LoopFrogCore<'p> {
         );
         let mut core =
             LoopFrogCore::with_initial_state(program, ckpt.mem.clone(), &ckpt.regs, ckpt.pc, cfg);
-        for &(pc, taken) in &ckpt.hints.branches {
-            core.bpred.warm_branch(0, pc as u64, taken);
-        }
-        for &(pc, target) in &ckpt.hints.indirect_targets {
-            core.bpred.update_target(pc as u64, target as usize);
-        }
-        // Replay the two access streams on one shared clock so I-side and
-        // D-side recency stay comparable in the shared L2.
-        let mut seq = 0u64;
-        for &line in &ckpt.hints.fetch_lines {
-            core.hier.warm_inst(line * 64, seq);
-            seq += 1;
-        }
-        for a in &ckpt.hints.mem_accesses {
-            core.hier.warm_data(a.pc as u64, a.addr, seq);
-            seq += 1;
+        warm.install(ckpt, &mut core.bpred, &mut core.hier);
+        #[cfg(feature = "verify")]
+        {
+            let mut bpred = BranchPredictor::new(core.cfg.core.threadlets);
+            let mut hier = MemHierarchy::new(core.cfg.mem.clone());
+            crate::warm::warm(&mut bpred, &mut hier, &ckpt.hints);
+            assert!(
+                core.bpred == bpred && core.hier == hier,
+                "warm-state: the installed predictor and caches differ from a replay of the checkpoint"
+            );
         }
         core
     }

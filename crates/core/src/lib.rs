@@ -74,6 +74,7 @@ mod threadlet;
 pub mod trace;
 #[cfg(feature = "verify")]
 pub mod verify;
+mod warm;
 mod wheel;
 
 /// Whether this build checks the engine's invariants every cycle (the
@@ -93,3 +94,4 @@ pub use trace::{
     CountingTracer, FlightRecorder, KonataTracer, SquashReason, TextTracer, TraceEvent,
     TraceFilter, TraceKind, TraceMux, Tracer,
 };
+pub use warm::WarmState;

@@ -2,7 +2,7 @@
 
 /// A direct-mapped, tagged branch target buffer mapping branch PCs to
 /// predicted targets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Btb {
     entries: Vec<Option<(u64, usize)>>, // (pc tag, target)
 }
@@ -35,13 +35,18 @@ impl Btb {
         let slot = self.slot(pc);
         self.entries[slot] = Some((pc, target));
     }
+
+    /// The cached `(pc, target)` pairs, in slot order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.entries.iter().flatten().copied()
+    }
 }
 
 /// Return-address stack (Table 1: "48-entry RAS").
 ///
 /// A circular stack: overflow overwrites the oldest entry, underflow yields
 /// `None` (predict via BTB instead).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ras {
     stack: Vec<usize>,
     capacity: usize,

@@ -4,7 +4,7 @@
 //! Learns the trip count of regular loops and predicts the exit iteration
 //! exactly, overriding TAGE when confident.
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LoopEntry {
     tag: u32,
     trip: u32,      // learned iteration count between not-taken outcomes
@@ -27,7 +27,7 @@ pub struct LoopLookup {
 ///
 /// The predictor models backward loop branches that are taken `trip` times
 /// and then fall through once per loop visit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
 }

@@ -29,13 +29,28 @@ pub struct BpLookup {
 }
 
 /// Shared-table, per-threadlet-history branch predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     tage: Tage,
     loops: LoopPredictor,
     btb: Btb,
     ras: Vec<Ras>,
     hist: Vec<History>,
+}
+
+/// What warming ([`BranchPredictor::warm_branch`] on threadlet 0,
+/// [`BranchPredictor::update_target`]) leaves in a fresh
+/// [`BranchPredictor`]: the shared TAGE and loop tables, the BTB's valid
+/// entries (kept sparsely: at most one per indirect-jump pc the warming
+/// saw, of 4,096 slots), and threadlet 0's global history. Warming touches no RAS and no other
+/// threadlet, and the table geometry is fixed, so a snapshot installs into
+/// a predictor of any threadlet count.
+#[derive(Debug)]
+pub struct PredictorSnapshot {
+    tage: Tage,
+    loops: LoopPredictor,
+    btb: Vec<(u64, usize)>,
+    history: History,
 }
 
 impl BranchPredictor {
@@ -103,6 +118,34 @@ impl BranchPredictor {
     pub fn warm_branch(&mut self, tid: usize, pc: u64, taken: bool) {
         let lookup = self.predict_branch(tid, pc);
         self.update_branch(tid, pc, lookup, taken);
+    }
+
+    /// The state warming has added to this predictor since
+    /// [`BranchPredictor::new`] (see [`PredictorSnapshot`]).
+    pub fn snapshot(&self) -> PredictorSnapshot {
+        debug_assert!(
+            self.ras.iter().all(|r| r.depth() == 0)
+                && self.hist[1..].iter().all(|&h| h == History::default()),
+            "a snapshot is taken of a predictor that has only been warmed"
+        );
+        PredictorSnapshot {
+            tage: self.tage.clone(),
+            loops: self.loops.clone(),
+            btb: self.btb.entries().collect(),
+            history: self.hist[0],
+        }
+    }
+
+    /// Installs `snap` into this predictor, fresh from
+    /// [`BranchPredictor::new`], leaving it equal to one that replayed the
+    /// snapshot's warming with this predictor's threadlet count.
+    pub fn install(&mut self, snap: &PredictorSnapshot) {
+        self.tage.clone_from(&snap.tage);
+        self.loops.clone_from(&snap.loops);
+        for &(pc, target) in &snap.btb {
+            self.btb.update(pc, target);
+        }
+        self.hist[0] = snap.history;
     }
 
     /// Predicts the target of an indirect jump (return) for `tid`: RAS first,
@@ -201,6 +244,39 @@ mod tests {
             let a = live.predict_branch(0, pc);
             let b = warmed.predict_branch(0, pc);
             assert_eq!(a.taken, b.taken, "warmed and live disagree at {pc:#x}");
+        }
+    }
+
+    /// Warms `bp` with a branch stream from a loop, a biased branch and an
+    /// alternating one, plus a few indirect targets.
+    fn warm_stream(bp: &mut BranchPredictor) {
+        for i in 0..3_000u64 {
+            let (pc, taken) = match i % 4 {
+                0 => (0x40, i % 52 != 0),
+                1 => (0x48, i % 12 != 1),
+                _ => (0x50 + (i % 3) * 8, (i / 4) % 2 == 0),
+            };
+            bp.warm_branch(0, pc, taken);
+        }
+        for pc in [0x90u64, 0x98, 0x90 + 4096] {
+            bp.update_target(pc, pc as usize / 8);
+        }
+    }
+
+    /// A fresh predictor of any threadlet count that installs a warmed
+    /// one-threadlet predictor's snapshot equals one that warmed itself.
+    #[test]
+    fn installed_snapshot_equals_a_warmed_predictor_of_any_threadlet_count() {
+        let mut one = BranchPredictor::new(1);
+        warm_stream(&mut one);
+        let snap = one.snapshot();
+        assert_eq!(snap.btb.len(), 2, "the BTB is kept sparsely");
+        for threadlets in [1, 2, 4] {
+            let mut warmed = BranchPredictor::new(threadlets);
+            warm_stream(&mut warmed);
+            let mut installed = BranchPredictor::new(threadlets);
+            installed.install(&snap);
+            assert!(installed == warmed, "{threadlets} threadlets");
         }
     }
 

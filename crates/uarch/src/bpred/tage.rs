@@ -17,14 +17,14 @@ impl History {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TaggedEntry {
     tag: u16,
     ctr: i8,    // 3-bit signed counter, -4..=3; taken when >= 0
     useful: u8, // 2-bit useful counter
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct TaggedTable {
     entries: Vec<TaggedEntry>,
     hist_len: u32,
@@ -78,7 +78,7 @@ pub struct TageLookup {
 }
 
 /// The TAGE predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tage {
     bimodal: Vec<i8>, // 2-bit counters, -2..=1; taken when >= 0
     tables: Vec<TaggedTable>,

@@ -11,15 +11,30 @@ use crate::prefetch::StridePrefetcher;
 use lf_stats::Counters;
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, Copy)]
+/// One way of a set: 16 bytes, so an 8-way set scan reads 128 B.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
-    tag: u64,
+    /// The line address plus one; 0 marks an invalid way. A line address
+    /// is a byte address divided by the line size, so it never reaches
+    /// `u64::MAX` for lines of two bytes or more.
+    key: u64,
     last_used: u64,
-    valid: bool,
+}
+
+impl Line {
+    const INVALID: Line = Line { key: 0, last_used: 0 };
+
+    fn holds(&self, line_addr: u64) -> bool {
+        self.key == line_addr + 1
+    }
+
+    fn is_valid(&self) -> bool {
+        self.key != 0
+    }
 }
 
 /// A tag-only set-associative cache with LRU replacement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Every set's ways, set after set (`num_sets * cfg.ways` lines).
@@ -40,7 +55,7 @@ impl Cache {
         assert!(num_sets >= 1, "cache too small for its geometry");
         Cache {
             cfg,
-            lines: vec![Line { tag: 0, last_used: 0, valid: false }; num_sets * cfg.ways],
+            lines: vec![Line::INVALID; num_sets * cfg.ways],
             num_sets,
             accesses: 0,
             misses: 0,
@@ -64,7 +79,7 @@ impl Cache {
         self.accesses += 1;
         let set = self.set_of(line_addr);
         for l in &mut self.lines[set] {
-            if l.valid && l.tag == line_addr {
+            if l.holds(line_addr) {
                 l.last_used = now;
                 return true;
             }
@@ -75,7 +90,7 @@ impl Cache {
 
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, line_addr: u64) -> bool {
-        self.lines[self.set_of(line_addr)].iter().any(|l| l.valid && l.tag == line_addr)
+        self.lines[self.set_of(line_addr)].iter().any(|l| l.holds(line_addr))
     }
 
     /// Fills `line_addr`, evicting the LRU way. Returns the evicted line
@@ -85,12 +100,14 @@ impl Cache {
             return None; // already resident (racing fills)
         }
         let set = self.set_of(line_addr);
+        // Invalid ways first, then the least recently used; the first way
+        // on a tie.
         let victim = self.lines[set]
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_used + 1 } else { 0 })
+            .min_by_key(|l| if l.is_valid() { l.last_used + 1 } else { 0 })
             .expect("at least one way");
-        let evicted = victim.valid.then_some(victim.tag);
-        *victim = Line { tag: line_addr, last_used: now, valid: true };
+        let evicted = victim.is_valid().then(|| victim.key - 1);
+        *victim = Line { key: line_addr + 1, last_used: now };
         evicted
     }
 
@@ -103,7 +120,7 @@ impl Cache {
     pub fn warm_fill(&mut self, line_addr: u64, now: u64) {
         let set = self.set_of(line_addr);
         for l in &mut self.lines[set] {
-            if l.valid && l.tag == line_addr {
+            if l.holds(line_addr) {
                 l.last_used = now;
                 return;
             }
@@ -115,8 +132,8 @@ impl Cache {
     pub fn invalidate(&mut self, line_addr: u64) {
         let set = self.set_of(line_addr);
         for l in &mut self.lines[set] {
-            if l.valid && l.tag == line_addr {
-                l.valid = false;
+            if l.holds(line_addr) {
+                *l = Line::INVALID;
             }
         }
     }
@@ -130,10 +147,21 @@ impl Cache {
     pub fn line_size(&self) -> usize {
         self.cfg.line
     }
+
+    /// The valid ways, by index into the tag array.
+    fn valid_lines(&self) -> Vec<(u32, Line)> {
+        let index = |i: usize| u32::try_from(i).expect("a cache has under 2^32 ways");
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.is_valid())
+            .map(|(i, l)| (index(i), *l))
+            .collect()
+    }
 }
 
 /// Miss-status holding registers: a bounded set of outstanding line misses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Mshr {
     capacity: usize,
     outstanding: HashMap<u64, u64>, // line -> ready cycle
@@ -181,7 +209,7 @@ pub enum AccessKind {
 }
 
 /// The three-level memory hierarchy timing model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemHierarchy {
     cfg: MemConfig,
     l1i: Cache,
@@ -198,7 +226,7 @@ pub struct MemHierarchy {
 
 /// The hierarchy's event counts. The access paths bump these integers;
 /// [`MemHierarchy::counters`] names them.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Events {
     dram_accesses: u64,
     l2_accesses: u64,
@@ -207,6 +235,19 @@ struct Events {
     l2_prefetches: u64,
     l1d_mshr_full: u64,
     l1d_prefetches: u64,
+}
+
+/// What functional warming leaves in a fresh [`MemHierarchy`]: each
+/// cache's valid ways, kept sparsely by index (a warmed 4 MiB L2 holds a
+/// few thousand of its 65,536 lines at most), and both stride prefetchers.
+/// Warming touches nothing else: no counter, MSHR or DRAM timing.
+#[derive(Debug)]
+pub struct HierarchySnapshot {
+    cfg: MemConfig,
+    /// L1I, L1D and L2.
+    caches: [Vec<(u32, Line)>; 3],
+    l1d_pref: StridePrefetcher,
+    l2_pref: StridePrefetcher,
 }
 
 /// Cycles one DRAM line transfer occupies the channel (64 B at 25 B/cycle).
@@ -380,6 +421,45 @@ impl MemHierarchy {
         self.l2.warm_fill(line, seq);
     }
 
+    /// The state warming ([`MemHierarchy::warm_data`],
+    /// [`MemHierarchy::warm_inst`]) has added to this hierarchy since
+    /// [`MemHierarchy::new`]. Take it before any timed access: the
+    /// snapshot holds tags and prefetchers only.
+    pub fn snapshot(&self) -> HierarchySnapshot {
+        debug_assert!(
+            self.events == Events::default()
+                && self.cache_stats() == [(0, 0); 3]
+                && self.dram_busy_until == 0,
+            "a snapshot is taken of a hierarchy that has only been warmed"
+        );
+        HierarchySnapshot {
+            cfg: self.cfg.clone(),
+            caches: [self.l1i.valid_lines(), self.l1d.valid_lines(), self.l2.valid_lines()],
+            l1d_pref: self.l1d_pref.clone(),
+            l2_pref: self.l2_pref.clone(),
+        }
+    }
+
+    /// Installs `snap` into this hierarchy, fresh from
+    /// [`MemHierarchy::new`], leaving it equal to the hierarchy the
+    /// snapshot was taken of.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was taken under another configuration.
+    pub fn install(&mut self, snap: &HierarchySnapshot) {
+        assert_eq!(self.cfg, snap.cfg, "a snapshot installs into its own configuration");
+        for (cache, lines) in
+            [&mut self.l1i, &mut self.l1d, &mut self.l2].into_iter().zip(&snap.caches)
+        {
+            for &(i, line) in lines {
+                cache.lines[i as usize] = line;
+            }
+        }
+        self.l1d_pref.clone_from(&snap.l1d_pref);
+        self.l2_pref.clone_from(&snap.l2_pref);
+    }
+
     /// Performs an instruction fetch of the line containing byte address
     /// `addr` and returns its ready cycle.
     pub fn access_inst(&mut self, addr: u64, now: u64) -> u64 {
@@ -509,6 +589,80 @@ mod tests {
         let evicted = c.fill(4, 4);
         assert_eq!(evicted, Some(2), "warm touch protected line 0");
         assert_eq!(c.stats(), (0, 0), "warming never counts");
+    }
+
+    #[test]
+    fn victims_are_invalid_ways_then_lru_then_the_first_way() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
+        let mut c =
+            Cache::new(CacheConfig { size: 256, ways: 2, line: 64, hit_latency: 1, mshrs: 1 });
+        // Lines 0, 2, 4 and 6 all map to set 0 (2 sets x 2 ways).
+        let ways = |c: &Cache| [c.lines[0], c.lines[1]].map(|l| l.is_valid().then(|| l.key - 1));
+        c.fill(0, 5);
+        assert_eq!(ways(&c), [Some(0), None], "the first of two invalid ways");
+        c.fill(2, 5);
+        assert_eq!(c.fill(4, 6), Some(0), "the first way on an LRU tie");
+        assert_eq!(ways(&c), [Some(4), Some(2)]);
+        c.invalidate(2);
+        assert_eq!(c.fill(6, 3), None, "an invalid way before the LRU way");
+        assert_eq!(ways(&c), [Some(4), Some(6)]);
+    }
+
+    /// A stream of functional-warming events from a few strided PCs, one
+    /// random PC and the fetch side.
+    fn warm_stream(m: &mut MemHierarchy) {
+        let mut rng = lf_stats::SmallRng::seed_from_u64(7);
+        for seq in 0..4_000u64 {
+            let pc = rng.random_range(0..6u64) * 4;
+            match pc {
+                0 => m.warm_inst(rng.random_range(0..1u64 << 16), seq),
+                4 => m.warm_data(pc, rng.random_range(0..1u64 << 24), seq),
+                _ => m.warm_data(pc, (pc << 20) + seq * 64 * (pc / 4), seq),
+            }
+        }
+    }
+
+    /// A fresh hierarchy that installs a warmed one's snapshot equals it,
+    /// under the default configuration and under a smaller L2 with other
+    /// prefetch degrees, and the two then time accesses alike. The
+    /// snapshot keeps only the valid lines.
+    #[test]
+    fn installed_snapshot_equals_the_warmed_hierarchy() {
+        let small = MemConfig {
+            l2: CacheConfig { size: 64 << 10, ways: 4, ..MemConfig::default().l2 },
+            l1d_prefetch_degree: 1,
+            l2_prefetch_degree: 3,
+            ..MemConfig::default()
+        };
+        for cfg in [MemConfig::default(), small] {
+            let mut warmed = MemHierarchy::new(cfg.clone());
+            warm_stream(&mut warmed);
+            let snap = warmed.snapshot();
+            for (lines, cache) in snap.caches.iter().zip([&warmed.l1i, &warmed.l1d, &warmed.l2]) {
+                let valid = cache.lines.iter().filter(|l| l.is_valid()).count();
+                assert_eq!(lines.len(), valid, "the snapshot keeps the valid lines only");
+            }
+            let mut installed = MemHierarchy::new(cfg.clone());
+            installed.install(&snap);
+            assert!(installed == warmed, "{cfg:?}: installed differs from warmed");
+            let mut now = 0;
+            for i in 0..500u64 {
+                let addr = (i * 0x1f40) % (1 << 22);
+                let ready = warmed.access_data(8, addr, AccessKind::Load, now);
+                assert_eq!(installed.access_data(8, addr, AccessKind::Load, now), ready);
+                now = ready;
+            }
+            assert!(installed == warmed, "{cfg:?}: the two diverged");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a snapshot installs into its own configuration")]
+    fn a_snapshot_installs_only_into_its_own_configuration() {
+        let mut warmed = MemHierarchy::new(MemConfig::default());
+        warm_stream(&mut warmed);
+        let other = MemConfig { l2_prefetch_degree: 4, ..MemConfig::default() };
+        MemHierarchy::new(other).install(&warmed.snapshot());
     }
 
     #[test]

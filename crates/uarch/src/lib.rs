@@ -21,8 +21,8 @@ pub mod iq;
 pub mod prefetch;
 pub mod rename;
 
-pub use bpred::{BpLookup, BranchPredictor, History};
-pub use cache::{AccessKind, Cache, MemHierarchy};
+pub use bpred::{BpLookup, BranchPredictor, History, PredictorSnapshot};
+pub use cache::{AccessKind, Cache, HierarchySnapshot, MemHierarchy};
 pub use config::{CacheConfig, CoreConfig, FuConfig, MemConfig};
 pub use fu::FuPools;
 pub use iq::{IssueQueue, Offer};

@@ -8,7 +8,7 @@
 //! ahead of the *furthest* line seen, rather than demanding strictly
 //! consecutive strides (which inter-threadlet interleaving would destroy).
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StrideEntry {
     pc_tag: u64,
     last_line: u64,
@@ -25,7 +25,7 @@ struct StrideEntry {
 const TOLERANCE: i64 = 8;
 
 /// PC-indexed, interleaving-tolerant stride prefetcher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StridePrefetcher {
     entries: Vec<StrideEntry>,
     degree: usize,

@@ -27,7 +27,7 @@ fn render_with(kernel: &str, cfg: &RunConfig, hook: impl FnMut(&mut LoopFrogCore
     let mut art = RunArtifact::new("determinism_test", Scale::Smoke);
     art.set_config(cfg);
     art.push_kernel(&run);
-    art.into_json().to_string_pretty()
+    art.to_json().to_string_pretty()
 }
 
 #[test]

@@ -11,6 +11,7 @@ use lf_bench::engine::cache::DiskCache;
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::spans::SpanLog;
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
+use lf_bench::tiered::SampledWork;
 use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, Tier};
 use lf_stats::Json;
 use lf_workloads::Scale;
@@ -196,13 +197,14 @@ fn parallel_output_is_byte_identical_to_serial() {
         );
         // Artifacts match too, modulo the planner telemetry (wall-clock,
         // job count and cache hits legitimately differ).
-        let strip = |mut doc: Json| {
+        let strip = |artifact: &RunArtifact| {
+            let mut doc = artifact.to_json();
             doc.set("planner", Json::Null);
             doc.to_string_pretty()
         };
         assert_eq!(
-            strip(serial.scenarios[0].artifact.clone()),
-            strip(parallel.scenarios[0].artifact.clone()),
+            strip(&serial.scenarios[0].artifact),
+            strip(&parallel.scenarios[0].artifact),
             "{name}: artifacts must not depend on -j or the cache"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -321,9 +323,10 @@ fn phase_spans_cover_a_cold_campaign() {
 /// baseline and one family of 8 LoopFrog geometries. Workspace test
 /// builds also simulate each served run and fail it unless the outcomes
 /// match, so the first campaign must fail nothing; it writes one cache
-/// entry per unique run, and the second serves all 9 from the cache and
-/// renders the same text.
-fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize) {
+/// entry per unique run, and the second serves all 9 from the cache,
+/// builds no sampling state and renders the same text. Returns the first
+/// campaign's simulated and served counts and its sampled work.
+fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize, SampledWork) {
     let scenarios = ["fig9_ssb_size", "assoc_sensitivity"]
         .map(|n| lf_bench::engine::by_name(n).unwrap_or_else(|| panic!("{n} is registered")));
     let refs: Vec<&dyn Scenario> = scenarios.iter().map(|s| s.as_ref()).collect();
@@ -350,12 +353,13 @@ fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize) {
     let (second, resimulated) = campaign();
     let r2 = &second.report;
     assert_eq!((r2.disk_hits, r2.simulated, r2.served), (9, 0, 0), "{tier:?}");
+    assert_eq!(r2.sampled, SampledWork::default(), "{tier:?}");
     assert_eq!(resimulated, 0, "{tier:?}");
     for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
         assert_eq!(a.text, b.text, "{tier:?}: {} renders from the cache alike", a.name);
     }
     std::fs::remove_dir_all(&dir).ok();
-    (r.simulated, r.served)
+    (r.simulated, r.served, r.sampled)
 }
 
 /// One simulation answers every SSB geometry it fits. The 32 KiB run
@@ -364,15 +368,20 @@ fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize) {
 /// so that run simulates, as does the baseline.
 #[test]
 fn geometry_siblings_are_served_from_one_footprint() {
-    assert_eq!(serve_astar_heap_geometries(Tier::Detailed), (3, 6));
+    assert_eq!(serve_astar_heap_geometries(Tier::Detailed), (3, 6, SampledWork::default()));
 }
 
 /// The sampled tier serves geometry siblings too: the 32 KiB estimate's
 /// windows are recorded, and their footprints appended serve every
-/// sibling they fit.
+/// sibling they fit. The three simulated runs share one plan and one
+/// warm state per pick: all of them use the default memory configuration.
 #[test]
 fn sampled_geometry_siblings_are_served_from_their_windows_footprints() {
-    assert_eq!(serve_astar_heap_geometries(Tier::Sampled), (3, 6));
+    let (simulated, served, work) = serve_astar_heap_geometries(Tier::Sampled);
+    assert_eq!((simulated, served), (3, 6));
+    assert_eq!(work.plans, 1, "{work:?}");
+    assert!(work.warm_states > 0, "{work:?}");
+    assert_eq!(work.windows, 3 * work.warm_states, "each run restores every pick once: {work:?}");
 }
 
 /// Run fingerprints of `stencil_blur` at smoke scale. The detailed and

@@ -1,15 +1,20 @@
 //! Integration tests for the tiered execution path (DESIGN §13): the
 //! sampled tier's accuracy and detailed-cycle reduction bounds on the
 //! eval-scale basket, byte-identical deterministic checkpoint restore,
-//! and the SSB footprint a sampled run records over its windows.
+//! restores from mid-run checkpoints and shared warm states, and the SSB
+//! footprint a sampled run records over its windows.
 
 use lf_bench::perf::BASKET;
-use lf_bench::tiered::{build_plan, run_sampled, sample_windows, SampledPlan};
+use lf_bench::tiered::{
+    build_plan, run_sampled, sample_windows, warm_states, SampledKernel, SampledPlan, SampledWork,
+};
 use lf_bench::RunRecord;
 use lf_compiler::{annotate, SelectOptions};
-use lf_isa::{Memory, Program};
+use lf_isa::{FastTier, Memory, Program};
+use lf_stats::{Json, SmallRng};
+use lf_uarch::{CacheConfig, MemConfig};
 use lf_workloads::Scale;
-use loopfrog::{simulate, LoopFrogConfig};
+use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore, SimResult, WarmState};
 
 /// Annotates a kernel the way the engine's planner does, so the tiered
 /// path sees the same program the detailed runs measure.
@@ -120,6 +125,95 @@ fn pristine_restore_equals_uninterrupted_run() {
     assert_eq!(RunRecord::from_result(restored, &cfg), RunRecord::from_result(uninterrupted, &cfg));
 }
 
+/// Everything a simulation reports, in comparable form.
+fn facts(r: SimResult, cfg: &LoopFrogConfig) -> (u64, Vec<u64>, RunRecord) {
+    (r.checksum, r.final_regs.clone(), RunRecord::from_result(r, cfg))
+}
+
+/// The checkpoint oracle: on two kernels, a `FastTier` checkpoint at
+/// seeded random instructions restores to the straight run's final
+/// architectural state through the functional tier, through
+/// `from_checkpoint` on a 4-threadlet core, and through a warm state that
+/// a 1-threadlet config's memory configuration built, installed into a
+/// 4-threadlet core; the two detailed restores report the same run.
+#[test]
+fn mid_run_checkpoints_restore_to_the_straight_runs_final_state() {
+    let cfg = LoopFrogConfig::default();
+    let single = LoopFrogConfig { core: loopfrog::LoopFrogConfig::baseline().core, ..cfg.clone() };
+    assert_eq!((cfg.core.threadlets, single.core.threadlets), (4, 1));
+    let mut rng = SmallRng::seed_from_u64(0x0C1E_C4B0);
+    for name in ["stencil_blur", "hash_lookup"] {
+        let (program, mem) = prepared(name, Scale::Smoke);
+        let straight = simulate(&program, mem.clone(), cfg.clone()).unwrap();
+        let mut fast = FastTier::new(&program, mem.clone());
+        fast.run_to_inst_count(u64::MAX - 1).unwrap();
+        let total = fast.inst_count();
+        assert_eq!(fast.state_checksum(), straight.checksum, "{name}: the tiers agree");
+        for _ in 0..3 {
+            let k = rng.random_range(1..total);
+            let mut fast = FastTier::new(&program, mem.clone());
+            fast.run_to_inst_count(k).unwrap();
+            let ckpt = fast.checkpoint();
+
+            let mut resumed = FastTier::from_checkpoint(&program, &ckpt);
+            resumed.run_to_inst_count(u64::MAX - 1).unwrap();
+            assert!(resumed.is_halted(), "{name} at {k}: the functional restore halts");
+            assert_eq!(resumed.state_checksum(), straight.checksum, "{name} at {k}: functional");
+
+            let replayed = LoopFrogCore::from_checkpoint(&program, &ckpt, cfg.clone()).run();
+            let warm = WarmState::new(&ckpt, &single.mem);
+            let installed = LoopFrogCore::from_warm(&program, &ckpt, &warm, cfg.clone()).run();
+            let (replayed, installed) = (replayed.unwrap(), installed.unwrap());
+            for r in [&replayed, &installed] {
+                assert_eq!(r.stop, loopfrog::SimStop::Halted, "{name} at {k}: reaches halt");
+                assert_eq!(r.checksum, straight.checksum, "{name} at {k}: final state");
+                assert_eq!(r.final_regs, straight.final_regs, "{name} at {k}: final registers");
+            }
+            assert!(
+                facts(replayed, &cfg) == facts(installed, &cfg),
+                "{name} at {k}: an installed warm state runs like a replayed checkpoint"
+            );
+        }
+    }
+}
+
+/// A kernel's sampled runs share one plan and build one warm state per
+/// pick and memory configuration: three runs under two memory
+/// configurations build 2 × picks warm states, and each run's outcome is
+/// the one `sample_windows` measures for it.
+#[test]
+fn sampled_runs_share_warm_states_per_memory_configuration() {
+    let (program, mem) = prepared("hash_lookup", Scale::Smoke);
+    let plan = build_plan(&program, &mem).unwrap();
+    let small = MemConfig {
+        l2: CacheConfig { size: 256 << 10, ..MemConfig::default().l2 },
+        l1d_prefetch_degree: 1,
+        l2_prefetch_degree: 4,
+        ..MemConfig::default()
+    };
+    let configs = [
+        LoopFrogConfig::default(),
+        LoopFrogConfig::baseline(),
+        LoopFrogConfig { mem: small, ..LoopFrogConfig::default() },
+    ];
+    let mut kernel = SampledKernel::default();
+    for cfg in &configs {
+        let (outcome, _) = kernel.run(7, &program, &mem, cfg, false).unwrap();
+        let m = sample_windows(&program, &plan, cfg).unwrap();
+        let est = outcome.tier_field("est_cycles").and_then(Json::as_f64).unwrap();
+        assert_eq!(est.to_bits(), m.est_cycles.to_bits());
+        let detailed = outcome.tier_field("detailed_cycles").and_then(Json::as_u64).unwrap();
+        assert_eq!(detailed, m.detailed_cycles);
+        assert_eq!(outcome.checksum, plan.final_checksum);
+        let mut carrier = RunRecord::from_result(m.carrier, cfg);
+        carrier.tier = outcome.record.tier.clone();
+        assert!(outcome.record == carrier, "the carrier window's record");
+    }
+    let picks = plan.picks.len();
+    let windows = configs.len() * picks;
+    assert_eq!(kernel.work(), SampledWork { plans: 1, warm_states: 2 * picks, windows });
+}
+
 /// A sampled run's SSB footprint is its windows' footprints appended.
 /// Over `astar_heap`'s geometries it fits exactly those under which no
 /// window's slices spill, and every geometry it fits measures the same
@@ -128,6 +222,7 @@ fn pristine_restore_equals_uninterrupted_run() {
 fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
     let (program, mem) = prepared("astar_heap", Scale::Smoke);
     let plan = build_plan(&program, &mem).unwrap();
+    let warm = warm_states(&plan, &MemConfig::default());
     let with_ssb = |size_bytes, assoc, victim_entries| {
         let mut cfg = LoopFrogConfig::default();
         cfg.ssb.size_bytes = size_bytes;
@@ -136,7 +231,7 @@ fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
         cfg
     };
     let rep = with_ssb(32 << 10, None, 0);
-    let (outcome, footprint) = run_sampled(0, &program, &plan, &rep, true).unwrap();
+    let (outcome, footprint) = run_sampled(0, &program, &plan, &warm, &rep, true).unwrap();
     let footprint = footprint.expect("no window spills a 32 KiB SSB");
     let (mut fits, mut spills) = (0, 0);
     for size_bytes in [512, 1 << 10, 2 << 10, 8 << 10] {
@@ -144,7 +239,8 @@ fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
             for victim_entries in [0, 8] {
                 let cfg = with_ssb(size_bytes, assoc, victim_entries);
                 let what = format!("{size_bytes} B, {assoc:?}, {victim_entries} victims");
-                let (sibling, recorded) = run_sampled(0, &program, &plan, &cfg, true).unwrap();
+                let (sibling, recorded) =
+                    run_sampled(0, &program, &plan, &warm, &cfg, true).unwrap();
                 let fit = footprint.fits(&cfg.ssb, cfg.core.threadlets);
                 assert_eq!(fit, recorded.is_some(), "{what}: fits iff no window spilled");
                 if fit {
