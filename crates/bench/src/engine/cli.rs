@@ -67,8 +67,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Parsed command line.
-struct Cli {
+pub(super) struct Cli {
     command: Command,
+    /// Index, in the arguments, of the token that named the subcommand.
+    pub(super) command_at: usize,
     scale: Scale,
     tier: Tier,
     jobs: usize,
@@ -79,8 +81,6 @@ struct Cli {
     budget_cycles: Option<u64>,
     deadline_secs: Option<u64>,
     faults: FaultPlan,
-    /// Raw `--inject-fault` specs, retained verbatim for worker argv.
-    fault_specs: Vec<String>,
     /// `--workers`: supervised multi-process execution (1 = in-process
     /// threads, the historical behaviour).
     workers: usize,
@@ -132,9 +132,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse(args: &[String]) -> Cli {
+pub(super) fn parse(args: &[String]) -> Cli {
     let mut cli = Cli {
         command: Command::List,
+        command_at: 0,
         scale: Scale::Smoke,
         tier: Tier::Detailed,
         jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
@@ -145,7 +146,6 @@ fn parse(args: &[String]) -> Cli {
         budget_cycles: None,
         deadline_secs: None,
         faults: FaultPlan::default(),
-        fault_specs: Vec::new(),
         workers: 1,
         crash_after_ms: None,
         reps: 3,
@@ -180,11 +180,10 @@ fn parse(args: &[String]) -> Cli {
             }
         };
         match arg {
-            "list" | "--list" if command.is_none() => command = Some("list"),
-            "run" if command.is_none() => command = Some("run"),
-            "worker" if command.is_none() => command = Some("worker"),
-            "perf" if command.is_none() => command = Some("perf"),
-            "trace" if command.is_none() => command = Some("trace"),
+            "list" | "--list" | "run" | "worker" | "perf" | "trace" if command.is_none() => {
+                command = Some(if arg == "--list" { "list" } else { arg });
+                cli.command_at = i;
+            }
             "--reps" => {
                 let v = value("a repetition count");
                 cli.reps = match v.parse::<usize>() {
@@ -280,7 +279,6 @@ fn parse(args: &[String]) -> Cli {
                     eprintln!("error: --inject-fault: {e}");
                     std::process::exit(2);
                 }
-                cli.fault_specs.push(v);
             }
             "--crash-after-ms" => {
                 let v = value("a duration in milliseconds");
@@ -492,13 +490,7 @@ pub fn main() {
                 );
                 run_scenarios(&refs, &opts)
             } else if cli.workers > 1 {
-                let sup = supervise::SuperviseConfig::new(
-                    cli.workers,
-                    names,
-                    *all,
-                    &opts,
-                    &cli.fault_specs,
-                );
+                let sup = supervise::SuperviseConfig::new(cli.workers, &args, cli.command_at);
                 match supervise::run_supervised(&refs, &opts, &sup) {
                     Ok(out) => out,
                     Err(code) => std::process::exit(code),

@@ -43,6 +43,7 @@ use cache::{CacheLookup, DiskCache};
 use fault::{FaultPlan, FaultStats, RunBudget, RunError, RunFailure};
 use lf_stats::Json;
 use lf_workloads::{Scale, Workload};
+use loopfrog::LoopFrogConfig;
 use planner::{dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, PreparedKernel};
 use pool::WorkerPanic;
 use spans::{DurationSummary, SpanLog};
@@ -150,11 +151,12 @@ impl EngineCtx<'_> {
 
     /// The prepared kernel for a `(kernel, hinting)` pair, or `None` if
     /// its preparation failed (or was never requested).
-    pub fn try_prepared(&self, kernel: &str, hinting: &Hinting) -> Option<&Arc<PreparedKernel>> {
-        self.prepared
-            .iter()
-            .find(|((name, h), _)| *name == kernel && *h == hinting.fingerprint())
-            .map(|(_, p)| p)
+    pub fn try_prepared(
+        &self,
+        kernel: &'static str,
+        hinting: &Hinting,
+    ) -> Option<&Arc<PreparedKernel>> {
+        self.prepared.get(&(kernel, *hinting))
     }
 
     /// The memoized outcome of one requested run on the campaign's tier,
@@ -166,9 +168,9 @@ impl EngineCtx<'_> {
     /// scenario bug, not a runtime failure.
     pub fn try_outcome(
         &self,
-        kernel: &str,
+        kernel: &'static str,
         hinting: &Hinting,
-        cfg: &loopfrog::LoopFrogConfig,
+        cfg: &LoopFrogConfig,
     ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
         self.try_outcome_tiered(kernel, hinting, cfg, self.tier)
     }
@@ -181,9 +183,9 @@ impl EngineCtx<'_> {
     /// Panics if the run was never declared during planning.
     pub fn try_outcome_tiered(
         &self,
-        kernel: &str,
+        kernel: &'static str,
         hinting: &Hinting,
-        cfg: &loopfrog::LoopFrogConfig,
+        cfg: &LoopFrogConfig,
         tier: Tier,
     ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
         if let Some(f) = self.prep_failure(kernel, hinting) {
@@ -204,23 +206,19 @@ impl EngineCtx<'_> {
 
     /// The preparation-failure record for a `(kernel, hinting)` pair, if
     /// its profile/annotate step panicked.
-    fn prep_failure(&self, kernel: &str, hinting: &Hinting) -> Option<&Arc<RunFailure>> {
-        self.prep_failures
-            .iter()
-            .find(|((name, h), _)| *name == kernel && *h == hinting.fingerprint())
-            .map(|(_, f)| f)
+    fn prep_failure(&self, kernel: &'static str, hinting: &Hinting) -> Option<&Arc<RunFailure>> {
+        self.prep_failures.get(&(kernel, *hinting))
     }
 
     /// The failure record keeping `kernel` out of the suite view under
     /// `rc`, if any: its preparation failure, or the first of its
     /// baseline/LoopFrog run failures.
-    pub fn suite_failure(&self, kernel: &str, rc: &RunConfig) -> Option<Arc<RunFailure>> {
-        let hinting = Hinting::Annotated(rc.select.clone());
-        if let Some(f) = self.prep_failure(kernel, &hinting) {
+    pub fn suite_failure(&self, kernel: &'static str, rc: &RunConfig) -> Option<Arc<RunFailure>> {
+        if let Some(f) = self.prep_failure(kernel, &Hinting::Annotated) {
             return Some(f.clone());
         }
-        let prep = self.try_prepared(kernel, &hinting)?;
-        for cfg in [&rc.base, &rc.lf] {
+        let prep = self.try_prepared(kernel, &Hinting::Annotated)?;
+        for cfg in [&LoopFrogConfig::baseline(), &rc.lf] {
             let fp = prep.request_fingerprint_tiered(cfg, self.tier);
             if let Some(f) = self.failures.get(&fp) {
                 return Some(f.clone());
@@ -292,18 +290,19 @@ impl EngineCtx<'_> {
     }
 
     /// Assembles the standard experiment view — one [`KernelRun`] per suite
-    /// kernel under `rc`, with profile-guided deselection applied — from
+    /// kernel under `rc` against [`LoopFrogConfig::baseline`], with
+    /// profile-guided deselection applied — from
     /// memoized outcomes. The engine-side equivalent of the standalone
     /// [`crate::run_suite`]. Kernels with a failed preparation or run are
     /// omitted (graceful degradation); [`EngineCtx::suite_failures`] lists
     /// them and [`EngineCtx::failed_suite_rows`] renders them.
     pub fn suite_runs(&self, rc: &RunConfig) -> Vec<KernelRun> {
-        let hinting = Hinting::Annotated(rc.select.clone());
+        let (hinting, base) = (Hinting::Annotated, LoopFrogConfig::baseline());
         self.suite
             .iter()
             .filter_map(|w| {
                 let prep = self.try_prepared(w.name, &hinting)?;
-                let base = self.try_outcome(w.name, &hinting, &rc.base).ok()?;
+                let base = self.try_outcome(w.name, &hinting, &base).ok()?;
                 let lf = self.try_outcome(w.name, &hinting, &rc.lf).ok()?;
                 let golden = prep.golden.expect("annotated preparations carry a golden checksum");
                 Some(KernelRun::from_outcomes(
@@ -712,4 +711,47 @@ pub fn registry() -> Vec<Box<dyn Scenario>> {
 /// Looks up one registered scenario by name.
 pub fn by_name(name: &str) -> Option<Box<dyn Scenario>> {
     registry().into_iter().find(|s| s.name() == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A failed annotated preparation is found under its `(kernel,
+    /// hinting)` key: the suite view and every run of that kernel answer
+    /// with its record, while the kernel's raw preparation and the other
+    /// kernels are untouched.
+    #[test]
+    fn a_failed_preparation_answers_for_its_kernel() {
+        let suite: Vec<Workload> = lf_workloads::all(Scale::Smoke)
+            .into_iter()
+            .filter(|w| matches!(w.name, "stencil_blur" | "hash_lookup"))
+            .collect();
+        let failure = Arc::new(RunFailure {
+            fingerprint: 0,
+            kernel: "stencil_blur".to_string(),
+            error: RunError::Panicked { payload: "profiling failed".to_string() },
+            repro: repro_command(Scale::Smoke, Tier::Detailed, "stencil_blur"),
+        });
+        let ctx = EngineCtx {
+            scale: Scale::Smoke,
+            tier: Tier::Detailed,
+            suite: &suite,
+            prepared: HashMap::new(),
+            outcomes: HashMap::new(),
+            failures: HashMap::new(),
+            prep_failures: HashMap::from([(("stencil_blur", Hinting::Annotated), failure.clone())]),
+        };
+        let rc = RunConfig::default();
+        let found = ctx.suite_failure("stencil_blur", &rc).expect("the preparation failed");
+        assert!(Arc::ptr_eq(&found, &failure));
+        for cfg in [&LoopFrogConfig::baseline(), &rc.lf] {
+            let run = ctx.try_outcome("stencil_blur", &Hinting::Annotated, cfg);
+            assert!(Arc::ptr_eq(&run.expect_err("the run has no preparation"), &failure));
+        }
+        assert!(ctx.prep_failure("stencil_blur", &Hinting::Raw).is_none());
+        assert!(ctx.suite_failure("hash_lookup", &rc).is_none());
+        let failed: Vec<_> = ctx.suite_failures(&rc).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(failed, ["stencil_blur"]);
+    }
 }

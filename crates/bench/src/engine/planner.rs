@@ -57,40 +57,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// How a requested run's program is derived from the workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hinting {
     /// The raw, hint-free kernel program (e.g. the Figure 1 width sweep,
     /// which characterizes the baseline core itself).
     Raw,
-    /// The compiler pass annotates the program using the golden emulator's
-    /// profile and these selection thresholds.
-    Annotated(SelectOptions),
+    /// The compiler pass annotates the program from the golden emulator's
+    /// profile, with its default loop selection ([`SelectOptions::default`],
+    /// paper §5.1).
+    Annotated,
 }
 
 impl Hinting {
-    /// Annotation with the default selection thresholds — what every
-    /// headline experiment uses.
+    /// [`Hinting::Annotated`]: what every headline experiment uses.
     pub fn default_annotated() -> Hinting {
-        Hinting::Annotated(SelectOptions::default())
-    }
-
-    /// Stable fingerprint of the hinting mode (keys the prepared-kernel
-    /// cache and feeds request resolution).
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = lf_stats::Fingerprint::new();
-        match self {
-            Hinting::Raw => {
-                fp.str("raw");
-            }
-            Hinting::Annotated(s) => {
-                fp.str("annotated")
-                    .usize(s.max_loops)
-                    .f64(s.min_trip)
-                    .f64(s.min_body_score)
-                    .f64(s.min_coverage);
-            }
-        }
-        fp.finish()
+        Hinting::Annotated
     }
 }
 
@@ -113,10 +94,11 @@ pub struct RunRequest {
 
 /// A workload prepared for simulation: profiled, (optionally) annotated,
 /// and content-fingerprinted. Prepared once per `(kernel, hinting)` pair
-/// and shared by every request against it. Its run fingerprints come from
-/// hashes taken by [`PreparedKernel::prepare`], so `program` and
-/// `workload.mem` must not change afterwards; the engine only ever holds
-/// it behind an [`Arc`].
+/// and shared by every request against it; the standalone runner,
+/// `lf-bench perf` and `lf-bench trace` prepare their kernels here too.
+/// Its run fingerprints come from hashes taken by
+/// [`PreparedKernel::prepare`], so `program` and `workload.mem` must not
+/// change afterwards; the engine only ever holds it behind an [`Arc`].
 #[derive(Debug)]
 pub struct PreparedKernel {
     /// The source workload (name, metadata, memory image).
@@ -140,10 +122,10 @@ impl PreparedKernel {
     pub fn prepare(w: Workload, hinting: &Hinting) -> PreparedKernel {
         let (program, golden, selected_loops) = match hinting {
             Hinting::Raw => (w.program.clone(), None, 0),
-            Hinting::Annotated(select) => {
+            Hinting::Annotated => {
                 let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
                 assert!(emu.is_halted(), "{} did not halt", w.name);
-                let ann = annotate(&w.program, emu.profile(), select);
+                let ann = annotate(&w.program, emu.profile(), &SelectOptions::default());
                 let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
                 (ann.program, Some(emu.state_checksum()), selected_loops)
             }
@@ -227,13 +209,13 @@ impl<'e> Planner<'e> {
     }
 
     /// Declares the standard experiment shape: baseline + LoopFrog
-    /// simulations of every suite kernel under `rc` — the request-level
-    /// equivalent of the old `run_suite`.
+    /// simulations of every annotated suite kernel under `rc` — the
+    /// request-level equivalent of [`crate::run_suite`].
     pub fn request_suite(&mut self, rc: &RunConfig) {
+        let base = LoopFrogConfig::baseline();
         for w in self.suite {
-            let hinting = Hinting::Annotated(rc.select.clone());
-            self.request(w.name, hinting.clone(), &rc.base);
-            self.request(w.name, hinting, &rc.lf);
+            self.request(w.name, Hinting::Annotated, &base);
+            self.request(w.name, Hinting::Annotated, &rc.lf);
         }
     }
 
@@ -247,8 +229,8 @@ impl<'e> Planner<'e> {
     }
 }
 
-/// Key of the prepared-kernel map.
-pub(crate) type PrepKey = (&'static str, u64);
+/// Key of the prepared-kernel map: the kernel and how it is hinted.
+pub(crate) type PrepKey = (&'static str, Hinting);
 
 /// Result of the parallel preparation phase: the successfully prepared
 /// kernels plus one record per panicking preparation.
@@ -265,29 +247,29 @@ pub(crate) fn prepare_kernels(
     requests: &[RunRequest],
     jobs: usize,
 ) -> PreparedMap {
-    let mut distinct: Vec<(PrepKey, &Hinting)> = Vec::new();
+    let mut distinct: Vec<PrepKey> = Vec::new();
     for r in requests {
-        let key = (r.kernel, r.hinting.fingerprint());
-        if !distinct.iter().any(|(k, _)| *k == key) {
-            distinct.push((key, &r.hinting));
+        let key = (r.kernel, r.hinting);
+        if !distinct.contains(&key) {
+            distinct.push(key);
         }
     }
-    let prepared = try_parallel_map(jobs, &distinct, |((name, _), h)| {
+    let prepared = try_parallel_map(jobs, &distinct, |&(name, hinting)| {
         let w = suite
             .iter()
-            .find(|w| w.name == *name)
+            .find(|w| w.name == name)
             .unwrap_or_else(|| panic!("kernel {name} not in suite"))
             .clone();
-        Arc::new(PreparedKernel::prepare(w, h))
+        Arc::new(PreparedKernel::prepare(w, &hinting))
     });
     let mut map = HashMap::new();
     let mut failures = Vec::new();
-    for ((key, _), result) in distinct.iter().zip(prepared) {
+    for (key, result) in distinct.into_iter().zip(prepared) {
         match result {
             Ok(prep) => {
-                map.insert(*key, prep);
+                map.insert(key, prep);
             }
-            Err(panic) => failures.push((*key, panic)),
+            Err(panic) => failures.push((key, panic)),
         }
     }
     (map, failures)
@@ -315,7 +297,7 @@ pub(crate) fn dedupe(
     let mut seen: HashMap<u64, ()> = HashMap::new();
     let mut unique = Vec::new();
     for r in requests {
-        let Some(prep) = prepared.get(&(r.kernel, r.hinting.fingerprint())) else {
+        let Some(prep) = prepared.get(&(r.kernel, r.hinting)) else {
             continue;
         };
         let tier = r.tier.unwrap_or(campaign_tier);

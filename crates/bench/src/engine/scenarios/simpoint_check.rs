@@ -37,16 +37,15 @@ impl Scenario for SimpointCheck {
         let cfg = RunConfig::default();
         for w in p.kernels() {
             if KERNELS.contains(&w.name) {
-                let hinting = Hinting::Annotated(cfg.select.clone());
-                p.request(w.name, hinting.clone(), &cfg.lf);
-                p.request_tiered(w.name, hinting, &cfg.lf, Tier::SimpointCheck);
+                p.request(w.name, Hinting::Annotated, &cfg.lf);
+                p.request_tiered(w.name, Hinting::Annotated, &cfg.lf, Tier::SimpointCheck);
             }
         }
     }
 
     fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact {
         let rc = RunConfig::default();
-        let hinting = Hinting::Annotated(rc.select.clone());
+        let hinting = Hinting::Annotated;
         writeln!(out, "{}\n", self.title()).unwrap();
         writeln!(
             out,

@@ -38,16 +38,15 @@ impl Scenario for SimpointSampled {
         let cfg = RunConfig::default();
         for w in p.kernels() {
             if KERNELS.contains(&w.name) {
-                let hinting = Hinting::Annotated(cfg.select.clone());
-                p.request(w.name, hinting.clone(), &cfg.lf);
-                p.request_tiered(w.name, hinting, &cfg.lf, Tier::Sampled);
+                p.request(w.name, Hinting::Annotated, &cfg.lf);
+                p.request_tiered(w.name, Hinting::Annotated, &cfg.lf, Tier::Sampled);
             }
         }
     }
 
     fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact {
         let rc = RunConfig::default();
-        let hinting = Hinting::Annotated(rc.select.clone());
+        let hinting = Hinting::Annotated;
         writeln!(out, "{}\n", self.title()).unwrap();
         writeln!(
             out,

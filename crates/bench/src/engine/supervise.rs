@@ -8,8 +8,8 @@
 //!
 //! The supervisor owns the work queue. It derives the deterministic plan
 //! once, queues every unique run the cache does not hold yet, and writes
-//! one fingerprint per line to an idle worker's stdin. A worker
-//! re-derives the same plan from the same flags (the plan is a pure
+//! one fingerprint per line to an idle worker's stdin. A worker runs the
+//! supervisor's own arguments, so it re-derives the same plan (a pure
 //! function of scenarios × scale × tier × filter), prints `ready`, and
 //! for each fingerprint it reads simulates the run, commits the outcome
 //! through the same atomic cache-store path a single-process campaign
@@ -43,7 +43,6 @@ use crate::engine::fault::FaultStats;
 use crate::engine::planner::{execute, UniqueRun};
 use crate::engine::spans::SpanLog;
 use crate::engine::{build_plan, run_planned, signals, EngineOptions, EngineOutput, Scenario};
-use crate::runner::scale_tag;
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -115,39 +114,17 @@ pub struct SuperviseConfig {
 }
 
 impl SuperviseConfig {
-    /// `workers` processes re-deriving the plan of `names` (or every
-    /// scenario, with `all`) under `opts`, with the raw `--inject-fault`
-    /// specs passed through.
-    pub fn new(
-        workers: usize,
-        names: &[String],
-        all: bool,
-        opts: &EngineOptions,
-        fault_specs: &[String],
-    ) -> SuperviseConfig {
-        let cache = opts.disk_cache.as_ref().expect("workers commit through the run cache");
-        let mut args = vec!["worker".to_string()];
-        if all {
-            args.push("--all".into());
-        } else {
-            args.extend(names.iter().cloned());
-        }
-        let mut flag = |name: &str, value: String| args.extend([name.to_string(), value]);
-        flag("--scale", scale_tag(opts.scale).into());
-        flag("--tier", opts.tier.tag().into());
-        if let Some(f) = &opts.filter {
-            flag("--filter", f.clone());
-        }
-        flag("--cache-dir", cache.dir().display().to_string());
-        flag("-j", opts.jobs.to_string());
-        flag("--budget-cycles", opts.budget.max_cycles.unwrap_or(0).to_string());
-        if let Some(d) = opts.budget.deadline {
-            flag("--deadline-secs", d.as_secs().to_string());
-        }
-        for spec in fault_specs {
-            flag("--inject-fault", spec.clone());
-        }
-        SuperviseConfig { workers, worker_args: args }
+    /// `workers` processes running the supervisor's own arguments `args`
+    /// (after the executable) as the hidden `worker` subcommand: `worker`
+    /// leads, and the token at `command_at`, which named `run`, is dropped.
+    /// Every other argument reaches the workers as given; the ones only a
+    /// supervisor acts on (`--workers`, `--json`, `--trace-out`,
+    /// `--crash-after-ms`) mean nothing to a worker.
+    pub fn new(workers: usize, args: &[String], command_at: usize) -> SuperviseConfig {
+        let mut worker_args = args.to_vec();
+        worker_args.remove(command_at);
+        worker_args.insert(0, "worker".to_string());
+        SuperviseConfig { workers, worker_args }
     }
 }
 
@@ -472,8 +449,45 @@ pub fn worker_main(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> i32 {
 
 #[cfg(test)]
 mod tests {
-    use super::write_line;
+    use super::{write_line, SuperviseConfig};
     use std::io::Write;
+
+    /// A worker runs the supervisor's arguments with the `run` token the
+    /// parser read as the subcommand dropped and `worker` first; a `run`
+    /// that is a flag's value stays.
+    #[test]
+    fn workers_run_the_supervisors_own_arguments() {
+        let args = [
+            "--scale",
+            "eval",
+            "run",
+            "--filter",
+            "run",
+            "--all",
+            "--workers",
+            "2",
+            "--inject-fault",
+            "panic:0.1",
+        ]
+        .map(String::from);
+        let command_at = crate::engine::cli::parse(&args).command_at;
+        let sup = SuperviseConfig::new(2, &args, command_at);
+        assert_eq!(
+            sup.worker_args,
+            [
+                "worker",
+                "--scale",
+                "eval",
+                "--filter",
+                "run",
+                "--all",
+                "--workers",
+                "2",
+                "--inject-fault",
+                "panic:0.1"
+            ]
+        );
+    }
 
     /// A `Write` that records every `write` call it receives.
     #[derive(Default)]

@@ -13,7 +13,6 @@ pub mod area;
 pub mod artifact;
 pub mod durable;
 pub mod engine;
-pub mod microbench;
 pub mod perf;
 pub mod runner;
 pub mod table;

@@ -24,8 +24,8 @@
 //! they simulate the same work, so changing [`BASKET`] or the pinned
 //! configs invalidates the trajectory (bump the label if you must).
 
+use crate::engine::planner::{Hinting, PreparedKernel};
 use crate::runner::scale_tag;
-use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
 use loopfrog::{simulate, LoopFrogConfig, LoopFrogCore, ProfileReport};
@@ -130,7 +130,6 @@ impl StagePool {
 /// Runs the basket and returns the trajectory entry that was appended
 /// (or would have been, without a label or a `json_path`).
 pub fn run_perf(opts: &PerfOptions) -> Json {
-    let select = SelectOptions::default();
     let configs: [(&'static str, LoopFrogConfig); 2] =
         [("base", LoopFrogConfig::baseline()), ("lf", LoopFrogConfig::default())];
 
@@ -140,8 +139,8 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
     for name in BASKET {
         let w = lf_workloads::by_name(name, opts.scale)
             .unwrap_or_else(|| panic!("perf basket kernel {name} is not registered"));
-        let emu = w.reference_emulator().expect("basket kernel runs on the golden emulator");
-        let ann = annotate(&w.program, emu.profile(), &select);
+        let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
+        let (w, program) = (&prep.workload, &prep.program);
         for (tag, cfg) in &configs {
             let mut best_wall_s = f64::INFINITY;
             let mut cycles = 0u64;
@@ -149,7 +148,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
             for _ in 0..opts.reps.max(1) {
                 let mem = w.mem.clone();
                 let start = Instant::now();
-                let r = simulate(&ann.program, mem, cfg.clone())
+                let r = simulate(program, mem, cfg.clone())
                     .unwrap_or_else(|e| panic!("{name} ({tag}) failed: {e}"));
                 let wall = start.elapsed().as_secs_f64();
                 // The simulator is deterministic: cycle/inst counts are
@@ -158,7 +157,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
                 insts = r.stats.committed_insts;
                 best_wall_s = best_wall_s.min(wall);
             }
-            let mut core = LoopFrogCore::new(&ann.program, w.mem.clone(), cfg.clone());
+            let mut core = LoopFrogCore::new(program, w.mem.clone(), cfg.clone());
             core.enable_profiler();
             let r = core.run().unwrap_or_else(|e| panic!("{name} ({tag}, profiled) failed: {e}"));
             let report = r.profile.expect("profiler was enabled");
@@ -180,7 +179,7 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
         let mut insts = 0u64;
         for _ in 0..opts.reps.max(1) {
             let start = Instant::now();
-            let mut fast = lf_isa::FastTier::new(&ann.program, w.mem.clone());
+            let mut fast = lf_isa::FastTier::new(program, w.mem.clone());
             fast.run_to_inst_count(u64::MAX - 1)
                 .unwrap_or_else(|e| panic!("{name} (functional) faulted: {e}"));
             assert!(fast.is_halted(), "{name} did not halt on the fast tier");

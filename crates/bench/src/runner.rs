@@ -7,8 +7,8 @@
 //! values from memoized, deduplicated [`RunOutcome`]s instead of
 //! simulating inline.
 
+use crate::engine::planner::{Hinting, PreparedKernel};
 use crate::tiered::{run_fingerprint_tiered, Tier};
-use lf_compiler::{annotate, SelectOptions};
 use lf_isa::{Memory, Program};
 use lf_stats::{Histogram, Json};
 use lf_workloads::{Scale, Workload};
@@ -16,15 +16,14 @@ use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
 use loopfrog::{LoopFrogConfig, SimResult, SimStats};
 use std::sync::Arc;
 
-/// Configuration for one experiment run.
+/// Configuration for one experiment run. Every run compares against one
+/// baseline, [`LoopFrogConfig::baseline`] (the same core with hints
+/// ignored, paper §6.1), on the program annotated by the compiler's default
+/// loop selection ([`Hinting::Annotated`]).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The LoopFrog configuration under test.
     pub lf: LoopFrogConfig,
-    /// The baseline configuration (hints ignored).
-    pub base: LoopFrogConfig,
-    /// Loop-selection thresholds for the compiler pass.
-    pub select: SelectOptions,
     /// Profile-guided deselection (paper §5.1: "we use profiling
     /// information to annotate the most profitable loops ... simulating
     /// perfect static loop selection", and "unprofitable loops must be
@@ -35,12 +34,7 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> RunConfig {
-        RunConfig {
-            lf: LoopFrogConfig::default(),
-            base: LoopFrogConfig::baseline(),
-            select: SelectOptions::default(),
-            deselect_unprofitable: true,
-        }
+        RunConfig { lf: LoopFrogConfig::default(), deselect_unprofitable: true }
     }
 }
 
@@ -338,34 +332,19 @@ pub fn run_kernel_with(
     cfg: &RunConfig,
     mut hook: impl FnMut(&mut loopfrog::LoopFrogCore),
 ) -> KernelRun {
-    let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
-    assert!(emu.is_halted(), "{} did not halt", w.name);
-    let golden = emu.state_checksum();
-
-    let ann = annotate(&w.program, emu.profile(), &cfg.select);
-    let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
-
-    let mut sim = |c: &LoopFrogConfig, tag: &str| -> SimResult {
-        let mut core = loopfrog::LoopFrogCore::new(&ann.program, w.mem.clone(), c.clone());
-        hook(&mut core);
-        core.run().unwrap_or_else(|e| panic!("{} {tag} failed: {e}", w.name))
-    };
-    let base = sim(&cfg.base, "baseline");
-    let lf = sim(&cfg.lf, "loopfrog");
-
+    let prep = PreparedKernel::prepare(w.clone(), &Hinting::Annotated);
+    let golden = prep.golden.expect("annotated preparations carry a golden checksum");
     // Results move into shared outcomes, and a deselected kernel mirrors
     // the baseline by Arc, not by clone.
-    let base = Arc::new(RunOutcome::from_result(
-        run_fingerprint(&ann.program, &w.mem, &cfg.base, w.scale),
-        base,
-        &cfg.base,
-    ));
-    let lf = Arc::new(RunOutcome::from_result(
-        run_fingerprint(&ann.program, &w.mem, &cfg.lf, w.scale),
-        lf,
-        &cfg.lf,
-    ));
-    KernelRun::from_outcomes(w, selected_loops, golden, base, lf, cfg.deselect_unprofitable)
+    let mut sim = |c: &LoopFrogConfig, tag: &str| {
+        let mut core = loopfrog::LoopFrogCore::new(&prep.program, w.mem.clone(), c.clone());
+        hook(&mut core);
+        let result = core.run().unwrap_or_else(|e| panic!("{} {tag} failed: {e}", w.name));
+        Arc::new(RunOutcome::from_result(prep.request_fingerprint(c), result, c))
+    };
+    let base = sim(&LoopFrogConfig::baseline(), "baseline");
+    let lf = sim(&cfg.lf, "loopfrog");
+    KernelRun::from_outcomes(w, prep.selected_loops, golden, base, lf, cfg.deselect_unprofitable)
 }
 
 /// Runs the whole suite at `scale`.

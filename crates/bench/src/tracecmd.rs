@@ -16,8 +16,8 @@
 //! describe the same slice of the run. Tracing is core-side state: the
 //! simulated results are byte-identical with or without it.
 
+use crate::engine::planner::{Hinting, PreparedKernel};
 use crate::runner::scale_tag;
-use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
 use loopfrog::{
@@ -100,8 +100,7 @@ pub fn run_trace(opts: &TraceOptions) -> u64 {
         eprintln!("error: unknown kernel {:?} at scale {}", opts.kernel, scale_tag(opts.scale));
         std::process::exit(2);
     });
-    let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
-    let ann = annotate(&w.program, emu.profile(), &SelectOptions::default());
+    let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
     let cfg = match opts.config {
         TraceConfig::Base => LoopFrogConfig::baseline(),
         TraceConfig::Lf => LoopFrogConfig::default(),
@@ -129,7 +128,7 @@ pub fn run_trace(opts: &TraceOptions) -> u64 {
         mux.add(Box::new(Rc::clone(recorder)));
     }
 
-    let mut core = LoopFrogCore::new(&ann.program, w.mem.clone(), cfg);
+    let mut core = LoopFrogCore::new(&prep.program, prep.workload.mem.clone(), cfg);
     if !mux.is_empty() {
         core.set_tracer(Box::new(mux));
     }

@@ -4,7 +4,6 @@
 use crate::cfg::Cfg;
 use crate::loops::Loop;
 use lf_isa::{Inst, Program, NUM_ARCH_REGS};
-use std::collections::BTreeSet;
 
 /// Caller-saved registers clobbered by a call under the kernel calling
 /// convention (RISC-V-style: `ra`, `t0-t6`, `a0-a7`, `ft0-ft7`, `fa0-fa7`).
@@ -197,11 +196,6 @@ pub fn loop_lcds(_program: &Program, _cfg: &Cfg, live: &Liveness, l: &Loop) -> R
         defined = defined.union(live.def[bi]);
     }
     defined.inter(live.live_in[l.header])
-}
-
-/// Registers defined anywhere in the given block set.
-pub fn defs_in(live: &Liveness, blocks: &BTreeSet<usize>) -> RegSet {
-    blocks.iter().fold(RegSet::empty(), |acc, &b| acc.union(live.def[b]))
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use crate::cfg::Cfg;
 #[derive(Debug, Clone)]
 pub struct Dominators {
     sets: Vec<Vec<u64>>,
-    words: usize,
 }
 
 impl Dominators {
@@ -25,7 +24,7 @@ impl Dominators {
         };
         let mut sets = vec![full.clone(); n];
         if n == 0 {
-            return Dominators { sets, words };
+            return Dominators { sets };
         }
         // Every analysis root (entry and call targets) dominates only
         // itself, anchoring the fixpoint for callee subgraphs.
@@ -59,26 +58,12 @@ impl Dominators {
                 }
             }
         }
-        Dominators { sets, words }
+        Dominators { sets }
     }
 
     /// Whether block `a` dominates block `b`.
     pub fn dominates(&self, a: usize, b: usize) -> bool {
         self.sets[b][a / 64] >> (a % 64) & 1 == 1
-    }
-
-    /// The dominator set of `b` as block indices.
-    pub fn dominators_of(&self, b: usize) -> Vec<usize> {
-        let mut v = Vec::new();
-        for w in 0..self.words {
-            let mut bits = self.sets[b][w];
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                v.push(w * 64 + i);
-                bits &= bits - 1;
-            }
-        }
-        v
     }
 }
 

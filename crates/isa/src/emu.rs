@@ -259,11 +259,6 @@ impl<'p> Emulator<'p> {
         &self.mem
     }
 
-    /// Mutable access to the data memory image (for pre-run initialization).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// The current program counter.
     pub fn pc(&self) -> usize {
         self.pc

@@ -303,24 +303,6 @@ impl Inst {
         }
     }
 
-    /// Whether this instruction may redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::JumpReg { .. }
-        )
-    }
-
-    /// Whether this is a conditional branch.
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(self, Inst::Branch { .. })
-    }
-
-    /// Whether this instruction accesses data memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-
     /// Whether this is a load.
     pub fn is_load(&self) -> bool {
         matches!(self, Inst::Load { .. })

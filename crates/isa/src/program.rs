@@ -39,12 +39,6 @@ impl Program {
         &self.insts
     }
 
-    /// Mutable access to the instruction vector (used by the hint-insertion
-    /// pass to rewrite programs in place).
-    pub fn insts_mut(&mut self) -> &mut Vec<Inst> {
-        &mut self.insts
-    }
-
     /// Number of static instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -70,12 +70,6 @@ impl BranchPredictor {
         self.hist[tid]
     }
 
-    /// Restores a threadlet's history (on squash, to the value captured in
-    /// the oldest squashed instruction's [`BpLookup`]).
-    pub fn restore_history(&mut self, tid: usize, hist: History) {
-        self.hist[tid] = hist;
-    }
-
     /// Copies predictor context (history) from a parent threadlet to a
     /// freshly spawned one, and clears the child's RAS.
     pub fn clone_context(&mut self, parent: usize, child: usize) {
@@ -163,13 +157,6 @@ impl BranchPredictor {
     /// instruction.
     pub fn update_target(&mut self, pc: u64, target: usize) {
         self.btb.update(pc, target);
-    }
-
-    /// The BTB target for `pc`, if cached (used for direct-branch target
-    /// prediction before decode in a real front end; our fetch reads the
-    /// instruction directly, so this is only exercised for indirects).
-    pub fn btb_lookup(&self, pc: u64) -> Option<usize> {
-        self.btb.lookup(pc)
     }
 }
 

@@ -143,11 +143,6 @@ impl Cache {
         (self.accesses, self.misses)
     }
 
-    /// This cache's line size in bytes.
-    pub fn line_size(&self) -> usize {
-        self.cfg.line
-    }
-
     /// The valid ways, by index into the tag array.
     fn valid_lines(&self) -> Vec<(u32, Line)> {
         let index = |i: usize| u32::try_from(i).expect("a cache has under 2^32 ways");
@@ -290,11 +285,6 @@ impl MemHierarchy {
             }
         }
         c
-    }
-
-    /// The L1D line size in bytes.
-    pub fn l1d_line(&self) -> usize {
-        self.cfg.l1d.line
     }
 
     /// L1I/L1D/L2 (accesses, misses).

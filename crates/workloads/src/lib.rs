@@ -138,16 +138,6 @@ pub fn all(scale: Scale) -> Vec<Workload> {
     kernels::all(scale)
 }
 
-/// Builds the SPEC CPU 2017 analog subset.
-pub fn suite17(scale: Scale) -> Vec<Workload> {
-    all(scale).into_iter().filter(|w| w.suite == Suite::Cpu2017).collect()
-}
-
-/// Builds the SPEC CPU 2006 analog subset.
-pub fn suite06(scale: Scale) -> Vec<Workload> {
-    all(scale).into_iter().filter(|w| w.suite == Suite::Cpu2006).collect()
-}
-
 /// Builds a single kernel by name.
 pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
     all(scale).into_iter().find(|w| w.name == name)

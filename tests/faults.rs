@@ -11,7 +11,7 @@ use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, EngineOutput, Scenario};
 use lf_bench::{RunArtifact, RunConfig, Tier};
 use lf_workloads::Scale;
-use loopfrog::FlightRecorder;
+use loopfrog::{FlightRecorder, LoopFrogConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -61,12 +61,12 @@ impl Scenario for TieredRuns {
     fn plan(&self, p: &mut Planner<'_>) {
         let rc = RunConfig::default();
         for w in p.kernels() {
-            p.request_tiered(w.name, Hinting::Annotated(rc.select.clone()), &rc.lf, self.0);
+            p.request_tiered(w.name, Hinting::Annotated, &rc.lf, self.0);
         }
     }
     fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact {
         let rc = RunConfig::default();
-        let hinting = Hinting::Annotated(rc.select.clone());
+        let hinting = Hinting::Annotated;
         for w in ctx.kernels() {
             if let Err(f) = ctx.try_outcome_tiered(w.name, &hinting, &rc.lf, self.0) {
                 out.push_str(&format!("FAILED {}: {}\n", w.name, f.error.message()));
@@ -107,7 +107,7 @@ fn counting_hook(opts: &mut EngineOptions) -> Arc<AtomicUsize> {
 fn assert_windows_are_replays(output: &EngineOutput, tier: Tier) {
     let rc = RunConfig::default();
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
-    let prep = PreparedKernel::prepare(w, &Hinting::Annotated(rc.select.clone()));
+    let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
     let program = hang_program();
     assert!(!output.failures.is_empty());
     for f in &output.failures {
@@ -115,7 +115,7 @@ fn assert_windows_are_replays(output: &EngineOutput, tier: Tier) {
             panic!("not a budget failure: {}", f.error.message());
         };
         assert!(!flight_recorder.is_empty(), "budget failure without a window");
-        let mut cfg = [&rc.base, &rc.lf]
+        let mut cfg = [&LoopFrogConfig::baseline(), &rc.lf]
             .into_iter()
             .find(|c| prep.request_fingerprint_tiered(c, tier) == f.fingerprint)
             .expect("the failure is one of the suite's two runs")

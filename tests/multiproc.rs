@@ -16,7 +16,8 @@
 //!    taking the campaign down;
 //! 4. nothing leaks: zero worker processes, zero commit temp files, and
 //!    no `leases/` or `poison/` directory in the cache after any outcome —
-//!    including a SIGTERM drain of the whole supervisor.
+//!    including a SIGTERM drain of the whole supervisor;
+//! 5. workers run the supervisor's own `run` flags.
 
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
@@ -251,6 +252,33 @@ fn two_workers_render_sampled_campaigns_byte_identically() {
         count(&final_pass, "unique_runs"),
         "every unique run comes from the worker-filled cache: {final_pass:?}"
     );
+}
+
+/// Workers run under the supervisor's own flags: with every run hung and
+/// a 20,000-cycle budget, each worker's run stops at that budget, and the
+/// final pass records the single-process campaign's failures.
+#[test]
+fn run_flags_reach_the_workers() {
+    let flags = ["--inject-fault", "hang:1.0", "--budget-cycles", "20000"];
+    let ref_dir = scratch_dir("flags-ref");
+    let reference = run(&mut campaign(&ref_dir, &flags));
+    assert!(reference.status.success(), "{}", stderr_of(&reference));
+
+    let dir = scratch_dir("flags-two");
+    let sharded = run(&mut campaign(&dir, &[&flags[..], &["--workers", "2"]].concat()));
+    assert!(sharded.status.success(), "{}", stderr_of(&sharded));
+    let err = stderr_of(&sharded);
+    let local: Vec<&str> = err
+        .lines()
+        .filter(|l| l.starts_with("worker: run ") && l.contains("failed locally"))
+        .collect();
+    assert!(!local.is_empty(), "the hung runs fail inside the workers:\n{err}");
+    for line in &local {
+        assert!(line.contains("budget 20000"), "a worker ran without the budget flag: {line}");
+    }
+    let failures = |dir: &Path| std::fs::read_to_string(dir.join("results/failures.json")).unwrap();
+    assert_eq!(failures(&dir), failures(&ref_dir), "sharded failures.json differs");
+    assert_no_debris(&dir, "flags");
 }
 
 /// A crash storm: every run aborts its worker. The supervisor

