@@ -244,7 +244,7 @@ pub(super) fn parse(args: &[String]) -> Cli {
                 // The directory operand is optional: `--json` alone means
                 // the default results/ tree.
                 match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") && !is_scenario_like(v) => {
+                    Some(v) if !v.starts_with("--") && !is_command_or_scenario(v) => {
                         i += 1;
                         cli.json_dir = Some(PathBuf::from(v.clone()));
                     }
@@ -372,10 +372,13 @@ pub(super) fn parse(args: &[String]) -> Cli {
     cli
 }
 
-/// Whether `v` names a registered scenario (disambiguates the optional
-/// `--json [DIR]` operand from a following positional scenario name).
-fn is_scenario_like(v: &str) -> bool {
-    registry().iter().any(|s| s.name() == v)
+/// Whether `v` names a subcommand or a registered scenario (disambiguates
+/// the optional `--json [DIR]` operand from a following subcommand or
+/// positional scenario name). `worker` counts: a supervisor runs its own
+/// arguments with `run` replaced by it.
+fn is_command_or_scenario(v: &str) -> bool {
+    matches!(v, "list" | "run" | "worker" | "perf" | "trace")
+        || registry().iter().any(|s| s.name() == v)
 }
 
 fn engine_options(cli: &Cli) -> EngineOptions {
@@ -582,7 +585,7 @@ fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
 fn print_telemetry(output: &EngineOutput) {
     let r = &output.report;
     eprintln!(
-        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated, {} served from SSB footprints; {} ms on {} jobs",
+        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated, {} served from footprints; {} ms on {} jobs",
         r.requests,
         r.unique,
         r.requests - r.unique,
@@ -650,4 +653,36 @@ fn write_artifacts(output: &EngineOutput, dir: &Path) -> Result<(), String> {
 
 fn write_json(doc: &Json, path: &Path) -> std::io::Result<()> {
     crate::durable::atomic_write_json(doc, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Cli {
+        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// `--json` before the subcommand leaves the subcommand alone: its
+    /// directory operand is optional, and a subcommand or scenario name
+    /// never fills it.
+    #[test]
+    fn json_before_the_subcommand_keeps_the_subcommand() {
+        for (line, dir, command) in [
+            ("--json run fig6_speedups", "results", "run"),
+            ("--json worker fig6_speedups", "results", "worker"),
+            ("--json out run fig6_speedups", "out", "run"),
+            ("run --json fig6_speedups", "results", "run"),
+        ] {
+            let cli = parse_line(line);
+            assert_eq!(cli.json_dir, Some(PathBuf::from(dir)), "{line}");
+            let names = match &cli.command {
+                Command::Run { names, all: false } if command == "run" => names,
+                Command::Worker { names, all: false } if command == "worker" => names,
+                _ => panic!("{line}: not a `{command}` of named scenarios"),
+            };
+            assert_eq!(names, &["fig6_speedups"], "{line}");
+        }
+        assert!(matches!(parse_line("--json list").command, Command::List));
+    }
 }

@@ -14,7 +14,7 @@
 //! ```text
 //! plan (all scenarios) → prepare kernels → fingerprint + dedupe
 //!   → load disk cache → simulate + store each miss, serving the
-//!     geometry siblings a footprint fits (parallel) → render (serial)
+//!     decision siblings a footprint fits (parallel) → render (serial)
 //! ```
 //!
 //! Campaigns are fault-tolerant end to end: a panicking worker, a
@@ -86,8 +86,8 @@ pub struct EngineOptions {
     /// (`--no-cache`).
     pub disk_cache: Option<DiskCache>,
     /// Test hook: fires once per *simulated* run, with the kernel name —
-    /// not for a run served from the disk cache or from a geometry
-    /// sibling's SSB footprint, nor for the re-simulation that checks a
+    /// not for a run served from the disk cache or from a decision
+    /// sibling's footprint, nor for the re-simulation that checks a
     /// served run in verify builds. Used to assert each unique fingerprint
     /// simulates at most once.
     pub sim_hook: Option<Arc<dyn Fn(&'static str) + Send + Sync>>,
@@ -332,7 +332,7 @@ pub struct PlannerReport {
     pub disk_hits: usize,
     /// Runs actually simulated in this process.
     pub simulated: usize,
-    /// Runs committed from a geometry sibling's outcome because its SSB
+    /// Runs committed from a decision sibling's outcome because its
     /// footprint fits them (DESIGN.md §8.4), without being simulated.
     pub served: usize,
     /// Distinct `(kernel, hinting)` preparations (profile + annotate).

@@ -18,13 +18,14 @@
 //! with the config fingerprint, scale tag, and tier.
 //!
 //! Runs that differ only in the SSB's size, associativity and victim
-//! buffer form a *geometry family*, and execution is one pass over pool
-//! items of families (`items`). A family simulates its most capacious
-//! member with its SSB footprint recorded (a sampled run's is its
-//! windows' footprints appended), commits that outcome under the
-//! fingerprint of every sibling the footprint fits
-//! ([`loopfrog::SsbFootprint::fits`]), which would have run identically,
-//! then simulates the other siblings (DESIGN.md §8.4).
+//! buffer, its conflict sets' Bloom filters and dynamic deselection form a
+//! *decision family*, and execution is one pass over pool items of
+//! families (`items`). A family simulates one member, exact-set and
+//! deselection-off if it has one, with its footprint recorded (a sampled
+//! run's is its windows' footprints appended), commits that outcome under
+//! the fingerprint of every sibling the footprint fits
+//! ([`loopfrog::Footprint::fits`]), which would have run identically, then
+//! simulates the other siblings (DESIGN.md §8.4).
 //!
 //! The sampled families of one prepared kernel share one pool item and one
 //! [`SampledKernel`]: the item builds the kernel's sampling plan once,
@@ -48,7 +49,7 @@ use lf_compiler::{annotate, SelectOptions};
 use lf_isa::checksum::fnv1a;
 use lf_isa::{Memory, Program};
 use lf_workloads::Workload;
-use loopfrog::{FlightRecorder, LoopFrogConfig, LoopFrogCore, SimStop, SsbFootprint};
+use loopfrog::{DeselectConfig, FlightRecorder, Footprint, LoopFrogConfig, LoopFrogCore, SimStop};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,14 +159,17 @@ impl PreparedKernel {
         )
     }
 
-    /// The geometry family of simulating this prepared kernel under `cfg`
-    /// on `tier`: the run fingerprint with the SSB's size, associativity
-    /// and victim buffer set to fixed values.
-    fn geometry_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
+    /// The decision family of simulating this prepared kernel under `cfg`
+    /// on `tier`: the run fingerprint with the SSB's size, associativity,
+    /// victim buffer and Bloom filters and the whole deselection config set
+    /// to fixed values.
+    fn decision_family(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
         let mut shape = cfg.clone();
         shape.ssb.size_bytes = 0;
         shape.ssb.assoc = None;
         shape.ssb.victim_entries = 0;
+        shape.ssb.bloom = None;
+        shape.deselect = DeselectConfig::default();
         self.request_fingerprint_tiered(&shape, tier)
     }
 }
@@ -315,17 +319,19 @@ pub(crate) fn dedupe(
     unique
 }
 
-/// A geometry family: the index of its representative and the indices of
+/// A decision family: the index of its representative and the indices of
 /// its siblings, into the executed runs.
 type Family = (usize, Vec<usize>);
 
-/// Splits `runs` into pool items, each a list of geometry families.
+/// Splits `runs` into pool items, each a list of decision families.
 ///
-/// A family is the runs with one [`PreparedKernel::geometry_family`] key,
+/// A family is the runs with one [`PreparedKernel::decision_family`] key,
 /// a pure function of each run, so the same runs always form the same
-/// families. Its representative is the member with the most lines per
-/// slice, then fully associative, then the most victim entries, the first
-/// seen on a tie — the geometry least likely to spill. The sampled
+/// families. Its representative is a member that decides nothing its
+/// siblings' filters or deselection could decide otherwise, exact sets and
+/// deselection off, if there is one; then the member with the most lines
+/// per slice, then fully associative, then the most victim entries, the
+/// first seen on a tie — the geometry least likely to spill. The sampled
 /// families of one prepared kernel share one item, so the item builds the
 /// kernel's sampling plan once. Every other family is an item of its own:
 /// a kernel's detailed runs vary too much in cost to balance the pool as
@@ -336,23 +342,25 @@ fn items(runs: &[&UniqueRun]) -> Vec<Vec<Family>> {
     let mut by_key: HashMap<u64, usize> = HashMap::new();
     for (i, run) in runs.iter().enumerate() {
         let family = *by_key
-            .entry(run.prepared.geometry_family(&run.config, run.tier))
+            .entry(run.prepared.decision_family(&run.config, run.tier))
             .or_insert(members.len());
         if family == members.len() {
             members.push(Vec::new());
         }
         members[family].push(i);
     }
-    let capacity = |i: usize| {
+    let rank = |i: usize| {
         let cfg = &runs[i].config;
         let ssb = &cfg.ssb;
-        (ssb.lines_per_slice(cfg.core.threadlets), ssb.assoc.is_none(), ssb.victim_entries)
+        let decides_nothing = ssb.bloom.is_none() && !cfg.deselect.enabled;
+        let capacity = ssb.lines_per_slice(cfg.core.threadlets);
+        (decides_nothing, capacity, ssb.assoc.is_none(), ssb.victim_entries)
     };
     let mut families: Vec<Family> = members
         .into_iter()
         .map(|mut family| {
             let rep = (1..family.len()).fold(0, |best, j| {
-                if capacity(family[j]) > capacity(family[best]) {
+                if rank(family[j]) > rank(family[best]) {
                     j
                 } else {
                     best
@@ -383,16 +391,16 @@ fn items(runs: &[&UniqueRun]) -> Vec<Vec<Family>> {
 }
 
 /// Simulates one run on its tier under the campaign budget and fault plan,
-/// with its SSB footprint recorded when `record` is set. A sampled run
-/// measures its windows through `sampled`, its prepared kernel's shared
-/// plan and warm states, building what is missing first.
+/// with its footprint for `siblings` recorded unless there are none. A
+/// sampled run measures its windows through `sampled`, its prepared
+/// kernel's shared plan and warm states, building what is missing first.
 fn execute_one(
     run: &UniqueRun,
     budget: &RunBudget,
     faults: &FaultPlan,
-    record: bool,
+    siblings: &[&LoopFrogConfig],
     sampled: &mut SampledKernel,
-) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
+) -> Result<(RunOutcome, Option<Footprint>), RunError> {
     if faults.should_crash(run.fingerprint) {
         // `abort()` raises SIGABRT with no unwinding and no destructors —
         // for everything on disk it is indistinguishable from `kill -9`,
@@ -411,7 +419,7 @@ fn execute_one(
     // detailed core, whatever the run's tier, so the budget stops it and
     // the watchdog path is exercised end to end. It records no footprint.
     if faults.should_hang(run.fingerprint) {
-        return simulate_detailed(run, &hang_program(), &Memory::new(64), budget, false);
+        return simulate_detailed(run, &hang_program(), &Memory::new(64), budget, &[]);
     }
 
     // The sampled tiers run outside the cycle-budget watchdog: they exist
@@ -420,9 +428,9 @@ fn execute_one(
     let (program, mem) = (&run.prepared.program, &run.prepared.workload.mem);
     let sim = |message| RunError::Sim { message };
     match run.tier {
-        Tier::Detailed => simulate_detailed(run, program, mem, budget, record),
+        Tier::Detailed => simulate_detailed(run, program, mem, budget, siblings),
         Tier::Sampled => {
-            sampled.run(run.fingerprint, program, mem, &run.config, record).map_err(sim)
+            sampled.run(run.fingerprint, program, mem, &run.config, siblings).map_err(sim)
         }
         Tier::SimpointCheck => {
             let outcome =
@@ -433,16 +441,16 @@ fn execute_one(
 }
 
 /// Simulates `program` from `mem` on the detailed core under `run`'s
-/// config, clamped by `budget`, with its SSB footprint recorded when
-/// `record` is set. A run the budget stops fails with the flight-recorder
-/// window of a replay.
+/// config, clamped by `budget`, with its footprint for `siblings` recorded
+/// unless there are none. A run the budget stops fails with the
+/// flight-recorder window of a replay.
 fn simulate_detailed(
     run: &UniqueRun,
     program: &Program,
     mem: &Memory,
     budget: &RunBudget,
-    record: bool,
-) -> Result<(RunOutcome, Option<SsbFootprint>), RunError> {
+    siblings: &[&LoopFrogConfig],
+) -> Result<(RunOutcome, Option<Footprint>), RunError> {
     // The budget clamps a *clone* of the config: the fingerprint (and the
     // cache key) stay functions of the requested configuration, and the
     // clamp only ever binds below the config's own `max_cycles`.
@@ -455,8 +463,8 @@ fn simulate_detailed(
     if let Some(d) = budget.deadline {
         core.set_deadline(std::time::Instant::now() + d);
     }
-    if record {
-        core.record_ssb_footprint();
+    if !siblings.is_empty() {
+        core.record_footprint(siblings);
     }
 
     let mut result = core.run().map_err(|e| RunError::Sim { message: e.to_string() })?;
@@ -490,7 +498,7 @@ fn simulate_detailed(
             flight_recorder: render_flight_recorder(&window),
         });
     }
-    let footprint = result.ssb_footprint.take();
+    let footprint = result.footprint.take();
     Ok((RunOutcome::from_result(run.fingerprint, result, &run.config), footprint))
 }
 
@@ -498,7 +506,7 @@ fn simulate_detailed(
 pub(crate) struct Executed {
     /// Per-run results, in input order.
     pub results: Vec<Result<Arc<RunOutcome>, RunError>>,
-    /// Runs committed from a geometry sibling's outcome rather than
+    /// Runs committed from a decision sibling's outcome rather than
     /// simulated.
     pub served: usize,
     /// The plans, warm states and windows the sampled runs built and
@@ -603,9 +611,9 @@ fn run_item(
 }
 
 /// One run, in its own `run` span: simulates `runs[i]` (through `sampled`
-/// when sampled), armed to record its SSB footprint when it has siblings,
-/// commits it, then serves each sibling the footprint fits and the fault
-/// plan leaves alone, adding their results and the store counters to
+/// when sampled), armed to record its footprint for the siblings the fault
+/// plan leaves alone when it has any, commits it, then serves each of them
+/// the footprint fits, adding their results and the store counters to
 /// `done`. A served run the verify-build check failed counts as
 /// simulated, not served: that check simulated it. The footprint dies
 /// with the run.
@@ -623,8 +631,17 @@ fn simulate_and_serve(
     if let Some(h) = &opts.sim_hook {
         h(run.kernel);
     }
-    let record = !siblings.is_empty();
-    let (outcome, footprint) = execute_one(run, &opts.budget, &opts.faults, record, sampled)?;
+    let faults = &opts.faults;
+    let servable: Vec<usize> = siblings
+        .iter()
+        .copied()
+        .filter(|&s| {
+            let fp = runs[s].fingerprint;
+            !(faults.should_crash(fp) || faults.should_panic(fp) || faults.should_hang(fp))
+        })
+        .collect();
+    let configs: Vec<&LoopFrogConfig> = servable.iter().map(|&s| &runs[s].config).collect();
+    let (outcome, footprint) = execute_one(run, &opts.budget, faults, &configs, sampled)?;
     let mut commit = |outcome: RunOutcome| {
         if let Some(cache) = &opts.disk_cache {
             let (retries, failed) = store_outcome(cache, &outcome, &opts.faults);
@@ -634,15 +651,10 @@ fn simulate_and_serve(
         Arc::new(outcome)
     };
     let outcome = commit(outcome);
-    let faults = &opts.faults;
-    let served: Vec<_> = siblings
-        .iter()
-        .filter(|&&s| {
-            let (sibling, fp) = (&runs[s].config, runs[s].fingerprint);
-            footprint.as_ref().is_some_and(|f| f.fits(&sibling.ssb, sibling.core.threadlets))
-                && !(faults.should_crash(fp) || faults.should_panic(fp) || faults.should_hang(fp))
-        })
-        .map(|&s| (s, serve(run, &outcome, runs[s], opts).map(&mut commit)))
+    let served: Vec<_> = servable
+        .into_iter()
+        .filter(|&s| footprint.as_ref().is_some_and(|f| f.fits(&runs[s].config)))
+        .map(|s| (s, serve(run, &outcome, runs[s], opts).map(&mut commit)))
         .collect();
     done.served += served.iter().filter(|(_, result)| result.is_ok()).count();
     done.results.extend(served);
@@ -650,7 +662,7 @@ fn simulate_and_serve(
 }
 
 /// `outcome`, the simulated outcome of `rep`, under the fingerprint of its
-/// geometry sibling `sibling`. Verify builds also simulate the sibling,
+/// decision sibling `sibling`. Verify builds also simulate the sibling,
 /// from a sampling plan and warm states of its own when sampled, and fail
 /// it, naming both runs, unless the two outcomes match.
 fn serve(
@@ -664,7 +676,7 @@ fn serve(
         // A wall-clock deadline is no part of a run's outcome.
         let budget = RunBudget { deadline: None, ..opts.budget.clone() };
         let simulated =
-            execute_one(sibling, &budget, &opts.faults, false, &mut SampledKernel::default());
+            execute_one(sibling, &budget, &opts.faults, &[], &mut SampledKernel::default());
         let same = simulated
             .as_ref()
             .is_ok_and(|(o, _)| o.checksum == served.checksum && o.record == served.record);

@@ -44,8 +44,9 @@
 //! is dropped when the item ends (`engine::planner`). A campaign stores
 //! nothing but each run's outcome, so a sampled outcome is a pure function
 //! of (program, memory, config).
-//! [`run_sampled`] can also record each window's SSB footprint and append
-//! them, so one estimate serves the SSB geometries every window fits.
+//! [`run_sampled`] can also record each window's footprint and append
+//! them, so one estimate serves the SSB geometries, Bloom filters and
+//! deselection configs every window fits.
 //! [`CheckpointStore`] and [`SampledPlan::to_bytes`] persist plans for
 //! `perfbench/harness`'s plan store and lookup probes only; no campaign
 //! calls them.
@@ -58,7 +59,7 @@ use lf_stats::simpoint::{pick_simpoints, weighted_cycles, BbvCollector, SimPoint
 use lf_stats::{fingerprint_hex, Fingerprint, Json};
 use lf_uarch::MemConfig;
 use lf_workloads::Scale;
-use loopfrog::{LoopFrogConfig, LoopFrogCore, SsbFootprint, WarmState};
+use loopfrog::{Footprint, LoopFrogConfig, LoopFrogCore, WarmState};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -483,13 +484,15 @@ pub struct SampledMeasurement {
     /// Per-window measurements.
     pub windows: Vec<Window>,
     /// The last window's full simulation result: the facts an estimate's
-    /// [`RunRecord`] carries.
+    /// [`RunRecord`] carries. Its final state is not hashed (its `checksum`
+    /// is 0): the estimate carries the plan's functional checksum.
     pub carrier: loopfrog::SimResult,
-    /// The windows' SSB footprints, appended in window order: `None` unless
+    /// The windows' footprints, appended in window order: `None` unless
     /// recorded, or if any window's slices spilled. Each window restores a
-    /// core with empty slices, so another SSB geometry measures every
-    /// window identically exactly when this footprint fits it.
-    pub footprint: Option<SsbFootprint>,
+    /// core with empty slices and conflict sets and a fresh deselection
+    /// monitor, so a sibling config measures every window identically
+    /// exactly when this footprint fits it.
+    pub footprint: Option<Footprint>,
 }
 
 /// The warm state of each of `plan`'s picks under `mem`, in pick order.
@@ -509,18 +512,18 @@ pub fn sample_windows(
     plan: &SampledPlan,
     cfg: &LoopFrogConfig,
 ) -> Result<SampledMeasurement, String> {
-    measure_windows(program, plan, &warm_states(plan, &cfg.mem), cfg, false)
+    measure_windows(program, plan, &warm_states(plan, &cfg.mem), cfg, &[])
 }
 
 /// [`sample_windows`] from `warm`, the picks' [`warm_states`] under
-/// `cfg.mem`, with every window's SSB footprint recorded into
-/// [`SampledMeasurement::footprint`] when `record` is set.
+/// `cfg.mem`, with every window's footprint for `siblings` recorded into
+/// [`SampledMeasurement::footprint`] unless there are none.
 fn measure_windows(
     program: &Program,
     plan: &SampledPlan,
     warm: &[WarmState],
     cfg: &LoopFrogConfig,
-    record: bool,
+    siblings: &[&LoopFrogConfig],
 ) -> Result<SampledMeasurement, String> {
     if plan.picks.is_empty() {
         return Err("sampling plan has no picks".to_string());
@@ -528,7 +531,8 @@ fn measure_windows(
     assert_eq!(warm.len(), plan.picks.len(), "one warm state per pick");
     let mut windows = Vec::with_capacity(plan.picks.len());
     let mut samples = Vec::with_capacity(plan.picks.len());
-    let (mut footprint, mut spilled) = (None::<SsbFootprint>, false);
+    let record = !siblings.is_empty();
+    let (mut footprint, mut spilled) = (None::<Footprint>, false);
     let mut detailed_total = 0u64;
     let mut carrier = None;
     for ((sp, ckpt), state) in plan.picks.iter().zip(warm) {
@@ -539,7 +543,7 @@ fn measure_windows(
         let measure = plan.interval_len / MEASURE_DIVISOR;
         let mut core = LoopFrogCore::from_warm(program, ckpt, state, cfg.clone());
         if record {
-            core.record_ssb_footprint();
+            core.record_footprint(siblings);
         }
         core.run_until_committed(warm_up)
             .map_err(|e| format!("window {} warm-up failed: {e}", sp.interval))?;
@@ -557,9 +561,9 @@ fn measure_windows(
         detailed_total += c1;
         windows.push(Window { point: *sp, cycles: c1 - c0, insts: i1 - i0, detailed_cycles: c1 });
         samples.push((*sp, c1 - c0, i1 - i0));
-        let mut result = core.into_result(stop);
+        let mut result = core.into_result_without_checksum(stop);
         if record {
-            match (result.ssb_footprint.take(), &mut footprint) {
+            match (result.footprint.take(), &mut footprint) {
                 (None, _) => spilled = true,
                 (Some(window), Some(run)) => run.append(window),
                 (Some(window), None) => footprint = Some(window),
@@ -583,12 +587,12 @@ fn tier_json(tier: Tier) -> Json {
 }
 
 /// Runs the §6.1 methodology check on one kernel: basic-block vectors
-/// from the golden emulator over [`CHECK_INTERVALS`] intervals, with an
-/// architectural snapshot at every interval boundary; SimPoint picks; and
-/// per pick a detailed core started from the snapshot three intervals
-/// earlier (the paper warms up 50M instructions before each 250M-instruction
-/// SimPoint), which measures the picked interval. The weighted estimate
-/// stands in for the whole run.
+/// from the golden emulator over 16 intervals, with an architectural
+/// snapshot at every interval boundary; SimPoint picks; and per pick a
+/// detailed core started from the snapshot three intervals earlier (the
+/// paper warms up 50M instructions before each 250M-instruction SimPoint),
+/// which measures the picked interval. The weighted estimate stands in for
+/// the whole run.
 ///
 /// The outcome carries the estimate in `tier.{total_insts, simpoints,
 /// est_cycles}`, the last interval's simulation as its carrier, and the
@@ -654,7 +658,7 @@ pub fn run_simpoint_check(
             .map_err(|err| format!("interval {} failed: {err}", p.interval))?;
         let (c1, i1) = (core.cycle(), core.committed_insts());
         samples.push((*p, c1 - c0, (i1 - i0).max(1)));
-        carrier = Some(core.into_result(stop));
+        carrier = Some(core.into_result_without_checksum(stop));
     }
     let carrier = carrier.ok_or("SimPoint picked no interval")?;
 
@@ -669,8 +673,8 @@ pub fn run_simpoint_check(
 
 /// Runs one kernel on the sampled tier: measures the windows of `plan`,
 /// the kernel's sampling plan ([`build_plan`]), from `warm`, its picks'
-/// [`warm_states`] under `cfg.mem`, and reconstructs the whole run. With
-/// `record` set it also returns the windows' SSB footprint
+/// [`warm_states`] under `cfg.mem`, and reconstructs the whole run. Unless
+/// `siblings` is empty it also returns the windows' footprint for them
 /// ([`SampledMeasurement::footprint`]).
 ///
 /// The returned outcome's `stats.cycles` is the weighted estimate and
@@ -689,9 +693,9 @@ pub fn run_sampled(
     plan: &SampledPlan,
     warm: &[WarmState],
     cfg: &LoopFrogConfig,
-    record: bool,
-) -> Result<(RunOutcome, Option<SsbFootprint>), String> {
-    let m = measure_windows(program, plan, warm, cfg, record)?;
+    siblings: &[&LoopFrogConfig],
+) -> Result<(RunOutcome, Option<Footprint>), String> {
+    let m = measure_windows(program, plan, warm, cfg, siblings)?;
     let mut t = tier_json(Tier::Sampled);
     t.set("total_insts", plan.total_insts);
     t.set("interval_len", plan.interval_len);
@@ -747,8 +751,9 @@ pub struct SampledKernel {
 
 impl SampledKernel {
     /// Runs the kernel, `program` from `mem`, on the sampled tier under
-    /// `cfg` ([`run_sampled`]), building the plan and the warm states
-    /// under `cfg.mem` first if no earlier run did.
+    /// `cfg` ([`run_sampled`], with the windows' footprint for `siblings`),
+    /// building the plan and the warm states under `cfg.mem` first if no
+    /// earlier run did.
     ///
     /// # Errors
     ///
@@ -760,8 +765,8 @@ impl SampledKernel {
         program: &Program,
         mem: &Memory,
         cfg: &LoopFrogConfig,
-        record: bool,
-    ) -> Result<(RunOutcome, Option<SsbFootprint>), String> {
+        siblings: &[&LoopFrogConfig],
+    ) -> Result<(RunOutcome, Option<Footprint>), String> {
         let plan = match &mut self.plan {
             Some(plan) => plan,
             slot => {
@@ -779,7 +784,7 @@ impl SampledKernel {
                 &self.warm[self.warm.len() - 1].1
             }
         };
-        let result = run_sampled(fingerprint, program, plan, warm, cfg, record)?;
+        let result = run_sampled(fingerprint, program, plan, warm, cfg, siblings)?;
         self.work.windows += plan.picks.len();
         Ok(result)
     }
@@ -924,7 +929,7 @@ mod tests {
     fn sampled_run_estimates_within_smoke_tolerance() {
         let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
-        let (out, _) = SampledKernel::default().run(9, &w.program, &w.mem, &cfg, false).unwrap();
+        let (out, _) = SampledKernel::default().run(9, &w.program, &w.mem, &cfg, &[]).unwrap();
         let mut core = LoopFrogCore::new(&w.program, w.mem.clone(), cfg.clone());
         let full = core.run().unwrap();
         assert_eq!(out.checksum, full.checksum, "golden-state gate applies to sampled runs");
@@ -943,8 +948,7 @@ mod tests {
         let w = lf_workloads::by_name("event_queue", Scale::Smoke).unwrap();
         let cfg = LoopFrogConfig::default();
         let run = || {
-            let (out, _) =
-                SampledKernel::default().run(3, &w.program, &w.mem, &cfg, false).unwrap();
+            let (out, _) = SampledKernel::default().run(3, &w.program, &w.mem, &cfg, &[]).unwrap();
             (out.stats, out.checksum, out.record)
         };
         assert_eq!(run(), run());

@@ -11,6 +11,11 @@
 //! is `k` hash functions over a `m`-bit array; membership tests may
 //! false-positive but never false-negative, so conflict detection stays
 //! conservative (extra squashes, never missed violations).
+//!
+//! A `BloomShadow` follows a run on exact sets and reports whether filters
+//! of its geometry would have answered every test alike (DESIGN.md §8.4).
+
+use crate::conflict::ConflictDetector;
 
 /// A fixed-size Bloom filter over granule addresses.
 #[derive(Debug, Clone)]
@@ -109,7 +114,7 @@ pub struct BloomConflictDetector {
     false_positives: u64,
     /// Filter membership tests on the Algorithm 1 hot path.
     probes: u64,
-    exact: crate::conflict::ConflictDetector,
+    exact: ConflictDetector,
 }
 
 impl BloomConflictDetector {
@@ -120,7 +125,7 @@ impl BloomConflictDetector {
             wr: (0..contexts).map(|_| BloomFilter::new(bits, hashes)).collect(),
             false_positives: 0,
             probes: 0,
-            exact: crate::conflict::ConflictDetector::new(contexts),
+            exact: ConflictDetector::new(contexts),
         }
     }
 
@@ -198,9 +203,134 @@ impl BloomConflictDetector {
     }
 }
 
+/// The filters of one Bloom geometry following a run on exact sets
+/// without steering it (DESIGN.md §8.4).
+///
+/// A shadow makes every membership test [`BloomConflictDetector`] would
+/// make on the exact detector's operations, asks the exact sets the same
+/// question, and *diverges* at the first answer that differs: `on_read`'s
+/// write-set mask, `on_write`'s read test and frontier prune, and the
+/// coherence interface's set queries. Until then its filters hold what the
+/// real detector's would, so a run with filters of this geometry would have
+/// taken every step the exact run took: the same verdicts, the same probe
+/// count, and no false-positive squash. A diverged shadow stops.
+#[derive(Debug, Clone)]
+pub(crate) struct BloomShadow {
+    geometry: (usize, u32),
+    rd: Vec<BloomFilter>,
+    wr: Vec<BloomFilter>,
+    /// `on_write`'s forwarding frontier, kept to reuse its allocation.
+    fwd: Vec<u64>,
+    diverged: bool,
+}
+
+impl BloomShadow {
+    /// A shadow with `contexts` slots of `(bits, hashes)` filters.
+    pub(crate) fn new(contexts: usize, geometry: (usize, u32)) -> BloomShadow {
+        let (bits, hashes) = geometry;
+        BloomShadow {
+            geometry,
+            rd: (0..contexts).map(|_| BloomFilter::new(bits, hashes)).collect(),
+            wr: (0..contexts).map(|_| BloomFilter::new(bits, hashes)).collect(),
+            fwd: Vec::new(),
+            diverged: false,
+        }
+    }
+
+    /// The filters' `(bits, hashes)`.
+    pub(crate) fn geometry(&self) -> (usize, u32) {
+        self.geometry
+    }
+
+    /// Whether some filter answer differed from the exact sets' answer.
+    pub(crate) fn diverged(&self) -> bool {
+        self.diverged
+    }
+
+    /// Whether the filters' answer `filter` is the exact sets' `exact`;
+    /// the shadow diverges if it is not.
+    fn agrees(&mut self, filter: bool, exact: bool) -> bool {
+        self.diverged |= filter != exact;
+        !self.diverged
+    }
+
+    /// Clears a slot, as [`BloomConflictDetector::clear`] does.
+    pub(crate) fn clear(&mut self, slot: usize) {
+        self.rd[slot].clear();
+        self.wr[slot].clear();
+    }
+
+    /// [`BloomConflictDetector::on_read`]'s tests, answered by `exact`,
+    /// which `on_read` of the same granules leaves unchanged.
+    pub(crate) fn on_read(&mut self, exact: &ConflictDetector, slot: usize, granules: &[u64]) {
+        for &g in granules {
+            if self.diverged {
+                return;
+            }
+            let masked = self.wr[slot].may_contain(g);
+            if self.agrees(masked, exact.has_written(slot, g)) && !masked {
+                self.rd[slot].insert(g);
+            }
+        }
+    }
+
+    /// [`BloomConflictDetector::on_write`]'s tests, answered by `exact`
+    /// after it recorded the same write.
+    pub(crate) fn on_write(
+        &mut self,
+        exact: &ConflictDetector,
+        slot: usize,
+        granules: &[u64],
+        younger: &[usize],
+    ) {
+        if self.diverged {
+            return;
+        }
+        for &g in granules {
+            self.wr[slot].insert(g);
+        }
+        let mut fwd = std::mem::take(&mut self.fwd);
+        fwd.clear();
+        fwd.extend_from_slice(granules);
+        'walk: for &t in younger {
+            if fwd.is_empty() {
+                break;
+            }
+            for &g in &fwd {
+                let read = self.rd[t].may_contain(g);
+                // A conflict both sides agree on ends the walk as it ends
+                // the detectors'.
+                if !self.agrees(read, exact.has_read(t, g)) || read {
+                    break 'walk;
+                }
+            }
+            let (wr, mut agree) = (&self.wr[t], true);
+            fwd.retain(|&g| {
+                let written = wr.may_contain(g);
+                agree &= written == exact.has_written(t, g);
+                !written
+            });
+            if !self.agrees(agree, true) {
+                break;
+            }
+        }
+        self.fwd = fwd;
+    }
+
+    /// The coherence interface's queries of `slot`'s sets for `granule`,
+    /// whose exact answers are `written` and `read`.
+    pub(crate) fn on_query(&mut self, slot: usize, granule: u64, written: bool, read: bool) {
+        if !self.diverged {
+            let (wr, rd) = (&self.wr[slot], &self.rd[slot]);
+            self.diverged = wr.may_contain(granule) != written || rd.may_contain(granule) != read;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ConflictSets;
 
     #[test]
     fn no_false_negatives() {
@@ -277,6 +407,179 @@ mod tests {
         assert_eq!(bd.on_write(1, &[7], &[]), None);
         bd.on_read(1, &[7]);
         assert_eq!(bd.on_write(0, &[7], &[1]), None, "forwarded from slot 1's own write");
+    }
+
+    /// One step of a random conflict-detector stream.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Read(usize, Vec<u64>),
+        /// A write checked against every younger slot.
+        Write(usize, Vec<u64>),
+        Clear(usize),
+        /// The coherence interface's queries of one slot's sets.
+        Query(usize, u64),
+    }
+
+    impl Op {
+        fn slot(&self) -> usize {
+            match *self {
+                Op::Read(slot, _) | Op::Write(slot, _) | Op::Clear(slot) | Op::Query(slot, _) => {
+                    slot
+                }
+            }
+        }
+    }
+
+    /// One membership test: a slot's write set (`true`) or read set.
+    type Test = (bool, usize, u64);
+
+    /// Up to 80 steps over `contexts` slots and `universe` granules; an
+    /// access covers one to three consecutive granules.
+    fn random_stream(rng: &mut lf_stats::rng::SmallRng, contexts: usize, universe: u64) -> Vec<Op> {
+        let steps = rng.random_range(1..=80usize);
+        (0..steps)
+            .map(|_| {
+                let slot = rng.random_range(0..contexts);
+                let first = rng.random_range(0..universe);
+                let granules = (first..first + rng.random_range(1..=3u64)).collect();
+                match rng.random_range(0..20u32) {
+                    0..=6 => Op::Read(slot, granules),
+                    7..=13 => Op::Write(slot, granules),
+                    14..=15 => Op::Clear(slot),
+                    _ => Op::Query(slot, first),
+                }
+            })
+            .collect()
+    }
+
+    /// The membership tests `op` makes on sets that answer as `exact`
+    /// does. The write walk is Algorithm 1's: read tests of each younger
+    /// slot until one hits, then that slot's prune of the frontier.
+    fn tests_of(op: &Op, exact: &ConflictDetector, contexts: usize) -> Vec<Test> {
+        match op {
+            Op::Read(slot, granules) => granules.iter().map(|&g| (true, *slot, g)).collect(),
+            Op::Write(slot, granules) => {
+                let mut tests = Vec::new();
+                let mut fwd = granules.clone();
+                for t in slot + 1..contexts {
+                    if fwd.is_empty() {
+                        break;
+                    }
+                    for &g in &fwd {
+                        tests.push((false, t, g));
+                        if exact.has_read(t, g) {
+                            return tests;
+                        }
+                    }
+                    tests.extend(fwd.iter().map(|&g| (true, t, g)));
+                    fwd.retain(|&g| !exact.has_written(t, g));
+                }
+                tests
+            }
+            Op::Clear(_) => Vec::new(),
+            Op::Query(slot, g) => vec![(true, *slot, *g), (false, *slot, *g)],
+        }
+    }
+
+    /// A shadow diverges exactly at the first step in which a membership
+    /// test a real `BloomConflictDetector` of its geometry makes on the same
+    /// stream answers otherwise than the exact sets: `on_read`'s mask,
+    /// `on_write`'s read tests and prune, or a coherence query. Until then
+    /// the real detector holds the shadow's filters and returns the exact
+    /// detector's verdicts, probe count and query answers, with no false
+    /// positive. A diverged step is not fed to the real detector: its
+    /// "never miss a true conflict" assertion does not hold past one.
+    #[test]
+    fn shadow_diverges_exactly_at_the_first_differing_answer() {
+        let mut rng = lf_stats::rng::SmallRng::seed_from_u64(0xb100_5ad0);
+        let geometries = [(64, 1), (64, 2), (128, 1), (256, 2), (1024, 4), (4096, 4)];
+        let (mut held, mut diverged, mut by_read, mut by_query) = (0, 0, 0, 0);
+        for case in 0..600 {
+            let contexts = rng.random_range(2..=4usize);
+            let (bits, hashes) = geometries[case % geometries.len()];
+            let universe = [16, 256, 4096][rng.random_range(0..3usize)];
+            let ops = random_stream(&mut rng, contexts, universe);
+            let shadow = BloomShadow::new(contexts, (bits, hashes));
+            let mut sets = ConflictSets::Shadowed(ConflictDetector::new(contexts), vec![shadow]);
+            let mut bloom = BloomConflictDetector::new(contexts, bits, hashes);
+            let mut whole = true;
+            for (k, op) in ops.iter().enumerate() {
+                let what = format!("case {case}, {bits}/{hashes}, step {k}: {op:?}");
+                let ConflictSets::Shadowed(exact, _) = &sets else { unreachable!() };
+                let differs = tests_of(op, exact, contexts).into_iter().any(|(wr, t, g)| {
+                    let (filter, exact) = if wr {
+                        (bloom.may_have_written(t, g), exact.has_written(t, g))
+                    } else {
+                        (bloom.may_have_read(t, g), exact.has_read(t, g))
+                    };
+                    filter != exact
+                });
+                let probes = (sets.probes(), bloom.probes());
+                let younger: Vec<usize> = (op.slot() + 1..contexts).collect();
+                let (mut verdict, mut answers) = (None, None);
+                match op {
+                    Op::Read(slot, granules) => sets.on_read(*slot, granules),
+                    Op::Write(slot, granules) => {
+                        verdict = Some(sets.on_write(*slot, granules, &younger));
+                    }
+                    Op::Clear(slot) => sets.clear(*slot),
+                    Op::Query(slot, g) => answers = Some(sets.query(*slot, *g)),
+                }
+                let ConflictSets::Shadowed(_, shadows) = &sets else { unreachable!() };
+                assert_eq!(shadows[0].diverged(), differs, "{what}");
+                if differs {
+                    diverged += 1;
+                    by_read += usize::from(matches!(op, Op::Read(..)));
+                    by_query += usize::from(matches!(op, Op::Query(..)));
+                    whole = false;
+                    break;
+                }
+                match op {
+                    Op::Read(slot, granules) => bloom.on_read(*slot, granules),
+                    Op::Write(slot, granules) => {
+                        assert_eq!(
+                            verdict,
+                            Some(bloom.on_write(*slot, granules, &younger)),
+                            "{what}"
+                        );
+                    }
+                    Op::Clear(slot) => bloom.clear(*slot),
+                    Op::Query(slot, g) => {
+                        let want =
+                            (bloom.may_have_written(*slot, *g), bloom.may_have_read(*slot, *g));
+                        assert_eq!(answers, Some(want), "{what}");
+                    }
+                }
+                assert_eq!(sets.probes() - probes.0, bloom.probes() - probes.1, "{what}");
+                assert_eq!(bloom.false_positive_squashes(), 0, "{what}");
+                let filters =
+                    |f: &[BloomFilter]| f.iter().map(|f| f.bits.clone()).collect::<Vec<_>>();
+                assert_eq!(filters(&shadows[0].rd), filters(&bloom.rd), "{what}");
+                assert_eq!(filters(&shadows[0].wr), filters(&bloom.wr), "{what}");
+            }
+            held += usize::from(whole);
+        }
+        // Both outcomes occur, and the mask and coherence tests each end
+        // some streams on their own.
+        assert!(held > 100 && diverged > 100, "{held} held, {diverged} diverged");
+        assert!(by_read > 10 && by_query > 10, "{by_read} at a read, {by_query} at a query");
+    }
+
+    /// The masking false negative: slot 1's write of granule 1000 aliases
+    /// granule 43 in a 64-bit, 1-hash write filter, so filters skip slot
+    /// 1's read of 43, and slot 0's write of 43 would miss the conflict the
+    /// exact sets report. The shadow diverges at the read.
+    #[test]
+    fn a_masking_alias_diverges_the_shadow_at_the_read() {
+        let shadow = BloomShadow::new(2, (64, 1));
+        let mut sets = ConflictSets::Shadowed(ConflictDetector::new(2), vec![shadow]);
+        assert_eq!(sets.on_write(1, &[1000], &[]), None);
+        sets.on_read(1, &[43]);
+        assert_eq!(sets.undiverged_filters(), vec![], "the mask test answered otherwise");
+        assert_eq!(sets.on_write(0, &[43], &[1]), Some(1), "the exact sets see the conflict");
+        let mut bloom = BloomConflictDetector::new(2, 64, 1);
+        bloom.on_write(1, &[1000], &[]);
+        assert!(bloom.may_have_written(1, 43), "1000 and 43 share the filter bit");
     }
 
     #[test]

@@ -74,12 +74,54 @@ impl Default for DeselectConfig {
 pub struct Deselector {
     cfg: DeselectConfig,
     regions: HashMap<RegionId, RegionScore>,
+    /// Monitors of sibling configurations fed this one's events (an armed
+    /// run; see [`Deselector::shadow`]).
+    shadows: Vec<Shadow>,
+}
+
+/// A monitor of a sibling configuration that follows a run whose own
+/// deselection is off (DESIGN.md §8.4). It takes every event the run's
+/// monitor takes and *diverges* the first time it suppresses a region.
+/// Until then it has answered every `is_suppressed` query as the run's own
+/// monitor did, so a run under its configuration would have taken every
+/// step the shadowed run took, and counted no suppressed region.
+#[derive(Debug, Clone)]
+struct Shadow {
+    monitor: Deselector,
+    diverged: bool,
 }
 
 impl Deselector {
     /// Creates a monitor.
     pub fn new(cfg: &DeselectConfig) -> Deselector {
-        Deselector { cfg: cfg.clone(), regions: HashMap::new() }
+        Deselector { cfg: cfg.clone(), regions: HashMap::new(), shadows: Vec::new() }
+    }
+
+    /// Arms one shadow for each distinct enabled configuration among
+    /// `siblings`. This monitor's own deselection must be off: a shadow
+    /// stands for its configuration only while neither monitor suppresses.
+    pub(crate) fn shadow<'a>(&mut self, siblings: impl IntoIterator<Item = &'a DeselectConfig>) {
+        debug_assert!(!self.cfg.enabled, "only a monitor that never suppresses is shadowed");
+        for cfg in siblings {
+            if cfg.enabled && !self.shadows.iter().any(|s| s.monitor.cfg == *cfg) {
+                self.shadows.push(Shadow { monitor: Deselector::new(cfg), diverged: false });
+            }
+        }
+    }
+
+    /// The shadowed configurations that never suppressed a region.
+    pub(crate) fn undiverged_shadows(&self) -> Vec<DeselectConfig> {
+        self.shadows.iter().filter(|s| !s.diverged).map(|s| s.monitor.cfg.clone()).collect()
+    }
+
+    /// Feeds an event concerning `region` to every live shadow. An event
+    /// re-evaluates at most its own region, so a shadow that now
+    /// suppresses any region suppresses `region`.
+    fn feed(&mut self, region: RegionId, event: impl Fn(&mut Deselector)) {
+        for s in self.shadows.iter_mut().filter(|s| !s.diverged) {
+            event(&mut s.monitor);
+            s.diverged = s.monitor.is_suppressed(region);
+        }
     }
 
     /// Whether `region`'s hints should currently be treated as NOPs.
@@ -95,6 +137,7 @@ impl Deselector {
     /// architectural progress); after `retry_after` ignored detaches the
     /// region gets a clean slate.
     pub fn note_suppressed_detach(&mut self, region: RegionId) {
+        self.feed(region, |d| d.note_suppressed_detach(region));
         if !self.cfg.enabled {
             return;
         }
@@ -143,6 +186,7 @@ impl Deselector {
 
     /// Records a spawn for `region`.
     pub fn on_spawn(&mut self, region: RegionId) {
+        self.feed(region, |d| d.on_spawn(region));
         if self.cfg.enabled {
             self.regions.entry(region).or_default().spawned += 1;
         }
@@ -150,6 +194,7 @@ impl Deselector {
 
     /// Records a conflict squash of an epoch of `region`.
     pub fn on_conflict(&mut self, region: RegionId) {
+        self.feed(region, |d| d.on_conflict(region));
         if self.cfg.enabled {
             self.regions.entry(region).or_default().conflicts += 1;
             self.reevaluate(region);
@@ -158,6 +203,7 @@ impl Deselector {
 
     /// Records an SSB overflow stall for an epoch of `region`.
     pub fn on_overflow(&mut self, region: RegionId) {
+        self.feed(region, |d| d.on_overflow(region));
         if self.cfg.enabled {
             self.regions.entry(region).or_default().overflows += 1;
             self.reevaluate(region);
@@ -166,6 +212,7 @@ impl Deselector {
 
     /// Records a successful epoch retirement of `insts` instructions.
     pub fn on_retire(&mut self, region: RegionId, insts: u64) {
+        self.feed(region, |d| d.on_retire(region, insts));
         if self.cfg.enabled {
             let s = self.regions.entry(region).or_default();
             s.retired += 1;
@@ -315,6 +362,57 @@ mod tests {
             d.on_conflict(r);
         }
         assert!(d.is_suppressed(r), "21 conflicts over 10 retires is a storm");
+    }
+
+    /// A shadow stays undiverged exactly as long as a monitor of its
+    /// configuration, fed the same events, has never suppressed a region;
+    /// the shadowed monitor, whose deselection is off, suppresses nothing,
+    /// and a disabled sibling configuration is not shadowed.
+    #[test]
+    fn shadows_diverge_exactly_when_their_monitor_first_suppresses() {
+        let mut rng = lf_stats::rng::SmallRng::seed_from_u64(0xde5e_1ec7);
+        let siblings = [
+            enabled(),
+            DeselectConfig { warmup_epochs: 4, retry_after: 3, ..enabled() },
+            DeselectConfig { max_conflict_rate: 1e9, min_epoch_insts: 0.0, ..enabled() },
+            DeselectConfig { warmup_epochs: 2, ..DeselectConfig::default() },
+        ];
+        let (mut held, mut diverged) = (0, 0);
+        for case in 0..300 {
+            let mut own = Deselector::new(&DeselectConfig::default());
+            own.shadow(&siblings);
+            let mut monitors: Vec<(Deselector, bool)> =
+                siblings.iter().map(|c| (Deselector::new(c), false)).collect();
+            for step in 0..rng.random_range(1..=120usize) {
+                let r = RegionId(rng.random_range(0..3usize));
+                let insts = rng.random_range(1..=60u64);
+                let event = rng.random_range(0..5u32);
+                for d in std::iter::once(&mut own).chain(monitors.iter_mut().map(|(d, _)| d)) {
+                    match event {
+                        0 => d.on_spawn(r),
+                        1 => d.on_conflict(r),
+                        2 => d.on_overflow(r),
+                        3 => d.on_retire(r, insts),
+                        _ => d.note_suppressed_detach(r),
+                    }
+                }
+                for (d, suppressed) in &mut monitors {
+                    *suppressed |= d.suppressed_count() > 0;
+                }
+                let live: Vec<DeselectConfig> = siblings
+                    .iter()
+                    .zip(&monitors)
+                    .filter(|(c, (_, suppressed))| c.enabled && !suppressed)
+                    .map(|(c, _)| c.clone())
+                    .collect();
+                assert_eq!(own.undiverged_shadows(), live, "case {case}, step {step}");
+                assert_eq!(own.suppressed_count(), 0);
+            }
+            let live = own.undiverged_shadows().len();
+            held += live;
+            diverged += 3 - live;
+        }
+        assert!(held > 100 && diverged > 100, "{held} held, {diverged} diverged");
     }
 
     #[test]

@@ -43,8 +43,7 @@ impl LoopFrogCore<'_> {
             .copied()
             .find(|&t| {
                 granules.iter().any(|&g| {
-                    let wr = self.conflict.has_written(t, g);
-                    let rd = self.conflict.has_read(t, g);
+                    let (wr, rd) = self.conflict.query(t, g);
                     if writes {
                         wr || rd
                     } else {

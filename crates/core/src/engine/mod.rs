@@ -23,11 +23,12 @@ mod tests;
 mod verify_checks;
 
 use crate::arena::InstArena;
-use crate::bloom::BloomConflictDetector;
+use crate::bloom::{BloomConflictDetector, BloomShadow};
 use crate::config::LoopFrogConfig;
 use crate::conflict::ConflictDetector;
 use crate::deselect::Deselector;
 use crate::dyninst::Uid;
+use crate::footprint::Footprint;
 use crate::packing::PackingPredictors;
 use crate::profiler::{Profiler, Stage};
 use crate::ssb::Ssb;
@@ -668,7 +669,7 @@ impl<'p> LoopFrogCore<'p> {
     /// Returns [`SimError`] on architectural faults or internal deadlock.
     pub fn run(&mut self) -> Result<SimResult, SimError> {
         let stop = self.run_until_committed(self.cfg.max_insts)?;
-        Ok(self.finish(stop))
+        Ok(self.finish(stop, true))
     }
 
     /// Advances the simulation until `target` instructions have committed
@@ -711,7 +712,15 @@ impl<'p> LoopFrogCore<'p> {
     /// Collects final results without running further (for phased runs
     /// driven through [`LoopFrogCore::run_until_committed`]).
     pub fn into_result(mut self, stop: SimStop) -> SimResult {
-        self.finish(stop)
+        self.finish(stop, true)
+    }
+
+    /// [`LoopFrogCore::into_result`] without hashing the final state: the
+    /// result's `checksum` is 0. For measurements whose caller carries the
+    /// run's checksum from elsewhere, such as a sampled run's windows,
+    /// where hashing the whole memory image costs a tenth of a window.
+    pub fn into_result_without_checksum(mut self, stop: SimStop) -> SimResult {
+        self.finish(stop, false)
     }
 
     /// Cumulative committed-instruction count (for phased measurement).
@@ -721,9 +730,10 @@ impl<'p> LoopFrogCore<'p> {
 
     /// Assembles the [`SimResult`], *moving* the accumulated statistics
     /// and telemetry out of the core (they can be megabytes of interval
-    /// samples and trace events; cloning them doubled peak memory). The
+    /// samples and trace events; cloning them doubled peak memory), with
+    /// the final-state checksum when `checksum` is set and 0 otherwise. The
     /// core is drained afterwards: callers get results exactly once.
-    fn finish(&mut self, stop: SimStop) -> SimResult {
+    fn finish(&mut self, stop: SimStop, checksum: bool) -> SimResult {
         #[cfg(feature = "verify")]
         self.verify_finish();
         // Final architectural registers come from the architectural
@@ -740,7 +750,11 @@ impl<'p> LoopFrogCore<'p> {
                 }
             })
             .collect();
-        let checksum = lf_isa::checksum::fnv1a_u64(&final_regs) ^ self.mem.checksum();
+        let checksum = if checksum {
+            lf_isa::checksum::fnv1a_u64(&final_regs) ^ self.mem.checksum()
+        } else {
+            0
+        };
 
         // Close out the sampler while `self.stats` is still live (the final
         // partial interval snapshots the cumulative counters), then move
@@ -798,7 +812,10 @@ impl<'p> LoopFrogCore<'p> {
             accounting,
             intervals,
             profile,
-            ssb_footprint: self.ssb.take_footprint(),
+            footprint: self.ssb.take_footprint().map(|lines| {
+                let filters = self.conflict.undiverged_filters();
+                Footprint::new(lines, &self.cfg, filters, self.deselect.undiverged_shadows())
+            }),
         }
     }
 
@@ -820,11 +837,11 @@ impl<'p> LoopFrogCore<'p> {
     }
 
     /// Arms a wall-clock watchdog: once `deadline` passes, the step loop
-    /// stops with [`SimStop::Deadline`] at its next check (every
-    /// [`DEADLINE_CHECK_CYCLES`] cycles). The harness uses this to convert
-    /// a livelocked simulation into a structured budget failure instead of
-    /// hanging the worker pool; a deadline-stopped run's results are
-    /// partial and must not be treated as a completed simulation.
+    /// stops with [`SimStop::Deadline`] at its next check (every 4,096
+    /// cycles). The harness uses this to convert a livelocked simulation
+    /// into a structured budget failure instead of hanging the worker pool;
+    /// a deadline-stopped run's results are partial and must not be treated
+    /// as a completed simulation.
     pub fn set_deadline(&mut self, deadline: std::time::Instant) {
         self.deadline = Some(deadline);
     }
@@ -846,12 +863,38 @@ impl<'p> LoopFrogCore<'p> {
         self.profiler = Some(Profiler::new());
     }
 
-    /// Arms the SSB's footprint recorder (see [`crate::ssb::SsbFootprint`]).
-    /// Like the profiler, a core-side switch rather than a config field:
-    /// recording never changes what the run simulates, and the footprint is
-    /// returned in [`SimResult::ssb_footprint`].
-    pub fn record_ssb_footprint(&mut self) {
+    /// Arms the run's [`Footprint`] for `siblings`, configs that differ from
+    /// this run's at most in the SSB geometry, the Bloom filters and
+    /// deselection: the SSB records the lines each slice epoch allocates
+    /// ([`crate::ssb::SsbFootprint`]), and a shadow follows the run for each
+    /// distinct sibling filter geometry when this run's conflict sets are
+    /// exact, and for each distinct enabled sibling deselection config when
+    /// this run's deselection is off (see [`crate::footprint`]). Like the
+    /// profiler, a core-side switch rather than a config field: nothing
+    /// armed steers the run. The footprint is returned in
+    /// [`SimResult::footprint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics once the core has simulated a cycle: a footprint covers a
+    /// whole run.
+    pub fn record_footprint(&mut self, siblings: &[&LoopFrogConfig]) {
+        assert_eq!(self.cycle, 0, "a footprint is armed before the first cycle");
         self.ssb.record_footprint();
+        if let ConflictSets::Exact(exact) = &self.conflict {
+            let mut filters: Vec<(usize, u32)> =
+                siblings.iter().filter_map(|c| c.ssb.bloom).collect();
+            filters.sort_unstable();
+            filters.dedup();
+            if !filters.is_empty() {
+                let contexts = self.ctx.len();
+                let shadows = filters.into_iter().map(|g| BloomShadow::new(contexts, g)).collect();
+                self.conflict = ConflictSets::Shadowed(exact.clone(), shadows);
+            }
+        }
+        if !self.cfg.deselect.enabled {
+            self.deselect.shadow(siblings.iter().map(|c| &c.deselect));
+        }
     }
 
     /// Whether a tracer is attached. Emit sites check this before
@@ -909,11 +952,14 @@ impl<'p> LoopFrogCore<'p> {
 }
 
 /// Conflict-set implementation selected by [`crate::SsbConfig::bloom`]:
-/// exact sets (the paper's idealized filters) or real Bloom filters.
+/// exact sets (the paper's idealized filters) or real Bloom filters; or
+/// exact sets that shadows of sibling filter geometries follow (an armed
+/// run; [`LoopFrogCore::record_footprint`]).
 #[derive(Debug, Clone)]
 pub(crate) enum ConflictSets {
     Exact(ConflictDetector),
     Bloom(BloomConflictDetector),
+    Shadowed(ConflictDetector, Vec<BloomShadow>),
 }
 
 impl ConflictSets {
@@ -921,6 +967,10 @@ impl ConflictSets {
         match self {
             ConflictSets::Exact(c) => c.clear(slot),
             ConflictSets::Bloom(c) => c.clear(slot),
+            ConflictSets::Shadowed(c, shadows) => {
+                c.clear(slot);
+                shadows.iter_mut().for_each(|s| s.clear(slot));
+            }
         }
     }
 
@@ -928,6 +978,10 @@ impl ConflictSets {
         match self {
             ConflictSets::Exact(c) => c.on_read(slot, granules),
             ConflictSets::Bloom(c) => c.on_read(slot, granules),
+            ConflictSets::Shadowed(c, shadows) => {
+                shadows.iter_mut().for_each(|s| s.on_read(c, slot, granules));
+                c.on_read(slot, granules);
+            }
         }
     }
 
@@ -940,33 +994,70 @@ impl ConflictSets {
         match self {
             ConflictSets::Exact(c) => c.on_write(slot, granules, younger),
             ConflictSets::Bloom(c) => c.on_write(slot, granules, younger),
+            ConflictSets::Shadowed(c, shadows) => {
+                let verdict = c.on_write(slot, granules, younger);
+                shadows.iter_mut().for_each(|s| s.on_write(c, slot, granules, younger));
+                verdict
+            }
         }
     }
 
     pub(crate) fn false_positive_squashes(&self) -> u64 {
         match self {
-            ConflictSets::Exact(_) => 0,
+            ConflictSets::Exact(_) | ConflictSets::Shadowed(..) => 0,
             ConflictSets::Bloom(c) => c.false_positive_squashes(),
         }
     }
 
     pub(crate) fn probes(&self) -> u64 {
         match self {
-            ConflictSets::Exact(c) => c.probes(),
+            ConflictSets::Exact(c) | ConflictSets::Shadowed(c, _) => c.probes(),
             ConflictSets::Bloom(c) => c.probes(),
         }
     }
 
+    /// The coherence interface's queries: whether `slot` (may have)
+    /// written and read `granule`, in that order. Shadows see both.
+    pub(crate) fn query(&mut self, slot: usize, granule: u64) -> (bool, bool) {
+        match self {
+            ConflictSets::Exact(c) => (c.has_written(slot, granule), c.has_read(slot, granule)),
+            ConflictSets::Bloom(c) => {
+                (c.may_have_written(slot, granule), c.may_have_read(slot, granule))
+            }
+            ConflictSets::Shadowed(c, shadows) => {
+                let (written, read) = (c.has_written(slot, granule), c.has_read(slot, granule));
+                shadows.iter_mut().for_each(|s| s.on_query(slot, granule, written, read));
+                (written, read)
+            }
+        }
+    }
+
+    /// The shadowed filter geometries that answered every test alike.
+    pub(crate) fn undiverged_filters(&self) -> Vec<(usize, u32)> {
+        match self {
+            ConflictSets::Shadowed(_, shadows) => {
+                shadows.iter().filter(|s| !s.diverged()).map(BloomShadow::geometry).collect()
+            }
+            ConflictSets::Exact(_) | ConflictSets::Bloom(_) => Vec::new(),
+        }
+    }
+
+    /// Whether `slot`'s read set (may) hold `granule`, for verify builds'
+    /// invariant checks, which shadows do not see: a check steers nothing.
+    #[cfg(feature = "verify")]
     pub(crate) fn has_read(&self, slot: usize, granule: u64) -> bool {
         match self {
-            ConflictSets::Exact(c) => c.has_read(slot, granule),
+            ConflictSets::Exact(c) | ConflictSets::Shadowed(c, _) => c.has_read(slot, granule),
             ConflictSets::Bloom(c) => c.may_have_read(slot, granule),
         }
     }
 
+    /// Whether `slot`'s write set (may) hold `granule`, for verify builds'
+    /// invariant checks, which shadows do not see.
+    #[cfg(feature = "verify")]
     pub(crate) fn has_written(&self, slot: usize, granule: u64) -> bool {
         match self {
-            ConflictSets::Exact(c) => c.has_written(slot, granule),
+            ConflictSets::Exact(c) | ConflictSets::Shadowed(c, _) => c.has_written(slot, granule),
             ConflictSets::Bloom(c) => c.may_have_written(slot, granule),
         }
     }

@@ -307,7 +307,8 @@ impl LoopFrogCore<'_> {
         &self.verify
     }
 
-    /// Enables per-retirement [`CommitBoundary`] recording (lockstep mode).
+    /// Enables per-retirement [`crate::verify::CommitBoundary`] recording
+    /// (lockstep mode).
     pub fn set_lockstep_recording(&mut self, on: bool) {
         self.verify.record_boundaries = on;
     }
@@ -316,7 +317,9 @@ impl LoopFrogCore<'_> {
     /// write-set insertion (exact detector only), leaving all other behavior
     /// intact. Used to prove the harness catches detector bugs.
     pub fn inject_drop_write_granule(&mut self) {
-        if let super::ConflictSets::Exact(c) = &mut self.conflict {
+        if let super::ConflictSets::Exact(c) | super::ConflictSets::Shadowed(c, _) =
+            &mut self.conflict
+        {
             c.set_inject_drop_write_granule(true);
         }
     }

@@ -64,6 +64,7 @@ pub mod conflict;
 pub mod deselect;
 mod dyninst;
 mod engine;
+pub mod footprint;
 pub mod packing;
 pub mod profiler;
 pub mod regset;
@@ -86,8 +87,8 @@ pub const VERIFY: bool = cfg!(feature = "verify");
 pub use config::{LoopFrogConfig, PackingConfig, SsbConfig};
 pub use deselect::DeselectConfig;
 pub use engine::{simulate, LoopFrogCore, SimError};
+pub use footprint::Footprint;
 pub use profiler::{ProfileReport, StageProfile};
-pub use ssb::SsbFootprint;
 pub use stats::{SimResult, SimStats, SimStop};
 pub use telemetry::{CycleAccounting, CycleBucket, IntervalSample};
 pub use trace::{

@@ -14,7 +14,7 @@
 //! A small, shared, fully associative victim buffer optionally extends the
 //! effective associativity of the slices (§6.6).
 //!
-//! An armed SSB ([`crate::LoopFrogCore::record_ssb_footprint`]) also
+//! An armed SSB ([`crate::LoopFrogCore::record_footprint`]) also
 //! records its [`SsbFootprint`]: the lines each slice epoch allocated. Geometry
 //! (`size_bytes`, `assoc`, `victim_entries`) is read only where a write
 //! allocates a line, so the footprint of a run that never spilled decides

@@ -11,7 +11,8 @@ const PRIME_8: u64 = PRIME.wrapping_pow(8);
 /// FNV-1a over a byte slice.
 ///
 /// Memory images are mostly zero, so an all-zero 8-byte chunk takes one
-/// multiplication by [`PRIME_8`]; the result equals the byte-serial hash.
+/// multiplication by the FNV prime to the eighth; the result equals the
+/// byte-serial hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = OFFSET;
     let mut chunks = bytes.chunks_exact(8);

@@ -1,21 +1,21 @@
 //! Integration tests for the experiment engine's run planner: cross-
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
 //! memoization with schema invalidation, `-j` and cache independence of
-//! the artifacts, runs requested on an explicit tier, geometry siblings
-//! served from one SSB footprint, the campaign's phase spans and their
-//! coverage of its wall time, and the rejection of a `--filter` that
-//! selects no kernel.
+//! the artifacts, runs requested on an explicit tier, geometry, filter and
+//! deselection siblings served from one footprint, the campaign's phase
+//! spans and their coverage of its wall time, and the rejection of a
+//! `--filter` that selects no kernel.
 
 use lf_bench::artifact::SCHEMA_VERSION;
-use lf_bench::engine::cache::DiskCache;
+use lf_bench::engine::cache::{CacheLookup, DiskCache};
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::spans::SpanLog;
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
-use lf_bench::tiered::SampledWork;
-use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, Tier};
+use lf_bench::tiered::{SampledKernel, SampledWork};
+use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, RunOutcome, Tier};
 use lf_stats::Json;
 use lf_workloads::Scale;
-use loopfrog::LoopFrogConfig;
+use loopfrog::{simulate, LoopFrogConfig};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -382,6 +382,108 @@ fn sampled_geometry_siblings_are_served_from_their_windows_footprints() {
     assert_eq!(work.plans, 1, "{work:?}");
     assert!(work.warm_states > 0, "{work:?}");
     assert_eq!(work.windows, 3 * work.warm_states, "each run restores every pick once: {work:?}");
+}
+
+/// LoopFrog requests that differ from the default only in their conflict
+/// sets or deselection: exact sets (the default), Swarm-sized 4,096-bit
+/// filters with 4 hashes, 64-bit filters with 1 hash, and dynamic
+/// deselection on.
+fn decision_variants() -> Vec<LoopFrogConfig> {
+    let with = |edit: &dyn Fn(&mut LoopFrogConfig)| {
+        let mut cfg = LoopFrogConfig::default();
+        edit(&mut cfg);
+        cfg
+    };
+    vec![
+        LoopFrogConfig::default(),
+        with(&|c| c.ssb.bloom = Some((4096, 4))),
+        with(&|c| c.ssb.bloom = Some((64, 1))),
+        with(&|c| c.deselect.enabled = true),
+    ]
+}
+
+/// Declares the [`decision_variants`] of every kernel, and no baseline.
+struct DecisionVariants;
+
+impl Scenario for DecisionVariants {
+    fn name(&self) -> &'static str {
+        "decision_variants"
+    }
+    fn title(&self) -> &'static str {
+        "test scenario (conflict-set and deselection variants)"
+    }
+    fn plan(&self, p: &mut Planner<'_>) {
+        for w in p.kernels() {
+            for cfg in decision_variants() {
+                p.request(w.name, Hinting::Annotated, &cfg);
+            }
+        }
+    }
+    fn render(&self, ctx: &EngineCtx<'_>, _out: &mut String) -> RunArtifact {
+        RunArtifact::new(self.name(), ctx.scale())
+    }
+}
+
+/// One simulation answers the filter and deselection variants that decide
+/// as it does. `hash_lookup`'s exact-set run represents the family: its
+/// 4,096-bit filter and deselection shadows never diverge, so it serves
+/// both, while 64-bit, 1-hash filters alias and simulate. Each cached
+/// outcome equals a direct simulation of its own config; workspace builds
+/// also check each served run as it is served.
+fn serve_decision_siblings(tier: Tier) {
+    const KERNEL: &str = "hash_lookup";
+    let dir = scratch_dir(&format!("decision-families-{}", tier.tag()));
+    let mut opts = opts_for(KERNEL);
+    opts.jobs = 2;
+    opts.tier = tier;
+    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    let sims = counting_hook(&mut opts);
+    let output = run_scenarios(&[&DecisionVariants], &opts);
+    let r = &output.report;
+    assert_eq!((r.unique, r.simulated, r.served), (4, 2, 2), "{tier:?}");
+    assert_eq!(sims.load(Ordering::SeqCst), 2, "{tier:?}");
+    assert!(output.failures.is_empty(), "{tier:?}: {:?}", output.failures);
+
+    let w = lf_workloads::by_name(KERNEL, Scale::Smoke).unwrap();
+    let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
+    let cache = DiskCache::new(dir.clone());
+    let mut sampled = SampledKernel::default();
+    let records: Vec<_> = decision_variants()
+        .iter()
+        .map(|cfg| {
+            let fp = prep.request_fingerprint_tiered(cfg, tier);
+            let CacheLookup::Hit(stored) = cache.lookup(fp) else {
+                panic!("{tier:?}: no entry for {cfg:?}")
+            };
+            let direct = match tier {
+                Tier::Sampled => {
+                    sampled.run(fp, &prep.program, &prep.workload.mem, cfg, &[]).unwrap().0
+                }
+                _ => {
+                    let result = simulate(&prep.program, prep.workload.mem.clone(), cfg.clone());
+                    RunOutcome::from_result(fp, result.unwrap(), cfg)
+                }
+            };
+            assert_eq!(stored.checksum, direct.checksum, "{tier:?}: {:?}", cfg.ssb.bloom);
+            assert!(stored.record == direct.record, "{tier:?}: {cfg:?} differs from a simulation");
+            stored.record
+        })
+        .collect();
+    // The served variants record the exact run's outcome; the aliasing
+    // filter records another, so it was simulated.
+    assert!(records[1] == records[0] && records[3] == records[0], "{tier:?}");
+    assert!(records[2] != records[0], "{tier:?}: 64-bit filters ran as exact sets do");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn filter_and_deselection_siblings_are_served_from_one_footprint() {
+    serve_decision_siblings(Tier::Detailed);
+}
+
+#[test]
+fn sampled_filter_and_deselection_siblings_are_served_from_their_windows_footprints() {
+    serve_decision_siblings(Tier::Sampled);
 }
 
 /// Run fingerprints of `stencil_blur` at smoke scale. The detailed and

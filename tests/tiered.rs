@@ -198,7 +198,7 @@ fn sampled_runs_share_warm_states_per_memory_configuration() {
     ];
     let mut kernel = SampledKernel::default();
     for cfg in &configs {
-        let (outcome, _) = kernel.run(7, &program, &mem, cfg, false).unwrap();
+        let (outcome, _) = kernel.run(7, &program, &mem, cfg, &[]).unwrap();
         let m = sample_windows(&program, &plan, cfg).unwrap();
         let est = outcome.tier_field("est_cycles").and_then(Json::as_f64).unwrap();
         assert_eq!(est.to_bits(), m.est_cycles.to_bits());
@@ -230,8 +230,10 @@ fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
         cfg.ssb.victim_entries = victim_entries;
         cfg
     };
+    // Armed for a sibling of its own conflict sets and deselection, a run
+    // records its windows' SSB footprints and shadows nothing.
     let rep = with_ssb(32 << 10, None, 0);
-    let (outcome, footprint) = run_sampled(0, &program, &plan, &warm, &rep, true).unwrap();
+    let (outcome, footprint) = run_sampled(0, &program, &plan, &warm, &rep, &[&rep]).unwrap();
     let footprint = footprint.expect("no window spills a 32 KiB SSB");
     let (mut fits, mut spills) = (0, 0);
     for size_bytes in [512, 1 << 10, 2 << 10, 8 << 10] {
@@ -240,8 +242,8 @@ fn sampled_footprint_fits_exactly_the_geometries_no_window_spills_in() {
                 let cfg = with_ssb(size_bytes, assoc, victim_entries);
                 let what = format!("{size_bytes} B, {assoc:?}, {victim_entries} victims");
                 let (sibling, recorded) =
-                    run_sampled(0, &program, &plan, &warm, &cfg, true).unwrap();
-                let fit = footprint.fits(&cfg.ssb, cfg.core.threadlets);
+                    run_sampled(0, &program, &plan, &warm, &cfg, &[&rep]).unwrap();
+                let fit = footprint.fits(&cfg);
                 assert_eq!(fit, recorded.is_some(), "{what}: fits iff no window spilled");
                 if fit {
                     assert!(sibling.record == outcome.record, "{what}: measured differently");
