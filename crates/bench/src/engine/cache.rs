@@ -20,6 +20,7 @@
 use crate::artifact::SCHEMA_VERSION;
 use crate::durable::atomic_write;
 use crate::runner::{RunOutcome, RunRecord};
+use lf_stats::json::Reader;
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex, Json};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,10 +39,10 @@ pub enum CacheLookup {
     Hit(Box<RunOutcome>),
     /// No entry on disk.
     Miss,
-    /// The entry exists but is unparseable or self-inconsistent (wrong
-    /// fingerprint, missing or mistyped fields). The file has been moved
-    /// to the quarantine directory when `quarantined` is true (the move
-    /// itself is best-effort).
+    /// The entry exists but is unreadable, not UTF-8, unparseable or
+    /// self-inconsistent (wrong fingerprint, missing or mistyped fields).
+    /// The file has been moved to the quarantine directory when
+    /// `quarantined` is true (the move itself is best-effort).
     Corrupt {
         /// Whether the bad entry was successfully moved aside.
         quarantined: bool,
@@ -49,6 +50,15 @@ pub enum CacheLookup {
     /// The entry is well-formed but written under a different schema
     /// version; left in place to be overwritten by this run's store.
     SchemaMismatch,
+}
+
+/// Why an entry on disk is not a hit.
+#[derive(Debug, PartialEq)]
+enum Rejected {
+    /// Well-formed, under another schema version.
+    Stale,
+    /// Unreadable, not JSON, or not a valid entry of this schema.
+    Corrupt,
 }
 
 impl DiskCache {
@@ -80,39 +90,62 @@ impl DiskCache {
         self.dir.join("quarantine")
     }
 
-    /// Probes the cache, classifying the result. Corrupt entries are
+    /// Probes the cache, classifying the result. Only a missing file is a
+    /// miss: an entry that exists but does not decode is corrupt, and is
     /// quarantined as a side effect.
     pub fn lookup(&self, fingerprint: u64) -> CacheLookup {
         let path = self.entry_path(fingerprint);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return CacheLookup::Miss,
+        let decoded = match std::fs::read(&path) {
+            Ok(bytes) => self.decode(&bytes, fingerprint),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return CacheLookup::Miss,
+            Err(_) => Err(Rejected::Corrupt),
         };
-        let parse = |text: &str| -> Result<Box<RunOutcome>, bool> {
-            let doc = Json::parse(text).map_err(|_| false)?;
-            // A well-formed entry under the wrong schema version is stale,
-            // not corrupt.
-            match doc.get("schema_version").and_then(Json::as_u64) {
-                Some(v) if v == self.schema => {}
-                Some(_) => return Err(true),
-                None => return Err(false),
-            }
-            let field = |key: &str| doc.get(key).and_then(Json::as_str);
-            let stored_fp = field("fingerprint").and_then(parse_fingerprint_hex).ok_or(false)?;
-            if stored_fp != fingerprint {
-                return Err(false);
-            }
-            let checksum = field("checksum").and_then(parse_fingerprint_hex).ok_or(false)?;
-            let record = doc.get("record").and_then(RunRecord::from_json).ok_or(false)?;
-            Ok(Box::new(RunOutcome::new(fingerprint, checksum, record)))
-        };
-        match parse(&text) {
+        match decoded {
             Ok(outcome) => CacheLookup::Hit(outcome),
-            Err(true) => CacheLookup::SchemaMismatch,
-            Err(false) => {
+            Err(Rejected::Stale) => CacheLookup::SchemaMismatch,
+            Err(Rejected::Corrupt) => {
                 let quarantined = self.quarantine(&path, fingerprint).is_ok();
                 CacheLookup::Corrupt { quarantined }
             }
+        }
+    }
+
+    /// Decodes an entry's bytes into its outcome in one pass, building no
+    /// [`Json`] tree but the tier record's (and an unknown key's, which
+    /// written entries do not have). Bytes that are not UTF-8 or not
+    /// well-formed JSON are corrupt. Otherwise `schema_version` decides
+    /// first, whatever else the entry holds: keys are written sorted, so it
+    /// follows the record, and a record that does not decode under this
+    /// schema only makes the entry corrupt once the version is known to
+    /// match. Then the stored fingerprint must be `fingerprint`, and the
+    /// checksum and record must decode.
+    fn decode(&self, bytes: &[u8], fingerprint: u64) -> Result<Box<RunOutcome>, Rejected> {
+        let text = std::str::from_utf8(bytes).map_err(|_| Rejected::Corrupt)?;
+        let mut r = Reader::new(text);
+        let (mut schema, mut stored, mut checksum, mut record) = (None, None, None, None);
+        let hex = |r: &mut Reader<'_>| r.str().map(|s| s.and_then(|s| parse_fingerprint_hex(&s)));
+        r.object(|r, key| {
+            match &*key {
+                "schema_version" => schema = r.u64()?,
+                "fingerprint" => stored = hex(r)?,
+                "checksum" => checksum = hex(r)?,
+                "record" => record = RunRecord::read_json(r)?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+        .and_then(|_| r.finish())
+        .map_err(|_| Rejected::Corrupt)?;
+        match schema {
+            Some(v) if v == self.schema => {}
+            Some(_) => return Err(Rejected::Stale),
+            None => return Err(Rejected::Corrupt),
+        }
+        match (stored, checksum, record) {
+            (Some(stored), Some(checksum), Some(record)) if stored == fingerprint => {
+                Ok(Box::new(RunOutcome::new(fingerprint, checksum, record)))
+            }
+            _ => Err(Rejected::Corrupt),
         }
     }
 
@@ -148,7 +181,7 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lf_stats::{Counters, Histogram};
+    use lf_stats::{Counters, Histogram, SmallRng};
     use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
     use loopfrog::SimStats;
 
@@ -192,6 +225,82 @@ mod tests {
             CacheLookup::Hit(outcome) => Some(outcome),
             _ => None,
         }
+    }
+
+    /// Whether two outcomes hold the same facts.
+    fn same(a: &RunOutcome, b: &RunOutcome) -> bool {
+        (a.fingerprint, a.checksum, &a.stats, &a.record)
+            == (b.fingerprint, b.checksum, &b.stats, &b.record)
+    }
+
+    /// A record whose every part varies with `rng`: its counter set (names
+    /// that need escapes and non-ASCII ones included), the shapes of its
+    /// three histograms, 0–5 intervals, and for half of them a sampled tier
+    /// record with a fractional estimate and a nested windows array.
+    fn random_record(rng: &mut SmallRng) -> RunRecord {
+        const NAMES: [&str; 8] = [
+            "l2_accesses",
+            "dram_accesses",
+            "arena_high_water",
+            "bloom_false_positive_squashes",
+            "quoted \"name\"\\",
+            "tab\tand\nnewline",
+            "ünïcödé ✓",
+            "\u{1}control",
+        ];
+        let count = |rng: &mut SmallRng| rng.random_range(0..1u64 << 40);
+        let mut stats = SimStats::new(rng.random_range(1..8usize));
+        stats.cycles = count(rng);
+        stats.committed_insts = count(rng);
+        stats.squashes_wrong_path = count(rng);
+        stats.pack_factor_max = rng.random_range(0..64u32);
+        for n in stats.cycles_with_active.iter_mut() {
+            *n = count(rng);
+        }
+        for name in NAMES {
+            if rng.random_range(0..2u32) == 0 {
+                stats.counters.add(name, count(rng));
+            }
+        }
+        let mut accounting = CycleAccounting::default();
+        for bucket in CycleBucket::ALL {
+            accounting.add(bucket, count(rng));
+        }
+        let intervals = (0..rng.random_range(0..=5usize))
+            .map(|_| IntervalSample {
+                cycle: count(rng),
+                committed_insts: count(rng),
+                issued_insts: count(rng),
+                spawns: count(rng),
+                squashes: count(rng),
+            })
+            .collect();
+        let occupancy = [(); 3].map(|()| {
+            let mut h = Histogram::new(rng.random_range(1..64u64), rng.random_range(1..40usize));
+            for _ in 0..rng.random_range(0..50u32) {
+                let sample = rng.random_range(0..5_000u64);
+                h.record_n(sample, rng.random_range(0..1_000u64));
+            }
+            h
+        });
+        let tier = (rng.random_range(0..2u32) == 0).then(|| {
+            let mut t = Json::obj();
+            t.set("tier", "sampled");
+            t.set("total_insts", count(rng));
+            t.set("interval_len", count(rng));
+            t.set("est_cycles", count(rng) as f64 + rng.random_f64());
+            let windows = (0..rng.random_range(1..=6u32)).map(|i| {
+                let mut w = Json::obj();
+                w.set("interval", u64::from(i));
+                w.set("weight", rng.random_f64());
+                w.set("cycles", count(rng));
+                w
+            });
+            t.set("windows", Json::Arr(windows.collect()));
+            t
+        });
+        let commit_width = rng.random_range(1..16u64);
+        RunRecord { stats, accounting, intervals, occupancy, commit_width, tier }
     }
 
     #[test]
@@ -276,6 +385,176 @@ mod tests {
         // An entry stored under the wrong filename claims fingerprint 11.
         std::fs::rename(cache.entry_path(11), cache.entry_path(12)).unwrap();
         assert!(matches!(cache.lookup(12), CacheLookup::Corrupt { .. }));
+    }
+
+    #[test]
+    fn random_records_round_trip_through_the_reader() {
+        let cache = DiskCache::new(scratch_dir("random-records"));
+        let mut rng = SmallRng::seed_from_u64(37);
+        let mut sampled = 0;
+        for fingerprint in 1..=500u64 {
+            let record = random_record(&mut rng);
+            sampled += usize::from(record.tier.is_some());
+            let out = RunOutcome::new(fingerprint, rng.next_u64(), record);
+            cache.store(&out).unwrap();
+            let back = hit(&cache, fingerprint).expect("a stored entry hits");
+            assert!(same(&back, &out), "entry {fingerprint}:\n{back:?}\n{out:?}");
+        }
+        assert!((200..300).contains(&sampled), "{sampled} of 500 records sampled");
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn every_proper_prefix_of_an_entry_is_corrupt() {
+        let cache = DiskCache::new(scratch_dir("prefixes"));
+        let mut rng = SmallRng::seed_from_u64(5);
+        let records = std::iter::from_fn(|| Some(random_record(&mut rng)));
+        // One detailed and one sampled entry, each with an escaped and a
+        // non-ASCII counter name.
+        let mut wanted = [false, false];
+        for record in records {
+            let names: Vec<&str> = record.stats.counters.iter().map(|(k, _)| k).collect();
+            let kind = usize::from(record.tier.is_some());
+            if wanted[kind]
+                || !names.iter().any(|k| k.contains('"'))
+                || !names.contains(&"ünïcödé ✓")
+            {
+                continue;
+            }
+            wanted[kind] = true;
+            let out = RunOutcome::new(3, 4, record);
+            cache.store(&out).unwrap();
+            let bytes = std::fs::read(cache.entry_path(3)).unwrap();
+            assert!(same(&cache.decode(&bytes, 3).expect("the whole entry decodes"), &out));
+            let whole = String::from_utf8_lossy(&bytes).trim_end().to_string();
+            for end in 0..bytes.len() {
+                let prefix = &bytes[..end];
+                if String::from_utf8_lossy(prefix).trim_end() == whole {
+                    continue;
+                }
+                assert_eq!(cache.decode(prefix, 3).err(), Some(Rejected::Corrupt), "{end} bytes");
+            }
+            if wanted == [true, true] {
+                break;
+            }
+        }
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_stale_entry_is_stale_whatever_its_record_holds() {
+        let dir = scratch_dir("v3");
+        let cache = DiskCache::new(dir.clone());
+        let out = sample_outcome(21);
+        // A schema v3 entry: its record also held the registry view, and
+        // had no occupancy histograms yet.
+        let mut record = out.record.to_json();
+        let Json::Obj(fields) = &mut record else { panic!("a record is an object") };
+        fields.remove("occupancy");
+        let mut registry = Json::obj();
+        registry.set("core.cycles", 1000u64);
+        record.set("registry", registry);
+        let mut doc = Json::obj();
+        doc.set("schema_version", 3u64);
+        doc.set("fingerprint", fingerprint_hex(21));
+        doc.set("checksum", fingerprint_hex(out.checksum));
+        doc.set("record", record);
+        let text = doc.to_string_pretty();
+        assert!(text.find("\"record\"") < text.find("\"schema_version\""), "keys are sorted");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.entry_path(21), &text).unwrap();
+        assert!(matches!(cache.lookup(21), CacheLookup::SchemaMismatch));
+        assert!(cache.entry_path(21).exists(), "a stale entry stays in place");
+        assert!(!cache.quarantine_dir().exists());
+
+        // A key given twice counts once, the last time, as in a parsed
+        // document.
+        let body = &text[1..];
+        std::fs::write(cache.entry_path(21), format!("{{\"schema_version\": 4,{body}")).unwrap();
+        assert!(matches!(cache.lookup(21), CacheLookup::SchemaMismatch));
+        cache.store(&out).unwrap();
+        let text = std::fs::read_to_string(cache.entry_path(21)).unwrap();
+        let stale = format!("{},\"schema_version\": 3}}", text.trim_end().trim_end_matches('}'));
+        std::fs::write(cache.entry_path(21), stale).unwrap();
+        assert!(matches!(cache.lookup(21), CacheLookup::SchemaMismatch));
+        let body = &text[1..];
+        std::fs::write(cache.entry_path(21), format!("{{\"schema_version\": 3,{body}")).unwrap();
+        assert!(same(&hit(&cache, 21).expect("the last version is current"), &out));
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_non_utf8_entry_is_corrupt_and_quarantined() {
+        let dir = scratch_dir("non-utf8");
+        let cache = DiskCache::new(dir.clone());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.entry_path(31), b"\xff\xfe garbage").unwrap();
+        assert!(matches!(cache.lookup(31), CacheLookup::Corrupt { quarantined: true }));
+        assert!(!cache.entry_path(31).exists());
+        assert!(cache.quarantine_dir().join(format!("{}.json", fingerprint_hex(31))).exists());
+
+        // One invalid byte inside a string of an otherwise valid entry.
+        let mut out = sample_outcome(32);
+        out.record.stats.counters.add("l2_misses", 1);
+        cache.store(&out).unwrap();
+        let mut bytes = std::fs::read(cache.entry_path(32)).unwrap();
+        let at = bytes.windows(9).position(|w| w == b"l2_misses").unwrap();
+        bytes[at] = 0xff;
+        std::fs::write(cache.entry_path(32), bytes).unwrap();
+        assert!(matches!(cache.lookup(32), CacheLookup::Corrupt { quarantined: true }));
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// The member `key` of object `j`.
+    fn member<'j>(j: &'j mut Json, key: &str) -> &'j mut Json {
+        let Json::Obj(m) = j else { panic!("no object around {key}") };
+        m.get_mut(key).unwrap_or_else(|| panic!("no member {key}"))
+    }
+
+    /// The entry stored for `fingerprint`, parsed.
+    fn stored_doc(cache: &DiskCache, fingerprint: u64) -> Json {
+        Json::parse(&std::fs::read_to_string(cache.entry_path(fingerprint)).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn unknown_keys_are_skipped() {
+        let cache = DiskCache::new(scratch_dir("unknown-keys"));
+        let out = sample_outcome(41);
+        cache.store(&out).unwrap();
+        let mut doc = stored_doc(&cache, 41);
+        let note = Json::Arr(vec![Json::Null, Json::Bool(false), "x".into(), Json::obj()]);
+        // Every object but the counters, whose keys are all counter names.
+        let paths: [&[&str]; 6] = [
+            &[],
+            &["record"],
+            &["record", "stats"],
+            &["record", "accounting"],
+            &["record", "occupancy"],
+            &["record", "occupancy", "rob"],
+        ];
+        for path in paths {
+            let at = path.iter().fold(&mut doc, |at, key| member(at, key));
+            at.set("zz_unknown", note.clone());
+            at.set("aa_unknown", 1.5);
+        }
+        let Json::Arr(intervals) = member(member(&mut doc, "record"), "intervals") else {
+            panic!("intervals are an array")
+        };
+        intervals[0].set("zz_unknown", note);
+        std::fs::write(cache.entry_path(41), doc.to_string_pretty()).unwrap();
+        assert!(same(&hit(&cache, 41).expect("unknown keys are skipped"), &out));
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_zero_width_histogram_is_corrupt() {
+        let cache = DiskCache::new(scratch_dir("zero-width"));
+        cache.store(&sample_outcome(51)).unwrap();
+        let mut doc = stored_doc(&cache, 51);
+        member(member(member(&mut doc, "record"), "occupancy"), "iq").set("width", 0u64);
+        std::fs::write(cache.entry_path(51), doc.to_string_pretty()).unwrap();
+        assert!(matches!(cache.lookup(51), CacheLookup::Corrupt { quarantined: true }));
+        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]

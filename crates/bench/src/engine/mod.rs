@@ -45,7 +45,7 @@ use lf_stats::Json;
 use lf_workloads::{Scale, Workload};
 use loopfrog::LoopFrogConfig;
 use planner::{dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, PreparedKernel};
-use pool::WorkerPanic;
+use pool::{try_parallel_map, WorkerPanic};
 use spans::{DurationSummary, SpanLog};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -188,13 +188,25 @@ impl EngineCtx<'_> {
         cfg: &LoopFrogConfig,
         tier: Tier,
     ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
+        self.outcome_with(kernel, hinting, cfg.fingerprint(), tier)
+    }
+
+    /// [`EngineCtx::try_outcome_tiered`] under the config whose
+    /// [`LoopFrogConfig::fingerprint`] is `config`.
+    fn outcome_with(
+        &self,
+        kernel: &'static str,
+        hinting: &Hinting,
+        config: u64,
+        tier: Tier,
+    ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
         if let Some(f) = self.prep_failure(kernel, hinting) {
             return Err(f.clone());
         }
         let prep = self
             .try_prepared(kernel, hinting)
             .unwrap_or_else(|| panic!("kernel {kernel} was not prepared — did plan() request it?"));
-        let fp = prep.request_fingerprint_tiered(cfg, tier);
+        let fp = prep.fingerprint_with(config, tier);
         if let Some(outcome) = self.outcomes.get(&fp) {
             return Ok(outcome.clone());
         }
@@ -214,25 +226,26 @@ impl EngineCtx<'_> {
     /// `rc`, if any: its preparation failure, or the first of its
     /// baseline/LoopFrog run failures.
     pub fn suite_failure(&self, kernel: &'static str, rc: &RunConfig) -> Option<Arc<RunFailure>> {
+        self.suite_failure_in(kernel, SuiteView::new(rc))
+    }
+
+    fn suite_failure_in(&self, kernel: &'static str, view: SuiteView) -> Option<Arc<RunFailure>> {
         if let Some(f) = self.prep_failure(kernel, &Hinting::Annotated) {
             return Some(f.clone());
         }
         let prep = self.try_prepared(kernel, &Hinting::Annotated)?;
-        for cfg in [&LoopFrogConfig::baseline(), &rc.lf] {
-            let fp = prep.request_fingerprint_tiered(cfg, self.tier);
-            if let Some(f) = self.failures.get(&fp) {
-                return Some(f.clone());
-            }
-        }
-        None
+        [view.base, view.lf].into_iter().find_map(|config| {
+            self.failures.get(&prep.fingerprint_with(config, self.tier)).cloned()
+        })
     }
 
     /// Every suite kernel missing from [`EngineCtx::suite_runs`] under
     /// `rc`, with the failure responsible, in canonical suite order.
     pub fn suite_failures(&self, rc: &RunConfig) -> Vec<(&'static str, Arc<RunFailure>)> {
+        let view = SuiteView::new(rc);
         self.suite
             .iter()
-            .filter_map(|w| self.suite_failure(w.name, rc).map(|f| (w.name, f)))
+            .filter_map(|w| self.suite_failure_in(w.name, view).map(|f| (w.name, f)))
             .collect()
     }
 
@@ -297,13 +310,13 @@ impl EngineCtx<'_> {
     /// omitted (graceful degradation); [`EngineCtx::suite_failures`] lists
     /// them and [`EngineCtx::failed_suite_rows`] renders them.
     pub fn suite_runs(&self, rc: &RunConfig) -> Vec<KernelRun> {
-        let (hinting, base) = (Hinting::Annotated, LoopFrogConfig::baseline());
+        let (hinting, view) = (Hinting::Annotated, SuiteView::new(rc));
         self.suite
             .iter()
             .filter_map(|w| {
                 let prep = self.try_prepared(w.name, &hinting)?;
-                let base = self.try_outcome(w.name, &hinting, &base).ok()?;
-                let lf = self.try_outcome(w.name, &hinting, &rc.lf).ok()?;
+                let base = self.outcome_with(w.name, &hinting, view.base, self.tier).ok()?;
+                let lf = self.outcome_with(w.name, &hinting, view.lf, self.tier).ok()?;
                 let golden = prep.golden.expect("annotated preparations carry a golden checksum");
                 Some(KernelRun::from_outcomes(
                     &prep.workload,
@@ -315,6 +328,21 @@ impl EngineCtx<'_> {
                 ))
             })
             .collect()
+    }
+}
+
+/// The two configs of a suite view under a [`RunConfig`], by their
+/// [`LoopFrogConfig::fingerprint`]s: hashed once per view, then combined
+/// with each prepared kernel's own hashes.
+#[derive(Clone, Copy)]
+struct SuiteView {
+    base: u64,
+    lf: u64,
+}
+
+impl SuiteView {
+    fn new(rc: &RunConfig) -> SuiteView {
+        SuiteView { base: LoopFrogConfig::baseline().fingerprint(), lf: rc.lf.fingerprint() }
     }
 }
 
@@ -475,33 +503,39 @@ pub(crate) fn run_planned(
     }
 
     // Phase 3: serve what the disk cache already knows, simulate the rest.
-    // Cache probes are classified so telemetry can separate ordinary
-    // misses from schema-stale and corrupt (quarantined) entries.
+    // The probes run on the pool; their results are classified in plan
+    // order, so telemetry can separate ordinary misses from schema-stale
+    // and corrupt (quarantined) entries. A probe that panics takes the
+    // campaign down as a serial probe would.
     let cache_span = span_log.span("phase", "cache");
+    let probes: Vec<CacheLookup> = match &opts.disk_cache {
+        None => unique.iter().map(|_| CacheLookup::Miss).collect(),
+        Some(c) => try_parallel_map(opts.jobs, unique, |run| c.lookup(run.fingerprint))
+            .into_iter()
+            .map(|probe| probe.unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.payload))))
+            .collect(),
+    };
     let mut outcomes: HashMap<u64, Arc<RunOutcome>> = HashMap::new();
     let mut misses = Vec::new();
     let mut disk_hits = 0usize;
-    for run in unique.iter() {
-        match opts.disk_cache.as_ref() {
-            None => misses.push(run),
-            Some(c) => match c.lookup(run.fingerprint) {
-                CacheLookup::Hit(hit) => {
-                    disk_hits += 1;
-                    outcomes.insert(run.fingerprint, Arc::new(*hit));
+    for (run, probe) in unique.iter().zip(probes) {
+        match probe {
+            CacheLookup::Hit(hit) => {
+                disk_hits += 1;
+                outcomes.insert(run.fingerprint, Arc::new(*hit));
+            }
+            CacheLookup::Miss => misses.push(run),
+            CacheLookup::Corrupt { quarantined } => {
+                faults.cache_corrupt += 1;
+                if quarantined {
+                    faults.quarantined += 1;
                 }
-                CacheLookup::Miss => misses.push(run),
-                CacheLookup::Corrupt { quarantined } => {
-                    faults.cache_corrupt += 1;
-                    if quarantined {
-                        faults.quarantined += 1;
-                    }
-                    misses.push(run);
-                }
-                CacheLookup::SchemaMismatch => {
-                    faults.cache_schema_mismatch += 1;
-                    misses.push(run);
-                }
-            },
+                misses.push(run);
+            }
+            CacheLookup::SchemaMismatch => {
+                faults.cache_schema_mismatch += 1;
+                misses.push(run);
+            }
         }
     }
     // Poisoned runs (they killed K distinct workers under the supervisor)

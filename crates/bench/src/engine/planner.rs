@@ -91,6 +91,8 @@ pub struct RunRequest {
     pub config: LoopFrogConfig,
     /// Execution tier; `None` runs on the campaign's `--tier`.
     pub tier: Option<Tier>,
+    /// `config.fingerprint()`, hashed once when the request was declared.
+    config_fingerprint: u64,
 }
 
 /// A workload prepared for simulation: profiled, (optionally) annotated,
@@ -150,13 +152,15 @@ impl PreparedKernel {
     /// The run fingerprint of simulating this prepared kernel under `cfg`
     /// on `tier` (equal to [`crate::tiered::run_fingerprint_tiered`]).
     pub fn request_fingerprint_tiered(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
-        combine_run_fingerprint(
-            self.code_fingerprint,
-            self.mem_fingerprint,
-            cfg,
-            self.workload.scale,
-            tier,
-        )
+        self.fingerprint_with(cfg.fingerprint(), tier)
+    }
+
+    /// [`PreparedKernel::request_fingerprint_tiered`] under the config whose
+    /// [`LoopFrogConfig::fingerprint`] is `config`: callers that resolve
+    /// one config against many kernels hash it once.
+    pub(crate) fn fingerprint_with(&self, config: u64, tier: Tier) -> u64 {
+        let (code, mem) = (self.code_fingerprint, self.mem_fingerprint);
+        combine_run_fingerprint(code, mem, config, self.workload.scale, tier)
     }
 
     /// The decision family of simulating this prepared kernel under `cfg`
@@ -193,11 +197,7 @@ impl<'e> Planner<'e> {
 
     /// Declares one simulation on the campaign's tier.
     pub fn request(&mut self, kernel: &'static str, hinting: Hinting, config: &LoopFrogConfig) {
-        debug_assert!(
-            self.suite.iter().any(|w| w.name == kernel),
-            "request for kernel {kernel:?} outside the planned suite"
-        );
-        self.requests.push(RunRequest { kernel, hinting, config: config.clone(), tier: None });
+        self.declare(kernel, hinting, config, config.fingerprint(), None);
     }
 
     /// Declares one simulation on `tier`, whatever the campaign's `--tier`.
@@ -208,19 +208,36 @@ impl<'e> Planner<'e> {
         config: &LoopFrogConfig,
         tier: Tier,
     ) {
-        self.request(kernel, hinting, config);
-        self.requests.last_mut().expect("just declared").tier = Some(tier);
+        self.declare(kernel, hinting, config, config.fingerprint(), Some(tier));
     }
 
     /// Declares the standard experiment shape: baseline + LoopFrog
     /// simulations of every annotated suite kernel under `rc` — the
-    /// request-level equivalent of [`crate::run_suite`].
+    /// request-level equivalent of [`crate::run_suite`]. Each of the two
+    /// configs is hashed once for the whole suite.
     pub fn request_suite(&mut self, rc: &RunConfig) {
         let base = LoopFrogConfig::baseline();
+        let (base_fp, lf_fp) = (base.fingerprint(), rc.lf.fingerprint());
         for w in self.suite {
-            self.request(w.name, Hinting::Annotated, &base);
-            self.request(w.name, Hinting::Annotated, &rc.lf);
+            self.declare(w.name, Hinting::Annotated, &base, base_fp, None);
+            self.declare(w.name, Hinting::Annotated, &rc.lf, lf_fp, None);
         }
+    }
+
+    fn declare(
+        &mut self,
+        kernel: &'static str,
+        hinting: Hinting,
+        config: &LoopFrogConfig,
+        config_fingerprint: u64,
+        tier: Option<Tier>,
+    ) {
+        debug_assert!(
+            self.suite.iter().any(|w| w.name == kernel),
+            "request for kernel {kernel:?} outside the planned suite"
+        );
+        let config = config.clone();
+        self.requests.push(RunRequest { kernel, hinting, config, tier, config_fingerprint });
     }
 
     /// Number of requests declared so far (engine telemetry).
@@ -305,7 +322,7 @@ pub(crate) fn dedupe(
             continue;
         };
         let tier = r.tier.unwrap_or(campaign_tier);
-        let fp = prep.request_fingerprint_tiered(&r.config, tier);
+        let fp = prep.fingerprint_with(r.config_fingerprint, tier);
         if seen.insert(fp, ()).is_none() {
             unique.push(UniqueRun {
                 fingerprint: fp,

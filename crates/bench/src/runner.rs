@@ -10,6 +10,7 @@
 use crate::engine::planner::{Hinting, PreparedKernel};
 use crate::tiered::{run_fingerprint_tiered, Tier};
 use lf_isa::{Memory, Program};
+use lf_stats::json::Reader;
 use lf_stats::{Histogram, Json};
 use lf_workloads::{Scale, Workload};
 use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
@@ -107,7 +108,7 @@ impl RunRecord {
     }
 
     /// Serializes the record for the run cache. Inverse of
-    /// [`RunRecord::from_json`].
+    /// [`RunRecord::read_json`].
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.set("stats", self.stats.to_json());
@@ -125,46 +126,88 @@ impl RunRecord {
         j
     }
 
-    /// Reconstructs a [`RunRecord::to_json`] document; `None` if any field
-    /// is missing or mistyped (a corrupt cache entry), including a tier
-    /// record without its estimate.
-    pub fn from_json(j: &Json) -> Option<RunRecord> {
-        let acct = j.get("accounting")?;
-        let mut accounting = CycleAccounting::default();
-        for bucket in CycleBucket::ALL {
-            accounting.add(bucket, acct.get(bucket.name())?.as_u64()?);
+    /// Reads a [`RunRecord::to_json`] document; `Ok(None)` if any field is
+    /// missing or mistyped (a corrupt cache entry), including a tier record
+    /// without its estimate. A key given twice keeps its last value. `Err`
+    /// is a syntax error.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Option<RunRecord>, String> {
+        let (mut stats, mut accounting, mut intervals) = (None, None, None);
+        let (mut occupancy, mut commit_width, mut tier) = (None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "stats" => stats = SimStats::read_json(r)?,
+                "accounting" => accounting = read_accounting(r)?,
+                "intervals" => intervals = read_intervals(r)?,
+                "occupancy" => occupancy = read_occupancy(r)?,
+                "commit_width" => commit_width = r.u64()?,
+                "tier" => tier = Some(r.value()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        if tier.as_ref().is_some_and(|t| estimate(t).is_none()) {
+            return Ok(None);
         }
-        let intervals = j
-            .get("intervals")?
-            .as_arr()?
-            .iter()
-            .map(|i| {
-                let u = |key: &str| i.get(key).and_then(Json::as_u64);
-                Some(IntervalSample {
-                    cycle: u("cycle")?,
-                    committed_insts: u("committed_insts")?,
-                    issued_insts: u("issued_insts")?,
-                    spawns: u("spawns")?,
-                    squashes: u("squashes")?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let occupancy = j.get("occupancy")?;
-        let [rob, iq, commit] =
-            OCCUPANCY_KEYS.map(|key| occupancy.get(key).and_then(Histogram::from_json));
-        let tier = j.get("tier").cloned();
-        if let Some(t) = &tier {
-            estimate(t)?;
-        }
-        Some(RunRecord {
-            stats: SimStats::from_json(j.get("stats")?)?,
-            accounting,
-            intervals,
-            occupancy: [rob?, iq?, commit?],
-            commit_width: j.get("commit_width")?.as_u64()?,
-            tier,
-        })
+        let (Some(stats), Some(accounting), Some(intervals), Some(occupancy), Some(commit_width)) =
+            (stats, accounting, intervals, occupancy, commit_width)
+        else {
+            return Ok(None);
+        };
+        Ok(Some(RunRecord { stats, accounting, intervals, occupancy, commit_width, tier }))
     }
+}
+
+/// Reads [`RunRecord::accounting_json`]: every bucket's slots.
+fn read_accounting(r: &mut Reader<'_>) -> Result<Option<CycleAccounting>, String> {
+    let mut slots = [None; CycleBucket::ALL.len()];
+    r.object(|r, key| match CycleBucket::ALL.iter().position(|b| b.name() == key) {
+        Some(i) => r.u64().map(|n| slots[i] = n),
+        None => r.skip(),
+    })?;
+    let mut accounting = CycleAccounting::default();
+    for (bucket, n) in CycleBucket::ALL.into_iter().zip(slots) {
+        let Some(n) = n else { return Ok(None) };
+        accounting.add(bucket, n);
+    }
+    Ok(Some(accounting))
+}
+
+/// Reads [`RunRecord::intervals_json`]: every sample with all five counts.
+fn read_intervals(r: &mut Reader<'_>) -> Result<Option<Vec<IntervalSample>>, String> {
+    let (mut intervals, mut all) = (Vec::new(), true);
+    let is_array = r.array(|r| {
+        let mut counts = [None; 5];
+        r.object(|r, key| {
+            let slot = match &*key {
+                "cycle" => 0,
+                "committed_insts" => 1,
+                "issued_insts" => 2,
+                "spawns" => 3,
+                "squashes" => 4,
+                _ => return r.skip(),
+            };
+            r.u64().map(|n| counts[slot] = n)
+        })?;
+        match counts {
+            [Some(cycle), Some(committed_insts), Some(issued_insts), Some(spawns), Some(squashes)] => {
+                intervals.push(IntervalSample { cycle, committed_insts, issued_insts, spawns, squashes })
+            }
+            _ => all = false,
+        }
+        Ok(())
+    })?;
+    Ok((is_array && all).then_some(intervals))
+}
+
+/// Reads the occupancy histograms, by their [`OCCUPANCY_KEYS`].
+fn read_occupancy(r: &mut Reader<'_>) -> Result<Option<[Histogram; 3]>, String> {
+    let mut hists = [None, None, None];
+    r.object(|r, key| match OCCUPANCY_KEYS.iter().position(|k| *k == key) {
+        Some(i) => Histogram::read_json(r).map(|h| hists[i] = h),
+        None => r.skip(),
+    })?;
+    let [Some(rob), Some(iq), Some(commit)] = hists else { return Ok(None) };
+    Ok(Some([rob, iq, commit]))
 }
 
 /// The memoizable product of one simulation: everything any scenario

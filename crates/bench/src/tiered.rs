@@ -110,23 +110,24 @@ pub fn run_fingerprint_tiered(
     scale: Scale,
     tier: Tier,
 ) -> u64 {
-    combine_run_fingerprint(program.code_fingerprint(), fnv1a(mem.as_bytes()), cfg, scale, tier)
+    let (code, mem) = (program.code_fingerprint(), fnv1a(mem.as_bytes()));
+    combine_run_fingerprint(code, mem, cfg.fingerprint(), scale, tier)
 }
 
 /// The run-fingerprint formula over precomputed hashes: `code` is the
-/// program's [`Program::code_fingerprint`] and `mem` the FNV-1a hash of
-/// the initial memory image. [`run_fingerprint_tiered`] and a prepared
-/// kernel, which hashes its program and memory once, both mix through
-/// here, so the two agree bit for bit.
+/// program's [`Program::code_fingerprint`], `mem` the FNV-1a hash of the
+/// initial memory image and `config` the [`LoopFrogConfig::fingerprint`].
+/// [`run_fingerprint_tiered`] and a prepared kernel, which hashes its
+/// program and memory once, both mix through here, so the two agree bit
+/// for bit.
 pub(crate) fn combine_run_fingerprint(
     code: u64,
     mem: u64,
-    cfg: &LoopFrogConfig,
+    config: u64,
     scale: Scale,
     tier: Tier,
 ) -> u64 {
-    let base =
-        Fingerprint::new().u64(code).u64(mem).str(scale_tag(scale)).u64(cfg.fingerprint()).finish();
+    let base = Fingerprint::new().u64(code).u64(mem).str(scale_tag(scale)).u64(config).finish();
     match tier {
         Tier::Detailed => base,
         Tier::Sampled | Tier::SimpointCheck => {

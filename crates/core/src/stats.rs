@@ -3,7 +3,8 @@
 //! threadlet-activity distribution for Figure 7, squash causes, packing
 //! behaviour for §6.5).
 
-use lf_stats::Counters;
+use lf_stats::json::Reader;
+use lf_stats::{Counters, Json};
 
 /// Statistics collected over one simulation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -116,40 +117,71 @@ impl SimStats {
         }
     }
 
+    /// The plain `u64` fields, in [`COUNT_KEYS`] order.
+    fn counts(&self) -> [u64; COUNT_KEYS.len()] {
+        [
+            self.cycles,
+            self.committed_insts,
+            self.commits_arch,
+            self.commits_spec_success,
+            self.commits_spec_failed,
+            self.issued_insts,
+            self.fetched_insts,
+            self.renamed_insts,
+            self.fetch_icache_stalls,
+            self.branches,
+            self.branch_mispredicts,
+            self.spawns,
+            self.packed_spawns,
+            self.pack_factor_sum,
+            self.pack_patches,
+            self.squashes_conflict,
+            self.squashes_overflow,
+            self.squashes_sync,
+            self.squashes_packing,
+            self.squashes_wrong_path,
+            self.region_cycles,
+        ]
+    }
+
+    /// [`SimStats::counts`], to write.
+    fn counts_mut(&mut self) -> [&mut u64; COUNT_KEYS.len()] {
+        [
+            &mut self.cycles,
+            &mut self.committed_insts,
+            &mut self.commits_arch,
+            &mut self.commits_spec_success,
+            &mut self.commits_spec_failed,
+            &mut self.issued_insts,
+            &mut self.fetched_insts,
+            &mut self.renamed_insts,
+            &mut self.fetch_icache_stalls,
+            &mut self.branches,
+            &mut self.branch_mispredicts,
+            &mut self.spawns,
+            &mut self.packed_spawns,
+            &mut self.pack_factor_sum,
+            &mut self.pack_patches,
+            &mut self.squashes_conflict,
+            &mut self.squashes_overflow,
+            &mut self.squashes_sync,
+            &mut self.squashes_packing,
+            &mut self.squashes_wrong_path,
+            &mut self.region_cycles,
+        ]
+    }
+
     /// Serializes every field to JSON, for the experiment engine's on-disk
-    /// run cache. Inverse of [`SimStats::from_json`]. All counts here are
+    /// run cache. Inverse of [`SimStats::read_json`]. All counts here are
     /// far below 2^53, so the number representation is lossless.
-    pub fn to_json(&self) -> lf_stats::Json {
-        let mut j = lf_stats::Json::obj();
-        j.set("cycles", self.cycles);
-        j.set("committed_insts", self.committed_insts);
-        j.set("commits_arch", self.commits_arch);
-        j.set("commits_spec_success", self.commits_spec_success);
-        j.set("commits_spec_failed", self.commits_spec_failed);
-        j.set("issued_insts", self.issued_insts);
-        j.set("fetched_insts", self.fetched_insts);
-        j.set("renamed_insts", self.renamed_insts);
-        j.set("fetch_icache_stalls", self.fetch_icache_stalls);
-        j.set("branches", self.branches);
-        j.set("branch_mispredicts", self.branch_mispredicts);
-        j.set("spawns", self.spawns);
-        j.set("packed_spawns", self.packed_spawns);
-        j.set("pack_factor_sum", self.pack_factor_sum);
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        for (key, n) in COUNT_KEYS.into_iter().zip(self.counts()) {
+            j.set(key, n);
+        }
         j.set("pack_factor_max", self.pack_factor_max as u64);
-        j.set("pack_patches", self.pack_patches);
-        j.set("squashes_conflict", self.squashes_conflict);
-        j.set("squashes_overflow", self.squashes_overflow);
-        j.set("squashes_sync", self.squashes_sync);
-        j.set("squashes_packing", self.squashes_packing);
-        j.set("squashes_wrong_path", self.squashes_wrong_path);
-        j.set(
-            "cycles_with_active",
-            lf_stats::Json::Arr(
-                self.cycles_with_active.iter().map(|&c| lf_stats::Json::from(c)).collect(),
-            ),
-        );
-        j.set("region_cycles", self.region_cycles);
-        let mut counters = lf_stats::Json::obj();
+        j.set("cycles_with_active", Json::from(self.cycles_with_active.clone()));
+        let mut counters = Json::obj();
         for (name, n) in self.counters.iter() {
             counters.set(name, n);
         }
@@ -157,52 +189,64 @@ impl SimStats {
         j
     }
 
-    /// Reconstructs stats from a [`SimStats::to_json`] document; `None` if
-    /// any field is missing or mistyped (a corrupt or stale cache entry).
-    pub fn from_json(j: &lf_stats::Json) -> Option<SimStats> {
-        let u = |key: &str| j.get(key).and_then(lf_stats::Json::as_u64);
-        let mut counters = Counters::new();
-        match j.get("counters")? {
-            lf_stats::Json::Obj(m) => {
-                for (name, v) in m {
-                    counters.add(name, v.as_u64()?);
-                }
+    /// Reads a [`SimStats::to_json`] document; `Ok(None)` if any field is
+    /// missing or mistyped (a corrupt or stale cache entry). A key given
+    /// twice keeps its last value. `Err` is a syntax error.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Option<SimStats>, String> {
+        let mut counts = [None; COUNT_KEYS.len()];
+        let (mut pack_factor_max, mut cycles_with_active, mut counters) = (None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "pack_factor_max" => pack_factor_max = r.u64()?,
+                "cycles_with_active" => cycles_with_active = r.u64s()?,
+                "counters" => counters = Counters::read_json(r)?,
+                key => match COUNT_KEYS.iter().position(|k| *k == key) {
+                    Some(i) => counts[i] = r.u64()?,
+                    None => r.skip()?,
+                },
             }
-            _ => return None,
+            Ok(())
+        })?;
+        let (Some(pack_factor_max), Some(cycles_with_active), Some(counters)) =
+            (pack_factor_max, cycles_with_active, counters)
+        else {
+            return Ok(None);
+        };
+        let pack_factor_max = pack_factor_max as u32;
+        let mut stats =
+            SimStats { pack_factor_max, cycles_with_active, counters, ..SimStats::default() };
+        for (field, n) in stats.counts_mut().into_iter().zip(counts) {
+            let Some(n) = n else { return Ok(None) };
+            *field = n;
         }
-        Some(SimStats {
-            cycles: u("cycles")?,
-            committed_insts: u("committed_insts")?,
-            commits_arch: u("commits_arch")?,
-            commits_spec_success: u("commits_spec_success")?,
-            commits_spec_failed: u("commits_spec_failed")?,
-            issued_insts: u("issued_insts")?,
-            fetched_insts: u("fetched_insts")?,
-            renamed_insts: u("renamed_insts")?,
-            fetch_icache_stalls: u("fetch_icache_stalls")?,
-            branches: u("branches")?,
-            branch_mispredicts: u("branch_mispredicts")?,
-            spawns: u("spawns")?,
-            packed_spawns: u("packed_spawns")?,
-            pack_factor_sum: u("pack_factor_sum")?,
-            pack_factor_max: u("pack_factor_max")? as u32,
-            pack_patches: u("pack_patches")?,
-            squashes_conflict: u("squashes_conflict")?,
-            squashes_overflow: u("squashes_overflow")?,
-            squashes_sync: u("squashes_sync")?,
-            squashes_packing: u("squashes_packing")?,
-            squashes_wrong_path: u("squashes_wrong_path")?,
-            cycles_with_active: j
-                .get("cycles_with_active")?
-                .as_arr()?
-                .iter()
-                .map(lf_stats::Json::as_u64)
-                .collect::<Option<Vec<u64>>>()?,
-            region_cycles: u("region_cycles")?,
-            counters,
-        })
+        Ok(Some(stats))
     }
 }
+
+/// The JSON keys of [`SimStats`]' plain `u64` fields, in declaration order.
+const COUNT_KEYS: [&str; 21] = [
+    "cycles",
+    "committed_insts",
+    "commits_arch",
+    "commits_spec_success",
+    "commits_spec_failed",
+    "issued_insts",
+    "fetched_insts",
+    "renamed_insts",
+    "fetch_icache_stalls",
+    "branches",
+    "branch_mispredicts",
+    "spawns",
+    "packed_spawns",
+    "pack_factor_sum",
+    "pack_patches",
+    "squashes_conflict",
+    "squashes_overflow",
+    "squashes_sync",
+    "squashes_packing",
+    "squashes_wrong_path",
+    "region_cycles",
+];
 
 /// Why the simulation stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,29 +327,39 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_every_field() {
+        let read = |text: &str| {
+            let mut r = Reader::new(text);
+            let stats = SimStats::read_json(&mut r).expect("well-formed JSON");
+            r.finish().expect("one document");
+            stats
+        };
+        // Every count distinct, so two fields read into each other's place
+        // would show.
         let mut s = SimStats::new(4);
-        s.cycles = 12_345;
-        s.committed_insts = 54_321;
-        s.commits_arch = 40_000;
-        s.commits_spec_success = 10_000;
-        s.commits_spec_failed = 4_321;
-        s.issued_insts = 60_000;
-        s.spawns = 17;
-        s.packed_spawns = 5;
-        s.pack_factor_sum = 12;
+        for (i, n) in s.counts_mut().into_iter().enumerate() {
+            *n = 1_000 + i as u64;
+        }
         s.pack_factor_max = 7;
-        s.squashes_conflict = 3;
         s.cycles_with_active = vec![1, 2, 3, 4, 5];
-        s.region_cycles = 9_000;
         s.counters.add("l2_accesses", 999);
         s.counters.add("bloom_false_positive_squashes", 2);
 
-        let text = s.to_json().to_string_pretty();
-        let parsed = lf_stats::Json::parse(&text).expect("stats JSON parses");
-        let back = SimStats::from_json(&parsed).expect("stats reconstruct");
-        assert_eq!(format!("{s:?}"), format!("{back:?}"));
+        let doc = s.to_json();
+        assert_eq!(doc.get("squashes_sync").and_then(Json::as_u64), Some(s.squashes_sync));
+        assert_eq!(read(&doc.to_string_pretty()), Some(s.clone()));
 
-        // Corrupt documents are rejected, not mis-read.
-        assert!(SimStats::from_json(&lf_stats::Json::obj()).is_none());
+        // Corrupt documents are rejected, not mis-read: every field is
+        // required and typed.
+        assert_eq!(read("{}"), None);
+        let Json::Obj(fields) = &doc else { panic!("stats are an object") };
+        for key in fields.keys() {
+            let mut missing = doc.clone();
+            let Json::Obj(m) = &mut missing else { unreachable!() };
+            m.remove(key);
+            assert_eq!(read(&missing.to_string_compact()), None, "without {key}");
+            let mut mistyped = doc.clone();
+            mistyped.set(key, "1");
+            assert_eq!(read(&mistyped.to_string_compact()), None, "{key} as a string");
+        }
     }
 }

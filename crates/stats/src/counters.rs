@@ -1,6 +1,6 @@
 //! Event counters and histograms for simulator statistics.
 
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -73,6 +73,25 @@ impl Counters {
         } else {
             self.get(num) as f64 / d as f64
         }
+    }
+
+    /// Reads an object of counts by name; `Ok(None)` if it is not an
+    /// object or a count is not a `u64`. A name given twice keeps its last
+    /// count, as it would in a parsed [`Json`] object. `Err` is a syntax
+    /// error.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Option<Counters>, String> {
+        let (mut map, mut mistyped) = (BTreeMap::new(), Vec::new());
+        let is_object = r.object(|r, name| {
+            mistyped.retain(|m| *m != name);
+            match r.u64()? {
+                Some(n) => {
+                    map.insert(name.into_owned(), n);
+                }
+                None => mistyped.push(name),
+            }
+            Ok(())
+        })?;
+        Ok((is_object && mistyped.is_empty()).then_some(Counters { map }))
     }
 }
 
@@ -190,7 +209,7 @@ impl Histogram {
 
     /// Serializes the histogram's state: bucket width, bucket counts, and
     /// the sample sum and maximum (the count is the buckets' sum). Inverse
-    /// of [`Histogram::from_json`]; every value is far below 2^53.
+    /// of [`Histogram::read_json`]; every value is far below 2^53.
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.set("width", self.width);
@@ -200,18 +219,29 @@ impl Histogram {
         j
     }
 
-    /// Reconstructs a [`Histogram::to_json`] document; `None` if a field
-    /// is missing or mistyped, or the shape is not a valid histogram.
-    pub fn from_json(j: &Json) -> Option<Histogram> {
-        let u = |key: &str| j.get(key).and_then(Json::as_u64);
-        let buckets =
-            j.get("buckets")?.as_arr()?.iter().map(Json::as_u64).collect::<Option<Vec<u64>>>()?;
-        let width = u("width")?;
+    /// Reads a [`Histogram::to_json`] document; `Ok(None)` if a field is
+    /// missing or mistyped, or the shape is not a valid histogram (zero
+    /// width, no buckets). `Err` is a syntax error.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Option<Histogram>, String> {
+        let (mut width, mut buckets, mut sum, mut max) = (None, None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "width" => width = r.u64()?,
+                "buckets" => buckets = r.u64s()?,
+                "sum" => sum = r.u64()?,
+                "max" => max = r.u64()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let (Some(width), Some(buckets), Some(sum), Some(max)) = (width, buckets, sum, max) else {
+            return Ok(None);
+        };
         if width == 0 || buckets.is_empty() {
-            return None;
+            return Ok(None);
         }
         let count = buckets.iter().sum();
-        Some(Histogram { width, buckets, count, sum: u("sum")?, max: u("max")? })
+        Ok(Some(Histogram { width, buckets, count, sum, max }))
     }
 }
 
@@ -230,6 +260,32 @@ mod tests {
         assert_eq!(a.get("x"), 5);
         assert!((a.ratio("y", "x") - 0.8).abs() < 1e-12);
         assert_eq!(a.ratio("x", "zero"), 0.0);
+    }
+
+    #[test]
+    fn counters_read_as_a_parsed_object_holds_them() {
+        let read = |text: &str| {
+            let mut r = Reader::new(text);
+            let c = Counters::read_json(&mut r).expect("well-formed JSON");
+            r.finish().expect("one document");
+            c
+        };
+        let mut c = Counters::new();
+        c.add("l2_accesses", 77);
+        c.add("weird \"name\"\n", 3);
+        let mut j = Json::obj();
+        for (name, n) in c.iter() {
+            j.set(name, n);
+        }
+        assert_eq!(read(&j.to_string_pretty()), Some(c));
+        assert_eq!(read("{}"), Some(Counters::new()));
+        assert_eq!(read("[]"), None, "counters are an object");
+        assert_eq!(read(r#"{"a": 1, "b": -1}"#), None, "every count is a u64");
+        // A repeated name keeps its last count, whatever came before it.
+        let last =
+            read(r#"{"b": 2, "a": "x", "b": 5, "a": 1}"#).expect("the last counts are valid");
+        assert_eq!(last.iter().collect::<Vec<_>>(), [("a", 1), ("b", 5)]);
+        assert_eq!(read(r#"{"a": 1, "a": null}"#), None);
     }
 
     #[test]
@@ -325,16 +381,31 @@ mod tests {
 
     #[test]
     fn histogram_json_round_trips() {
+        let read = |text: &str| {
+            let mut r = Reader::new(text);
+            let h = Histogram::read_json(&mut r).expect("well-formed JSON");
+            r.finish().expect("one document");
+            h
+        };
         let mut h = Histogram::new(4, 5);
         for s in [0, 3, 9, 100] {
             h.record(s);
         }
-        let back = Histogram::from_json(&Json::parse(&h.to_json().to_string_pretty()).unwrap());
-        assert_eq!(back, Some(h));
-        assert_eq!(Histogram::from_json(&Json::obj()), None);
+        assert_eq!(read(&h.to_json().to_string_pretty()), Some(h));
+        assert_eq!(read("{}"), None);
+        assert_eq!(read("[1, 2]"), None, "a histogram is an object");
+        let mut unknown = Histogram::new(2, 3).to_json();
+        unknown.set("note", Json::Arr(vec![Json::Null, "x".into()]));
+        assert_eq!(read(&unknown.to_string_compact()), Some(Histogram::new(2, 3)));
         let mut empty = Histogram::new(1, 1).to_json();
         empty.set("buckets", Json::Arr(Vec::new()));
-        assert_eq!(Histogram::from_json(&empty), None, "a histogram has a bucket");
+        assert_eq!(read(&empty.to_string_compact()), None, "a histogram has a bucket");
+        let mut flat = Histogram::new(1, 1).to_json();
+        flat.set("width", 0u64);
+        assert_eq!(read(&flat.to_string_compact()), None, "a bucket has a width");
+        let mut mistyped = Histogram::new(1, 2).to_json();
+        mistyped.set("buckets", Json::Arr(vec![1u64.into(), "2".into()]));
+        assert_eq!(read(&mistyped.to_string_compact()), None, "every bucket is a count");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! deterministic order, so dumps are byte-stable), and non-finite floats
 //! serialize as `null` (JSON has no NaN/Infinity).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -235,23 +236,213 @@ fn write_str(out: &mut String, s: &str) {
 /// Parses a JSON document. Used by round-trip tests and by post-processing
 /// scripts that read `results/*.json` back in.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut r = Reader::new(src);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the one tokenizer behind
+/// [`parse`], also usable to decode a document straight into typed values
+/// without building a [`Json`] tree.
+///
+/// Every read consumes exactly one value, leading whitespace included.
+/// `Err` is a syntax error: the document is not JSON that [`parse`] would
+/// accept. A well-formed value of another type than the read asks for is
+/// skipped and reads as `Ok(None)` (or `Ok(false)` for [`Reader::object`]
+/// and [`Reader::array`]), so a typed decoder can finish the document and
+/// only then judge its shape.
+///
+/// ```
+/// use lf_stats::json::Reader;
+///
+/// let mut r = Reader::new(r#"{"n": 7, "name": "x", "skip": [1, {"a": null}]}"#);
+/// let (mut n, mut name) = (None, None);
+/// assert!(r.object(|r, key| {
+///     match &*key {
+///         "n" => n = r.u64()?,
+///         "name" => name = r.str()?.map(|s| s.into_owned()),
+///         _ => r.skip()?,
+///     }
+///     Ok(())
+/// })?);
+/// r.finish()?;
+/// assert_eq!((n, name.as_deref()), (Some(7), Some("x")));
+/// # Ok::<(), String>(())
+/// ```
+pub struct Reader<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `src`.
+    pub fn new(src: &'a str) -> Reader<'a> {
+        Reader { src, bytes: src.as_bytes(), pos: 0 }
+    }
+
+    /// Ends the document: only whitespace may follow the values read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value into a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| r.value().map(|v| items.push(v)))?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    let v = r.value()?;
+                    map.insert(key.into_owned(), v);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(map))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Json::Num),
+            _ => Err(format!("unexpected byte at {}", self.pos)),
+        }
+    }
+
+    /// Skips the next value, checking its syntax as [`Reader::value`]
+    /// does. Typed decoders skip only unknown keys and mistyped values.
+    pub fn skip(&mut self) -> Result<(), String> {
+        self.value().map(drop)
+    }
+
+    /// Reads an object: calls `f` once per member, in document order, with
+    /// the member's key (escapes decoded) and the reader positioned at its
+    /// value, which `f` must consume with exactly one read. `Ok(false)` if
+    /// the value is not an object.
+    pub fn object(
+        &mut self,
+        mut f: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return self.skip().map(|()| false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            f(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    /// Reads an array: calls `f` once per element, in order, with the
+    /// reader positioned at it; `f` must consume it with exactly one read.
+    /// `Ok(false)` if the value is not an array.
+    pub fn array(
+        &mut self,
+        mut f: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            return self.skip().map(|()| false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            f(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    /// Reads a number as [`Json::as_u64`] reads it: `None` unless it is a
+    /// non-negative integral number.
+    pub fn u64(&mut self) -> Result<Option<u64>, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let digits = self.bytes[start..].iter().take_while(|c| c.is_ascii_digit()).count();
+        let end = start + digits;
+        // Up to 15 plain digits are exact as an f64, so they read the same
+        // without the float round trip every other form takes.
+        if (1..=15).contains(&digits)
+            && !matches!(self.bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos = end;
+            let n = self.bytes[start..end].iter().fold(0, |n, d| n * 10 + u64::from(d - b'0'));
+            return Ok(Some(n));
+        }
+        Ok(self.f64()?.and_then(|n| Json::Num(n).as_u64()))
+    }
+
+    /// Reads a number; `None` if the value is not one.
+    pub fn f64(&mut self) -> Result<Option<f64>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads a string, borrowed from the document unless it has escapes;
+    /// `None` if the value is not a string.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => self.string().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads an array of numbers, each as [`Reader::u64`] reads it; `None`
+    /// if the value is not an array or an element is not a `u64`.
+    pub fn u64s(&mut self) -> Result<Option<Vec<u64>>, String> {
+        let (mut items, mut all) = (Vec::new(), true);
+        let is_array = self.array(|r| {
+            match r.u64()? {
+                Some(n) => items.push(n),
+                None => all = false,
+            }
+            Ok(())
+        })?;
+        Ok((is_array && all).then_some(items))
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -271,96 +462,40 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    /// A string token. Every slice boundary here sits next to an ASCII
+    /// byte, so it is a char boundary of `src`.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
                 self.pos += 1;
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8".to_string())?,
-            );
+            let run = &self.src[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -373,9 +508,8 @@ impl Parser<'_> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| "truncated \\u escape".to_string())?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
@@ -391,7 +525,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -400,11 +534,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        self.src[start..self.pos].parse::<f64>().map_err(|_| format!("bad number at byte {start}"))
     }
 }
 
@@ -442,6 +572,86 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn reader_numbers_read_as_parsed_numbers_do() {
+        let texts = [
+            "0",
+            "7",
+            "01",
+            "-0",
+            "-3",
+            "1.0",
+            "1.5",
+            "1e3",
+            "2.5E1",
+            "1e-2",
+            "123456789012345",
+            // Past 15 digits a u64 reads as the f64 it parses to.
+            "1234567890123456",
+            "9007199254740993",
+            "18446744073709551616",
+            "1e400",
+        ];
+        for text in texts {
+            let tree = parse(text).expect("a number");
+            let mut r = Reader::new(text);
+            assert_eq!(r.u64().unwrap(), tree.as_u64(), "{text}");
+            r.finish().unwrap();
+            let mut r = Reader::new(text);
+            assert_eq!(r.f64().unwrap(), tree.as_f64(), "{text}");
+            r.finish().unwrap();
+        }
+        for bad in ["-", "1-2", "1e", "1.2.3", "--1"] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(Reader::new(bad).u64().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reader_skips_mistyped_values_whole() {
+        let text = r#"[{"a": [1, "x"]}, "s\"", null, true, -2, 3, [], {}]"#;
+        let mut r = Reader::new(text);
+        let mut read = Vec::new();
+        assert!(r.array(|r| r.u64().map(|n| read.push(n))).unwrap());
+        r.finish().unwrap();
+        assert_eq!(read, [None, None, None, None, None, Some(3), None, None]);
+
+        let mut r = Reader::new(r#"{"a\u0041\n": "v\/", "b": [true]}"#);
+        let mut keys = Vec::new();
+        assert!(r
+            .object(|r, key| {
+                keys.push(key.into_owned());
+                r.str().map(drop)
+            })
+            .unwrap());
+        assert_eq!(keys, ["aA\n", "b"], "keys decode their escapes");
+        assert!(!Reader::new("[1]").object(|r, _| r.skip()).unwrap(), "an array is no object");
+        assert_eq!(Reader::new("[1, 2]").u64s().unwrap(), Some(vec![1, 2]));
+        assert_eq!(Reader::new("[1, 2.5]").u64s().unwrap(), None);
+    }
+
+    #[test]
+    fn reader_reports_the_syntax_errors_parse_does() {
+        for bad in [
+            "{",
+            "[1,]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "[1 2]",
+            "nul",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "{1:2}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(Reader::new(bad).skip().is_err(), "{bad}");
+            assert!(Reader::new(bad).u64().is_err(), "{bad}");
+        }
+        let mut r = Reader::new("1 2");
+        r.skip().unwrap();
+        assert!(r.finish().is_err(), "trailing garbage");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Integration tests for the experiment engine's run planner: cross-
 //! scenario deduplication, fingerprint sensitivity and stability, on-disk
 //! memoization with schema invalidation, `-j` and cache independence of
-//! the artifacts, runs requested on an explicit tier, geometry, filter and
+//! the artifacts (cached reruns on both tiers, serial and pooled cache
+//! probes), runs requested on an explicit tier, geometry, filter and
 //! deselection siblings served from one footprint, the campaign's phase
 //! spans and their coverage of its wall time, and the rejection of a
 //! `--filter` that selects no kernel.
@@ -164,6 +165,108 @@ fn disk_cache_round_trips_and_schema_bump_invalidates() {
     assert_eq!(sims_third.load(Ordering::SeqCst), 2);
 }
 
+/// An artifact's document with its planner telemetry (wall-clock, job
+/// count and cache hits, which legitimately differ between campaigns)
+/// nulled.
+fn without_planner(artifact: &RunArtifact) -> String {
+    let mut doc = artifact.to_json();
+    doc.set("planner", Json::Null);
+    doc.to_string_pretty()
+}
+
+/// A cached rerun renders exactly what the simulating campaign rendered,
+/// text and artifacts alike, on both tiers: every record field an artifact
+/// formats survives the cache, a sampled run's tier record included.
+#[test]
+fn cached_reruns_render_the_simulating_campaigns_artifacts() {
+    let scenarios: Vec<_> = ["fig6_speedups", "fig8_ipc_breakdown", "simpoint_sampled"]
+        .into_iter()
+        .map(|name| lf_bench::engine::by_name(name).unwrap())
+        .collect();
+    let scenarios: Vec<&dyn Scenario> = scenarios.iter().map(|s| s.as_ref()).collect();
+    for tier in [Tier::Detailed, Tier::Sampled] {
+        let dir = scratch_dir(&format!("cached-artifacts-{}", tier.tag()));
+        let campaign = || {
+            let mut opts = opts_for("stencil_blur");
+            opts.tier = tier;
+            opts.jobs = 2;
+            opts.disk_cache = Some(DiskCache::new(dir.clone()));
+            run_scenarios(&scenarios, &opts)
+        };
+        let cold = campaign();
+        let cached = campaign();
+        let tag = tier.tag();
+        assert_eq!(cold.report.disk_hits, 0, "{tag}");
+        assert!(cold.report.simulated > 0, "{tag}");
+        assert_eq!(cached.report.disk_hits, cached.report.unique, "{tag}");
+        assert_eq!(cached.report.simulated + cached.report.served, 0, "{tag}");
+        assert!(cold.failures.is_empty() && cached.failures.is_empty(), "{tag}");
+        for (a, b) in cold.scenarios.iter().zip(&cached.scenarios) {
+            assert_eq!(a.text, b.text, "{} on {tag}", a.name);
+            assert_eq!(
+                without_planner(&a.artifact),
+                without_planner(&b.artifact),
+                "{} on {tag}",
+                a.name
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Cache probes classify alike serially and on the pool: on a cache
+/// holding one corrupt and one stale entry, a `-j 1` and a `-j 4` campaign
+/// count the same hits, corrupt, quarantined and stale entries, and render
+/// what the campaign that filled the cache rendered.
+#[test]
+fn serial_and_pooled_probes_classify_alike() {
+    let scenario = lf_bench::engine::by_name("fig9_ssb_size").unwrap();
+    let filled = scratch_dir("probes-filled");
+    let mut opts = opts_for("stencil_blur");
+    opts.disk_cache = Some(DiskCache::new(filled.clone()));
+    let cold = run_scenarios(&[scenario.as_ref()], &opts);
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&filled)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), cold.report.unique);
+    std::fs::write(&entries[0], "{ \"truncated\": ").unwrap();
+    let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+    let text = std::fs::read_to_string(&entries[1]).unwrap();
+    assert!(text.contains(&current));
+    std::fs::write(&entries[1], text.replace(&current, "\"schema_version\": 3")).unwrap();
+
+    let campaign = |jobs: usize| {
+        let dir = scratch_dir(&format!("probes-j{jobs}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in &entries {
+            std::fs::copy(entry, dir.join(entry.file_name().unwrap())).unwrap();
+        }
+        let mut opts = opts_for("stencil_blur");
+        opts.jobs = jobs;
+        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        let out = run_scenarios(&[scenario.as_ref()], &opts);
+        std::fs::remove_dir_all(&dir).ok();
+        out
+    };
+    let (serial, pooled) = (campaign(1), campaign(4));
+    for (jobs, out) in [(1, &serial), (4, &pooled)] {
+        let f = &out.report.faults;
+        assert_eq!(
+            (out.report.disk_hits, f.cache_corrupt, f.quarantined, f.cache_schema_mismatch),
+            (cold.report.unique - 2, 1, 1, 1),
+            "-j {jobs}"
+        );
+        assert!(out.failures.is_empty(), "-j {jobs}");
+        assert_eq!(out.scenarios[0].text, cold.scenarios[0].text, "-j {jobs}");
+        let artifact = without_planner(&out.scenarios[0].artifact);
+        assert_eq!(artifact, without_planner(&cold.scenarios[0].artifact), "-j {jobs}");
+    }
+    std::fs::remove_dir_all(&filled).ok();
+}
+
 /// Rendered text and artifacts depend on neither `-j` nor the cache. The
 /// serial side runs on a fresh disk cache and the parallel side on none.
 /// fig9's SSB sweep over one kernel yields 5 unique runs (the shared
@@ -195,16 +298,10 @@ fn parallel_output_is_byte_identical_to_serial() {
             serial.scenarios[0].text, parallel.scenarios[0].text,
             "{name}: rendered text must not depend on -j or the cache"
         );
-        // Artifacts match too, modulo the planner telemetry (wall-clock,
-        // job count and cache hits legitimately differ).
-        let strip = |artifact: &RunArtifact| {
-            let mut doc = artifact.to_json();
-            doc.set("planner", Json::Null);
-            doc.to_string_pretty()
-        };
+        // Artifacts match too, modulo the planner telemetry.
         assert_eq!(
-            strip(&serial.scenarios[0].artifact),
-            strip(&parallel.scenarios[0].artifact),
+            without_planner(&serial.scenarios[0].artifact),
+            without_planner(&parallel.scenarios[0].artifact),
             "{name}: artifacts must not depend on -j or the cache"
         );
         std::fs::remove_dir_all(&dir).ok();
