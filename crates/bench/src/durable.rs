@@ -25,8 +25,9 @@
 //!
 //! A crash between steps 1 and 3 leaks the temp file. That is the one
 //! residue the protocol permits, and [`sweep_orphan_tmps`] removes it:
-//! the engine sweeps the cache directory at campaign startup and counts
-//! the sweeps in planner telemetry (`tmp_swept`), so a crashy deployment
+//! the engine sweeps the cache directory and its preparation records at
+//! campaign startup and counts the sweeps in planner telemetry
+//! (`tmp_swept`), so a crashy deployment
 //! is visible in its own numbers. The crash-recovery harness
 //! (`tests/crash_recovery.rs`) asserts that after a kill + rerun cycle no
 //! temp file survives anywhere.
@@ -145,14 +146,55 @@ pub fn sweep_orphan_tmps(dir: &Path) -> usize {
     swept
 }
 
+/// A unit test's scratch directory, `<temp>/lf-bench-<kind>-test-<pid>-<tag>`:
+/// removed when the test passes, kept when it fails so the failure can be
+/// diagnosed.
+#[cfg(test)]
+pub(crate) struct ScratchDir(PathBuf);
+
+#[cfg(test)]
+impl ScratchDir {
+    /// Claims the directory, removing whatever an earlier run left there.
+    /// The directory itself is not created.
+    pub(crate) fn new(kind: &str, tag: &str) -> ScratchDir {
+        let name = format!("lf-bench-{kind}-test-{}-{tag}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("lf-bench-durable-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn scratch_dir(tag: &str) -> ScratchDir {
+        let dir = ScratchDir::new("durable", tag);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -219,7 +261,6 @@ mod tests {
         crate::perf::append_throughput_entry(&path, &Json::obj()).unwrap();
         crate::perf::append_throughput_entry(&path, &Json::obj()).unwrap();
         assert_eq!(runs(&path), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

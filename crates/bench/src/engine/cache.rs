@@ -16,14 +16,58 @@
 //! unparseable or self-inconsistent entry, moved to
 //! `<cache>/quarantine/` so it is preserved for diagnosis and can never
 //! be re-read). `--no-cache` bypasses both directions.
+//!
+//! Beside the entries, `<cache>/prepared/` holds one *preparation record*
+//! per `(kernel, scale, hinting)` pair, `<kernel>.<scale>.<hinting>.json`:
+//! the [`PrepIdentity`] a full preparation established, its key, and the
+//! [`BUILD_ID`] of the build that wrote it. A campaign reads a pair's
+//! record instead of profiling and annotating its kernel. A record under
+//! another build identity is stale: it is not used, and the campaign
+//! overwrites it after preparing the pair in full. A record that does not
+//! decode or names another key is corrupt and quarantined under
+//! `<cache>/quarantine/prepared/`, as a corrupt entry is.
 
 use crate::artifact::SCHEMA_VERSION;
-use crate::durable::atomic_write;
-use crate::runner::{RunOutcome, RunRecord};
+use crate::durable::{atomic_write, sweep_orphan_tmps};
+use crate::engine::planner::{Hinting, PrepIdentity, PreparedKernel};
+use crate::runner::{scale_tag, RunOutcome, RunRecord};
 use lf_stats::json::Reader;
 use lf_stats::{fingerprint_hex, parse_fingerprint_hex, Json};
+use lf_workloads::Scale;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The identity of this build of `lf-bench`: a hash of every source it is
+/// built from and its build profile (`crates/bench/build.rs`). Preparation
+/// records are valid only under the identity that wrote them, so an edit
+/// to the compiler pass, the golden emulator or a workload retires them
+/// without a schema bump. Run entries need none: their key already hashes
+/// the annotated program.
+pub const BUILD_ID: &str = env!("LF_BENCH_BUILD_ID");
+
+/// The subdirectory of the cache that holds the preparation records.
+const RECORDS: &str = "prepared";
+
+/// The name of the preparation record of `(kernel, scale, hinting)`,
+/// relative to the cache directory.
+pub(crate) fn record_name(kernel: &str, scale: Scale, hinting: Hinting) -> String {
+    format!("{RECORDS}/{kernel}.{}.{}.json", scale_tag(scale), hinting.tag())
+}
+
+/// The classified result of reading a preparation record.
+#[derive(Debug)]
+pub(crate) enum RecordLookup {
+    /// The record decoded under this build's identity.
+    Hit(PrepIdentity),
+    /// No record on disk.
+    Miss,
+    /// A record written under another build identity; left in place to be
+    /// overwritten.
+    Stale,
+    /// The record is unreadable, does not decode, or names another key.
+    /// It has been moved to the quarantine directory (best-effort).
+    Corrupt,
+}
 
 /// Handle on a cache directory.
 #[derive(Debug, Clone)]
@@ -52,10 +96,11 @@ pub enum CacheLookup {
     SchemaMismatch,
 }
 
-/// Why an entry on disk is not a hit.
+/// Why an entry or a record on disk is not a hit.
 #[derive(Debug, PartialEq)]
 enum Rejected {
-    /// Well-formed, under another schema version.
+    /// Well-formed, under another schema version (an entry) or build
+    /// identity (a record).
     Stale,
     /// Unreadable, not JSON, or not a valid entry of this schema.
     Corrupt,
@@ -79,15 +124,77 @@ impl DiskCache {
         self.dir.join(format!("{}.json", fingerprint_hex(fingerprint)))
     }
 
-    /// The cache directory itself (the engine sweeps orphaned temp files
-    /// from it at campaign startup).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Where corrupt entries are moved on detection.
     pub fn quarantine_dir(&self) -> PathBuf {
         self.dir.join("quarantine")
+    }
+
+    /// The path of the preparation record of `(kernel, scale, hinting)`.
+    pub(crate) fn record_path(&self, kernel: &str, scale: Scale, hinting: Hinting) -> PathBuf {
+        self.dir.join(record_name(kernel, scale, hinting))
+    }
+
+    /// Removes the commit temp files a killed predecessor orphaned among
+    /// the entries and among the preparation records, returning how many
+    /// it removed.
+    pub(crate) fn sweep_orphan_tmps(&self) -> usize {
+        sweep_orphan_tmps(&self.dir) + sweep_orphan_tmps(&self.dir.join(RECORDS))
+    }
+
+    /// Reads the preparation record of `(kernel, scale, hinting)`,
+    /// classifying the result. Only a missing file is a miss: a record that
+    /// exists but does not decode is corrupt, and is quarantined as a side
+    /// effect.
+    pub(crate) fn read_record(&self, kernel: &str, scale: Scale, hinting: Hinting) -> RecordLookup {
+        let decoded = match std::fs::read(self.record_path(kernel, scale, hinting)) {
+            Ok(bytes) => decode_record(&bytes, kernel, scale, hinting),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return RecordLookup::Miss,
+            Err(_) => Err(Rejected::Corrupt),
+        };
+        match decoded {
+            Ok(identity) => RecordLookup::Hit(identity),
+            Err(Rejected::Stale) => RecordLookup::Stale,
+            Err(Rejected::Corrupt) => {
+                let _ = self.quarantine_record(kernel, scale, hinting);
+                RecordLookup::Corrupt
+            }
+        }
+    }
+
+    /// Moves the preparation record of `(kernel, scale, hinting)` into the
+    /// quarantine directory.
+    pub(crate) fn quarantine_record(
+        &self,
+        kernel: &str,
+        scale: Scale,
+        hinting: Hinting,
+    ) -> io::Result<()> {
+        let name = record_name(kernel, scale, hinting);
+        let to = self.quarantine_dir().join(&name);
+        std::fs::create_dir_all(to.parent().expect("a record lies in a directory"))?;
+        std::fs::rename(self.dir.join(&name), to)
+    }
+
+    /// Writes `kernel`'s preparation record under this build's identity,
+    /// through the same atomic commit as an entry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; records are best-effort, like entries.
+    pub(crate) fn store_record(&self, kernel: &PreparedKernel) -> io::Result<()> {
+        let (w, identity) = (&kernel.workload, &kernel.identity);
+        let path = self.record_path(w.name, w.scale, kernel.hinting);
+        std::fs::create_dir_all(path.parent().expect("a record lies in a directory"))?;
+        let mut doc = Json::obj();
+        doc.set("build", BUILD_ID);
+        doc.set("kernel", w.name);
+        doc.set("scale", scale_tag(w.scale));
+        doc.set("hinting", kernel.hinting.tag());
+        doc.set("code_fingerprint", fingerprint_hex(identity.code_fingerprint));
+        doc.set("mem_fingerprint", fingerprint_hex(identity.mem_fingerprint));
+        doc.set("golden", identity.golden.map_or(Json::Null, |g| fingerprint_hex(g).into()));
+        doc.set("selected_loops", identity.selected_loops);
+        atomic_write(&path, &doc.to_string_pretty())
     }
 
     /// Probes the cache, classifying the result. Only a missing file is a
@@ -178,18 +285,51 @@ impl DiskCache {
     }
 }
 
+/// Decodes a preparation record's bytes. The build identity decides
+/// first, whatever else the record holds; then the key must be
+/// `(kernel, scale, hinting)` and all four values must decode.
+fn decode_record(
+    bytes: &[u8],
+    kernel: &str,
+    scale: Scale,
+    hinting: Hinting,
+) -> Result<PrepIdentity, Rejected> {
+    let text = std::str::from_utf8(bytes).map_err(|_| Rejected::Corrupt)?;
+    let doc = Json::parse(text).map_err(|_| Rejected::Corrupt)?;
+    let str_of = |key: &str| doc.get(key).and_then(Json::as_str);
+    match str_of("build") {
+        Some(build) if build == BUILD_ID => {}
+        Some(_) => return Err(Rejected::Stale),
+        None => return Err(Rejected::Corrupt),
+    }
+    let key = [str_of("kernel"), str_of("scale"), str_of("hinting")];
+    let hex = |key: &str| str_of(key).and_then(parse_fingerprint_hex);
+    let golden = match doc.get("golden") {
+        Some(Json::Null) => Some(None),
+        Some(golden) => golden.as_str().and_then(parse_fingerprint_hex).map(Some),
+        None => None,
+    };
+    let loops = doc.get("selected_loops").and_then(Json::as_u64);
+    match (hex("code_fingerprint"), hex("mem_fingerprint"), golden, loops.map(usize::try_from)) {
+        (Some(code_fingerprint), Some(mem_fingerprint), Some(golden), Some(Ok(selected_loops)))
+            if key == [Some(kernel), Some(scale_tag(scale)), Some(hinting.tag())] =>
+        {
+            Ok(PrepIdentity { code_fingerprint, mem_fingerprint, golden, selected_loops })
+        }
+        _ => Err(Rejected::Corrupt),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::ScratchDir;
     use lf_stats::{Counters, Histogram, SmallRng};
     use loopfrog::telemetry::{CycleAccounting, CycleBucket, IntervalSample};
     use loopfrog::SimStats;
 
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lf-bench-cache-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn scratch_dir(tag: &str) -> ScratchDir {
+        ScratchDir::new("cache", tag)
     }
 
     fn sample_outcome(fingerprint: u64) -> RunOutcome {
@@ -305,7 +445,8 @@ mod tests {
 
     #[test]
     fn round_trips() {
-        let cache = DiskCache::new(scratch_dir("round-trip"));
+        let dir = scratch_dir("round-trip");
+        let cache = DiskCache::new(&*dir);
         let out = sample_outcome(42);
         cache.store(&out).unwrap();
         let back = hit(&cache, 42).expect("entry loads");
@@ -342,10 +483,10 @@ mod tests {
     #[test]
     fn schema_bump_invalidates() {
         let dir = scratch_dir("schema-bump");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         cache.store(&sample_outcome(7)).unwrap();
         assert!(hit(&cache, 7).is_some());
-        let bumped = DiskCache::with_schema(dir, SCHEMA_VERSION + 1);
+        let bumped = DiskCache::with_schema(&*dir, SCHEMA_VERSION + 1);
         assert!(
             matches!(bumped.lookup(7), CacheLookup::SchemaMismatch),
             "a schema bump invalidates old entries, classified as stale, not corrupt"
@@ -356,7 +497,7 @@ mod tests {
     #[test]
     fn corrupt_entries_miss_and_quarantine() {
         let dir = scratch_dir("corrupt");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         cache.store(&sample_outcome(9)).unwrap();
         std::fs::write(cache.entry_path(9), "{ truncated").unwrap();
         assert!(matches!(cache.lookup(9), CacheLookup::Corrupt { quarantined: true }));
@@ -380,7 +521,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_corrupt() {
         let dir = scratch_dir("fp-mismatch");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         cache.store(&sample_outcome(11)).unwrap();
         // An entry stored under the wrong filename claims fingerprint 11.
         std::fs::rename(cache.entry_path(11), cache.entry_path(12)).unwrap();
@@ -389,7 +530,8 @@ mod tests {
 
     #[test]
     fn random_records_round_trip_through_the_reader() {
-        let cache = DiskCache::new(scratch_dir("random-records"));
+        let dir = scratch_dir("random-records");
+        let cache = DiskCache::new(&*dir);
         let mut rng = SmallRng::seed_from_u64(37);
         let mut sampled = 0;
         for fingerprint in 1..=500u64 {
@@ -401,12 +543,12 @@ mod tests {
             assert!(same(&back, &out), "entry {fingerprint}:\n{back:?}\n{out:?}");
         }
         assert!((200..300).contains(&sampled), "{sampled} of 500 records sampled");
-        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
     fn every_proper_prefix_of_an_entry_is_corrupt() {
-        let cache = DiskCache::new(scratch_dir("prefixes"));
+        let dir = scratch_dir("prefixes");
+        let cache = DiskCache::new(&*dir);
         let mut rng = SmallRng::seed_from_u64(5);
         let records = std::iter::from_fn(|| Some(random_record(&mut rng)));
         // One detailed and one sampled entry, each with an escaped and a
@@ -438,13 +580,12 @@ mod tests {
                 break;
             }
         }
-        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
     fn a_stale_entry_is_stale_whatever_its_record_holds() {
         let dir = scratch_dir("v3");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         let out = sample_outcome(21);
         // A schema v3 entry: its record also held the registry view, and
         // had no occupancy histograms yet.
@@ -480,13 +621,12 @@ mod tests {
         let body = &text[1..];
         std::fs::write(cache.entry_path(21), format!("{{\"schema_version\": 3,{body}")).unwrap();
         assert!(same(&hit(&cache, 21).expect("the last version is current"), &out));
-        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
     fn a_non_utf8_entry_is_corrupt_and_quarantined() {
         let dir = scratch_dir("non-utf8");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(cache.entry_path(31), b"\xff\xfe garbage").unwrap();
         assert!(matches!(cache.lookup(31), CacheLookup::Corrupt { quarantined: true }));
@@ -502,7 +642,6 @@ mod tests {
         bytes[at] = 0xff;
         std::fs::write(cache.entry_path(32), bytes).unwrap();
         assert!(matches!(cache.lookup(32), CacheLookup::Corrupt { quarantined: true }));
-        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     /// The member `key` of object `j`.
@@ -518,7 +657,8 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_skipped() {
-        let cache = DiskCache::new(scratch_dir("unknown-keys"));
+        let dir = scratch_dir("unknown-keys");
+        let cache = DiskCache::new(&*dir);
         let out = sample_outcome(41);
         cache.store(&out).unwrap();
         let mut doc = stored_doc(&cache, 41);
@@ -543,24 +683,113 @@ mod tests {
         intervals[0].set("zz_unknown", note);
         std::fs::write(cache.entry_path(41), doc.to_string_pretty()).unwrap();
         assert!(same(&hit(&cache, 41).expect("unknown keys are skipped"), &out));
-        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
     fn a_zero_width_histogram_is_corrupt() {
-        let cache = DiskCache::new(scratch_dir("zero-width"));
+        let dir = scratch_dir("zero-width");
+        let cache = DiskCache::new(&*dir);
         cache.store(&sample_outcome(51)).unwrap();
         let mut doc = stored_doc(&cache, 51);
         member(member(member(&mut doc, "record"), "occupancy"), "iq").set("width", 0u64);
         std::fs::write(cache.entry_path(51), doc.to_string_pretty()).unwrap();
         assert!(matches!(cache.lookup(51), CacheLookup::Corrupt { quarantined: true }));
-        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// Every smoke kernel's preparation, raw and annotated, round-trips
+    /// through its record to the identity a full preparation gives, and a
+    /// kernel built from the record prepares the same program on demand.
+    #[test]
+    fn every_smoke_preparation_round_trips_through_its_record() {
+        let dir = scratch_dir("records");
+        let cache = DiskCache::new(&*dir);
+        for w in lf_workloads::all(Scale::Smoke) {
+            for hinting in [Hinting::Raw, Hinting::Annotated] {
+                let what = format!("{} {}", w.name, hinting.tag());
+                let full = PreparedKernel::prepare(w.clone(), &hinting);
+                assert!(matches!(cache.read_record(w.name, w.scale, hinting), RecordLookup::Miss));
+                cache.store_record(&full).unwrap();
+                let RecordLookup::Hit(identity) = cache.read_record(w.name, w.scale, hinting)
+                else {
+                    panic!("{what}: a stored record reads back")
+                };
+                assert_eq!(identity, full.identity, "{what}");
+                let recorded =
+                    PreparedKernel::from_record(full.workload.clone(), hinting, identity);
+                assert_eq!(recorded.program(), full.program(), "{what}");
+                assert!(recorded.prepared_lazily() && !recorded.record_contradicted(), "{what}");
+            }
+        }
+    }
+
+    /// A record under another build identity is stale whatever else it
+    /// holds, and stays in place to be overwritten; one that does not
+    /// decode, lacks a value or names another key is corrupt and moved to
+    /// `quarantine/prepared/`.
+    #[test]
+    fn stale_records_stay_and_corrupt_ones_are_quarantined() {
+        let dir = scratch_dir("record-faults");
+        let cache = DiskCache::new(&*dir);
+        let w = lf_workloads::by_name("hash_lookup", Scale::Smoke).unwrap();
+        let full = PreparedKernel::prepare(w, &Hinting::Annotated);
+        let read = || cache.read_record("hash_lookup", Scale::Smoke, Hinting::Annotated);
+        let path = cache.record_path("hash_lookup", Scale::Smoke, Hinting::Annotated);
+        let quarantined = cache.quarantine_dir().join("prepared/hash_lookup.smoke.annotated.json");
+        cache.store_record(&full).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(matches!(read(), RecordLookup::Hit(identity) if identity == full.identity));
+
+        let other_build = text.replace(BUILD_ID, "0123456789abcdef");
+        std::fs::write(&path, other_build.replace("\"annotated\"", "[]")).unwrap();
+        assert!(matches!(read(), RecordLookup::Stale));
+        assert!(path.exists() && !cache.quarantine_dir().exists(), "a stale record stays");
+
+        let loops = format!("\"selected_loops\": {}", full.identity.selected_loops);
+        let corrupt = [
+            text[..text.len() / 2].to_string(),
+            text.replace("\"build\"", "\"built\""),
+            text.replace("\"hash_lookup\"", "\"stencil_blur\""),
+            text.replace("\"annotated\"", "\"raw\""),
+            text.replace("\"smoke\"", "\"eval\""),
+            text.replace(&loops, "\"selected_loops\": -1"),
+            text.replace("\"golden\": \"", "\"golden\": \"x"),
+            text.replace("\"code_fingerprint\"", "\"code\""),
+        ];
+        for bad in corrupt {
+            std::fs::write(&path, &bad).unwrap();
+            assert!(matches!(read(), RecordLookup::Corrupt), "{bad}");
+            assert!(!path.exists(), "{bad}");
+            assert_eq!(std::fs::read_to_string(&quarantined).unwrap(), bad);
+            assert!(matches!(read(), RecordLookup::Miss));
+        }
+    }
+
+    /// The sweep removes commit temp files orphaned among the records as
+    /// well as among the entries, and nothing else.
+    #[test]
+    fn the_sweep_covers_the_records() {
+        let dir = scratch_dir("record-sweep");
+        let cache = DiskCache::new(&*dir);
+        let w = lf_workloads::by_name("hash_lookup", Scale::Smoke).unwrap();
+        cache.store_record(&PreparedKernel::prepare(w, &Hinting::Raw)).unwrap();
+        cache.store(&sample_outcome(61)).unwrap();
+        let record = cache.record_path("hash_lookup", Scale::Smoke, Hinting::Raw);
+        let orphans = [
+            dir.join(format!("{}.json.tmp.1.0", fingerprint_hex(62))),
+            dir.join("prepared/hash_lookup.smoke.annotated.json.tmp.1.1"),
+        ];
+        for orphan in &orphans {
+            std::fs::write(orphan, "half-writ").unwrap();
+        }
+        assert_eq!(cache.sweep_orphan_tmps(), 2);
+        assert!(orphans.iter().all(|orphan| !orphan.exists()));
+        assert!(record.exists() && cache.entry_path(61).exists());
     }
 
     #[test]
     fn concurrent_stores_to_one_dir_never_collide() {
         let dir = scratch_dir("concurrent");
-        let cache = DiskCache::new(dir.clone());
+        let cache = DiskCache::new(&*dir);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let cache = &cache;

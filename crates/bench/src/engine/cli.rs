@@ -531,7 +531,7 @@ fn reject_unmatched_filter(cli: &Cli) {
 }
 
 fn list(cli: &Cli) {
-    let suite = lf_workloads::all(cli.scale);
+    let suite: Vec<_> = lf_workloads::all(cli.scale).into_iter().map(std::sync::Arc::new).collect();
     println!("registered scenarios ({} kernels at scale {}):\n", suite.len(), scale_tag(cli.scale));
     let mut rows = Vec::new();
     let mut total = 0usize;
@@ -585,7 +585,7 @@ fn finish_campaign(output: &EngineOutput, cli: &Cli, separators: bool) -> i32 {
 fn print_telemetry(output: &EngineOutput) {
     let r = &output.report;
     eprintln!(
-        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated, {} served from footprints; {} ms on {} jobs",
+        "\nplanner: {} requests → {} unique ({} deduplicated); {} from cache, {} simulated, {} served from footprints; {} ms on {} jobs; {} of {} preparation(s) from records, {} in full",
         r.requests,
         r.unique,
         r.requests - r.unique,
@@ -593,12 +593,16 @@ fn print_telemetry(output: &EngineOutput) {
         r.simulated,
         r.served,
         r.total_wall_ms,
-        r.jobs
+        r.jobs,
+        r.prepared_from_records,
+        r.prepared,
+        r.prepared_in_full
     );
     let f = &r.faults;
-    if !output.failures.is_empty() || f.cache_corrupt > 0 || f.cache_schema_mismatch > 0 {
+    let cache_faults = f.cache_corrupt + f.cache_schema_mismatch + f.records_corrupt;
+    if !output.failures.is_empty() || cache_faults > 0 {
         eprintln!(
-            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale",
+            "faults: {} failed run(s) ({} panicked, {} over budget, {} sim errors, {} prep, {} render, {} poisoned); cache: {} corrupt ({} quarantined), {} schema-stale; {} corrupt preparation record(s) quarantined",
             output.failures.len(),
             f.panicked,
             f.budget_exceeded,
@@ -608,7 +612,8 @@ fn print_telemetry(output: &EngineOutput) {
             f.poisoned,
             f.cache_corrupt,
             f.quarantined,
-            f.cache_schema_mismatch
+            f.cache_schema_mismatch,
+            f.records_corrupt
         );
     }
     // The end-of-campaign summary is always printed: every campaign

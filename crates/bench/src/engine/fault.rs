@@ -314,12 +314,19 @@ pub struct FaultStats {
     pub quarantined: usize,
     /// Extra cache-store attempts beyond each first try.
     pub store_retries: usize,
-    /// Cache stores that failed even after retries (the run still counts
-    /// as a success; only memoization is lost).
+    /// Cache stores that failed even after retries, and preparation
+    /// records that could not be written (the run still counts as a
+    /// success; only memoization is lost).
     pub store_failures: usize,
     /// Orphaned commit temp files swept from the cache directory at
     /// campaign start (debris of a killed predecessor).
     pub tmp_swept: usize,
+    /// Preparation records written under another build identity (not
+    /// used; overwritten).
+    pub records_stale: usize,
+    /// Preparation records quarantined: they did not decode, named another
+    /// key, or contradicted a full preparation.
+    pub records_corrupt: usize,
     /// Runs quarantined as poisonous (killed too many workers).
     pub poisoned: usize,
     /// Worker processes the supervisor observed dying abnormally.
@@ -353,6 +360,8 @@ impl FaultStats {
         j.set("cache_store_retries", self.store_retries as u64);
         j.set("cache_store_failures", self.store_failures as u64);
         j.set("tmp_swept", self.tmp_swept as u64);
+        j.set("records_stale", self.records_stale as u64);
+        j.set("records_corrupt", self.records_corrupt as u64);
         j.set("poisoned", self.poisoned as u64);
         j.set("worker_deaths", self.worker_deaths as u64);
         j.set("worker_respawns", self.worker_respawns as u64);
@@ -429,8 +438,7 @@ mod tests {
 
     #[test]
     fn failures_json_round_trips_fingerprints() {
-        let dir = std::env::temp_dir().join(format!("lf-bench-fault-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::durable::ScratchDir::new("fault", "failures-json");
         let path = dir.join("failures.json");
         let failures = vec![
             Arc::new(RunFailure {

@@ -12,9 +12,10 @@
 //! output is byte-identical regardless of `-j`.
 //!
 //! ```text
-//! plan (all scenarios) → prepare kernels → fingerprint + dedupe
-//!   → load disk cache → simulate + store each miss, serving the
-//!     decision siblings a footprint fits (parallel) → render (serial)
+//! plan (all scenarios) → read preparation records, preparing the kernels
+//!   without one → fingerprint + dedupe → load disk cache → simulate +
+//!   store each miss, serving the decision siblings a footprint fits
+//!   (parallel) → render (serial)
 //! ```
 //!
 //! Campaigns are fault-tolerant end to end: a panicking worker, a
@@ -44,7 +45,9 @@ use fault::{FaultPlan, FaultStats, RunBudget, RunError, RunFailure};
 use lf_stats::Json;
 use lf_workloads::{Scale, Workload};
 use loopfrog::LoopFrogConfig;
-use planner::{dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, PreparedKernel};
+use planner::{
+    dedupe, execute, prepare_kernels, Hinting, Planner, PrepKey, Preparations, PreparedKernel,
+};
 use pool::{try_parallel_map, WorkerPanic};
 use spans::{DurationSummary, SpanLog};
 use std::collections::HashMap;
@@ -128,7 +131,7 @@ impl EngineOptions {
 pub struct EngineCtx<'e> {
     scale: Scale,
     tier: Tier,
-    suite: &'e [Workload],
+    suite: &'e [Arc<Workload>],
     prepared: HashMap<PrepKey, Arc<PreparedKernel>>,
     outcomes: HashMap<u64, Arc<RunOutcome>>,
     /// Failed runs, by fingerprint.
@@ -145,7 +148,7 @@ impl EngineCtx<'_> {
     }
 
     /// The (possibly filtered) kernel suite, in canonical order.
-    pub fn kernels(&self) -> &[Workload] {
+    pub fn kernels(&self) -> &[Arc<Workload>] {
         self.suite
     }
 
@@ -317,10 +320,11 @@ impl EngineCtx<'_> {
                 let prep = self.try_prepared(w.name, &hinting)?;
                 let base = self.outcome_with(w.name, &hinting, view.base, self.tier).ok()?;
                 let lf = self.outcome_with(w.name, &hinting, view.lf, self.tier).ok()?;
-                let golden = prep.golden.expect("annotated preparations carry a golden checksum");
+                let golden =
+                    prep.identity.golden.expect("annotated preparations carry a golden checksum");
                 Some(KernelRun::from_outcomes(
                     &prep.workload,
-                    prep.selected_loops,
+                    prep.identity.selected_loops,
                     golden,
                     base,
                     lf,
@@ -363,8 +367,14 @@ pub struct PlannerReport {
     /// Runs committed from a decision sibling's outcome because its
     /// footprint fits them (DESIGN.md §8.4), without being simulated.
     pub served: usize,
-    /// Distinct `(kernel, hinting)` preparations (profile + annotate).
+    /// Distinct `(kernel, hinting)` preparations.
     pub prepared: usize,
+    /// Preparations whose identity was read from a preparation record.
+    pub prepared_from_records: usize,
+    /// Preparations profiled and annotated in this process: those without
+    /// a record from this build, and the recorded ones a simulation needed
+    /// (a verify build's checks of records not included).
+    pub prepared_in_full: usize,
     /// Worker threads used.
     pub jobs: usize,
     /// Wall-clock milliseconds from planning through the last simulation
@@ -400,6 +410,8 @@ impl PlannerReport {
         j.set("simulated", self.simulated as u64);
         j.set("served", self.served as u64);
         j.set("prepared_kernels", self.prepared as u64);
+        j.set("prepared_from_records", self.prepared_from_records as u64);
+        j.set("prepared_in_full", self.prepared_in_full as u64);
         j.set("jobs", self.jobs as u64);
         j.set("execute_wall_ms", self.execute_wall_ms);
         j.set("total_wall_ms", self.total_wall_ms);
@@ -482,20 +494,23 @@ pub(crate) fn run_planned(
     // publish nothing worth recovering); `+=` because a supervising
     // process may have swept (and counted) already.
     if let Some(cache) = &opts.disk_cache {
-        faults.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
+        faults.tmp_swept += cache.sweep_orphan_tmps();
     }
     let suite = &plan.suite;
     let unique = &plan.unique;
+    let prepared = &plan.prepared;
+    faults.records_stale += prepared.stale_records;
+    faults.records_corrupt += prepared.corrupt_records;
     let tag = scale_tag(opts.scale);
     let repro_for = |kernel: &str| repro_command(opts.scale, opts.tier, kernel);
     let mut failure_list: Vec<Arc<RunFailure>> = Vec::new();
     let mut prep_failures: HashMap<PrepKey, Arc<RunFailure>> = HashMap::new();
-    for (key, panic) in &plan.prep_panics {
+    for (key, error) in &prepared.failures {
         faults.prep_failures += 1;
         let record = Arc::new(RunFailure {
             fingerprint: 0,
             kernel: key.0.to_string(),
-            error: RunError::Panicked { payload: panic.payload.clone() },
+            error: error.clone(),
             repro: repro_for(key.0),
         });
         failure_list.push(record.clone());
@@ -553,9 +568,31 @@ pub(crate) fn run_planned(
     drop(cache_span);
     let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let planner::Executed { results: executed, served, sampled } =
-        execute(&misses, opts, span_log, &mut faults);
+    // The records of this campaign's full preparations are written while
+    // the pool simulates: their fsyncs stay off the path to the first
+    // probe and out of the gap before render.
+    let (planner::Executed { results: executed, served, sampled }, record_failures) =
+        std::thread::scope(|scope| {
+            let writer = opts
+                .disk_cache
+                .as_ref()
+                .filter(|_| !prepared.unrecorded.is_empty())
+                .map(|cache| scope.spawn(|| plan.store_records(cache)));
+            let executed = execute(&misses, opts, span_log, &mut faults);
+            (executed, writer.map_or(0, |w| w.join().expect("record writes do not panic")))
+        });
+    faults.store_failures += record_failures;
     drop(simulate_span);
+    // A record a simulation's full preparation contradicted failed that
+    // kernel's runs; it is quarantined so a rerun prepares the kernel in
+    // full.
+    if let Some(cache) = &opts.disk_cache {
+        for kernel in prepared.kernels.values().filter(|k| k.record_contradicted()) {
+            let w = &kernel.workload;
+            let _ = cache.quarantine_record(w.name, w.scale, kernel.hinting);
+            faults.records_corrupt += 1;
+        }
+    }
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
     for (run, deaths) in poisoned_runs {
         faults.poisoned += 1;
@@ -601,7 +638,7 @@ pub(crate) fn run_planned(
         scale: opts.scale,
         tier: opts.tier,
         suite,
-        prepared: plan.prepared.clone(),
+        prepared: prepared.kernels.clone(),
         outcomes,
         failures,
         prep_failures,
@@ -614,6 +651,9 @@ pub(crate) fn run_planned(
         simulated: misses.len() - served,
         served,
         prepared: ctx.prepared.len(),
+        prepared_from_records: prepared.from_records,
+        prepared_in_full: prepared.kernels.len() - prepared.from_records
+            + prepared.kernels.values().filter(|k| k.prepared_lazily()).count(),
         jobs: opts.jobs,
         execute_wall_ms,
         total_wall_ms: 0,
@@ -668,21 +708,39 @@ pub(crate) fn run_planned(
 
 /// The deterministic front half of a campaign: the filtered suite, the
 /// per-scenario request counts, the prepared kernels (with any
-/// preparation panics), and the deduplicated unique-run list. Worker
+/// preparation failures), and the deduplicated unique-run list. Worker
 /// processes re-derive this identical plan from the same options — the
 /// plan is a pure function of (scenarios, scale, tier, filter), so only
 /// fingerprints ever cross a process boundary.
 pub(crate) struct CampaignPlan {
     /// The (possibly `--filter`ed) kernel suite, canonical order.
-    pub suite: Vec<Workload>,
+    pub suite: Vec<Arc<Workload>>,
     /// Requests declared per scenario, registry order.
     pub per_scenario: Vec<(&'static str, usize)>,
-    /// Successfully prepared `(kernel, hinting)` pairs.
-    pub prepared: HashMap<PrepKey, Arc<PreparedKernel>>,
-    /// Preparations that panicked.
-    pub prep_panics: Vec<(PrepKey, WorkerPanic)>,
+    /// The prepared `(kernel, hinting)` pairs, the failed ones, and what
+    /// the preparation records contributed.
+    pub prepared: Preparations,
     /// The deduplicated execution plan, first-seen order.
     pub unique: Vec<planner::UniqueRun>,
+}
+
+impl CampaignPlan {
+    /// Writes the preparation record of every pair this plan prepared in
+    /// full for want of one, and returns how many writes failed; like
+    /// entry stores, a failed write costs only memoization, and warns.
+    pub(crate) fn store_records(&self, cache: &DiskCache) -> usize {
+        let failed = self.prepared.unrecorded.iter().filter(|kernel| {
+            let stored = cache.store_record(kernel);
+            if let Err(e) = &stored {
+                supervise::eprint_line(format_args!(
+                    "warning: preparation record write failed for {}: {e}",
+                    kernel.workload.name
+                ));
+            }
+            stored.is_err()
+        });
+        failed.count()
+    }
 }
 
 /// Runs phases 1-2 (plan → prepare → dedupe). Shared by
@@ -695,12 +753,13 @@ pub(crate) fn build_plan(
     // Phase 1: plan. Build the suite, then let scenarios declare work;
     // nothing runs yet.
     let plan_span = span_log.span("phase", "plan");
-    let suite: Vec<Workload> = lf_workloads::all(opts.scale)
+    let suite: Vec<Arc<Workload>> = lf_workloads::all(opts.scale)
         .into_iter()
         .filter(|w| match &opts.filter {
             Some(f) => w.name.contains(f.as_str()),
             None => true,
         })
+        .map(Arc::new)
         .collect();
     let mut planner = Planner::new(&suite);
     let mut per_scenario = Vec::new();
@@ -713,17 +772,18 @@ pub(crate) fn build_plan(
     let requests = planner.into_requests();
     drop(plan_span);
 
-    // Phase 2: prepare (profile + annotate) each distinct kernel/hinting
-    // pair, then collapse requests to unique fingerprints. A failed
-    // preparation drops only that pair's requests; its failure record
-    // stands in for every run that depended on it.
+    // Phase 2: read each distinct kernel/hinting pair's preparation
+    // record, or prepare (profile + annotate) the pair, then collapse
+    // requests to unique fingerprints. A failed preparation drops only
+    // that pair's requests; its failure record stands in for every run
+    // that depended on it.
     let prepare_span = span_log.span("phase", "prepare");
-    let (prepared, prep_panics) = prepare_kernels(&suite, &requests, opts.jobs);
+    let prepared = prepare_kernels(&suite, &requests, opts.jobs, opts.disk_cache.as_ref());
     drop(prepare_span);
     let dedupe_span = span_log.span("phase", "dedupe");
-    let unique = dedupe(&requests, &prepared, opts.tier);
+    let unique = dedupe(&requests, &prepared.kernels, opts.tier);
     drop(dedupe_span);
-    CampaignPlan { suite, per_scenario, prepared, prep_panics, unique }
+    CampaignPlan { suite, per_scenario, prepared, unique }
 }
 
 /// The one-line repro command attached to failure records.
@@ -757,9 +817,10 @@ mod tests {
     /// kernels are untouched.
     #[test]
     fn a_failed_preparation_answers_for_its_kernel() {
-        let suite: Vec<Workload> = lf_workloads::all(Scale::Smoke)
+        let suite: Vec<Arc<Workload>> = lf_workloads::all(Scale::Smoke)
             .into_iter()
             .filter(|w| matches!(w.name, "stencil_blur" | "hash_lookup"))
+            .map(Arc::new)
             .collect();
         let failure = Arc::new(RunFailure {
             fingerprint: 0,

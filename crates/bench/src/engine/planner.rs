@@ -27,13 +27,18 @@
 //! ([`loopfrog::Footprint::fits`]), which would have run identically, then
 //! simulates the other siblings (DESIGN.md §8.4).
 //!
+//! With a run cache, a pair's identity comes from its preparation record
+//! when this build wrote one ([`crate::engine::cache`]), and the kernel is
+//! profiled and annotated only when one of its runs simulates
+//! ([`PreparedKernel::program`]).
+//!
 //! The sampled families of one prepared kernel share one pool item and one
 //! [`SampledKernel`]: the item builds the kernel's sampling plan once,
 //! inside the first run that needs it, and each pick's warm state once per
 //! memory configuration, and drops them when the item ends, so at most
 //! `-j` plans are live (DESIGN.md §13.2).
 
-use crate::engine::cache::DiskCache;
+use crate::engine::cache::{DiskCache, RecordLookup};
 use crate::engine::fault::{
     hang_program, render_flight_recorder, FaultPlan, FaultStats, RunBudget, RunError,
     FLIGHT_RECORDER_KEEP,
@@ -54,7 +59,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// How a requested run's program is derived from the workload.
@@ -73,6 +78,14 @@ impl Hinting {
     /// [`Hinting::Annotated`]: what every headline experiment uses.
     pub fn default_annotated() -> Hinting {
         Hinting::Annotated
+    }
+
+    /// The lowercase tag naming the hinting in preparation records.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Hinting::Raw => "raw",
+            Hinting::Annotated => "annotated",
+        }
     }
 }
 
@@ -95,52 +108,153 @@ pub struct RunRequest {
     config_fingerprint: u64,
 }
 
+/// What preparing a kernel establishes, and all its runs' identities need
+/// of it: the four values a preparation record stores (`engine::cache`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrepIdentity {
+    /// `program.code_fingerprint()` of the program that will be simulated.
+    pub code_fingerprint: u64,
+    /// FNV-1a of the workload's memory image.
+    pub mem_fingerprint: u64,
+    /// Golden-emulator final-state checksum; `None` for [`Hinting::Raw`]
+    /// preparations, which skip the profiling run.
+    pub golden: Option<u64>,
+    /// Loops the compiler pass placed hints for (0 for raw).
+    pub selected_loops: usize,
+}
+
 /// A workload prepared for simulation: profiled, (optionally) annotated,
 /// and content-fingerprinted. Prepared once per `(kernel, hinting)` pair
 /// and shared by every request against it; the standalone runner,
 /// `lf-bench perf` and `lf-bench trace` prepare their kernels here too.
-/// Its run fingerprints come from hashes taken by
-/// [`PreparedKernel::prepare`], so `program` and `workload.mem` must not
-/// change afterwards; the engine only ever holds it behind an [`Arc`].
+///
+/// A campaign with a run cache reads a pair's [`PrepIdentity`] from its
+/// preparation record when the record was written by this build, and then
+/// profiles and annotates the kernel only if one of its runs simulates:
+/// [`PreparedKernel::program`] is the one way to reach the program, and
+/// it prepares on first use. Its run fingerprints come from the identity,
+/// so `program` and `workload.mem` must not change afterwards; the engine
+/// only ever holds it behind an [`Arc`].
 #[derive(Debug)]
 pub struct PreparedKernel {
-    /// The source workload (name, metadata, memory image).
-    pub workload: Workload,
-    /// Golden-emulator final-state checksum; `None` for [`Hinting::Raw`]
-    /// preparations, which skip the profiling run.
-    pub golden: Option<u64>,
-    /// The program that will be simulated (annotated or raw).
-    pub program: Program,
-    /// Loops the compiler pass placed hints for (0 for raw).
-    pub selected_loops: usize,
-    /// `program.code_fingerprint()`, hashed once by [`PreparedKernel::prepare`].
-    code_fingerprint: u64,
-    /// FNV-1a of `workload.mem`, hashed once by [`PreparedKernel::prepare`].
-    mem_fingerprint: u64,
+    /// The source workload (name, metadata, memory image), shared with the
+    /// campaign's suite.
+    pub workload: Arc<Workload>,
+    /// How the program is derived from the workload.
+    pub(crate) hinting: Hinting,
+    /// The preparation's identity: hashed by a full preparation, or read
+    /// from a record.
+    pub identity: PrepIdentity,
+    /// Whether `identity` was read from a preparation record.
+    from_record: bool,
+    /// The program that will be simulated (annotated or raw), or why it
+    /// cannot be: set by a full preparation, or by the first
+    /// [`PreparedKernel::program`] call of a kernel read from a record.
+    program: OnceLock<Result<Program, String>>,
+}
+
+/// Profiles and annotates `w` according to `hinting`: the program to
+/// simulate and its identity. The only code in `lf-bench` that runs the
+/// annotation pass.
+fn prepare_program(w: &Workload, hinting: Hinting) -> (Program, PrepIdentity) {
+    let (program, golden, selected_loops) = match hinting {
+        Hinting::Raw => (w.program.clone(), None, 0),
+        Hinting::Annotated => {
+            let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
+            assert!(emu.is_halted(), "{} did not halt", w.name);
+            let ann = annotate(&w.program, emu.profile(), &SelectOptions::default());
+            let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
+            (ann.program, Some(emu.state_checksum()), selected_loops)
+        }
+    };
+    let identity = PrepIdentity {
+        code_fingerprint: program.code_fingerprint(),
+        mem_fingerprint: fnv1a(w.mem.as_bytes()),
+        golden,
+        selected_loops,
+    };
+    (program, identity)
 }
 
 impl PreparedKernel {
     /// Profiles and annotates `w` according to `hinting`, and hashes the
     /// resulting program and the memory image for its run fingerprints.
     pub fn prepare(w: Workload, hinting: &Hinting) -> PreparedKernel {
-        let (program, golden, selected_loops) = match hinting {
-            Hinting::Raw => (w.program.clone(), None, 0),
-            Hinting::Annotated => {
-                let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
-                assert!(emu.is_halted(), "{} did not halt", w.name);
-                let ann = annotate(&w.program, emu.profile(), &SelectOptions::default());
-                let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
-                (ann.program, Some(emu.state_checksum()), selected_loops)
-            }
-        };
+        PreparedKernel::prepare_shared(Arc::new(w), *hinting)
+    }
+
+    /// [`PreparedKernel::prepare`] of a workload the caller shares.
+    pub(crate) fn prepare_shared(w: Arc<Workload>, hinting: Hinting) -> PreparedKernel {
+        let (program, identity) = prepare_program(&w, hinting);
         PreparedKernel {
-            code_fingerprint: program.code_fingerprint(),
-            mem_fingerprint: fnv1a(w.mem.as_bytes()),
             workload: w,
-            golden,
-            program,
-            selected_loops,
+            hinting,
+            identity,
+            from_record: false,
+            program: OnceLock::from(Ok(program)),
         }
+    }
+
+    /// The kernel whose preparation record holds `identity`; nothing is
+    /// profiled, annotated or hashed until [`PreparedKernel::program`] is
+    /// first called.
+    pub(crate) fn from_record(
+        w: Arc<Workload>,
+        hinting: Hinting,
+        identity: PrepIdentity,
+    ) -> PreparedKernel {
+        PreparedKernel {
+            workload: w,
+            hinting,
+            identity,
+            from_record: true,
+            program: OnceLock::new(),
+        }
+    }
+
+    /// The program to simulate. A kernel read from a record is prepared in
+    /// full on the first call (once, whatever the thread); if that
+    /// preparation disagrees with the record, this and every later call
+    /// fail with a message naming the record.
+    ///
+    /// # Errors
+    ///
+    /// The disagreement between the record and the full preparation.
+    pub fn program(&self) -> Result<&Program, &str> {
+        let built = self.program.get_or_init(|| {
+            let (program, prepared) = prepare_program(&self.workload, self.hinting);
+            match self.disagreement(&prepared) {
+                None => Ok(program),
+                Some(message) => Err(message),
+            }
+        });
+        built.as_ref().map_err(String::as_str)
+    }
+
+    /// How the identity of this kernel's record differs from `prepared`,
+    /// the identity of a full preparation, naming the record; `None` if
+    /// they agree.
+    pub(crate) fn disagreement(&self, prepared: &PrepIdentity) -> Option<String> {
+        let (recorded, name) = (&self.identity, self.workload.name);
+        (recorded != prepared).then(|| {
+            format!(
+                "preparation record {} disagrees with preparing {name} in full: \
+                 it records {recorded:?}, the preparation gives {prepared:?}",
+                crate::engine::cache::record_name(name, self.workload.scale, self.hinting),
+            )
+        })
+    }
+
+    /// Whether this kernel's identity was read from a record and a
+    /// simulation then prepared it in full.
+    pub(crate) fn prepared_lazily(&self) -> bool {
+        self.from_record && self.program.get().is_some()
+    }
+
+    /// Whether this kernel's identity was read from a record that a full
+    /// preparation then contradicted.
+    pub(crate) fn record_contradicted(&self) -> bool {
+        self.from_record && matches!(self.program.get(), Some(Err(_)))
     }
 
     /// The run fingerprint of simulating this prepared kernel under `cfg`
@@ -159,7 +273,7 @@ impl PreparedKernel {
     /// [`LoopFrogConfig::fingerprint`] is `config`: callers that resolve
     /// one config against many kernels hash it once.
     pub(crate) fn fingerprint_with(&self, config: u64, tier: Tier) -> u64 {
-        let (code, mem) = (self.code_fingerprint, self.mem_fingerprint);
+        let (code, mem) = (self.identity.code_fingerprint, self.identity.mem_fingerprint);
         combine_run_fingerprint(code, mem, config, self.workload.scale, tier)
     }
 
@@ -180,18 +294,18 @@ impl PreparedKernel {
 
 /// Collects scenario run declarations during the planning phase.
 pub struct Planner<'e> {
-    suite: &'e [Workload],
+    suite: &'e [Arc<Workload>],
     requests: Vec<RunRequest>,
 }
 
 impl<'e> Planner<'e> {
-    pub(crate) fn new(suite: &'e [Workload]) -> Planner<'e> {
+    pub(crate) fn new(suite: &'e [Arc<Workload>]) -> Planner<'e> {
         Planner { suite, requests: Vec::new() }
     }
 
     /// The engine's (possibly `--filter`ed) kernel suite, in canonical
     /// order. Scenarios must only request kernels listed here.
-    pub fn kernels(&self) -> &'e [Workload] {
+    pub fn kernels(&self) -> &'e [Arc<Workload>] {
         self.suite
     }
 
@@ -253,21 +367,55 @@ impl<'e> Planner<'e> {
 /// Key of the prepared-kernel map: the kernel and how it is hinted.
 pub(crate) type PrepKey = (&'static str, Hinting);
 
-/// Result of the parallel preparation phase: the successfully prepared
-/// kernels plus one record per panicking preparation.
-pub(crate) type PreparedMap = (HashMap<PrepKey, Arc<PreparedKernel>>, Vec<(PrepKey, WorkerPanic)>);
+/// The result of the preparation phase.
+#[derive(Default)]
+pub(crate) struct Preparations {
+    /// The prepared kernels.
+    pub kernels: HashMap<PrepKey, Arc<PreparedKernel>>,
+    /// The pairs whose preparation failed: it panicked, or, in a verify
+    /// build, it contradicted the pair's record.
+    pub failures: Vec<(PrepKey, RunError)>,
+    /// Pairs whose identity was read from a preparation record.
+    pub from_records: usize,
+    /// Pairs prepared in full because the run cache held no record of
+    /// theirs from this build; the campaign writes their records.
+    pub unrecorded: Vec<Arc<PreparedKernel>>,
+    /// Records written under another build identity (prepared in full and
+    /// overwritten).
+    pub stale_records: usize,
+    /// Records that did not decode, named another key, or contradicted a
+    /// full preparation; each was quarantined.
+    pub corrupt_records: usize,
+}
+
+/// How one pair was prepared.
+enum Prepared {
+    /// From its record (and, in a verify build, checked against a full
+    /// preparation).
+    Recorded(PreparedKernel),
+    /// In full, with what the run cache held instead of a usable record
+    /// (`None` without a cache).
+    Full(PreparedKernel, Option<RecordLookup>),
+    /// A verify build's full preparation contradicted the record, which is
+    /// quarantined: the message names it.
+    Contradicted(String),
+}
 
 /// Prepares every distinct `(kernel, hinting)` pair referenced by
-/// `requests`, in parallel. Profiling runs the golden emulator, which is
-/// the second-most expensive step after simulation itself. A panicking
-/// preparation (a kernel the emulator rejects) costs only that pair:
-/// every dependent request becomes a structured failure while the rest of
-/// the campaign proceeds.
+/// `requests`, in parallel, sharing the suite's workloads. A pair whose
+/// record in `cache` this build wrote is read, not prepared; any other is
+/// profiled (the golden emulator, the second-most expensive step after
+/// simulation itself) and annotated. Verify builds also prepare each
+/// recorded pair in full and fail it, quarantining the record, unless the
+/// two agree. A panicking preparation (a kernel the emulator rejects)
+/// costs only that pair: every dependent request becomes a structured
+/// failure while the rest of the campaign proceeds.
 pub(crate) fn prepare_kernels(
-    suite: &[Workload],
+    suite: &[Arc<Workload>],
     requests: &[RunRequest],
     jobs: usize,
-) -> PreparedMap {
+    cache: Option<&DiskCache>,
+) -> Preparations {
     let mut distinct: Vec<PrepKey> = Vec::new();
     for r in requests {
         let key = (r.kernel, r.hinting);
@@ -279,21 +427,49 @@ pub(crate) fn prepare_kernels(
         let w = suite
             .iter()
             .find(|w| w.name == name)
-            .unwrap_or_else(|| panic!("kernel {name} not in suite"))
-            .clone();
-        Arc::new(PreparedKernel::prepare(w, &hinting))
+            .unwrap_or_else(|| panic!("kernel {name} not in suite"));
+        let full = || PreparedKernel::prepare_shared(w.clone(), hinting);
+        let Some(cache) = cache else { return Prepared::Full(full(), None) };
+        let identity = match cache.read_record(name, w.scale, hinting) {
+            RecordLookup::Hit(identity) => identity,
+            lookup => return Prepared::Full(full(), Some(lookup)),
+        };
+        let kernel = PreparedKernel::from_record(w.clone(), hinting, identity);
+        if loopfrog::VERIFY {
+            if let Some(message) = kernel.disagreement(&prepare_program(w, hinting).1) {
+                let _ = cache.quarantine_record(name, w.scale, hinting);
+                return Prepared::Contradicted(message);
+            }
+        }
+        Prepared::Recorded(kernel)
     });
-    let mut map = HashMap::new();
-    let mut failures = Vec::new();
+    let mut out = Preparations::default();
     for (key, result) in distinct.into_iter().zip(prepared) {
         match result {
-            Ok(prep) => {
-                map.insert(key, prep);
+            Ok(Prepared::Recorded(kernel)) => {
+                out.from_records += 1;
+                out.kernels.insert(key, Arc::new(kernel));
             }
-            Err(panic) => failures.push((key, panic)),
+            Ok(Prepared::Full(kernel, lookup)) => {
+                let kernel = Arc::new(kernel);
+                match lookup {
+                    Some(RecordLookup::Stale) => out.stale_records += 1,
+                    Some(RecordLookup::Corrupt) => out.corrupt_records += 1,
+                    _ => {}
+                }
+                if lookup.is_some() {
+                    out.unrecorded.push(kernel.clone());
+                }
+                out.kernels.insert(key, kernel);
+            }
+            Ok(Prepared::Contradicted(message)) => {
+                out.corrupt_records += 1;
+                out.failures.push((key, RunError::Sim { message }));
+            }
+            Err(panic) => out.failures.push((key, RunError::Panicked { payload: panic.payload })),
         }
     }
-    (map, failures)
+    out
 }
 
 /// One entry of the deduplicated execution plan.
@@ -442,7 +618,9 @@ fn execute_one(
     // The sampled tiers run outside the cycle-budget watchdog: they exist
     // precisely to keep the detailed-cycle count small, and their
     // functional passes are bounded by an instruction fuel cap instead.
-    let (program, mem) = (&run.prepared.program, &run.prepared.workload.mem);
+    let program =
+        run.prepared.program().map_err(|message| RunError::Sim { message: message.to_string() })?;
+    let mem = &run.prepared.workload.mem;
     let sim = |message| RunError::Sim { message };
     match run.tier {
         Tier::Detailed => simulate_detailed(run, program, mem, budget, siblings),
@@ -738,6 +916,8 @@ fn store_outcome(cache: &DiskCache, outcome: &RunOutcome, plan: &FaultPlan) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::ScratchDir;
+    use crate::engine::fault::FaultStats;
     use lf_workloads::Scale;
 
     fn prepare(name: &str) -> Arc<PreparedKernel> {
@@ -791,5 +971,36 @@ mod tests {
             vec![(10, vec![])],
         ];
         assert_eq!(items(&runs), expected);
+    }
+
+    /// A run of a kernel whose record contradicts a full preparation fails,
+    /// naming the record, and commits nothing, in every build: the program
+    /// accessor prepares the kernel when the run simulates and compares.
+    #[test]
+    fn a_contradicted_record_fails_the_runs_that_simulate_and_commits_nothing() {
+        let full = prepare("stencil_blur");
+        let mut identity = full.identity;
+        identity.code_fingerprint ^= 1;
+        let workload = Arc::clone(&full.workload);
+        let kernel = Arc::new(PreparedKernel::from_record(workload, Hinting::Raw, identity));
+        let dir = ScratchDir::new("planner", "contradicted-record");
+        let mut opts = EngineOptions::new(Scale::Smoke);
+        opts.disk_cache = Some(DiskCache::new(&*dir));
+        let config = LoopFrogConfig::default();
+        let run = UniqueRun {
+            fingerprint: kernel.request_fingerprint(&config),
+            kernel: "stencil_blur",
+            prepared: Arc::clone(&kernel),
+            config,
+            tier: Tier::Detailed,
+        };
+        let executed = execute(&[&run], &opts, &Arc::default(), &mut FaultStats::default());
+        let Err(RunError::Sim { message }) = &executed.results[0] else {
+            panic!("the run fails: {:?}", executed.results[0].as_ref().map(|o| o.fingerprint))
+        };
+        assert!(message.contains("prepared/stencil_blur.smoke.raw.json"), "{message}");
+        assert!(kernel.record_contradicted() && kernel.prepared_lazily());
+        assert!(!dir.exists(), "a failed run commits nothing");
+        assert!(full.program().is_ok() && !full.record_contradicted());
     }
 }

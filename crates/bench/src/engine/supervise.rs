@@ -202,8 +202,8 @@ pub fn run_supervised(
     let mut stats = FaultStats::default();
     // Sweep commit temp files orphaned by a killed predecessor before any
     // worker can be mid-commit.
-    stats.tmp_swept += crate::durable::sweep_orphan_tmps(cache.dir());
-    let plan = build_plan(scenarios, opts, &span_log);
+    stats.tmp_swept += cache.sweep_orphan_tmps();
+    let mut plan = build_plan(scenarios, opts, &span_log);
     let queue: VecDeque<u64> = plan
         .unique
         .iter()
@@ -216,14 +216,19 @@ pub fn run_supervised(
         queue.len(),
         plan.unique.len()
     );
-    let poisoned = match std::env::current_exe() {
-        Ok(exe) => {
-            let _span = span_log.span("phase", "supervise");
-            supervise(&exe, sup, queue, &mut stats)?
-        }
-        Err(e) => {
-            eprintln!("warning: cannot locate own executable ({e}); running in-process");
-            HashMap::new()
+    let poisoned = {
+        let _span = span_log.span("phase", "supervise");
+        // Workers read the preparation records this plan's full
+        // preparations leave, so they are written before any worker
+        // derives its plan, and not again by the final pass.
+        stats.store_failures += plan.store_records(&cache);
+        plan.prepared.unrecorded.clear();
+        match std::env::current_exe() {
+            Ok(exe) => supervise(&exe, sup, queue, &mut stats)?,
+            Err(e) => {
+                eprintln!("warning: cannot locate own executable ({e}); running in-process");
+                HashMap::new()
+            }
         }
     };
     // Final pass over the same plan and the worker-filled cache. Poisoned

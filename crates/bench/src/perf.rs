@@ -140,7 +140,8 @@ pub fn run_perf(opts: &PerfOptions) -> Json {
         let w = lf_workloads::by_name(name, opts.scale)
             .unwrap_or_else(|| panic!("perf basket kernel {name} is not registered"));
         let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
-        let (w, program) = (&prep.workload, &prep.program);
+        let (w, program) =
+            (&prep.workload, prep.program().expect("a full preparation holds its program"));
         for (tag, cfg) in &configs {
             let mut best_wall_s = f64::INFINITY;
             let mut cycles = 0u64;

@@ -376,18 +376,20 @@ pub fn run_kernel_with(
     mut hook: impl FnMut(&mut loopfrog::LoopFrogCore),
 ) -> KernelRun {
     let prep = PreparedKernel::prepare(w.clone(), &Hinting::Annotated);
-    let golden = prep.golden.expect("annotated preparations carry a golden checksum");
+    let golden = prep.identity.golden.expect("annotated preparations carry a golden checksum");
+    let program = prep.program().expect("a full preparation holds its program");
     // Results move into shared outcomes, and a deselected kernel mirrors
     // the baseline by Arc, not by clone.
     let mut sim = |c: &LoopFrogConfig, tag: &str| {
-        let mut core = loopfrog::LoopFrogCore::new(&prep.program, w.mem.clone(), c.clone());
+        let mut core = loopfrog::LoopFrogCore::new(program, w.mem.clone(), c.clone());
         hook(&mut core);
         let result = core.run().unwrap_or_else(|e| panic!("{} {tag} failed: {e}", w.name));
         Arc::new(RunOutcome::from_result(prep.request_fingerprint(c), result, c))
     };
     let base = sim(&LoopFrogConfig::baseline(), "baseline");
     let lf = sim(&cfg.lf, "loopfrog");
-    KernelRun::from_outcomes(w, prep.selected_loops, golden, base, lf, cfg.deselect_unprofitable)
+    let selected_loops = prep.identity.selected_loops;
+    KernelRun::from_outcomes(w, selected_loops, golden, base, lf, cfg.deselect_unprofitable)
 }
 
 /// Runs the whole suite at `scale`.

@@ -128,7 +128,8 @@ pub fn run_trace(opts: &TraceOptions) -> u64 {
         mux.add(Box::new(Rc::clone(recorder)));
     }
 
-    let mut core = LoopFrogCore::new(&prep.program, prep.workload.mem.clone(), cfg);
+    let program = prep.program().expect("a full preparation holds its program");
+    let mut core = LoopFrogCore::new(program, prep.workload.mem.clone(), cfg);
     if !mux.is_empty() {
         core.set_tracer(Box::new(mux));
     }

@@ -3,8 +3,12 @@
 use crate::json::{Json, Reader};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named bag of monotonically increasing event counters.
+///
+/// Clones share one map, copied only when a clone is added to: a run's
+/// record and its outcome's statistics hold the same counters.
 ///
 /// # Examples
 ///
@@ -20,7 +24,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    map: BTreeMap<String, u64>,
+    map: Arc<BTreeMap<String, u64>>,
 }
 
 impl Counters {
@@ -30,12 +34,14 @@ impl Counters {
     }
 
     /// Adds `n` to counter `name`, creating it at zero if absent. Only the
-    /// first add of a name allocates its key.
+    /// first add of a name allocates its key, and only the first add to a
+    /// shared clone copies the map.
     pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(v) = self.map.get_mut(name) {
+        let map = Arc::make_mut(&mut self.map);
+        if let Some(v) = map.get_mut(name) {
             *v += n;
         } else {
-            self.map.insert(name.to_string(), n);
+            map.insert(name.to_string(), n);
         }
     }
 
@@ -91,7 +97,7 @@ impl Counters {
             }
             Ok(())
         })?;
-        Ok((is_object && mistyped.is_empty()).then_some(Counters { map }))
+        Ok((is_object && mistyped.is_empty()).then_some(Counters { map: Arc::new(map) }))
     }
 }
 
@@ -248,6 +254,23 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A clone shares its original's map until one of them is added to,
+    /// and then neither sees the other's counts.
+    #[test]
+    fn clones_share_their_counts_until_one_is_added_to() {
+        let mut a = Counters::new();
+        a.add("x", 1);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.map, &b.map), "a clone copies no map");
+        b.add("x", 2);
+        b.add("y", 1);
+        a.add("z", 5);
+        assert_eq!([a.get("x"), a.get("y"), a.get("z")], [1, 0, 5]);
+        assert_eq!([b.get("x"), b.get("y"), b.get("z")], [3, 1, 0]);
+        assert_eq!(b.iter().collect::<Vec<_>>(), [("x", 3), ("y", 1)]);
+        assert_ne!(a, b);
+    }
 
     #[test]
     fn counters_merge_and_ratio() {

@@ -23,6 +23,9 @@
 //! usually dies *before* writing `failures.json`; the rerun reads nothing
 //! back but the run cache, so it needs no report.
 
+mod common;
+
+use common::ScratchDir;
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -35,14 +38,14 @@ const BIN: &str = env!("CARGO_BIN_EXE_lf-bench");
 const SCENARIO: &str = "fig6_speedups";
 const FILTER: &str = "stencil_blur";
 
-fn scratch_dir(tag: &str) -> PathBuf {
+fn scratch_dir(tag: &str) -> ScratchDir {
     // CI points LF_CRASH_SCRATCH inside the workspace so the planner
     // telemetry and failure reports of a red run can be uploaded as
     // artifacts.
     let root =
         std::env::var_os("LF_CRASH_SCRATCH").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
-    let dir = root.join(format!("lf-bench-crash-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir =
+        ScratchDir::new(root.join(format!("lf-bench-crash-test-{}-{tag}", std::process::id())));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -3,6 +3,9 @@
 //! all driven through the real engine on real kernels with deterministic
 //! `--inject-fault` gates.
 
+mod common;
+
+use common::ScratchDir;
 use lf_bench::engine::cache::{CacheLookup, DiskCache};
 use lf_bench::engine::fault::{
     hang_program, render_flight_recorder, FaultPlan, RunBudget, RunError, FLIGHT_RECORDER_KEEP,
@@ -14,7 +17,6 @@ use lf_workloads::Scale;
 use loopfrog::{FlightRecorder, LoopFrogConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,11 +132,10 @@ fn assert_windows_are_replays(output: &EngineOutput, tier: Tier) {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lf-bench-faults-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(
+        std::env::temp_dir().join(format!("lf-bench-faults-test-{}-{tag}", std::process::id())),
+    )
 }
 
 /// An injected panic costs exactly the affected runs: the campaign
@@ -230,14 +231,14 @@ fn corrupt_cache_entries_quarantine_and_refill() {
 
     // Campaign 1 stores both runs, then the injection garbles the entries.
     let mut opts = opts_for("stencil_blur");
-    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*dir));
     opts.faults = faults(&["corrupt-cache:1.0"]);
     let first = run_scenarios(&[&SuiteScenario], &opts);
     assert!(first.failures.is_empty(), "corruption strikes the cache, not the runs");
 
     // Campaign 2 finds the corruption, quarantines it, and re-simulates.
     let mut opts2 = opts_for("stencil_blur");
-    opts2.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts2.disk_cache = Some(DiskCache::new(&*dir));
     let sims = counting_hook(&mut opts2);
     let second = run_scenarios(&[&SuiteScenario], &opts2);
     assert_eq!(second.report.faults.cache_corrupt, 2);
@@ -250,7 +251,7 @@ fn corrupt_cache_entries_quarantine_and_refill() {
 
     // Campaign 3: the refilled slots serve hits again.
     let mut opts3 = opts_for("stencil_blur");
-    opts3.disk_cache = Some(DiskCache::new(dir));
+    opts3.disk_cache = Some(DiskCache::new(&*dir));
     let sims3 = counting_hook(&mut opts3);
     let third = run_scenarios(&[&SuiteScenario], &opts3);
     assert_eq!(third.report.disk_hits, 2);
@@ -267,7 +268,7 @@ fn corrupt_cache_entries_quarantine_and_refill() {
 #[test]
 fn concurrent_stores_under_corruption_leave_one_whole_entry() {
     let dir = scratch_dir("store-contention");
-    let cache = DiskCache::new(dir.clone());
+    let cache = DiskCache::new(&*dir);
     let w = lf_workloads::by_name("stencil_blur", Scale::Smoke).unwrap();
     let outcome = lf_bench::run_kernel(&w, &RunConfig::default()).base;
     let entry = cache.entry_path(outcome.fingerprint);
@@ -331,14 +332,14 @@ fn rerun_reexecutes_only_previously_failed_runs() {
 
     // Campaign 0: one of the two fdtd kernels runs cleanly and is cached.
     let mut warm = opts_for("gems_fdtd");
-    warm.disk_cache = Some(DiskCache::new(dir.clone()));
+    warm.disk_cache = Some(DiskCache::new(&*dir));
     let warmed = run_scenarios(&[&SuiteScenario], &warm);
     assert!(warmed.failures.is_empty());
 
     // Campaign 1 over both fdtd kernels with every *simulated* run
     // panicking: the cached kernel sails through, the other fails.
     let mut opts = opts_for("fdtd");
-    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*dir));
     opts.faults = faults(&["panic:1.0"]);
     let broken = run_scenarios(&[&SuiteScenario], &opts);
     assert_eq!(broken.report.disk_hits, 2, "gems_fdtd is served from the cache");
@@ -351,7 +352,7 @@ fn rerun_reexecutes_only_previously_failed_runs() {
     // Campaign 2 reruns without the injection: exactly the failed runs
     // re-execute.
     let mut again = opts_for("fdtd");
-    again.disk_cache = Some(DiskCache::new(dir.clone()));
+    again.disk_cache = Some(DiskCache::new(&*dir));
     let sims = counting_hook(&mut again);
     let rerun = run_scenarios(&[&SuiteScenario], &again);
     assert_eq!(rerun.report.disk_hits, 2);
@@ -363,7 +364,7 @@ fn rerun_reexecutes_only_previously_failed_runs() {
 
     // Campaign 3: nothing left to do — everything hits.
     let mut done = opts_for("fdtd");
-    done.disk_cache = Some(DiskCache::new(dir));
+    done.disk_cache = Some(DiskCache::new(&*dir));
     let sims3 = counting_hook(&mut done);
     let final_run = run_scenarios(&[&SuiteScenario], &done);
     assert_eq!(final_run.report.disk_hits, 4);
@@ -430,11 +431,10 @@ fn sampled_panics_fail_exactly_the_runs_they_hit() {
         let dir = scratch_dir(tag);
         let mut opts = opts_for("stencil_blur");
         opts.tier = Tier::Sampled;
-        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        opts.disk_cache = Some(DiskCache::new(&*dir));
         opts.faults = plan;
         let output = run_scenarios(&refs, &opts);
         let entries = cache_entries(&dir);
-        std::fs::remove_dir_all(&dir).ok();
         (output, entries)
     };
     let (clean, clean_entries) = campaign("sampled-clean", FaultPlan::default());

@@ -19,6 +19,9 @@
 //!    including a SIGTERM drain of the whole supervisor;
 //! 5. workers run the supervisor's own `run` flags.
 
+mod common;
+
+use common::ScratchDir;
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -26,11 +29,11 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_lf-bench");
 
-fn scratch_dir(tag: &str) -> PathBuf {
+fn scratch_dir(tag: &str) -> ScratchDir {
     let root =
         std::env::var_os("LF_CRASH_SCRATCH").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
-    let dir = root.join(format!("lf-bench-multiproc-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let name = format!("lf-bench-multiproc-test-{}-{tag}", std::process::id());
+    let dir = ScratchDir::new(root.join(name));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

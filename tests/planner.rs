@@ -4,11 +4,16 @@
 //! the artifacts (cached reruns on both tiers, serial and pooled cache
 //! probes), runs requested on an explicit tier, geometry, filter and
 //! deselection siblings served from one footprint, the campaign's phase
-//! spans and their coverage of its wall time, and the rejection of a
-//! `--filter` that selects no kernel.
+//! spans and their coverage of its wall time, preparation records (stale,
+//! corrupt and contradicted ones, and partially cached campaigns that
+//! prepare only what simulates), and the rejection of a `--filter` that
+//! selects no kernel.
 
+mod common;
+
+use common::ScratchDir;
 use lf_bench::artifact::SCHEMA_VERSION;
-use lf_bench::engine::cache::{CacheLookup, DiskCache};
+use lf_bench::engine::cache::{CacheLookup, DiskCache, BUILD_ID};
 use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::spans::SpanLog;
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
@@ -17,7 +22,8 @@ use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, 
 use lf_stats::Json;
 use lf_workloads::Scale;
 use loopfrog::{simulate, LoopFrogConfig};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -80,11 +86,34 @@ fn counting_hook(opts: &mut EngineOptions) -> Arc<AtomicUsize> {
     count
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lf-bench-planner-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(
+        std::env::temp_dir().join(format!("lf-bench-planner-test-{}-{tag}", std::process::id())),
+    )
+}
+
+/// The run entries (`<16 hex>.json`) of the cache directory `dir`, by
+/// name, with their bytes.
+fn run_entries(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.strip_suffix(".json")
+                .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
+        })
+        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(p).unwrap()))
+        .collect()
+}
+
+/// The preparation records of the cache directory `dir`, by name.
+fn records(dir: &Path) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir.join("prepared")) else { return Vec::new() };
+    let mut names: Vec<String> =
+        entries.map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
 }
 
 #[test]
@@ -139,7 +168,7 @@ fn disk_cache_round_trips_and_schema_bump_invalidates() {
     let dir = scratch_dir("disk-round-trip");
 
     let mut opts = opts_for("stencil_blur");
-    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*dir));
     let sims_first = counting_hook(&mut opts);
     let first = run_scenarios(&[&scenario], &opts);
     assert_eq!(first.report.disk_hits, 0);
@@ -148,7 +177,7 @@ fn disk_cache_round_trips_and_schema_bump_invalidates() {
     // Second engine run: everything served from disk, nothing simulated,
     // identical render.
     let mut opts2 = opts_for("stencil_blur");
-    opts2.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts2.disk_cache = Some(DiskCache::new(&*dir));
     let sims_second = counting_hook(&mut opts2);
     let second = run_scenarios(&[&scenario], &opts2);
     assert_eq!(second.report.disk_hits, 2);
@@ -158,7 +187,7 @@ fn disk_cache_round_trips_and_schema_bump_invalidates() {
 
     // A schema bump invalidates every entry: the engine re-simulates.
     let mut opts3 = opts_for("stencil_blur");
-    opts3.disk_cache = Some(DiskCache::with_schema(dir, SCHEMA_VERSION + 1));
+    opts3.disk_cache = Some(DiskCache::with_schema(&*dir, SCHEMA_VERSION + 1));
     let sims_third = counting_hook(&mut opts3);
     let third = run_scenarios(&[&scenario], &opts3);
     assert_eq!(third.report.disk_hits, 0, "stale-schema entries must miss");
@@ -190,7 +219,7 @@ fn cached_reruns_render_the_simulating_campaigns_artifacts() {
             let mut opts = opts_for("stencil_blur");
             opts.tier = tier;
             opts.jobs = 2;
-            opts.disk_cache = Some(DiskCache::new(dir.clone()));
+            opts.disk_cache = Some(DiskCache::new(&*dir));
             run_scenarios(&scenarios, &opts)
         };
         let cold = campaign();
@@ -210,7 +239,6 @@ fn cached_reruns_render_the_simulating_campaigns_artifacts() {
                 a.name
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -223,7 +251,7 @@ fn serial_and_pooled_probes_classify_alike() {
     let scenario = lf_bench::engine::by_name("fig9_ssb_size").unwrap();
     let filled = scratch_dir("probes-filled");
     let mut opts = opts_for("stencil_blur");
-    opts.disk_cache = Some(DiskCache::new(filled.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*filled));
     let cold = run_scenarios(&[scenario.as_ref()], &opts);
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&filled)
         .unwrap()
@@ -246,9 +274,8 @@ fn serial_and_pooled_probes_classify_alike() {
         }
         let mut opts = opts_for("stencil_blur");
         opts.jobs = jobs;
-        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        opts.disk_cache = Some(DiskCache::new(&*dir));
         let out = run_scenarios(&[scenario.as_ref()], &opts);
-        std::fs::remove_dir_all(&dir).ok();
         out
     };
     let (serial, pooled) = (campaign(1), campaign(4));
@@ -264,7 +291,6 @@ fn serial_and_pooled_probes_classify_alike() {
         let artifact = without_planner(&out.scenarios[0].artifact);
         assert_eq!(artifact, without_planner(&cold.scenarios[0].artifact), "-j {jobs}");
     }
-    std::fs::remove_dir_all(&filled).ok();
 }
 
 /// Rendered text and artifacts depend on neither `-j` nor the cache. The
@@ -288,7 +314,7 @@ fn parallel_output_is_byte_identical_to_serial() {
             opts.disk_cache = cache;
             run_scenarios(&[scenario.as_ref()], &opts)
         };
-        let serial = run_with(1, Some(DiskCache::new(dir.clone())));
+        let serial = run_with(1, Some(DiskCache::new(&*dir)));
         let parallel = run_with(4, None);
 
         assert_eq!(serial.report.unique, unique, "{name}");
@@ -304,7 +330,6 @@ fn parallel_output_is_byte_identical_to_serial() {
             without_planner(&parallel.scenarios[0].artifact),
             "{name}: artifacts must not depend on -j or the cache"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -313,7 +338,8 @@ fn parallel_output_is_byte_identical_to_serial() {
 /// two estimates are runs of their own; on the sampled tier the sampled
 /// estimate is the ground truth and dedupes with it. A second campaign on
 /// the same cache simulates nothing and renders the same text. No
-/// campaign stores checkpoint plans: the cache holds only run entries.
+/// campaign stores checkpoint plans: the cache holds only run entries and
+/// the one kernel's preparation record.
 #[test]
 fn simpoint_estimates_are_planned_runs() {
     let check = lf_bench::engine::by_name("simpoint_check").unwrap();
@@ -324,7 +350,7 @@ fn simpoint_estimates_are_planned_runs() {
         let campaign = || {
             let mut opts = opts_for("stencil_blur");
             opts.tier = tier;
-            opts.disk_cache = Some(DiskCache::new(dir.clone()));
+            opts.disk_cache = Some(DiskCache::new(&*dir));
             let sims = counting_hook(&mut opts);
             let output = run_scenarios(&scenarios, &opts);
             let simulated = sims.load(Ordering::SeqCst);
@@ -339,25 +365,21 @@ fn simpoint_estimates_are_planned_runs() {
             let row = s.text.lines().find(|l| l.starts_with("stencil_blur")).unwrap();
             assert!(row.ends_with('%') || row.ends_with('x'), "{tier:?}: {row}");
         }
-        let entries: Vec<String> = std::fs::read_dir(&dir)
+        let entries = run_entries(&dir);
+        assert_eq!(entries.len(), unique, "{tier:?}: one entry per run: {entries:?}");
+        let others: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| !entries.contains_key(name))
             .collect();
-        assert_eq!(entries.len(), unique, "{tier:?}: one entry per run: {entries:?}");
-        for name in &entries {
-            let stem = name.strip_suffix(".json").unwrap_or_else(|| panic!("{tier:?}: {name}"));
-            assert!(
-                stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()),
-                "{tier:?}: {name} is not a run entry"
-            );
-        }
+        assert_eq!(others, ["prepared"], "{tier:?}: the cache holds run entries and records only");
+        assert_eq!(records(&dir), ["stencil_blur.smoke.annotated.json"], "{tier:?}");
 
         let (second, resimulated) = campaign();
         assert_eq!(resimulated, 0, "{tier:?}: a cached campaign simulates nothing");
         for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
             assert_eq!(a.text, b.text, "{tier:?}: {} renders from the cache alike", a.name);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -400,7 +422,7 @@ fn phase_spans_cover_a_cold_campaign() {
     let scenario = lf_bench::engine::by_name("fig6_speedups").expect("registered scenario");
     let mut opts = opts_for("stencil_blur");
     opts.jobs = 2;
-    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*dir));
     let log = Arc::new(SpanLog::new());
     opts.spans = Some(log.clone());
     let output = run_scenarios(&[scenario.as_ref()], &opts);
@@ -411,7 +433,6 @@ fn phase_spans_cover_a_cold_campaign() {
         covered_us * 100 >= wall_us * 95,
         "phase spans cover {covered_us} us of a {wall_us} us campaign"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs fig9's size sweep and §6.6's associativity study over
@@ -420,7 +441,8 @@ fn phase_spans_cover_a_cold_campaign() {
 /// baseline and one family of 8 LoopFrog geometries. Workspace test
 /// builds also simulate each served run and fail it unless the outcomes
 /// match, so the first campaign must fail nothing; it writes one cache
-/// entry per unique run, and the second serves all 9 from the cache,
+/// entry per unique run and the kernel's preparation record, and the
+/// second serves all 9 from the cache,
 /// builds no sampling state and renders the same text. Returns the first
 /// campaign's simulated and served counts and its sampled work.
 fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize, SampledWork) {
@@ -432,7 +454,7 @@ fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize, SampledWork) {
         let mut opts = opts_for("astar_heap");
         opts.jobs = 2;
         opts.tier = tier;
-        opts.disk_cache = Some(DiskCache::new(dir.clone()));
+        opts.disk_cache = Some(DiskCache::new(&*dir));
         let sims = counting_hook(&mut opts);
         let output = run_scenarios(&refs, &opts);
         let simulated = sims.load(Ordering::SeqCst);
@@ -444,8 +466,8 @@ fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize, SampledWork) {
     assert_eq!(r.simulated + r.served, 9, "{tier:?}");
     assert_eq!(simulated, r.simulated, "{tier:?}: served runs never fire the simulation hook");
     assert!(first.failures.is_empty(), "{tier:?}: {:?}", first.failures);
-    let entries = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(entries, 9, "{tier:?}: one cache entry per unique run");
+    assert_eq!(run_entries(&dir).len(), 9, "{tier:?}: one cache entry per unique run");
+    assert_eq!(records(&dir), ["astar_heap.smoke.annotated.json"], "{tier:?}");
 
     let (second, resimulated) = campaign();
     let r2 = &second.report;
@@ -455,7 +477,6 @@ fn serve_astar_heap_geometries(tier: Tier) -> (usize, usize, SampledWork) {
     for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
         assert_eq!(a.text, b.text, "{tier:?}: {} renders from the cache alike", a.name);
     }
-    std::fs::remove_dir_all(&dir).ok();
     (r.simulated, r.served, r.sampled)
 }
 
@@ -533,7 +554,7 @@ fn serve_decision_siblings(tier: Tier) {
     let mut opts = opts_for(KERNEL);
     opts.jobs = 2;
     opts.tier = tier;
-    opts.disk_cache = Some(DiskCache::new(dir.clone()));
+    opts.disk_cache = Some(DiskCache::new(&*dir));
     let sims = counting_hook(&mut opts);
     let output = run_scenarios(&[&DecisionVariants], &opts);
     let r = &output.report;
@@ -543,7 +564,8 @@ fn serve_decision_siblings(tier: Tier) {
 
     let w = lf_workloads::by_name(KERNEL, Scale::Smoke).unwrap();
     let prep = PreparedKernel::prepare(w, &Hinting::Annotated);
-    let cache = DiskCache::new(dir.clone());
+    let program = prep.program().expect("a full preparation holds its program");
+    let cache = DiskCache::new(&*dir);
     let mut sampled = SampledKernel::default();
     let records: Vec<_> = decision_variants()
         .iter()
@@ -553,11 +575,9 @@ fn serve_decision_siblings(tier: Tier) {
                 panic!("{tier:?}: no entry for {cfg:?}")
             };
             let direct = match tier {
-                Tier::Sampled => {
-                    sampled.run(fp, &prep.program, &prep.workload.mem, cfg, &[]).unwrap().0
-                }
+                Tier::Sampled => sampled.run(fp, program, &prep.workload.mem, cfg, &[]).unwrap().0,
                 _ => {
-                    let result = simulate(&prep.program, prep.workload.mem.clone(), cfg.clone());
+                    let result = simulate(program, prep.workload.mem.clone(), cfg.clone());
                     RunOutcome::from_result(fp, result.unwrap(), cfg)
                 }
             };
@@ -570,7 +590,6 @@ fn serve_decision_siblings(tier: Tier) {
     // filter records another, so it was simulated.
     assert!(records[1] == records[0] && records[3] == records[0], "{tier:?}");
     assert!(records[2] != records[0], "{tier:?}: 64-bit filters ran as exact sets do");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -618,7 +637,7 @@ fn raw_and_annotated_hintings_fingerprint_apart() {
                 let cell = format!("{hinting_name}/{cfg_name}/{}", tier.tag());
                 let memoized = prep.request_fingerprint_tiered(&cfg, tier);
                 let from_scratch = run_fingerprint_tiered(
-                    &prep.program,
+                    prep.program().expect("a full preparation holds its program"),
                     &prep.workload.mem,
                     &cfg,
                     Scale::Smoke,
@@ -642,6 +661,197 @@ fn raw_and_annotated_hintings_fingerprint_apart() {
     assert_eq!(seen.len(), PINNED_FINGERPRINTS.len(), "every cell is a distinct run");
 }
 
+/// `stencil_blur`'s suite runs on a fresh cache in `dir`, serially.
+fn suite_campaign(dir: &Path) -> lf_bench::engine::EngineOutput {
+    let mut opts = opts_for("stencil_blur");
+    opts.disk_cache = Some(DiskCache::new(dir));
+    run_scenarios(&[&SuiteScenario("records")], &opts)
+}
+
+/// The preparation record the suite campaign writes.
+const SUITE_RECORD: &str = "prepared/stencil_blur.smoke.annotated.json";
+
+/// A preparation record another build wrote is not used: the pair is
+/// prepared in full, counted stale, and its record overwritten with this
+/// build's, which the next campaign reads.
+#[test]
+fn a_record_from_another_build_is_not_used_and_is_overwritten() {
+    let dir = scratch_dir("stale-record");
+    let cold = suite_campaign(&dir);
+    let r = &cold.report;
+    assert_eq!((r.prepared, r.prepared_from_records, r.prepared_in_full), (1, 0, 1));
+    let path = dir.join(SUITE_RECORD);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(BUILD_ID), "{text}");
+    std::fs::write(&path, text.replace(BUILD_ID, "0000000000000000")).unwrap();
+
+    let rerun = suite_campaign(&dir);
+    let r = &rerun.report;
+    assert_eq!((r.prepared_from_records, r.prepared_in_full, r.faults.records_stale), (0, 1, 1));
+    assert_eq!((r.disk_hits, r.simulated), (2, 0));
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "the record is overwritten");
+    assert_eq!(rerun.scenarios[0].text, cold.scenarios[0].text);
+
+    let third = suite_campaign(&dir);
+    let r = &third.report;
+    assert_eq!((r.prepared_from_records, r.prepared_in_full, r.faults.records_stale), (1, 0, 0));
+}
+
+/// A record that does not decode, or names another key, is quarantined
+/// and counted; its kernel is prepared in full, the campaign renders what
+/// it rendered before, and the record is written afresh.
+#[test]
+fn a_corrupt_record_is_quarantined_and_its_kernel_prepared_in_full() {
+    let dir = scratch_dir("corrupt-record");
+    let cold = suite_campaign(&dir);
+    let path = dir.join(SUITE_RECORD);
+    let text = std::fs::read_to_string(&path).unwrap();
+    for bad in [text[..text.len() / 3].to_string(), text.replace("smoke", "eval")] {
+        std::fs::write(&path, &bad).unwrap();
+        let rerun = suite_campaign(&dir);
+        let r = &rerun.report;
+        assert_eq!(
+            (r.prepared_from_records, r.prepared_in_full, r.faults.records_corrupt),
+            (0, 1, 1)
+        );
+        assert_eq!((r.disk_hits, r.simulated), (2, 0));
+        assert!(rerun.failures.is_empty());
+        assert_eq!(rerun.scenarios[0].text, cold.scenarios[0].text);
+        let quarantined = dir.join("quarantine").join(SUITE_RECORD);
+        assert_eq!(std::fs::read_to_string(quarantined).unwrap(), bad, "the record is kept aside");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "and written afresh");
+    }
+}
+
+/// A well-formed record with a wrong code fingerprint never yields a
+/// committed outcome. A verify build prepares every recorded kernel in
+/// full and fails the pair, naming the record; a package build fails the
+/// kernel's runs, which miss the cache under the record's fingerprints,
+/// when they simulate. Either way the record is quarantined, no entry is
+/// written, and the next campaign serves the cache again.
+#[test]
+fn a_tampered_record_never_commits_an_outcome() {
+    let dir = scratch_dir("tampered-record");
+    let cold = suite_campaign(&dir);
+    let entries = run_entries(&dir);
+    let path = dir.join(SUITE_RECORD);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let doc = Json::parse(&text).unwrap();
+    let code = doc.get("code_fingerprint").and_then(Json::as_str).unwrap();
+    let wrong = format!("{:016x}", u64::from_str_radix(code, 16).unwrap() ^ 1);
+    std::fs::write(&path, text.replace(code, &wrong)).unwrap();
+
+    let tampered = suite_campaign(&dir);
+    let f = &tampered.report.faults;
+    let expected = if loopfrog::VERIFY { (1, 0, 1) } else { (0, 2, 2) };
+    assert_eq!((f.prep_failures, f.sim_errors, tampered.failures.len()), expected);
+    for failure in &tampered.failures {
+        assert!(failure.error.message().contains(SUITE_RECORD), "{}", failure.error.message());
+    }
+    assert_eq!(f.records_corrupt, 1);
+    assert!(!path.exists() && dir.join("quarantine").join(SUITE_RECORD).exists());
+    assert_eq!(run_entries(&dir), entries, "no outcome is committed");
+
+    let healed = suite_campaign(&dir);
+    let r = &healed.report;
+    assert!(healed.failures.is_empty(), "{:?}", healed.failures);
+    assert_eq!((r.disk_hits, r.simulated, r.prepared_in_full), (2, 0, 1));
+    assert_eq!(healed.scenarios[0].text, cold.scenarios[0].text);
+}
+
+/// Declares the baseline and LoopFrog runs of two annotated kernels and
+/// the raw baseline run of one of them, and renders each run's cycles and
+/// checksum.
+struct TwoKernels;
+
+impl TwoKernels {
+    fn runs() -> Vec<(&'static str, Hinting, LoopFrogConfig)> {
+        let (base, lf) = (LoopFrogConfig::baseline(), LoopFrogConfig::default());
+        vec![
+            ("stencil_blur", Hinting::Annotated, base.clone()),
+            ("stencil_blur", Hinting::Annotated, lf.clone()),
+            ("hash_lookup", Hinting::Annotated, base.clone()),
+            ("hash_lookup", Hinting::Annotated, lf),
+            ("stencil_blur", Hinting::Raw, base),
+        ]
+    }
+}
+
+impl Scenario for TwoKernels {
+    fn name(&self) -> &'static str {
+        "two_kernels"
+    }
+    fn title(&self) -> &'static str {
+        "test scenario (two kernels, both hintings)"
+    }
+    fn plan(&self, p: &mut Planner<'_>) {
+        for (kernel, hinting, config) in TwoKernels::runs() {
+            p.request(kernel, hinting, &config);
+        }
+    }
+    fn render(&self, ctx: &EngineCtx<'_>, out: &mut String) -> RunArtifact {
+        for (kernel, hinting, config) in TwoKernels::runs() {
+            let run = ctx.try_outcome(kernel, &hinting, &config).expect("the run succeeded");
+            let (cycles, checksum) = (run.stats.cycles, run.checksum);
+            out.push_str(&format!("{kernel} {} {cycles} {checksum:016x}\n", hinting.tag()));
+        }
+        RunArtifact::new(self.name(), ctx.scale())
+    }
+}
+
+/// A partially cached campaign prepares only the kernels of its missing
+/// runs, on both tiers: with `hash_lookup`'s two entries deleted, every
+/// pair's identity comes from its record, only `hash_lookup` is prepared
+/// in full, and the campaign renders and re-creates exactly what the cold
+/// campaign did.
+#[test]
+fn partially_cached_campaigns_prepare_only_the_kernels_that_simulate() {
+    let hash_lookup = PreparedKernel::prepare(
+        lf_workloads::by_name("hash_lookup", Scale::Smoke).unwrap(),
+        &Hinting::Annotated,
+    );
+    for tier in [Tier::Detailed, Tier::Sampled] {
+        let dir = scratch_dir(&format!("partial-{}", tier.tag()));
+        let campaign = || {
+            let mut opts = EngineOptions::new(Scale::Smoke);
+            opts.tier = tier;
+            opts.jobs = 2;
+            opts.disk_cache = Some(DiskCache::new(&*dir));
+            run_scenarios(&[&TwoKernels], &opts)
+        };
+        let cold = campaign();
+        let r = &cold.report;
+        assert_eq!(
+            (r.prepared, r.prepared_from_records, r.prepared_in_full),
+            (3, 0, 3),
+            "{tier:?}"
+        );
+        assert_eq!(records(&dir).len(), 3, "{tier:?}");
+        let entries = run_entries(&dir);
+        let cache = DiskCache::new(&*dir);
+        for config in [LoopFrogConfig::baseline(), LoopFrogConfig::default()] {
+            let fingerprint = hash_lookup.request_fingerprint_tiered(&config, tier);
+            std::fs::remove_file(cache.entry_path(fingerprint)).unwrap();
+        }
+
+        let partial = campaign();
+        let r = &partial.report;
+        assert_eq!(
+            (r.prepared, r.prepared_from_records, r.prepared_in_full),
+            (3, 3, 1),
+            "{tier:?}"
+        );
+        assert_eq!((r.disk_hits, r.simulated + r.served), (r.unique - 2, 2), "{tier:?}");
+        assert!(partial.failures.is_empty(), "{tier:?}: {:?}", partial.failures);
+        assert_eq!(partial.scenarios[0].text, cold.scenarios[0].text, "{tier:?}");
+        assert_eq!(
+            run_entries(&dir),
+            entries,
+            "{tier:?}: the entries are re-created byte for byte"
+        );
+    }
+}
+
 #[test]
 fn unmatched_filter_is_rejected_before_any_file_is_written() {
     for workers in ["1", "2"] {
@@ -662,6 +872,5 @@ fn unmatched_filter_is_rejected_before_any_file_is_written() {
         assert!(out.stdout.is_empty(), "nothing rendered");
         let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(written.is_empty(), "--workers {workers} wrote {written:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
